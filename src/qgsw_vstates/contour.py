@@ -19,9 +19,13 @@ then -log r = -log|w - tau| - log(r/|w - tau|); the bracket and the ratio
 term are smooth on the circle (the ratio tends to |Phi'(w)| on the
 diagonal), and log|w - tau| is integrated exactly against the trapezoid
 samples of its smooth cofactor through the closed-form Fourier moments
-(1/2pi) int log|1 - e^{i t}| cos(n t) dt = -1/(2n).  Everything else is a
-dense matrix-vector product over the grid, vectorized through the array
-Bessel kernels.
+(1/2pi) int log|1 - e^{i t}| cos(n t) dt = -1/(2n).  That product rule is
+a circulant set of weights: row k of it applied to samples g(tau_l) is
+sum_l c[(k - l) mod P] g(tau_l) with c the inverse FFT of the moments.
+The weights and log|w_k - w_l| are both circulant in k - l, so the grid
+folds them into one real matrix, and every interaction, singular or not,
+is one real P x P kernel matrix (array Bessel kernels, fixed-length Horner
+series) applied to the complex weights Phi'(tau) tau as real mat-vecs.
 
 The rotating-frame boundary condition is, at each node of interface j,
 
@@ -38,6 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -97,6 +102,10 @@ class QuadratureGrid:
     1 <= n <= P/2 and 0 at n = 0; the Nyquist entry n = P/2 is just the
     formula at that order (real samples alias +-P/2 onto a pure cosine, so
     one real moment is all the product quadrature needs).
+    _moment_spectrum holds the same moments over FFT frequencies 0..P-1.
+
+    log_weights is derived from nodes and _moment_spectrum on first use and
+    then kept, read-only, with the grid.
     """
 
     node_count: int
@@ -109,6 +118,26 @@ class QuadratureGrid:
         for arr in (self.theta, self.nodes, self.log_moments,
                     self._moment_spectrum):
             arr.setflags(write=False)
+
+    @cached_property
+    def log_weights(self):
+        """Real P x P matrix P c[(k - l) mod P] - log|w_k - w_l|.
+
+        c = ifft(_moment_spectrum) are the circulant product-quadrature
+        weights of log|w_k - tau|: (1/2pi) int log|w_k - tau| g(tau) dtheta'
+        = sum_l c[(k - l) mod P] g(tau_l) on the trapezoid bandwidth.  The
+        diagonal takes log|w_k - w_k| as 0, the chord factor of the
+        self-interaction ratio on its diagonal.
+        """
+        count = self.node_count
+        circulant = count * np.fft.ifft(self._moment_spectrum).real
+        index = np.arange(count)
+        offsets = (index[:, None] - index[None, :]) % count
+        chord = np.abs(self.nodes[:, None] - self.nodes[None, :])
+        np.fill_diagonal(chord, 1.0)
+        weights = circulant[offsets] - np.log(chord)
+        weights.setflags(write=False)
+        return weights
 
 
 def make_grid(node_count):
@@ -155,20 +184,6 @@ def conformal_eval(boundary, grid):
     return values, derivs
 
 
-def _log_product_quadrature(smooth_matrix, grid):
-    """Row-wise (1/2pi) int log|w_k - tau| g_k(tau) dtheta', exactly on the
-    trapezoid bandwidth.
-
-    smooth_matrix[k, l] = g_k(tau_l).  Each row is expanded in Fourier
-    modes (one FFT per row, batched), the modes are multiplied by the
-    closed-form log moments, and the result is resummed at that row's own
-    node; the resummation for all rows at once is the diagonal of a batched
-    inverse FFT.
-    """
-    coeffs = np.fft.fft(smooth_matrix, axis=1) * grid._moment_spectrum
-    return np.einsum("kk->k", np.fft.ifft(coeffs, axis=1))
-
-
 def s_integral(lam, source, target, grid):
     """Screened single-layer integral S(lam, Phi_source, Phi_target) at the
     target-interface nodes.
@@ -187,24 +202,28 @@ def s_integral(lam, source, target, grid):
         scaled = lam * dist
         i0 = _i0_array(scaled)
         # smooth bracket of the kernel split
-        bracket = _k0reg_array(scaled) - math.log(lam / 2.0) * i0
-        # -log(r/|w - tau|): diagonal limit -log |Phi'(w)|
-        chord = np.abs(grid.nodes[:, None] - grid.nodes[None, :])
-        np.fill_diagonal(chord, 1.0)
-        ratio = dist / chord
-        np.fill_diagonal(ratio, np.abs(src_derivs))
-        smooth = bracket - np.log(ratio) * i0
-        direct = smooth @ weights / grid.node_count
-        log_part = _log_product_quadrature(i0 * weights[None, :], grid)
-        return direct - log_part
-
-    tgt_vals, _ = conformal_eval(target, grid)
-    dist = np.abs(tgt_vals[:, None] - src_vals[None, :])
-    if np.min(dist) < _COLLISION_TOL:
-        raise ValueError(
-            f"interfaces collide: min node distance {np.min(dist):.3e}"
-        )
-    return _k0_array(lam * dist) @ weights / grid.node_count
+        kernel = _k0reg_array(scaled)
+        kernel -= math.log(lam / 2.0) * i0
+        # -log r * I_0 with log r = log(r/|w - tau|) + log|w - tau|: the
+        # ratio's diagonal limit is |Phi'(w)|, and grid.log_weights swaps
+        # the plain log|w - tau| samples for the exact log product rule
+        np.fill_diagonal(dist, np.abs(src_derivs))
+        log_part = np.log(dist, out=dist)
+        log_part += grid.log_weights
+        log_part *= i0
+        kernel -= log_part
+    else:
+        tgt_vals, _ = conformal_eval(target, grid)
+        dist = np.abs(tgt_vals[:, None] - src_vals[None, :])
+        if np.min(dist) < _COLLISION_TOL:
+            raise ValueError(
+                f"interfaces collide: min node distance {np.min(dist):.3e}"
+            )
+        kernel = _k0_array(lam * dist)
+    # real kernel times complex weights as one real P x 2 product of
+    # (real, imag) rows, with no complex copy of the kernel
+    pairs = weights.view(float).reshape(-1, 2)
+    return (kernel @ pairs).view(complex)[:, 0] / grid.node_count
 
 
 def g_functional(lam, b, omega, f1, f2, grid):

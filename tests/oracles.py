@@ -2,20 +2,108 @@
 
 Everything here is deliberately implemented through a different route than
 the library code: direct series summation with math.factorial, fixed-node
-quadrature, and a panel Gauss-Legendre integral for the I_n*K_n product.
-Agreement between these and src/ is the point of the tests, so nothing in
-this file may import from qgsw_vstates except the vectorized J0 helper used
-as an integrand kernel (J0 itself is cross-checked against mpmath and a
-cosine-moment quadrature before the product oracle relies on it).
+quadrature, a panel Gauss-Legendre integral for the I_n*K_n product, and
+the FFT-diagonal form of the log product quadrature.  Agreement between
+these and src/ is the point of the tests.  J0, the integrand kernel of the
+product oracle, lives here too (cross-checked against mpmath and a
+cosine-moment quadrature before the product oracle relies on it).  Only
+the Fourier-moment oracles import from qgsw_vstates: the K0 kernel and, for
+the self-interaction quadrature, the conformal map and the array kernels,
+which tests check against mpmath on their own; what those oracles check is
+the quadrature around them.
 """
 
 import math
 
 import numpy as np
 
-from qgsw_vstates.bessel import _j0_array
-
 EULER_GAMMA = 0.57721566490153286061
+
+
+# ---------------------------------------------------------------------------
+# J_0 (the quadrature kernel of the product oracle)
+
+_J0_TRAP_NODES = 512
+
+
+def bessel_j0(x: float) -> float:
+    """J_0(x) for x >= 0, absolute error <= 1e-12 for x <= 100.
+
+    Power series up to x = 9, full-period trapezoid of the cosine integral
+    representation up to x = 160, Hankel-style asymptotic sum beyond.
+    """
+    if x < 0.0:
+        raise ValueError("argument must be nonnegative")
+    if x <= 9.0:
+        q = 0.25 * x * x
+        total, term, m = 1.0, 1.0, 0
+        while abs(term) > 1e-17:
+            m += 1
+            term *= -q / (m * m)
+            total += term
+        return total
+    if x <= 160.0:
+        # (1/2pi) int_0^{2pi} cos(x sin t) dt; aliasing error 2 J_N(x) with
+        # N = 512 is negligible for x <= 160
+        n = _J0_TRAP_NODES
+        return sum(
+            math.cos(x * math.sin(2.0 * math.pi * j / n)) for j in range(n)
+        ) / n
+    return _j0_asymptotic(x)
+
+
+def _j0_asymptotic(x: float) -> float:
+    """Hankel expansion: J_0 = Re[sqrt(2/(pi x)) e^{i(x - pi/4)} sum i^k a_k / x^k]."""
+    total = 0.0 + 0.0j
+    term = 1.0 + 0.0j
+    for k in range(18):
+        total += term
+        term *= 1j * (-((2 * k + 1) ** 2)) / (8.0 * x * (k + 1))
+        if abs(term) < 1e-18:
+            total += term
+            break
+    phase = complex(math.cos(x - 0.25 * math.pi), math.sin(x - 0.25 * math.pi))
+    return math.sqrt(2.0 / (math.pi * x)) * (phase * total).real
+
+
+def _j0_array(x: np.ndarray) -> np.ndarray:
+    """Vectorized bessel_j0 with the same three regimes."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    small = x <= 9.0
+    mid = (x > 9.0) & (x <= 160.0)
+    big = x > 160.0
+    if np.any(small):
+        q = 0.25 * x[small] ** 2
+        total = np.ones_like(q)
+        term = np.ones_like(q)
+        for m in range(1, 60):
+            term = term * (-q) / (m * m)
+            total = total + term
+            if not np.any(np.abs(term) > 1e-17):
+                break
+        out[small] = total
+    if np.any(mid):
+        theta = 2.0 * np.pi * np.arange(_J0_TRAP_NODES) / _J0_TRAP_NODES
+        sin_t = np.sin(theta)
+        vals = x[mid]
+        acc = np.zeros_like(vals)
+        # chunk the outer product to bound memory
+        step = max(1, 2_000_000 // _J0_TRAP_NODES)
+        for lo in range(0, vals.size, step):
+            blk = vals[lo:lo + step]
+            acc[lo:lo + step] = np.cos(blk[:, None] * sin_t[None, :]).mean(axis=1)
+        out[mid] = acc
+    if np.any(big):
+        xb = x[big]
+        total = np.zeros(xb.shape, dtype=complex)
+        term = np.ones(xb.shape, dtype=complex)
+        for k in range(18):
+            total += term
+            term = term * (1j * (-((2 * k + 1) ** 2)) / (8.0 * (k + 1))) / xb
+        phase = np.exp(1j * (xb - 0.25 * np.pi))
+        out[big] = np.sqrt(2.0 / (np.pi * xb)) * (phase * total).real
+    return out
 
 
 def i_series_direct(n, x, terms=40):
@@ -151,3 +239,33 @@ def k0_cosine_moment(lam, b, n, points=4096):
     dist = np.abs(1.0 - b * np.exp(1j * t))
     vals = _k0_array(lam * dist) * np.cos(n * t)
     return float(np.mean(vals))
+
+
+def self_interaction_fft(lam, boundary, grid):
+    """S(lam, Phi, Phi) at the grid nodes with the log product quadrature
+    taken row by row through FFTs.
+
+    Same kernel split as the library (smooth bracket, log ratio, exact log
+    moments), but each row of the log-singular cofactor I_0(lam r) Phi'
+    tau is expanded in Fourier modes, multiplied by the closed-form moments
+    and resummed at that row's own node: the diagonal of a batched inverse
+    FFT.  The library applies the same sums as one circulant weight matrix.
+    """
+    from qgsw_vstates.bessel import _i0_array, _k0reg_array
+    from qgsw_vstates.contour import conformal_eval
+
+    vals, derivs = conformal_eval(boundary, grid)
+    weights = derivs * grid.nodes
+    dist = np.abs(vals[:, None] - vals[None, :])
+    scaled = lam * dist
+    i0 = _i0_array(scaled)
+    bracket = _k0reg_array(scaled) - math.log(lam / 2.0) * i0
+    chord = np.abs(grid.nodes[:, None] - grid.nodes[None, :])
+    np.fill_diagonal(chord, 1.0)
+    ratio = dist / chord
+    np.fill_diagonal(ratio, np.abs(derivs))
+    smooth = bracket - np.log(ratio) * i0
+    direct = smooth @ weights / grid.node_count
+    coeffs = np.fft.fft(i0 * weights[None, :], axis=1) * grid._moment_spectrum
+    log_part = np.einsum("kk->k", np.fft.ifft(coeffs, axis=1))
+    return direct - log_part

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
+from oracles import _j0_array, bessel_j0
 from qgsw_vstates.bessel import (
     EULER_GAMMA,
-    _j0_array,
+    _i0_array,
+    _k0_array,
+    _k0reg_array,
     bessel_derivative,
     bessel_i,
-    bessel_j0,
     bessel_k,
     beltrami_k0,
     k0_regularized,
@@ -199,6 +201,66 @@ def test_product_extreme_order_stays_finite():
     val = product_ik(2000, 1.0)
     assert 0.0 < val < 1.0 / 4000.0
     assert abs(val - 1.0 / 4000.0) <= 1.0 / (4 * 2000**3) + 1e-9
+
+
+def _mpmath_values(fn, zs):
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    return np.array([float(fn(mp, mp.mpf(repr(float(z))))) for z in zs])
+
+
+def test_i0_array_against_mpmath():
+    zs = np.concatenate([np.linspace(0.0, 8.0, 161), [1e-9, 3.3, 7.99]])
+    want = _mpmath_values(lambda mp, z: mp.besseli(0, z), zs)
+    rel = np.abs(_i0_array(zs) / want - 1.0)
+    assert np.max(rel) <= 1e-15
+
+
+def test_k0reg_array_against_mpmath():
+    zs = np.concatenate([np.linspace(0.0, 4.0, 161), [1e-9, 3.3, 3.99]])
+    want = _mpmath_values(
+        lambda mp, z: mp.besselk(0, z) + mp.log(z / 2) * mp.besseli(0, z)
+        if z else -mp.euler,
+        zs,
+    )
+    err = np.abs(_k0reg_array(zs) - want)
+    assert np.all(err <= 1e-15 * np.maximum(1.0, np.abs(want)))
+
+
+def test_k0_array_against_mpmath():
+    # both branches, the split point itself, and the series cancellation
+    # range [3, 4] where I_0 and k0reg nearly cancel
+    zs = np.concatenate([
+        np.geomspace(1e-6, 60.0, 200),
+        np.linspace(3.0, 4.0, 41),
+        [4.0, np.nextafter(4.0, 5.0), 60.0],
+    ])
+    want = _mpmath_values(lambda mp, z: mp.besselk(0, z), zs)
+    assert np.max(np.abs(_k0_array(zs) / want - 1.0)) <= 5e-13
+    # one array mixing both branches, in a 2-D layout
+    mixed = np.array([[0.01, 4.0, 4.5], [3.9, 59.0, 0.7]])
+    want = _mpmath_values(lambda mp, z: mp.besselk(0, z), mixed.ravel())
+    got = _k0_array(mixed)
+    assert got.shape == mixed.shape
+    assert np.max(np.abs(got.ravel() / want - 1.0)) <= 5e-13
+
+
+@pytest.mark.parametrize("kernel", [_i0_array, _k0reg_array, _k0_array])
+def test_array_kernels_keep_shape(kernel):
+    assert kernel(np.empty(0)).shape == (0,)
+    assert kernel(np.empty((0, 3))).shape == (0, 3)
+    for z in (1.5, 6.0):
+        got = kernel(np.float64(z))
+        assert np.shape(got) == ()
+        assert got == pytest.approx(kernel(np.array([z]))[0], rel=1e-15)
+
+
+def test_series_kernels_refuse_arguments_beyond_their_tables():
+    assert np.isfinite(_i0_array(np.array([90.0])))[0]
+    with pytest.raises(ValueError):
+        _i0_array(np.array([1.0, 200.0]))
+    with pytest.raises(ValueError):
+        _k0reg_array(np.array([200.0]))
 
 
 def test_j0_at_zero():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 import qgsw_vstates.contour as contour
 from qgsw_vstates.bessel import product_ik
 from qgsw_vstates.contour import (
@@ -166,6 +167,32 @@ def test_s_integral_rotation_covariance(grid):
         coeff[None, :] * np.exp(1j * np.outer(grid.theta + alpha, freqs))
     ).sum(axis=1)
     assert np.max(np.abs(rotated - interp)) < 1e-11
+
+
+@pytest.mark.parametrize("lam", [1.0, 4.0])
+def test_self_interaction_matches_fft_product_quadrature(lam):
+    # the circulant log weights must reproduce the row-by-row FFT form of
+    # the log product quadrature, on the standard and a half-step rotated
+    # grid; the weight matrix is built on first use, not by make_grid
+    plain = make_grid(256)
+    alpha = np.pi / plain.node_count
+    shifted = QuadratureGrid(
+        plain.node_count,
+        plain.theta + alpha,
+        np.exp(1j * (plain.theta + alpha)),
+        plain.log_moments,
+        plain._moment_spectrum,
+    )
+    for g in (plain, shifted):
+        assert "log_weights" not in vars(g)
+        for f in (FourierBoundary(1.0, (0.0, 0.0, 0.05, 0.01)),
+                  FourierBoundary(B, (0.02, 0.0, 0.0, 0.0, 0.0, 0.01))):
+            got = s_integral(lam, f, f, g)
+            want = oracles.self_interaction_fft(lam, f, g)
+            assert np.max(np.abs(got - want)) <= 1e-13
+        assert not g.log_weights.flags.writeable
+        with pytest.raises(ValueError):
+            g.log_weights[0, 0] = 0.0
 
 
 def test_s_integral_collision_error(grid):
