@@ -11,8 +11,8 @@ representations with documented accuracy, no library calls:
   positive-integrand representation K_nu(x) = int_0^inf e^{-x cosh t}
   cosh(nu t) dt is used instead (trapezoid converges like e^{-pi^2/h}).
 * ``K_n`` for n >= 2 by upward recurrence, which is stable for K.
-* products, the high-order product expansion with Stirling numbers, the
-  Beltrami cosine summation and the regularized (log-free) part of ``K_0``.
+* products, the Beltrami cosine summation and the regularized (log-free)
+  part of ``K_0``.
 
 Log-scaled variants keep quantities like I_n(x)K_n(x) representable up to
 n = 2000 even though the factors themselves overflow near n ~ 700.
@@ -285,56 +285,6 @@ def product_ik(n, x: float) -> float:
     if x <= 0.0:
         raise ValueError("argument must be positive")
     return math.exp(log_bessel_i(n, x) + log_bessel_k(n, x))
-
-
-def stirling2(m: int, k: int) -> int:
-    """Stirling number of the second kind S(m, k).
-
-    S(0,0) = 1, S(m,0) = 0 for m >= 1, S(m,k) = 0 for m < k, and
-    S(m,k) = S(m-1,k-1) + k S(m-1,k). Exact integer arithmetic.
-    """
-    if m < 0 or k < 0:
-        raise ValueError("indices must be nonnegative")
-    if m < k:
-        return 0
-    if k == 0:
-        return 1 if m == 0 else 0
-    row = [1] + [0] * k  # row for m' = 0 over k' = 0..k
-    for mp in range(1, m + 1):
-        new = [0] * (k + 1)
-        for kp in range(1, min(mp, k) + 1):
-            new[kp] = row[kp - 1] + kp * row[kp]
-        row = new
-    return row[k]
-
-
-def _b_coeff(m: int, lam: float) -> float:
-    """b_m(lambda) = sum_{k=1}^m (-1)^{m-k} S(m,k)/k! (lambda^2/4)^k, b_0 = 1."""
-    if m == 0:
-        return 1.0
-    q = 0.25 * lam * lam
-    total = 0.0
-    for k in range(1, m + 1):
-        total += (-1.0) ** (m - k) * stirling2(m, k) / math.factorial(k) * q ** k
-    return total
-
-
-def product_ik_asymptotic(n, lam: float, b: float, terms: int) -> float:
-    """High-order expansion of I_n(lambda b) K_n(lambda).
-
-    Returns (b^n / 2n) (sum_{m<=terms} b_m(lambda b)/n^m)
-    (sum_{m<=terms} (-1)^m b_m(lambda)/n^m). terms = 0 reduces to b^n/(2n).
-    """
-    n_abs = _as_order(n)
-    if n_abs < 1:
-        raise ValueError("order must be >= 1")
-    if not 0.0 < b <= 1.0:
-        raise ValueError("b must lie in (0, 1]")
-    if not 0 <= terms <= 8:
-        raise ValueError("terms must lie in [0, 8]")
-    s_inner = sum(_b_coeff(m, lam * b) / n_abs ** m for m in range(terms + 1))
-    s_outer = sum((-1.0) ** m * _b_coeff(m, lam) / n_abs ** m for m in range(terms + 1))
-    return b ** n_abs / (2.0 * n_abs) * s_inner * s_outer
 
 
 def beltrami_k0(a: float, b: float, theta: float, terms: int) -> float:

@@ -30,10 +30,9 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from . import contour
 from .bessel import bessel_derivative, bessel_i, bessel_k, beltrami_k0
 from .contour import g_functional, linearization_check, make_grid
-from .continuation import trace_branch
+from .continuation import lattice_values, trace_branch
 from .spectrum import (
     SearchExhausted,
     discriminant,
@@ -78,7 +77,6 @@ class RunConfig:
     out: str = "runs"
     fmt: str = "csv"
     jobs: int = 1
-    inject_fault: bool = False
 
     def __post_init__(self):
         if self.command not in _COMMANDS:
@@ -87,6 +85,14 @@ class RunConfig:
             raise ConfigError("lambda grid must be nonempty")
         if not self.bs:
             raise ConfigError("b grid must be nonempty")
+        if not self.ns and self.command not in ("branch", "verify"):
+            raise ConfigError("n grid must be nonempty")
+        for n in self.ns:
+            if n < 1:
+                raise ConfigError(f"mode orders must be >= 1; got {n}")
+        for m in self.ms:
+            if m < 1:
+                raise ConfigError(f"fold count must be >= 1; got {m}")
         for lam in self.lambdas:
             if not lam > 0.0 or not math.isfinite(lam):
                 raise ConfigError(f"lambda values must be positive; got {lam}")
@@ -126,35 +132,35 @@ class RunConfig:
 def parse_float_grid(text):
     """Grid syntax: 'v', 'v1,v2,...', or 'start:stop:count' (inclusive)."""
     text = str(text).strip()
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ConfigError(f"range syntax is start:stop:count; got {text!r}")
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-        if count < 1:
-            raise ConfigError(f"range count must be >= 1; got {count}")
-        if count == 1:
-            return (start,)
-        return tuple(np.linspace(start, stop, count).tolist())
+    parts = text.split(":")
+    if len(parts) not in (1, 3):
+        raise ConfigError(f"range syntax is start:stop:count; got {text!r}")
     try:
-        return tuple(float(t) for t in text.split(",") if t.strip() != "")
+        if len(parts) == 1:
+            return tuple(float(t) for t in text.split(",") if t.strip() != "")
+        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise ConfigError(f"bad grid value in {text!r}: {exc}") from None
+    if count < 1:
+        raise ConfigError(f"range count must be >= 1; got {count}")
+    if count == 1:
+        return (start,)
+    return tuple(np.linspace(start, stop, count).tolist())
 
 
 def parse_int_grid(text):
     """Integer grid: 'n', 'n1,n2,...', or 'lo:hi' inclusive (may be empty)."""
     text = str(text).strip()
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 2:
-            raise ConfigError(f"integer range syntax is lo:hi; got {text!r}")
-        lo, hi = int(parts[0]), int(parts[1])
-        return tuple(range(lo, hi + 1))
+    parts = text.split(":")
+    if len(parts) > 2:
+        raise ConfigError(f"integer range syntax is lo:hi; got {text!r}")
     try:
-        return tuple(int(t) for t in text.split(",") if t.strip() != "")
+        if len(parts) == 1:
+            return tuple(int(t) for t in text.split(",") if t.strip() != "")
+        lo, hi = int(parts[0]), int(parts[1])
     except ValueError as exc:
         raise ConfigError(f"bad integer in {text!r}: {exc}") from None
+    return tuple(range(lo, hi + 1))
 
 
 def _coerce_grid(value, parser):
@@ -209,16 +215,21 @@ def _write_summary(out_dir, payload):
     return path
 
 
-def _ordered_map(fn, items, jobs):
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
 def _table_name(config, stem):
     return f"{stem}.{'csv' if config.fmt == 'csv' else 'json'}"
+
+
+def _table_command(config, stem, header, cell_rows):
+    """One table of cell_rows(lam, b) over the (lambda, b) grid, in order.
+
+    The cells run serially whatever --jobs says: they are scalar Python that
+    holds the GIL, so threads bought these tables nothing.
+    """
+    points = [(lam, b) for lam in config.lambdas for b in config.bs]
+    rows = [row for lam, b in points for row in cell_rows(lam, b)]
+    name = _table_name(config, stem)
+    _write_table(os.path.join(config.out, name), header, rows, config.fmt)
+    return 0, {"files": [name], "rows": len(rows), "cells": len(points)}
 
 
 # ---------------------------------------------------------------------------
@@ -226,32 +237,6 @@ def _table_name(config, stem):
 
 
 def _cmd_spectrum(config):
-    def cell(point):
-        lam, b = point
-        threshold = find_threshold(lam, b, window=config.window)
-        lower, upper = omega_limits(lam, b)
-        rows = []
-        for n in config.ns:
-            pair = eigenvalues(n, lam, b)
-            rows.append(
-                (
-                    lam,
-                    b,
-                    n,
-                    discriminant(n, lam, b),
-                    None if pair is None else pair.omega_minus,
-                    None if pair is None else pair.omega_plus,
-                    lower,
-                    upper,
-                    threshold.n0,
-                    threshold.n,
-                )
-            )
-        return rows
-
-    points = [(lam, b) for lam in config.lambdas for b in config.bs]
-    per_cell = _ordered_map(cell, points, config.jobs)
-    rows = [row for chunk in per_cell for row in chunk]
     header = (
         "lambda",
         "b",
@@ -264,47 +249,29 @@ def _cmd_spectrum(config):
         "n0",
         "n_threshold",
     )
-    name = _table_name(config, "spectrum")
-    _write_table(os.path.join(config.out, name), header, rows, config.fmt)
-    return 0, {"files": [name], "rows": len(rows), "cells": len(points)}
+
+    def cell_rows(lam, b):
+        threshold = find_threshold(lam, b, window=config.window)
+        lower, upper = omega_limits(lam, b)
+        for n in config.ns:
+            pair = eigenvalues(n, lam, b)
+            yield (
+                lam,
+                b,
+                n,
+                discriminant(n, lam, b),
+                None if pair is None else pair.omega_minus,
+                None if pair is None else pair.omega_plus,
+                lower,
+                upper,
+                threshold.n0,
+                threshold.n,
+            )
+
+    return _table_command(config, "spectrum", header, cell_rows)
 
 
 def _cmd_eigen(config):
-    def cell(point):
-        lam, b = point
-        rows = []
-        for n in config.ns:
-            pair = eigenvalues(n, lam, b)
-            if pair is None or pair.degenerate:
-                rows.append(
-                    (lam, b, n, discriminant(n, lam, b))
-                    + (None,) * 6
-                    + (False, False)
-                )
-                continue
-            v_minus = kernel_vector(n, lam, b, "-")
-            v_plus = kernel_vector(n, lam, b, "+")
-            rows.append(
-                (
-                    lam,
-                    b,
-                    n,
-                    pair.discriminant,
-                    pair.omega_minus,
-                    pair.omega_plus,
-                    v_minus[0],
-                    v_minus[1],
-                    v_plus[0],
-                    v_plus[1],
-                    transversality_check(n, lam, b, "-"),
-                    transversality_check(n, lam, b, "+"),
-                )
-            )
-        return rows
-
-    points = [(lam, b) for lam in config.lambdas for b in config.bs]
-    per_cell = _ordered_map(cell, points, config.jobs)
-    rows = [row for chunk in per_cell for row in chunk]
     header = (
         "lambda",
         "b",
@@ -319,39 +286,38 @@ def _cmd_eigen(config):
         "transversal_minus",
         "transversal_plus",
     )
-    name = _table_name(config, "eigen")
-    _write_table(os.path.join(config.out, name), header, rows, config.fmt)
-    return 0, {"files": [name], "rows": len(rows), "cells": len(points)}
+
+    def cell_rows(lam, b):
+        for n in config.ns:
+            pair = eigenvalues(n, lam, b)
+            if pair is None or pair.degenerate:
+                yield (
+                    (lam, b, n, discriminant(n, lam, b))
+                    + (None,) * 6
+                    + (False, False)
+                )
+                continue
+            v_minus = kernel_vector(n, lam, b, "-")
+            v_plus = kernel_vector(n, lam, b, "+")
+            yield (
+                lam,
+                b,
+                n,
+                pair.discriminant,
+                pair.omega_minus,
+                pair.omega_plus,
+                v_minus[0],
+                v_minus[1],
+                v_plus[0],
+                v_plus[1],
+                transversality_check(n, lam, b, "-"),
+                transversality_check(n, lam, b, "+"),
+            )
+
+    return _table_command(config, "eigen", header, cell_rows)
 
 
 def _cmd_limits(config):
-    def cell(point):
-        lam, b = point
-        lower, upper = omega_limits(lam, b)
-        rows = []
-        for n in config.ns:
-            euler = None
-            if n >= 1:
-                euler = euler_eigenvalues(n, b)
-            rows.append(
-                (
-                    lam,
-                    b,
-                    n,
-                    lower,
-                    upper,
-                    None if euler is None else euler.minus,
-                    None if euler is None else euler.plus,
-                    simply_connected_limit_minus(n, lam),
-                    simply_connected_limit(n, lam),
-                    (n - 1.0) / (2.0 * n),
-                )
-            )
-        return rows
-
-    points = [(lam, b) for lam in config.lambdas for b in config.bs]
-    per_cell = _ordered_map(cell, points, config.jobs)
-    rows = [row for chunk in per_cell for row in chunk]
     header = (
         "lambda",
         "b",
@@ -364,18 +330,25 @@ def _cmd_limits(config):
         "sc_plus",
         "burbea",
     )
-    name = _table_name(config, "limits")
-    _write_table(os.path.join(config.out, name), header, rows, config.fmt)
-    return 0, {"files": [name], "rows": len(rows), "cells": len(points)}
 
+    def cell_rows(lam, b):
+        lower, upper = omega_limits(lam, b)
+        for n in config.ns:
+            euler = euler_eigenvalues(n, b)
+            yield (
+                lam,
+                b,
+                n,
+                lower,
+                upper,
+                None if euler is None else euler.minus,
+                None if euler is None else euler.plus,
+                simply_connected_limit_minus(n, lam),
+                simply_connected_limit(n, lam),
+                (n - 1.0) / (2.0 * n),
+            )
 
-def _lattice_row(boundary, m, count):
-    coeffs = boundary.coefficients
-    out = []
-    for k in range(count):
-        idx = m * (k + 1) - 1
-        out.append(coeffs[idx] if idx < len(coeffs) else 0.0)
-    return out
+    return _table_command(config, "limits", header, cell_rows)
 
 
 def _cmd_branch(config):
@@ -390,8 +363,6 @@ def _cmd_branch(config):
     else:
         modes = (find_threshold(lam, b, window=config.window).n + 2,)
     for m in modes:
-        if m < 1:
-            raise ConfigError(f"fold count must be >= 1; got {m}")
         delta = discriminant(m, lam, b)
         if not delta > 0.0:
             raise ConfigError(
@@ -421,13 +392,12 @@ def _cmd_branch(config):
         count = max(
             (len(p.f1.coefficients) + 1) // m for p in trace.points
         ) if trace.points else 0
-        rows = []
-        for p in trace.points:
-            rows.append(
-                [p.s, p.omega, p.residual]
-                + _lattice_row(p.f1, m, count)
-                + _lattice_row(p.f2, m, count)
-            )
+        rows = [
+            [p.s, p.omega, p.residual]
+            + list(lattice_values(p.f1, m, count))
+            + list(lattice_values(p.f2, m, count))
+            for p in trace.points
+        ]
         header = (
             ["s", "omega", "residual"]
             + [f"a{m * (k + 1) - 1}" for k in range(count)]
@@ -448,8 +418,14 @@ def _cmd_branch(config):
             "gap": None if omega0 is None else abs(omega0 - omega_star),
         }
 
+    # each branch is a long numpy-bound trace, the one place where threads
+    # pay off; map keeps the output order independent of completion order
     tasks = [(m, sign) for m in modes for sign in config.signs]
-    branches = _ordered_map(job, tasks, config.jobs)
+    if config.jobs > 1 and len(tasks) > 1:
+        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
+            branches = list(pool.map(job, tasks))
+    else:
+        branches = [job(task) for task in tasks]
     partial = any(not entry["completed"] for entry in branches)
     code = 3 if partial else 0
     return code, {
@@ -589,9 +565,7 @@ def _build_parser():
         p.add_argument("--out", help="output directory")
         p.add_argument("--format", dest="fmt", choices=["csv", "json"])
         p.add_argument("--jobs", type=int,
-                       help="worker threads (default: all cores)")
-        p.add_argument("--inject-fault", action="store_true",
-                       default=None, help=argparse.SUPPRESS)
+                       help="branch threads (default: all cores)")
     return parser
 
 
@@ -630,39 +604,39 @@ def build_config(args):
         out = file_values.get("out", "runs")
 
     defaults = RunConfig(command=args.command)
-    kwargs = {
-        "command": args.command,
-        "lambdas": _coerce_grid(pick("lambdas", defaults.lambdas),
-                                parse_float_grid),
-        "bs": _coerce_grid(pick("bs", defaults.bs), parse_float_grid),
-        "ns": _coerce_grid(pick("ns", defaults.ns), parse_int_grid),
-        "ms": _coerce_grid(pick("ms", defaults.ms), parse_int_grid),
-        "sign": pick("sign", defaults.sign),
-        "window": int(pick("window", defaults.window)),
-        "trunc": int(pick("trunc", defaults.trunc)),
-        "grid_size": int(pick("grid_size", defaults.grid_size)),
-        "s_max": float(pick("s_max", defaults.s_max)),
-        "steps": int(pick("steps", defaults.steps)),
-        "tol": float(pick("tol", defaults.tol)),
-        "out": str(out),
-        "fmt": pick("fmt", defaults.fmt),
-        "jobs": int(pick("jobs", os.cpu_count() or 1)),
-        "inject_fault": bool(pick("inject_fault", False)),
-    }
-    kwargs["ms"] = tuple(int(v) for v in kwargs["ms"])
-    kwargs["ns"] = tuple(int(v) for v in kwargs["ns"])
-    return RunConfig(**kwargs)
+    # config-file values arrive untyped: a value that does not convert is
+    # refused like any other bad input
+    try:
+        return RunConfig(
+            command=args.command,
+            lambdas=_coerce_grid(pick("lambdas", defaults.lambdas),
+                                 parse_float_grid),
+            bs=_coerce_grid(pick("bs", defaults.bs), parse_float_grid),
+            ns=tuple(int(v) for v in _coerce_grid(pick("ns", defaults.ns),
+                                                  parse_int_grid)),
+            ms=tuple(int(v) for v in _coerce_grid(pick("ms", defaults.ms),
+                                                  parse_int_grid)),
+            sign=pick("sign", defaults.sign),
+            window=int(pick("window", defaults.window)),
+            trunc=int(pick("trunc", defaults.trunc)),
+            grid_size=int(pick("grid_size", defaults.grid_size)),
+            s_max=float(pick("s_max", defaults.s_max)),
+            steps=int(pick("steps", defaults.steps)),
+            tol=float(pick("tol", defaults.tol)),
+            out=str(out),
+            fmt=pick("fmt", defaults.fmt),
+            jobs=int(pick("jobs", os.cpu_count() or 1)),
+        )
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad config value: {exc}") from None
 
 
 def run(config):
     """Execute one resolved configuration; returns the process exit code."""
     os.makedirs(config.out, exist_ok=True)
-    previous_fault = contour._FAULT_FLIP_INNER
-    contour._FAULT_FLIP_INNER = config.inject_fault
-    try:
-        code, results = _DISPATCH[config.command](config)
-    finally:
-        contour._FAULT_FLIP_INNER = previous_fault
+    code, results = _DISPATCH[config.command](config)
     summary = {
         "command": config.command,
         "config": {

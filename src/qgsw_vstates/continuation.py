@@ -37,7 +37,7 @@ from .contour import (
     make_grid,
     real_fourier,
 )
-from .spectrum import eigenvalues, kernel_vector
+from .spectrum import _normalize_sign, eigenvalues, kernel_vector
 
 RESIDUAL_TOL = 1e-10
 _MAX_ITERATIONS = 50
@@ -86,18 +86,19 @@ class VerifyReport:
     omega: float
 
 
-def _lattice_tuple(m, coeffs):
-    """Dense coefficient tuple with coeffs[k] at index m(k+1)-1."""
-    dense = [0.0] * (m * len(coeffs))
-    for k, value in enumerate(coeffs):
+def lattice_tuple(m, values):
+    """Dense coefficient tuple with values[k] at index m(k+1)-1."""
+    dense = [0.0] * (m * len(values))
+    for k, value in enumerate(values):
         dense[m * (k + 1) - 1] = value
     return tuple(dense)
 
 
-def _lattice_values(boundary, m, trunc):
-    """Inverse of _lattice_tuple, padded/truncated to trunc entries."""
-    values = np.zeros(trunc)
-    for k in range(trunc):
+def lattice_values(boundary, m, count):
+    """Inverse of lattice_tuple: the first count lattice coefficients of
+    boundary, zero-padded past its truncation."""
+    values = np.zeros(count)
+    for k in range(count):
         idx = m * (k + 1) - 1
         if idx < len(boundary.coefficients):
             values[k] = boundary.coefficients[idx]
@@ -107,7 +108,7 @@ def _lattice_values(boundary, m, trunc):
 class _ProjectedSystem:
     """Projected m-fold residual with one pinned coefficient."""
 
-    def __init__(self, lam, b, m, trunc, grid, pinned, s, sign):
+    def __init__(self, lam, b, m, trunc, grid, pinned, s):
         self.lam = lam
         self.b = b
         self.m = m
@@ -115,7 +116,6 @@ class _ProjectedSystem:
         self.grid = grid
         self.pinned = pinned
         self.s = s
-        self.sign = sign
 
     def boundaries(self, u):
         c1 = np.empty(self.trunc)
@@ -128,8 +128,8 @@ class _ProjectedSystem:
             c2[0] = self.s
             c1[:] = u[: self.trunc]
             c2[1:] = u[self.trunc : 2 * self.trunc - 1]
-        f1 = FourierBoundary(1.0, _lattice_tuple(self.m, c1))
-        f2 = FourierBoundary(self.b, _lattice_tuple(self.m, c2))
+        f1 = FourierBoundary(1.0, lattice_tuple(self.m, c1))
+        f2 = FourierBoundary(self.b, lattice_tuple(self.m, c2))
         return f1, f2, u[-1]
 
     def pack(self, c1, c2, omega):
@@ -192,119 +192,91 @@ def newton_solve(lam, b, m, sign, s, initial_guess=None, trunc=16, grid=None):
             f"m*trunc = {m * trunc} exceeds the grid bandwidth"
             f" {grid.node_count // 2}"
         )
-    pair = eigenvalues(m, lam, b)
-    pinned, direction = _pinned_side(m, lam, b, sign)
-    omega_star = pair.omega_plus if _branch_sign(sign) > 0 else pair.omega_minus
-
-    system = _ProjectedSystem(lam, b, m, trunc, grid, pinned, float(s), sign)
+    pinned, (v1, v2) = _pinned_side(m, lam, b, sign)
     if initial_guess is None:
         c1 = np.zeros(trunc)
         c2 = np.zeros(trunc)
-        v1, v2 = direction
         if pinned == "outer":
             c1[0] = s
             c2[0] = s * v2 / v1
         else:
             c2[0] = s
             c1[0] = s * v1 / v2
-        u = system.pack(c1, c2, omega_star)
+        pair = eigenvalues(m, lam, b)
+        plus = _normalize_sign(sign) > 0
+        omega = pair.omega_plus if plus else pair.omega_minus
     else:
-        c1 = _lattice_values(initial_guess.f1, m, trunc)
-        c2 = _lattice_values(initial_guess.f2, m, trunc)
-        u = system.pack(c1, c2, initial_guess.omega)
-    # the pinned coordinate is not in u; constructing the boundaries checks
-    # the ball guard on the guess itself
-    system.boundaries(u)
+        c1 = lattice_values(initial_guess.f1, m, trunc)
+        c2 = lattice_values(initial_guess.f2, m, trunc)
+        omega = initial_guess.omega
 
-    projected, node_res = system.residual(u)
-    norm = np.linalg.norm(projected)
-    for _ in range(_MAX_ITERATIONS):
-        if node_res <= RESIDUAL_TOL:
-            return _emit(system, u, node_res)
-        jac = system.jacobian(u)
-        cond = np.linalg.cond(jac)
-        if not np.isfinite(cond) or cond > _CONDITION_CAP:
-            raise DegenerateJacobian(
-                f"condition estimate {cond:.3e} at s={s}, m={m}"
-            )
-        delta = np.linalg.solve(jac, -projected)
-        step_scale = 1.0
-        for _ in range(_MAX_HALVINGS + 1):
-            try:
-                trial = u + step_scale * delta
-                trial_proj, trial_res = system.residual(trial)
-            except ValueError:
-                step_scale *= 0.5
-                continue
-            trial_norm = np.linalg.norm(trial_proj)
-            if trial_norm < norm:
-                u, projected, node_res, norm = (
-                    trial,
-                    trial_proj,
-                    trial_res,
-                    trial_norm,
-                )
+    # solve at trunc; while the last lattice coefficient of the solution is
+    # above _TAIL_TOL, pad the coefficients and solve again at twice trunc
+    while True:
+        system = _ProjectedSystem(lam, b, m, trunc, grid, pinned, float(s))
+        u = system.pack(c1, c2, omega)
+        # the pinned coordinate is not in u; constructing the boundaries
+        # checks the ball guard on the guess itself
+        system.boundaries(u)
+        projected, node_res = system.residual(u)
+        norm = np.linalg.norm(projected)
+        for _ in range(_MAX_ITERATIONS):
+            if node_res <= RESIDUAL_TOL:
                 break
-            step_scale *= 0.5
-        else:
+            jac = system.jacobian(u)
+            cond = np.linalg.cond(jac)
+            if not np.isfinite(cond) or cond > _CONDITION_CAP:
+                raise DegenerateJacobian(
+                    f"condition estimate {cond:.3e} at s={s}, m={m}"
+                )
+            delta = np.linalg.solve(jac, -projected)
+            step_scale = 1.0
+            for _ in range(_MAX_HALVINGS + 1):
+                try:
+                    trial = u + step_scale * delta
+                    trial_proj, trial_res = system.residual(trial)
+                except ValueError:
+                    step_scale *= 0.5
+                    continue
+                trial_norm = np.linalg.norm(trial_proj)
+                if trial_norm < norm:
+                    u, projected, node_res, norm = (
+                        trial,
+                        trial_proj,
+                        trial_res,
+                        trial_norm,
+                    )
+                    break
+                step_scale *= 0.5
+            else:
+                raise NonConvergence(
+                    f"damping exhausted at s={s}, m={m}"
+                    f" (residual {node_res:.3e})"
+                )
+        if not node_res <= RESIDUAL_TOL:
             raise NonConvergence(
-                f"damping exhausted at s={s}, m={m} (residual {node_res:.3e})"
+                f"iteration cap reached at s={s}, m={m}"
+                f" (residual {node_res:.3e})"
             )
-    if node_res <= RESIDUAL_TOL:
-        return _emit(system, u, node_res)
-    raise NonConvergence(
-        f"iteration cap reached at s={s}, m={m} (residual {node_res:.3e})"
-    )
-
-
-def _branch_sign(sign):
-    if sign in (1, +1, "+", "plus"):
-        return +1
-    if sign in (-1, "-", "minus"):
-        return -1
-    raise ValueError(f"sign must be one of +, -, plus, minus; got {sign!r}")
-
-
-def _emit(system, u, node_res):
-    f1, f2, omega = system.boundaries(u)
-    tail = max(
-        abs(_lattice_values(f1, system.m, system.trunc)[-1]),
-        abs(_lattice_values(f2, system.m, system.trunc)[-1]),
-    )
-    if tail > _TAIL_TOL:
-        doubled = 2 * system.trunc
-        if system.m * doubled > system.grid.node_count // 2:
+        f1, f2, omega = system.boundaries(u)
+        tail = max(abs(lattice_values(f, m, trunc)[-1]) for f in (f1, f2))
+        if tail <= _TAIL_TOL:
+            return BranchPoint(
+                s=system.s,
+                omega=omega,
+                f1=f1,
+                f2=f2,
+                residual=node_res,
+                m=m,
+                pinned=pinned,
+            )
+        if m * 2 * trunc > grid.node_count // 2:
             raise NonConvergence(
-                f"truncation saturated: tail {tail:.3e} at K={system.trunc}"
+                f"truncation saturated: tail {tail:.3e} at K={trunc}"
             )
-        point = BranchPoint(
-            s=system.s,
-            omega=omega,
-            f1=f1,
-            f2=f2,
-            residual=node_res,
-            m=system.m,
-            pinned=system.pinned,
-        )
-        return newton_solve(
-            system.lam,
-            system.b,
-            system.m,
-            system.sign,
-            system.s,
-            initial_guess=point,
-            trunc=doubled,
-            grid=system.grid,
-        )
-    return BranchPoint(
-        s=system.s,
-        omega=omega,
-        f1=f1,
-        f2=f2,
-        residual=node_res,
-        m=system.m,
-        pinned=system.pinned,
-    )
+        trunc *= 2
+        c1 = lattice_values(f1, m, trunc)
+        c2 = lattice_values(f2, m, trunc)
 
 
 def trace_branch(lam, b, m, sign, s_max, steps, trunc=16, grid=None):

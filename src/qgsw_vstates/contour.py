@@ -48,10 +48,6 @@ import numpy as np
 
 from .bessel import _i0_array, _k0_array, _k0reg_array
 
-# test hook: flips the sign of the inner-interface contribution to G so the
-# verification pipeline has a reproducible failure mode to detect
-_FAULT_FLIP_INNER = False
-
 _COLLISION_TOL = 1e-8
 
 
@@ -96,42 +92,39 @@ def annulus_boundary(scale):
 
 @dataclass(frozen=True, eq=False)
 class QuadratureGrid:
-    """Uniform circle grid w_k = exp(2 pi i k/P) with log-kernel moments.
+    """Uniform circle grid w_k = exp(2 pi i k/P) with its log-kernel weights.
 
-    log_moments[n] = (1/2pi) int log|1 - e^{i t}| cos(n t) dt = -1/(2n) for
-    1 <= n <= P/2 and 0 at n = 0; the Nyquist entry n = P/2 is just the
-    formula at that order (real samples alias +-P/2 onto a pure cosine, so
-    one real moment is all the product quadrature needs).
-    _moment_spectrum holds the same moments over FFT frequencies 0..P-1.
-
-    log_weights is derived from nodes and _moment_spectrum on first use and
-    then kept, read-only, with the grid.
+    log_weights is derived from nodes on first use and then kept, read-only,
+    with the grid.
     """
 
     node_count: int
     theta: np.ndarray = field(repr=False)
     nodes: np.ndarray = field(repr=False)
-    log_moments: np.ndarray = field(repr=False)
-    _moment_spectrum: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        for arr in (self.theta, self.nodes, self.log_moments,
-                    self._moment_spectrum):
+        for arr in (self.theta, self.nodes):
             arr.setflags(write=False)
 
     @cached_property
     def log_weights(self):
         """Real P x P matrix P c[(k - l) mod P] - log|w_k - w_l|.
 
-        c = ifft(_moment_spectrum) are the circulant product-quadrature
-        weights of log|w_k - tau|: (1/2pi) int log|w_k - tau| g(tau) dtheta'
-        = sum_l c[(k - l) mod P] g(tau_l) on the trapezoid bandwidth.  The
-        diagonal takes log|w_k - w_k| as 0, the chord factor of the
-        self-interaction ratio on its diagonal.
+        c is the inverse FFT of the log-kernel moments over FFT frequencies
+        0..P-1, (1/2pi) int log|1 - e^{i t}| cos(n t) dt = -1/(2|n|) with 0
+        at n = 0 (the Nyquist entry n = P/2 is just the formula at that
+        order: real samples alias +-P/2 onto a pure cosine, so one real
+        moment is all the product quadrature needs).  c holds the circulant
+        product-quadrature weights of log|w_k - tau|: (1/2pi) int log|w_k
+        - tau| g(tau) dtheta' = sum_l c[(k - l) mod P] g(tau_l) on the
+        trapezoid bandwidth.  The diagonal takes log|w_k - w_k| as 0, the
+        chord factor of the self-interaction ratio on its diagonal.
         """
         count = self.node_count
-        circulant = count * np.fft.ifft(self._moment_spectrum).real
         index = np.arange(count)
+        freq = np.minimum(index, count - index)
+        moments = np.where(freq == 0, 0.0, -0.5 / np.maximum(freq, 1))
+        circulant = count * np.fft.ifft(moments).real
         offsets = (index[:, None] - index[None, :]) % count
         chord = np.abs(self.nodes[:, None] - self.nodes[None, :])
         np.fill_diagonal(chord, 1.0)
@@ -147,20 +140,7 @@ def make_grid(node_count):
             f"node count must be even and >= 8; got {node_count}"
         )
     theta = 2.0 * np.pi * np.arange(node_count) / node_count
-    nodes = np.exp(1j * theta)
-    half = node_count // 2
-    log_moments = np.zeros(half + 1)
-    log_moments[1:] = -0.5 / np.arange(1, half + 1)
-    # same moments laid out over FFT frequency indices 0..P-1
-    freq = np.minimum(np.arange(node_count), node_count - np.arange(node_count))
-    spectrum = np.where(freq == 0, 0.0, -0.5 / np.maximum(freq, 1))
-    return QuadratureGrid(
-        node_count=node_count,
-        theta=theta,
-        nodes=nodes,
-        log_moments=log_moments,
-        _moment_spectrum=spectrum,
-    )
+    return QuadratureGrid(node_count, theta, np.exp(1j * theta))
 
 
 def conformal_eval(boundary, grid):
@@ -241,14 +221,13 @@ def g_functional(lam, b, omega, f1, f2, grid):
         raise ValueError(
             f"inner boundary scale {f2.scale} does not match b = {b}"
         )
-    inner_sign = -1.0 if _FAULT_FLIP_INNER else 1.0
     conj_nodes = np.conj(grid.nodes)
     outputs = []
     for target in (f1, f2):
         vals, derivs = conformal_eval(target, grid)
         total = (
             omega * vals
-            + inner_sign * s_integral(lam, f2, target, grid)
+            + s_integral(lam, f2, target, grid)
             - s_integral(lam, f1, target, grid)
         )
         outputs.append(np.imag(total * conj_nodes * np.conj(derivs)))

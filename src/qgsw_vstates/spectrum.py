@@ -123,14 +123,19 @@ def spectral_matrix(n, lam, b, omega):
 
 
 def _quadratic_pieces(n, lam, b):
-    """Shared ingredients of det M_n = b*Omega^2 - B_n*Omega + C_n."""
+    """(Delta_n, B_n, C_n) of det M_n = b*Omega^2 - B_n*Omega + C_n."""
+    n = int(n)
+    if n < 1:
+        raise ValueError(f"order must be >= 1; got {n}")
+    _check_b_open(b)
     lam1 = lambda_coupling(1, lam, b)
     lamn = lambda_coupling(n, lam, b)
     outer = omega_rankine(n, lam)
     inner = omega_rankine(n, lam * b)
+    delta = b * (outer + inner) - (1.0 + b * b) * lam1
     b_coeff = (1.0 - b * b) * lam1 + b * (outer - inner)
     c_coeff = (outer - b * lam1) * (lam1 - b * inner) + b * lamn * lamn
-    return lam1, lamn, outer, inner, b_coeff, c_coeff
+    return delta * delta - 4.0 * b * b * lamn * lamn, b_coeff, c_coeff
 
 
 def discriminant(n, lam, b):
@@ -140,13 +145,7 @@ def discriminant(n, lam, b):
     Negative values mean the mode-n eigenvalues are complex (no real
     rotating solution); equals B_n^2 - 4 b C_n identically.
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"order must be >= 1; got {n}")
-    _check_b_open(b)
-    lam1, lamn, outer, inner, _, _ = _quadratic_pieces(n, lam, b)
-    delta = b * (outer + inner) - (1.0 + b * b) * lam1
-    return delta * delta - 4.0 * b * b * lamn * lamn
+    return _quadratic_pieces(n, lam, b)[0]
 
 
 @dataclass(frozen=True)
@@ -173,17 +172,12 @@ def eigenvalues(n, lam, b):
     Absence is a value, not an error: parameter sweeps cross regions of
     complex eigenvalues routinely.
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"order must be >= 1; got {n}")
-    _check_b_open(b)
-    delta_n = discriminant(n, lam, b)
+    delta_n, b_coeff, c_coeff = _quadratic_pieces(n, lam, b)
     if delta_n < 0.0:
         return None
-    _, _, _, _, b_coeff, c_coeff = _quadratic_pieces(n, lam, b)
     root = math.sqrt(delta_n)
     return EigenPair(
-        n=n,
+        n=int(n),
         omega_minus=(b_coeff - root) / (2.0 * b),
         omega_plus=(b_coeff + root) / (2.0 * b),
         discriminant=delta_n,

@@ -2,15 +2,17 @@
 
 Everything here is deliberately implemented through a different route than
 the library code: direct series summation with math.factorial, fixed-node
-quadrature, a panel Gauss-Legendre integral for the I_n*K_n product, and
-the FFT-diagonal form of the log product quadrature.  Agreement between
-these and src/ is the point of the tests.  J0, the integrand kernel of the
+quadrature, a panel Gauss-Legendre integral for the I_n*K_n product, the
+large-order Stirling-number expansion of that product, and the
+FFT-diagonal form of the log product quadrature with its own log-kernel
+moments.  Agreement between these and src/ is the point of the tests.  J0, the integrand kernel of the
 product oracle, lives here too (cross-checked against mpmath and a
 cosine-moment quadrature before the product oracle relies on it).  Only
 the Fourier-moment oracles import from qgsw_vstates: the K0 kernel and, for
 the self-interaction quadrature, the conformal map and the array kernels,
 which tests check against mpmath on their own; what those oracles check is
-the quadrature around them.
+the quadrature around them.  The one deliberately wrong function,
+g_functional_inner_flipped, gives the verification tests a fault to catch.
 """
 
 import math
@@ -104,6 +106,59 @@ def _j0_array(x: np.ndarray) -> np.ndarray:
         phase = np.exp(1j * (xb - 0.25 * np.pi))
         out[big] = np.sqrt(2.0 / (np.pi * xb)) * (phase * total).real
     return out
+
+
+# ---------------------------------------------------------------------------
+# large-order expansion of I_n(lam b) K_n(lam) with Stirling numbers
+
+def stirling2(m: int, k: int) -> int:
+    """Stirling number of the second kind S(m, k).
+
+    S(0,0) = 1, S(m,0) = 0 for m >= 1, S(m,k) = 0 for m < k, and
+    S(m,k) = S(m-1,k-1) + k S(m-1,k). Exact integer arithmetic.
+    """
+    if m < 0 or k < 0:
+        raise ValueError("indices must be nonnegative")
+    if m < k:
+        return 0
+    if k == 0:
+        return 1 if m == 0 else 0
+    row = [1] + [0] * k  # row for m' = 0 over k' = 0..k
+    for mp in range(1, m + 1):
+        new = [0] * (k + 1)
+        for kp in range(1, min(mp, k) + 1):
+            new[kp] = row[kp - 1] + kp * row[kp]
+        row = new
+    return row[k]
+
+
+def _b_coeff(m: int, lam: float) -> float:
+    """b_m(lambda) = sum_{k=1}^m (-1)^{m-k} S(m,k)/k! (lambda^2/4)^k, b_0 = 1."""
+    if m == 0:
+        return 1.0
+    q = 0.25 * lam * lam
+    total = 0.0
+    for k in range(1, m + 1):
+        total += (-1.0) ** (m - k) * stirling2(m, k) / math.factorial(k) * q ** k
+    return total
+
+
+def product_ik_asymptotic(n, lam: float, b: float, terms: int) -> float:
+    """High-order expansion of I_n(lambda b) K_n(lambda).
+
+    Returns (b^n / 2n) (sum_{m<=terms} b_m(lambda b)/n^m)
+    (sum_{m<=terms} (-1)^m b_m(lambda)/n^m). terms = 0 reduces to b^n/(2n).
+    """
+    n_abs = abs(int(n))
+    if n_abs < 1:
+        raise ValueError("order must be >= 1")
+    if not 0.0 < b <= 1.0:
+        raise ValueError("b must lie in (0, 1]")
+    if not 0 <= terms <= 8:
+        raise ValueError("terms must lie in [0, 8]")
+    s_inner = sum(_b_coeff(m, lam * b) / n_abs ** m for m in range(terms + 1))
+    s_outer = sum((-1.0) ** m * _b_coeff(m, lam) / n_abs ** m for m in range(terms + 1))
+    return b ** n_abs / (2.0 * n_abs) * s_inner * s_outer
 
 
 def i_series_direct(n, x, terms=40):
@@ -241,6 +296,15 @@ def k0_cosine_moment(lam, b, n, points=4096):
     return float(np.mean(vals))
 
 
+def log_moments(node_count):
+    """(1/2pi) int log|1 - e^{i t}| cos(n t) dt = -1/(2|n|) over the FFT
+    frequencies n of a node_count-point grid, 0 at n = 0."""
+    freq = np.abs(np.fft.fftfreq(node_count, d=1.0 / node_count))
+    moments = np.zeros(node_count)
+    moments[1:] = -0.5 / freq[1:]
+    return moments
+
+
 def self_interaction_fft(lam, boundary, grid):
     """S(lam, Phi, Phi) at the grid nodes with the log product quadrature
     taken row by row through FFTs.
@@ -266,6 +330,24 @@ def self_interaction_fft(lam, boundary, grid):
     np.fill_diagonal(ratio, np.abs(derivs))
     smooth = bracket - np.log(ratio) * i0
     direct = smooth @ weights / grid.node_count
-    coeffs = np.fft.fft(i0 * weights[None, :], axis=1) * grid._moment_spectrum
+    coeffs = np.fft.fft(i0 * weights[None, :], axis=1) * log_moments(grid.node_count)
     log_part = np.einsum("kk->k", np.fft.ifft(coeffs, axis=1))
     return direct - log_part
+
+
+def g_functional_inner_flipped(lam, b, omega, f1, f2, grid):
+    """contour.g_functional with the sign of the inner interface's
+    contribution flipped: a wrong functional that still vanishes on every
+    annulus, for tests that the verification suite catches the fault."""
+    from qgsw_vstates.contour import conformal_eval, s_integral
+
+    outputs = []
+    for target in (f1, f2):
+        vals, derivs = conformal_eval(target, grid)
+        total = (
+            omega * vals
+            - s_integral(lam, f2, target, grid)
+            - s_integral(lam, f1, target, grid)
+        )
+        outputs.append(np.imag(total * np.conj(grid.nodes) * np.conj(derivs)))
+    return outputs[0], outputs[1]

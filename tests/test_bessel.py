@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from oracles import _j0_array, bessel_j0
+from oracles import _j0_array, bessel_j0, product_ik_asymptotic, stirling2
 from qgsw_vstates.bessel import (
     EULER_GAMMA,
     _i0_array,
@@ -19,8 +19,6 @@ from qgsw_vstates.bessel import (
     log_bessel_i,
     log_bessel_k,
     product_ik,
-    product_ik_asymptotic,
-    stirling2,
 )
 
 

@@ -12,6 +12,7 @@ import os
 
 import pytest
 
+import oracles
 import qgsw_vstates.contour as contour
 from qgsw_vstates.cli import main, parse_float_grid, parse_int_grid
 from qgsw_vstates.spectrum import discriminant, eigenvalues, kernel_vector
@@ -67,14 +68,30 @@ def test_spectrum_csv_round_trips_exactly(tmp_path):
         assert float(row["omega_minus"]) == pair.omega_minus
 
 
-def test_spectrum_empty_mode_range_writes_header_only(tmp_path):
-    out = tmp_path / "run"
-    code = _run("spectrum", "--lambda", "1", "--b", "0.5", "--n", "5:4",
-                "--out", str(out), "--jobs", "1")
-    assert code == 0
-    lines = (out / "spectrum.csv").read_text().splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith("lambda,b,n,delta")
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["spectrum", "--n", "0"], None),
+        (["eigen", "--n", "-2"], None),
+        (["limits", "--n", "0:2"], None),
+        (["spectrum", "--n", "5:4"], None),
+        (["spectrum", "--lambda", "1:2:x"], None),
+        (["eigen", "--n", "a:3"], None),
+        (["limits"], {"jobs": "x"}),
+    ],
+    ids=["zero-order", "negative-order", "range-from-zero", "empty-range",
+         "bad-range-count", "bad-range-bound", "config-jobs-text"],
+)
+def test_bad_orders_and_grid_text_exit_one(tmp_path, capsys, argv, config):
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv = argv + ["--config", str(path)]
+    code = _run(*argv, "--out", str(tmp_path / "run"))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert any(line.startswith("error: ") for line in err.splitlines())
+    assert "Traceback" not in err
 
 
 def test_domain_guard_exits_one(tmp_path, capsys):
@@ -183,14 +200,19 @@ def test_verify_clean_run_passes(tmp_path):
 
 def test_verify_fault_injection_fails_loudly(tmp_path):
     out = tmp_path / "run"
-    code = _run("verify", "--grid-size", "64", "--inject-fault",
-                "--out", str(out), "--jobs", "1")
+    clean = contour.g_functional
+    with pytest.MonkeyPatch.context() as patch:
+        # the multiplier check reaches G through the contour module
+        patch.setattr(contour, "g_functional",
+                      oracles.g_functional_inner_flipped)
+        code = _run("verify", "--grid-size", "64",
+                    "--out", str(out), "--jobs", "1")
     assert code == 2
     rows = {r["check"]: r for r in _read_csv(out / "verify.csv")}
     assert rows["multiplier_match"]["passed"] == "false"
     assert float(rows["multiplier_match"]["measured"]) > 1e-2
-    # the hook must not leak into later runs of the same process
-    assert contour._FAULT_FLIP_INNER is False
+    # the patch must not leak into later runs of the same process
+    assert contour.g_functional is clean
 
 
 def test_identical_runs_are_byte_identical(tmp_path):

@@ -132,6 +132,20 @@ def test_trace_stops_at_ball_guard(grid):
     assert "ball guard" in result.termination_reason
 
 
+def test_truncation_doubles_to_a_converged_point(grid):
+    # at K = 2 the last lattice coefficient of the solution is ~1e-8, above
+    # the 1e-12 tail bound, so the solve doubles to K = 4 and must land on
+    # the point a cold K = 4 solve finds
+    doubled = newton_solve(LAM, B, M, "+", 1e-4, trunc=2, grid=grid)
+    cold = newton_solve(LAM, B, M, "+", 1e-4, trunc=4, grid=grid)
+    assert len(doubled.f1.coefficients) == len(doubled.f2.coefficients) == 20
+    assert doubled.residual <= RESIDUAL_TOL
+    assert abs(doubled.omega - cold.omega) <= 1e-12
+    for boundary, reference in ((doubled.f1, cold.f1), (doubled.f2, cold.f2)):
+        assert np.max(np.abs(np.subtract(boundary.coefficients,
+                                          reference.coefficients))) <= 1e-10
+
+
 def test_trace_partial_on_truncation_saturation(grid):
     # marching the minus branch outward needs more than K = 8 harmonics by
     # s ~ 0.04, and doubling K would overflow the P = 128 bandwidth: the
