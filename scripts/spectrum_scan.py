@@ -12,7 +12,6 @@ import argparse
 from qgsw_vstates.cli import parse_float_grid, parse_int_grid
 from qgsw_vstates.spectrum import (
     SearchExhausted,
-    discriminant,
     eigenvalues,
     find_threshold,
     omega_limits,
@@ -60,7 +59,7 @@ def main():
                 print(
                     f"  first admissible n={n_first}: "
                     f"Omega=({pair.omega_minus:.8f}, {pair.omega_plus:.8f})"
-                    f" delta={discriminant(n_first, lam, b):.3e}"
+                    f" delta={pair.discriminant:.3e}"
                 )
 
 

@@ -303,24 +303,6 @@ def beltrami_k0(a: float, b: float, theta: float, terms: int) -> float:
     return total
 
 
-def k0_regularized(x: float) -> float:
-    """K_0(x) + log(x/2) I_0(x) = sum_m psi(m+1) (x^2/4)^m / (m!)^2.
-
-    The smooth (log-free) part of K_0; tends to psi(1) = -gamma as x -> 0.
-    """
-    if x < 0.0:
-        raise ValueError("argument must be nonnegative")
-    q = 0.25 * x * x
-    total, term, m, psi = -EULER_GAMMA, 1.0, 0, -EULER_GAMMA
-    while True:
-        m += 1
-        term *= q / (m * m)
-        psi += 1.0 / m
-        total += term * psi
-        if term * max(psi, 1.0) < _SERIES_TOL * max(abs(total), 1.0):
-            return total
-
-
 # ---------------------------------------------------------------------------
 # vectorized kernels of the contour quadrature (numpy arrays)
 
@@ -382,8 +364,9 @@ def _i0_array(z: np.ndarray) -> np.ndarray:
 
 
 def _k0reg_array(z: np.ndarray) -> np.ndarray:
-    """Vectorized k0_regularized (series; the contour quadrature feeds it
-    z <= 2 lambda, and _k0_array z <= 4)."""
+    """K_0(z) + log(z/2) I_0(z) = sum_m psi(m+1) (z^2/4)^m / (m!)^2, the
+    smooth (log-free) part of K_0, on an array of nonnegative values (the
+    contour quadrature feeds it z <= 2 lambda, and _k0_array z <= 4)."""
     return _horner(z, _K0REG_COEFFS)
 
 

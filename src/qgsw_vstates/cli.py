@@ -35,15 +35,12 @@ from .contour import g_functional, linearization_check, make_grid
 from .continuation import lattice_values, trace_branch
 from .spectrum import (
     SearchExhausted,
-    discriminant,
-    eigenvalues,
+    _mode_spectrum,
     euler_eigenvalues,
     find_threshold,
-    kernel_vector,
     omega_limits,
     simply_connected_limit,
     simply_connected_limit_minus,
-    transversality_check,
 )
 
 _COMMANDS = ("spectrum", "eigen", "limits", "branch", "verify")
@@ -163,10 +160,22 @@ def parse_int_grid(text):
     return tuple(range(lo, hi + 1))
 
 
-def _coerce_grid(value, parser):
-    """Config-file grids may be JSON lists or the same strings as flags."""
+def _config_value(value, kind):
+    """kind(value) for a config-file value, refusing what the flag spelling
+    refuses: bools, and fractional numbers where kind is int."""
+    if isinstance(value, bool) or (
+        kind is int and isinstance(value, float) and not value.is_integer()
+    ):
+        raise ConfigError(f"bad config value: expected {kind.__name__},"
+                          f" got {value!r}")
+    return kind(value)
+
+
+def _coerce_grid(value, parser, kind):
+    """Config-file grids may be JSON lists, converted entry by entry, or
+    the same strings as flags."""
     if isinstance(value, (list, tuple)):
-        return tuple(value)
+        return tuple(_config_value(v, kind) for v in value)
     return parser(value)
 
 
@@ -254,12 +263,12 @@ def _cmd_spectrum(config):
         threshold = find_threshold(lam, b, window=config.window)
         lower, upper = omega_limits(lam, b)
         for n in config.ns:
-            pair = eigenvalues(n, lam, b)
+            delta, pair = _mode_spectrum(n, lam, b)
             yield (
                 lam,
                 b,
                 n,
-                discriminant(n, lam, b),
+                delta,
                 None if pair is None else pair.omega_minus,
                 None if pair is None else pair.omega_plus,
                 lower,
@@ -289,29 +298,15 @@ def _cmd_eigen(config):
 
     def cell_rows(lam, b):
         for n in config.ns:
-            pair = eigenvalues(n, lam, b)
+            delta, pair = _mode_spectrum(n, lam, b)
             if pair is None or pair.degenerate:
-                yield (
-                    (lam, b, n, discriminant(n, lam, b))
-                    + (None,) * 6
-                    + (False, False)
-                )
+                yield (lam, b, n, delta) + (None,) * 6 + (False, False)
                 continue
-            v_minus = kernel_vector(n, lam, b, "-")
-            v_plus = kernel_vector(n, lam, b, "+")
             yield (
-                lam,
-                b,
-                n,
-                pair.discriminant,
-                pair.omega_minus,
-                pair.omega_plus,
-                v_minus[0],
-                v_minus[1],
-                v_plus[0],
-                v_plus[1],
-                transversality_check(n, lam, b, "-"),
-                transversality_check(n, lam, b, "+"),
+                (lam, b, n, delta, pair.omega_minus, pair.omega_plus)
+                + pair.kernel_minus
+                + pair.kernel_plus
+                + (pair.transversal_minus, pair.transversal_plus)
             )
 
     return _table_command(config, "eigen", header, cell_rows)
@@ -362,8 +357,9 @@ def _cmd_branch(config):
         modes = tuple(config.ms)
     else:
         modes = (find_threshold(lam, b, window=config.window).n + 2,)
+    pairs = {}
     for m in modes:
-        delta = discriminant(m, lam, b)
+        delta, pairs[m] = _mode_spectrum(m, lam, b)
         if not delta > 0.0:
             raise ConfigError(
                 f"mode m={m} has discriminant {delta:.17g} <= 0 at"
@@ -378,7 +374,7 @@ def _cmd_branch(config):
             lam, b, m, sign, config.s_max, config.steps,
             trunc=config.trunc, grid=grid,
         )
-        pair = eigenvalues(m, lam, b)
+        pair = pairs[m]
         omega_star = pair.omega_plus if sign == "+" else pair.omega_minus
         svals = [p.s for p in trace.points]
         ovals = [p.omega for p in trace.points]
@@ -610,22 +606,21 @@ def build_config(args):
         return RunConfig(
             command=args.command,
             lambdas=_coerce_grid(pick("lambdas", defaults.lambdas),
-                                 parse_float_grid),
-            bs=_coerce_grid(pick("bs", defaults.bs), parse_float_grid),
-            ns=tuple(int(v) for v in _coerce_grid(pick("ns", defaults.ns),
-                                                  parse_int_grid)),
-            ms=tuple(int(v) for v in _coerce_grid(pick("ms", defaults.ms),
-                                                  parse_int_grid)),
+                                 parse_float_grid, float),
+            bs=_coerce_grid(pick("bs", defaults.bs), parse_float_grid, float),
+            ns=_coerce_grid(pick("ns", defaults.ns), parse_int_grid, int),
+            ms=_coerce_grid(pick("ms", defaults.ms), parse_int_grid, int),
             sign=pick("sign", defaults.sign),
-            window=int(pick("window", defaults.window)),
-            trunc=int(pick("trunc", defaults.trunc)),
-            grid_size=int(pick("grid_size", defaults.grid_size)),
-            s_max=float(pick("s_max", defaults.s_max)),
-            steps=int(pick("steps", defaults.steps)),
-            tol=float(pick("tol", defaults.tol)),
+            window=_config_value(pick("window", defaults.window), int),
+            trunc=_config_value(pick("trunc", defaults.trunc), int),
+            grid_size=_config_value(pick("grid_size", defaults.grid_size),
+                                    int),
+            s_max=_config_value(pick("s_max", defaults.s_max), float),
+            steps=_config_value(pick("steps", defaults.steps), int),
+            tol=_config_value(pick("tol", defaults.tol), float),
             out=str(out),
             fmt=pick("fmt", defaults.fmt),
-            jobs=int(pick("jobs", os.cpu_count() or 1)),
+            jobs=_config_value(pick("jobs", os.cpu_count() or 1), int),
         )
     except ConfigError:
         raise

@@ -37,7 +37,7 @@ from .contour import (
     make_grid,
     real_fourier,
 )
-from .spectrum import _normalize_sign, eigenvalues, kernel_vector
+from .spectrum import _simple_root
 
 RESIDUAL_TOL = 1e-10
 _MAX_ITERATIONS = 50
@@ -167,11 +167,6 @@ class _ProjectedSystem:
         return jac
 
 
-def _pinned_side(m, lam, b, sign):
-    v1, v2 = kernel_vector(m, lam, b, sign)
-    return ("outer" if abs(v1) >= abs(v2) else "inner"), (v1, v2)
-
-
 def newton_solve(lam, b, m, sign, s, initial_guess=None, trunc=16, grid=None):
     """Solve the projected m-fold system at amplitude s.
 
@@ -192,7 +187,8 @@ def newton_solve(lam, b, m, sign, s, initial_guess=None, trunc=16, grid=None):
             f"m*trunc = {m * trunc} exceeds the grid bandwidth"
             f" {grid.node_count // 2}"
         )
-    pinned, (v1, v2) = _pinned_side(m, lam, b, sign)
+    omega_star, (v1, v2), _ = _simple_root(m, lam, b, sign)
+    pinned = "outer" if abs(v1) >= abs(v2) else "inner"
     if initial_guess is None:
         c1 = np.zeros(trunc)
         c2 = np.zeros(trunc)
@@ -202,9 +198,7 @@ def newton_solve(lam, b, m, sign, s, initial_guess=None, trunc=16, grid=None):
         else:
             c2[0] = s
             c1[0] = s * v1 / v2
-        pair = eigenvalues(m, lam, b)
-        plus = _normalize_sign(sign) > 0
-        omega = pair.omega_plus if plus else pair.omega_minus
+        omega = omega_star
     else:
         c1 = lattice_values(initial_guess.f1, m, trunc)
         c2 = lattice_values(initial_guess.f2, m, trunc)

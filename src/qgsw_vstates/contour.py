@@ -12,7 +12,7 @@ discretized by the P-node trapezoid rule.  Distinct interfaces give a
 smooth periodic integrand (spectral accuracy for free).  Self-interaction
 splits the kernel as
 
-    K_0(lam r) = -log r * I_0(lam r) + [k0_regularized(lam r)
+    K_0(lam r) = -log r * I_0(lam r) + [_k0reg_array(lam r)
                  - log(lam/2) * I_0(lam r)],
 
 then -log r = -log|w - tau| - log(r/|w - tau|); the bracket and the ratio

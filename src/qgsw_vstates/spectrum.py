@@ -98,54 +98,41 @@ class SpectralMatrix:
         return max(abs(self.m11), abs(self.m12), abs(self.m21), abs(self.m22))
 
 
+def _mode(n, lam, b):
+    """(Lambda_1, Lambda_n, Omega_n(lam), Omega_n(lam b)) at mode n.
+
+    The one place the mode quantities are assembled; everything else in
+    this module derives from one call per (n, lam, b).
+    """
+    n = int(n)
+    if n < 1:
+        raise ValueError(f"order must be >= 1; got {n}")
+    _check_b_open(b)
+    return (
+        lambda_coupling(1, lam, b),
+        lambda_coupling(n, lam, b),
+        omega_rankine(n, lam),
+        omega_rankine(n, lam * b),
+    )
+
+
 def spectral_matrix(n, lam, b, omega):
     """Assemble M_n(lam, b, Omega) acting on the mode-n coefficient pair.
 
     Rows are (outer, inner) interface conditions, columns the perturbation
     coefficients (a_{n-1}, b_{n-1}); m12 > 0 > m21 always, m12/m21 = -b.
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"order must be >= 1; got {n}")
-    _check_b_open(b)
-    lam1 = lambda_coupling(1, lam, b)
-    lamn = lambda_coupling(n, lam, b)
+    lam1, lamn, outer, inner = _mode(n, lam, b)
     return SpectralMatrix(
-        m11=omega_rankine(n, lam) - omega - b * lam1,
+        m11=outer - omega - b * lam1,
         m12=b * lamn,
         m21=-lamn,
-        m22=lam1 - b * (omega_rankine(n, lam * b) + omega),
-        n=n,
+        m22=lam1 - b * (inner + omega),
+        n=int(n),
         lam=lam,
         b=b,
         omega=omega,
     )
-
-
-def _quadratic_pieces(n, lam, b):
-    """(Delta_n, B_n, C_n) of det M_n = b*Omega^2 - B_n*Omega + C_n."""
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"order must be >= 1; got {n}")
-    _check_b_open(b)
-    lam1 = lambda_coupling(1, lam, b)
-    lamn = lambda_coupling(n, lam, b)
-    outer = omega_rankine(n, lam)
-    inner = omega_rankine(n, lam * b)
-    delta = b * (outer + inner) - (1.0 + b * b) * lam1
-    b_coeff = (1.0 - b * b) * lam1 + b * (outer - inner)
-    c_coeff = (outer - b * lam1) * (lam1 - b * inner) + b * lamn * lamn
-    return delta * delta - 4.0 * b * b * lamn * lamn, b_coeff, c_coeff
-
-
-def discriminant(n, lam, b):
-    """Delta_n = (b[Omega_n(lam) + Omega_n(lam b)] - (1+b^2) Lambda_1)^2
-    - 4 b^2 Lambda_n^2.
-
-    Negative values mean the mode-n eigenvalues are complex (no real
-    rotating solution); equals B_n^2 - 4 b C_n identically.
-    """
-    return _quadratic_pieces(n, lam, b)[0]
 
 
 @dataclass(frozen=True)
@@ -155,6 +142,9 @@ class EigenPair:
     Satisfies the Vieta identities omega_minus + omega_plus = b_coeff/b and
     omega_minus * omega_plus = c_coeff/b.  `degenerate` marks a coincident
     pair (discriminant exactly zero); continuation refuses those.
+    kernel_minus/kernel_plus generate the kernel of M_n at each root and
+    transversal_minus/transversal_plus are the matching crossing tests (see
+    kernel_vector and transversality_check).
     """
 
     n: int
@@ -164,6 +154,58 @@ class EigenPair:
     b_coeff: float
     c_coeff: float
     degenerate: bool
+    kernel_minus: tuple
+    kernel_plus: tuple
+    transversal_minus: bool
+    transversal_plus: bool
+
+
+def _transversal(v, b):
+    # obstruction v1^2 - b^2 v2^2 of kernel vector v against 1e-10 times its
+    # natural scale (see transversality_check)
+    v1, v2 = v
+    obstruction = v1 * v1 - b * b * v2 * v2
+    scale = v1 * v1 + b * b * v2 * v2
+    return abs(obstruction) > 1e-10 * max(scale, 1e-300)
+
+
+def _mode_spectrum(n, lam, b):
+    """(Delta_n, EigenPair or None) from one evaluation of mode n."""
+    lam1, lamn, outer, inner = _mode(n, lam, b)
+    delta = b * (outer + inner) - (1.0 + b * b) * lam1
+    b_coeff = (1.0 - b * b) * lam1 + b * (outer - inner)
+    c_coeff = (outer - b * lam1) * (lam1 - b * inner) + b * lamn * lamn
+    delta_n = delta * delta - 4.0 * b * b * lamn * lamn
+    if delta_n < 0.0:
+        return delta_n, None
+    root = math.sqrt(delta_n)
+    omega_minus = (b_coeff - root) / (2.0 * b)
+    omega_plus = (b_coeff + root) / (2.0 * b)
+    kernel_minus = (b * (inner + omega_minus) - lam1, -lamn)
+    kernel_plus = (b * (inner + omega_plus) - lam1, -lamn)
+    return delta_n, EigenPair(
+        n=int(n),
+        omega_minus=omega_minus,
+        omega_plus=omega_plus,
+        discriminant=delta_n,
+        b_coeff=b_coeff,
+        c_coeff=c_coeff,
+        degenerate=(delta_n == 0.0),
+        kernel_minus=kernel_minus,
+        kernel_plus=kernel_plus,
+        transversal_minus=_transversal(kernel_minus, b),
+        transversal_plus=_transversal(kernel_plus, b),
+    )
+
+
+def discriminant(n, lam, b):
+    """Delta_n = (b[Omega_n(lam) + Omega_n(lam b)] - (1+b^2) Lambda_1)^2
+    - 4 b^2 Lambda_n^2.
+
+    Negative values mean the mode-n eigenvalues are complex (no real
+    rotating solution); equals B_n^2 - 4 b C_n identically.
+    """
+    return _mode_spectrum(n, lam, b)[0]
 
 
 def eigenvalues(n, lam, b):
@@ -172,19 +214,7 @@ def eigenvalues(n, lam, b):
     Absence is a value, not an error: parameter sweeps cross regions of
     complex eigenvalues routinely.
     """
-    delta_n, b_coeff, c_coeff = _quadratic_pieces(n, lam, b)
-    if delta_n < 0.0:
-        return None
-    root = math.sqrt(delta_n)
-    return EigenPair(
-        n=int(n),
-        omega_minus=(b_coeff - root) / (2.0 * b),
-        omega_plus=(b_coeff + root) / (2.0 * b),
-        discriminant=delta_n,
-        b_coeff=b_coeff,
-        c_coeff=c_coeff,
-        degenerate=(delta_n == 0.0),
-    )
+    return _mode_spectrum(n, lam, b)[1]
 
 
 def omega_limits(lam, b):
@@ -228,18 +258,12 @@ def find_threshold(lam, b, window=50, cap=100_000):
         raise ValueError(f"window must be >= 10; got {window}")
     _check_b_open(b)
 
-    delta_memo = {}
-    pair_memo = {}
+    memo = {}  # order -> (Delta_k, pair): each order is evaluated once
 
-    def delta_at(k):
-        if k not in delta_memo:
-            delta_memo[k] = discriminant(k, lam, b)
-        return delta_memo[k]
-
-    def pair_at(k):
-        if k not in pair_memo:
-            pair_memo[k] = eigenvalues(k, lam, b)
-        return pair_memo[k]
+    def spectrum_at(k):
+        if k not in memo:
+            memo[k] = _mode_spectrum(k, lam, b)
+        return memo[k]
 
     lam1 = lambda_coupling(1, lam, b)
     delta_inf = b * (product_ik(1, lam) + product_ik(1, lam * b)) - (
@@ -248,7 +272,8 @@ def find_threshold(lam, b, window=50, cap=100_000):
 
     n0 = None
     for candidate in range(1, cap + 1):
-        if all(delta_at(k) > 0.0 for k in range(candidate, candidate + window + 1)):
+        orders = range(candidate, candidate + window + 1)
+        if all(spectrum_at(k)[0] > 0.0 for k in orders):
             tail = 2.0 * b * lambda_coupling(candidate + window, lam, b)
             if tail * tail < 0.5 * delta_inf * delta_inf:
                 n0 = candidate
@@ -259,7 +284,8 @@ def find_threshold(lam, b, window=50, cap=100_000):
         )
 
     for candidate in range(n0, cap + 1):
-        pairs = [pair_at(k) for k in range(candidate, candidate + window + 1)]
+        orders = range(candidate, candidate + window + 1)
+        pairs = [spectrum_at(k)[1] for k in orders]
         if any(p is None for p in pairs):
             continue
         rising = all(
@@ -333,6 +359,21 @@ def simply_connected_limit_minus(n, lam):
     return (lam * n * bessel_k(1, lam) - n + 1.0) / (2.0 * n)
 
 
+def _simple_root(m, lam, b, sign):
+    """(Omega_m^{sign}, kernel vector, transversal flag) of one evaluation
+    of mode m; ValueError unless Delta_m > 0 strictly."""
+    m = int(m)
+    plus = _normalize_sign(sign) > 0
+    pair = eigenvalues(m, lam, b)
+    if pair is None or pair.discriminant <= 0.0:
+        raise ValueError(
+            f"mode m={m} has no simple real pair at lam={lam}, b={b}"
+        )
+    if plus:
+        return pair.omega_plus, pair.kernel_plus, pair.transversal_plus
+    return pair.omega_minus, pair.kernel_minus, pair.transversal_minus
+
+
 def kernel_vector(m, lam, b, sign):
     """Generator (v1, v2) of the one-dimensional kernel of M_m at
     Omega_m^{sign}.
@@ -342,40 +383,16 @@ def kernel_vector(m, lam, b, sign):
     the adjugate so kernel membership is exact in both rows.  Requires
     Delta_m > 0 strictly.
     """
-    m = int(m)
-    direction = _normalize_sign(sign)
-    pair = eigenvalues(m, lam, b)
-    if pair is None or pair.discriminant <= 0.0:
-        raise ValueError(
-            f"mode m={m} has no simple real pair at lam={lam}, b={b}"
-        )
-    omega = pair.omega_plus if direction > 0 else pair.omega_minus
-    lam1 = lambda_coupling(1, lam, b)
-    lamm = lambda_coupling(m, lam, b)
-    v1 = b * (omega_rankine(m, lam * b) + omega) - lam1
-    v2 = -lamm
-    return (v1, v2)
+    return _simple_root(m, lam, b, sign)[1]
 
 
 def transversality_check(m, lam, b, sign):
     """True when the eigenvalue crossing at Omega_m^{sign} is transversal.
 
     The obstruction quantity is (Lambda_1 - b[Omega_m(lam b) + Omega])^2
-    - b^2 Lambda_m^2; it vanishes exactly when Delta_m = 0 (double root),
-    so a strictly positive discriminant always passes.  Compared against
-    1e-10 times its own natural scale.
+    - b^2 Lambda_m^2 = v1^2 - b^2 v2^2 of the kernel vector; it vanishes
+    exactly when Delta_m = 0 (double root), so a strictly positive
+    discriminant always passes.  Compared against 1e-10 times its own
+    natural scale.
     """
-    m = int(m)
-    direction = _normalize_sign(sign)
-    pair = eigenvalues(m, lam, b)
-    if pair is None or pair.discriminant <= 0.0:
-        raise ValueError(
-            f"mode m={m} has no simple real pair at lam={lam}, b={b}"
-        )
-    omega = pair.omega_plus if direction > 0 else pair.omega_minus
-    lam1 = lambda_coupling(1, lam, b)
-    lamm = lambda_coupling(m, lam, b)
-    left = lam1 - b * (omega_rankine(m, lam * b) + omega)
-    obstruction = left * left - b * b * lamm * lamm
-    scale = left * left + b * b * lamm * lamm
-    return abs(obstruction) > 1e-10 * max(scale, 1e-300)
+    return _simple_root(m, lam, b, sign)[2]

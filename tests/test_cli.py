@@ -9,13 +9,21 @@ the acceptance suite.
 import csv
 import json
 import os
+from pathlib import Path
 
 import pytest
 
 import oracles
 import qgsw_vstates.contour as contour
 from qgsw_vstates.cli import main, parse_float_grid, parse_int_grid
-from qgsw_vstates.spectrum import discriminant, eigenvalues, kernel_vector
+from qgsw_vstates.spectrum import (
+    discriminant,
+    eigenvalues,
+    kernel_vector,
+    transversality_check,
+)
+
+DATA = Path(__file__).parent / "data"
 
 
 def _run(*argv):
@@ -78,9 +86,23 @@ def test_spectrum_csv_round_trips_exactly(tmp_path):
         (["spectrum", "--lambda", "1:2:x"], None),
         (["eigen", "--n", "a:3"], None),
         (["limits"], {"jobs": "x"}),
+        (["spectrum"], {"n": [2.7, 3]}),
+        (["spectrum"], {"window": 50.9}),
+        (["eigen"], {"ns": [True]}),
+        (["limits"], {"m": [5.5]}),
+        (["limits"], {"trunc": 8.5}),
+        (["limits"], {"grid_size": 64.5}),
+        (["limits"], {"steps": True}),
+        (["limits"], {"jobs": 1.5}),
+        (["spectrum"], {"lambda": [True]}),
     ],
     ids=["zero-order", "negative-order", "range-from-zero", "empty-range",
-         "bad-range-count", "bad-range-bound", "config-jobs-text"],
+         "bad-range-count", "bad-range-bound", "config-jobs-text",
+         "config-fractional-order", "config-fractional-window",
+         "config-bool-order", "config-fractional-fold",
+         "config-fractional-trunc", "config-fractional-grid-size",
+         "config-bool-steps", "config-fractional-jobs",
+         "config-bool-lambda"],
 )
 def test_bad_orders_and_grid_text_exit_one(tmp_path, capsys, argv, config):
     if config is not None:
@@ -107,19 +129,50 @@ def test_unknown_command_exits_one():
     assert info.value.code == 1
 
 
+def _same_bits(text, value):
+    return float(text).hex() == float(value).hex()
+
+
 def test_eigen_table_matches_kernel_vectors(tmp_path):
     out = tmp_path / "run"
-    code = _run("eigen", "--lambda", "1", "--b", "0.5", "--n", "2:5",
-                "--out", str(out), "--jobs", "1")
-    assert code == 0
+    for command in ("eigen", "spectrum"):
+        code = _run(command, "--lambda", "1", "--b", "0.5", "--n", "1:12",
+                    "--out", str(out), "--jobs", "1")
+        assert code == 0
     rows = {int(r["n"]): r for r in _read_csv(out / "eigen.csv")}
+    spectrum_rows = {int(r["n"]): r for r in _read_csv(out / "spectrum.csv")}
+    assert sorted(rows) == sorted(spectrum_rows) == list(range(1, 13))
     # mode 2 sits below the threshold: no pair, no kernel data
     assert rows[2]["omega_plus"] == ""
     assert rows[2]["transversal_plus"] == "false"
-    v1, v2 = kernel_vector(5, 1.0, 0.5, "+")
-    assert float(rows[5]["v1_plus"]) == v1
-    assert float(rows[5]["v2_plus"]) == v2
     assert rows[5]["transversal_plus"] == "true"
+    # the one-evaluation rows agree bit for bit with the public functions
+    for n, row in rows.items():
+        delta = discriminant(n, 1.0, 0.5)
+        assert _same_bits(row["delta"], delta)
+        assert _same_bits(spectrum_rows[n]["delta"], delta)
+        if delta <= 0.0:
+            assert row["v1_plus"] == row["v2_minus"] == ""
+            continue
+        for sign, tag in (("-", "minus"), ("+", "plus")):
+            v1, v2 = kernel_vector(n, 1.0, 0.5, sign)
+            assert _same_bits(row[f"v1_{tag}"], v1)
+            assert _same_bits(row[f"v2_{tag}"], v2)
+            transversal = transversality_check(n, 1.0, 0.5, sign)
+            assert row[f"transversal_{tag}"] == str(transversal).lower()
+
+
+@pytest.mark.parametrize("command", ["spectrum", "eigen", "limits"])
+def test_table_commands_match_golden_files(tmp_path, command):
+    # tests/data holds the tables this configuration must reproduce byte for
+    # byte (rows with Delta_n < 0 included); a deliberate change of the
+    # numerics regenerates them
+    out = tmp_path / "run"
+    code = _run(command, "--lambda", "0.5,2", "--b", "0.3,0.8",
+                "--n", "1:12", "--out", str(out), "--jobs", "1")
+    assert code == 0
+    name = f"{command}.csv"
+    assert (out / name).read_bytes() == (DATA / name).read_bytes()
 
 
 def test_limits_json_round_trips(tmp_path):
@@ -244,6 +297,23 @@ def test_config_file_with_flag_override(tmp_path):
         [(0.5, 3), (1.0, 3)]  # flag --n wins, config lambda grid survives
     summary = json.loads((out / "summary.json").read_text())
     assert summary["config"]["tol"] == 1e-9
+
+
+def test_config_grid_values_convert_like_flags(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lambda": [1], "b": [0.5], "n": [3, 4.0]}))
+    from_file, from_flags = tmp_path / "file", tmp_path / "flags"
+    assert _run("spectrum", "--config", str(cfg), "--format", "json",
+                "--out", str(from_file), "--jobs", "1") == 0
+    assert _run("spectrum", "--lambda", "1", "--b", "0.5", "--n", "3,4",
+                "--format", "json", "--out", str(from_flags),
+                "--jobs", "1") == 0
+    assert (from_file / "spectrum.json").read_bytes() == \
+        (from_flags / "spectrum.json").read_bytes()
+    summary = json.loads((from_file / "summary.json").read_text())
+    assert summary["config"]["lambdas"] == [1.0]
+    assert isinstance(summary["config"]["lambdas"][0], float)
+    assert summary["config"]["ns"] == [3, 4]
 
 
 def test_env_var_sets_default_output_dir(tmp_path, monkeypatch):

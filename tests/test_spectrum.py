@@ -1,10 +1,12 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import oracles
+import qgsw_vstates.spectrum as spectrum
 from qgsw_vstates.bessel import bessel_k, product_ik
 from qgsw_vstates.spectrum import (
     SearchExhausted,
@@ -211,6 +213,20 @@ def test_threshold_validation_and_exhaustion():
         find_threshold(1.0, 0.5, window=5)
     with pytest.raises(SearchExhausted):
         find_threshold(1.0, 0.5, window=50, cap=2)
+
+
+def test_threshold_scan_builds_each_order_once(monkeypatch):
+    builds = Counter()
+    build = spectrum._mode
+
+    def counted(n, lam, b):
+        builds[n] += 1
+        return build(n, lam, b)
+
+    monkeypatch.setattr(spectrum, "_mode", counted)
+    assert find_threshold(1.0, 0.5) == Threshold(n0=3, n=3)
+    assert set(builds) == set(range(1, 54))  # both scans cover [1, 3 + 50]
+    assert max(builds.values()) == 1
 
 
 def test_euler_limit_of_rankine_velocity():
