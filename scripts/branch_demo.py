@@ -46,7 +46,9 @@ def main():
         trace = trace_branch(lam, b, m, sign, args.s_max, args.steps,
                              trunc=args.trunc, grid=grid)
         elapsed = time.time() - t0
-        print(f"\nsign {sign}: {len(trace.points)} points in {elapsed:.1f}s"
+        evaluations = sum(p.evaluations for p in trace.points)
+        print(f"\nsign {sign}: {len(trace.points)} points in {elapsed:.1f}s,"
+              f" {evaluations} residual evaluations"
               f" ({trace.termination_reason})")
         print(f"  {'s':>12} {'Omega':>16} {'residual':>10}")
         for point in trace.points:

@@ -407,6 +407,7 @@ def _cmd_branch(config):
             "sign": sign,
             "file": name,
             "points": len(trace.points),
+            "residual_evaluations": sum(p.evaluations for p in trace.points),
             "completed": trace.completed,
             "termination": trace.termination_reason,
             "omega_star": omega_star,

@@ -18,21 +18,29 @@ coefficient at a visible amplitude would demand an inner coefficient far
 outside the injectivity ball, so the inner coefficient is pinned instead.
 BranchPoint.pinned records the choice.
 
-The Jacobian is assembled by central finite differences of the projected
-residual and solved densely; steps are damped by halving on residual
-increase.  Truncation doubles automatically if the last retained
-coefficient is above 1e-12 (it never is near the bifurcation point).
+One Jacobian estimate serves a whole branch.  A fresh one is a forward
+finite-difference matrix of the projected residual; every accepted Newton
+step applies a Broyden rank-1 update to it, and each converged point hands
+the updated matrix to the next point (BranchPoint.jacobian), whose starting
+guess is the secant extrapolation of the last two points.  A step taken
+with a carried matrix must cut the residual norm by 10%, or the matrix is
+rebuilt at the same iterate; steps with a fresh matrix are damped by
+halving on residual increase.  Truncation doubles automatically if the last
+retained coefficient is above 1e-12 (it never is near the bifurcation
+point), and the carried matrix is dropped when it does.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .contour import (
     FourierBoundary,
+    annulus_boundary,
     g_functional,
     make_grid,
     real_fourier,
@@ -42,6 +50,7 @@ from .spectrum import _simple_root
 RESIDUAL_TOL = 1e-10
 _MAX_ITERATIONS = 50
 _MAX_HALVINGS = 8
+_CARRIED_DECREASE = 0.9
 _CONDITION_CAP = 1e14
 _TAIL_TOL = 1e-12
 
@@ -60,7 +69,10 @@ class BranchPoint:
 
     s is the value of the pinned lattice coefficient (f1's a_{m-1} when
     pinned == "outer", f2's when "inner"); all coefficients off the m-fold
-    lattice are exact zeros by construction.
+    lattice are exact zeros by construction.  jacobian is the projected
+    Jacobian estimate at the point, handed on to the next solve along the
+    branch; evaluations counts the residual evaluations the point cost,
+    finite-difference columns included.
     """
 
     s: float
@@ -70,6 +82,8 @@ class BranchPoint:
     residual: float
     m: int
     pinned: str
+    jacobian: np.ndarray = field(default=None, compare=False, repr=False)
+    evaluations: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -106,7 +120,11 @@ def lattice_values(boundary, m, count):
 
 
 class _ProjectedSystem:
-    """Projected m-fold residual with one pinned coefficient."""
+    """Projected m-fold residual with one pinned coefficient.
+
+    matrix is the Jacobian estimate the next Newton step uses (None until
+    one is built); evaluations counts the residuals computed so far.
+    """
 
     def __init__(self, lam, b, m, trunc, grid, pinned, s):
         self.lam = lam
@@ -116,6 +134,8 @@ class _ProjectedSystem:
         self.grid = grid
         self.pinned = pinned
         self.s = s
+        self.matrix = None
+        self.evaluations = 0
 
     def boundaries(self, u):
         c1 = np.empty(self.trunc)
@@ -145,6 +165,7 @@ class _ProjectedSystem:
 
     def residual(self, u):
         """(projected residual vector, max node residual)."""
+        self.evaluations += 1
         f1, f2, omega = self.boundaries(u)
         g1, g2 = g_functional(self.lam, self.b, omega, f1, f2, self.grid)
         modes = self.m * np.arange(1, self.trunc + 1)
@@ -154,17 +175,23 @@ class _ProjectedSystem:
         node_res = max(np.max(np.abs(g1)), np.max(np.abs(g2)))
         return projected, node_res
 
-    def jacobian(self, u):
-        step = 1e-7 * max(1.0, float(np.linalg.norm(u)))
-        size = u.size
-        jac = np.empty((size, size))
-        for i in range(size):
-            bump = np.zeros(size)
-            bump[i] = step
-            plus, _ = self.residual(u + bump)
-            minus, _ = self.residual(u - bump)
-            jac[:, i] = (plus - minus) / (2.0 * step)
-        return jac
+    def jacobian(self, u, projected):
+        """The matrix for one Newton step at u, whose residual is projected:
+        the carried estimate, or else a fresh forward-difference one."""
+        if self.matrix is None:
+            step = 1e-8 * max(1.0, float(np.linalg.norm(u)))
+            self.matrix = np.empty((u.size, u.size))
+            for i in range(u.size):
+                bumped = u.copy()
+                bumped[i] += step
+                self.matrix[:, i] = (self.residual(bumped)[0] - projected) / step
+        return self.matrix
+
+    def broyden_update(self, du, dprojected):
+        """Rank-1 secant correction after the accepted step du."""
+        self.matrix = self.matrix + np.outer(
+            dprojected - self.matrix @ du, du
+        ) / (du @ du)
 
 
 def newton_solve(lam, b, m, sign, s, initial_guess=None, trunc=16, grid=None):
@@ -172,6 +199,7 @@ def newton_solve(lam, b, m, sign, s, initial_guess=None, trunc=16, grid=None):
 
     initial_guess may be a BranchPoint (warm start along a branch) or None,
     in which case the annulus plus s times the kernel direction is used.
+    The guess's jacobian, when its size fits, is the first Newton matrix.
     Raises NonConvergence or DegenerateJacobian; ball-guard violations of
     candidate boundaries surface as ValueError before any iteration.
     """
@@ -199,16 +227,21 @@ def newton_solve(lam, b, m, sign, s, initial_guess=None, trunc=16, grid=None):
             c2[0] = s
             c1[0] = s * v1 / v2
         omega = omega_star
+        matrix = None
     else:
         c1 = lattice_values(initial_guess.f1, m, trunc)
         c2 = lattice_values(initial_guess.f2, m, trunc)
         omega = initial_guess.omega
+        matrix = initial_guess.jacobian
 
     # solve at trunc; while the last lattice coefficient of the solution is
     # above _TAIL_TOL, pad the coefficients and solve again at twice trunc
+    evaluations = 0
     while True:
         system = _ProjectedSystem(lam, b, m, trunc, grid, pinned, float(s))
         u = system.pack(c1, c2, omega)
+        if matrix is not None and matrix.shape == (u.size, u.size):
+            system.matrix = matrix
         # the pinned coordinate is not in u; constructing the boundaries
         # checks the ball guard on the guess itself
         system.boundaries(u)
@@ -217,15 +250,25 @@ def newton_solve(lam, b, m, sign, s, initial_guess=None, trunc=16, grid=None):
         for _ in range(_MAX_ITERATIONS):
             if node_res <= RESIDUAL_TOL:
                 break
-            jac = system.jacobian(u)
+            carried = system.matrix is not None
+            jac = system.jacobian(u, projected)
             cond = np.linalg.cond(jac)
             if not np.isfinite(cond) or cond > _CONDITION_CAP:
+                if carried:
+                    system.matrix = None
+                    continue
                 raise DegenerateJacobian(
                     f"condition estimate {cond:.3e} at s={s}, m={m}"
                 )
             delta = np.linalg.solve(jac, -projected)
+            # a carried matrix gets one full step that must cut the residual
+            # by 10%, else it is rebuilt here; a fresh one is damped
+            halvings, target = (
+                (0, _CARRIED_DECREASE * norm) if carried
+                else (_MAX_HALVINGS, norm)
+            )
             step_scale = 1.0
-            for _ in range(_MAX_HALVINGS + 1):
+            for _ in range(halvings + 1):
                 try:
                     trial = u + step_scale * delta
                     trial_proj, trial_res = system.residual(trial)
@@ -233,20 +276,22 @@ def newton_solve(lam, b, m, sign, s, initial_guess=None, trunc=16, grid=None):
                     step_scale *= 0.5
                     continue
                 trial_norm = np.linalg.norm(trial_proj)
-                if trial_norm < norm:
-                    u, projected, node_res, norm = (
-                        trial,
-                        trial_proj,
-                        trial_res,
-                        trial_norm,
-                    )
+                if trial_norm < target:
                     break
                 step_scale *= 0.5
             else:
+                if carried:
+                    system.matrix = None
+                    continue
                 raise NonConvergence(
                     f"damping exhausted at s={s}, m={m}"
                     f" (residual {node_res:.3e})"
                 )
+            system.broyden_update(trial - u, trial_proj - projected)
+            u, projected, node_res, norm = (
+                trial, trial_proj, trial_res, trial_norm,
+            )
+        evaluations += system.evaluations
         if not node_res <= RESIDUAL_TOL:
             raise NonConvergence(
                 f"iteration cap reached at s={s}, m={m}"
@@ -263,6 +308,8 @@ def newton_solve(lam, b, m, sign, s, initial_guess=None, trunc=16, grid=None):
                 residual=node_res,
                 m=m,
                 pinned=pinned,
+                jacobian=system.matrix,
+                evaluations=evaluations,
             )
         if m * 2 * trunc > grid.node_count // 2:
             raise NonConvergence(
@@ -271,6 +318,7 @@ def newton_solve(lam, b, m, sign, s, initial_guess=None, trunc=16, grid=None):
         trunc *= 2
         c1 = lattice_values(f1, m, trunc)
         c2 = lattice_values(f2, m, trunc)
+        matrix = None
 
 
 def trace_branch(lam, b, m, sign, s_max, steps, trunc=16, grid=None):
@@ -285,25 +333,55 @@ def trace_branch(lam, b, m, sign, s_max, steps, trunc=16, grid=None):
     if steps < 1:
         raise ValueError(f"steps must be >= 1; got {steps}")
     points = []
-    previous = None
-    for k in range(1, steps + 1):
-        s = s_max * k / steps
-        try:
-            point = newton_solve(
+    try:
+        for k in range(1, steps + 1):
+            s = s_max * k / steps
+            guess = None
+            if len(points) == 1:
+                # the line through the annulus at (0, Omega*) and point one
+                annulus = dataclasses.replace(
+                    points[0], s=0.0, omega=_simple_root(m, lam, b, sign)[0],
+                    f1=annulus_boundary(1.0), f2=annulus_boundary(b),
+                )
+                guess = _secant_guess(m, s, annulus, points[0])
+            elif points:
+                guess = _secant_guess(m, s, points[-2], points[-1])
+            points.append(newton_solve(
                 lam, b, m, sign, s,
-                initial_guess=previous, trunc=trunc, grid=grid,
-            )
-        except (NonConvergence, DegenerateJacobian, ValueError) as exc:
-            return TraceResult(
-                points=tuple(points),
-                termination_reason=f"{type(exc).__name__}: {exc}",
-                completed=False,
-            )
-        points.append(point)
-        previous = point
+                initial_guess=guess, trunc=trunc, grid=grid,
+            ))
+    except (NonConvergence, DegenerateJacobian, ValueError) as exc:
+        return TraceResult(
+            points=tuple(points),
+            termination_reason=f"{type(exc).__name__}: {exc}",
+            completed=False,
+        )
     return TraceResult(
         points=tuple(points), termination_reason="completed", completed=True
     )
+
+
+def _secant_guess(m, s, older, newer):
+    """Guess at amplitude s on the line through two branch points.
+
+    The guess carries newer's Jacobian.  When the extrapolated boundaries
+    leave the ball guard, newer itself is the guess (zero-order start).
+    """
+    t = (s - newer.s) / (newer.s - older.s)
+    count = max(len(p.f1.coefficients) for p in (older, newer)) // m
+
+    def extrapolate(old, new):
+        last = lattice_values(new, m, count)
+        values = last + t * (last - lattice_values(old, m, count))
+        return FourierBoundary(new.scale, lattice_tuple(m, values))
+
+    try:
+        f1 = extrapolate(older.f1, newer.f1)
+        f2 = extrapolate(older.f2, newer.f2)
+    except ValueError:
+        return newer
+    omega = newer.omega + t * (newer.omega - older.omega)
+    return dataclasses.replace(newer, s=s, omega=omega, f1=f1, f2=f2)
 
 
 def verify_vstate(point, lam, b, grid=None):

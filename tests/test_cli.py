@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import oracles
+import qgsw_vstates.continuation as continuation
 import qgsw_vstates.contour as contour
 from qgsw_vstates.cli import main, parse_float_grid, parse_int_grid
 from qgsw_vstates.spectrum import (
@@ -208,6 +209,27 @@ def test_branch_demo_writes_both_signs(tmp_path):
         assert row_p["s"] == row_m["s"]
         assert float(row_m["omega"]) < float(row_p["omega"])
         assert float(row_p["residual"]) <= 1e-10
+
+
+def test_branch_summary_counts_residual_evaluations(tmp_path, monkeypatch):
+    calls = []
+    g_functional = continuation.g_functional
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return g_functional(*args, **kwargs)
+
+    monkeypatch.setattr(continuation, "g_functional", counted)
+    out = tmp_path / "run"
+    code = _run("branch", "--lambda", "1", "--b", "0.5", "--m", "5",
+                "--s-max", "1e-3", "--steps", "2", "--trunc", "8",
+                "--grid-size", "128", "--out", str(out), "--jobs", "1")
+    assert code == 0
+    summary = json.loads((out / "summary.json").read_text())
+    counts = [e["residual_evaluations"]
+              for e in summary["results"]["branches"]]
+    assert all(count > 0 for count in counts)
+    assert sum(counts) == len(calls)
 
 
 def test_branch_rejects_negative_discriminant(tmp_path, capsys):

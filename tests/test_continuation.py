@@ -15,6 +15,7 @@ import math
 import numpy as np
 import pytest
 
+import qgsw_vstates.continuation as continuation
 from qgsw_vstates.continuation import (
     RESIDUAL_TOL,
     BranchPoint,
@@ -120,6 +121,126 @@ def test_warm_start_agrees_with_cold_solve(grid, plus_march):
     assert abs(warm.omega - cold.omega) < 1e-9
     for a, c in zip(warm.f2.coefficients, cold.f2.coefficients):
         assert abs(a - c) < 1e-9
+
+
+def _close(point, reference, tol):
+    assert abs(point.omega - reference.omega) <= tol
+    for boundary, ref in ((point.f1, reference.f1), (point.f2, reference.f2)):
+        assert np.max(np.abs(np.subtract(boundary.coefficients,
+                                          ref.coefficients))) <= tol
+
+
+def _count_residuals(monkeypatch):
+    calls = []
+    g_functional = continuation.g_functional
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return g_functional(*args, **kwargs)
+
+    monkeypatch.setattr(continuation, "g_functional", counted)
+    return calls
+
+
+@pytest.mark.parametrize("sign", ["+", "-"])
+def test_carried_jacobian_keeps_the_march_cheap(grid, sign, monkeypatch):
+    # a solver that rebuilds a central-difference Jacobian at every Newton
+    # step spends 136 (+) and 169 (-) residuals on this march
+    calls = _count_residuals(monkeypatch)
+    result = trace_branch(LAM, B, M, sign, 2e-3, 4, trunc=8, grid=grid)
+    assert result.completed
+    assert len(calls) <= 40
+    assert sum(p.evaluations for p in result.points) == len(calls)
+    for point in result.points:
+        assert point.residual <= RESIDUAL_TOL
+        assert point.jacobian.shape == (16, 16)
+
+
+@pytest.mark.parametrize("sign", ["+", "-"])
+def test_trace_starts_each_point_from_the_secant_line(grid, sign, monkeypatch):
+    # Omega(s) - Omega* ~ c s^2 near the annulus, so the line through the
+    # annulus (point 0) and the points k-2, k-1 misses Omega(s_k) by 2ch^2,
+    # a fraction 2/(2k-1) of the step from point k-1; the leading unpinned
+    # coefficient is odd in s, so the line all but lands on it
+    guesses = []
+    solve = continuation.newton_solve
+
+    def spy(*args, initial_guess=None, **kwargs):
+        guesses.append(initial_guess)
+        return solve(*args, initial_guess=initial_guess, **kwargs)
+
+    monkeypatch.setattr(continuation, "newton_solve", spy)
+    points = trace_branch(LAM, B, M, sign, 2e-3, 4, trunc=8, grid=grid).points
+    assert guesses[0] is None
+    side = 1 if points[0].pinned == "outer" else 0
+
+    def lead(point):
+        return (point.f1, point.f2)[side].coefficients[M - 1]
+
+    for k in range(1, 4):
+        guess, point, previous = guesses[k], points[k], points[k - 1]
+        assert guess.s == point.s
+        assert guess.jacobian is previous.jacobian
+        assert abs(guess.omega - point.omega) <= (
+            (2.0 / (2 * k + 1) + 0.01) * abs(previous.omega - point.omega))
+        assert abs(lead(guess) - lead(point)) <= (
+            1e-3 * abs(lead(previous) - lead(point)))
+
+
+def test_secant_guess_outside_the_ball_falls_back_to_the_last_point(
+        plus_march):
+    # the line reaches a_4 ~ 0.1, weight m*|a_4| ~ 0.5: outside the ball
+    older, newer = plus_march.points[:2]
+    assert continuation._secant_guess(M, 0.1, older, newer) is newer
+    assert continuation._secant_guess(M, 2.5e-3, older, newer) is not newer
+
+
+def test_evaluations_count_every_residual_across_doubling(grid, monkeypatch):
+    calls = _count_residuals(monkeypatch)
+    point = newton_solve(LAM, B, M, "+", 1e-4, trunc=2, grid=grid)
+    assert len(point.f1.coefficients) == 20  # solved at K = 2, then K = 4
+    assert point.evaluations == len(calls)
+
+
+@pytest.mark.parametrize("scale, wrong", [
+    (0.0, "identity"),  # singular: over the condition cap, no step taken
+    (10.0, "identity"),  # unrelated to the system
+    (20.0, "jacobian"),  # the full step cuts the residual by only ~5%
+])
+def test_wrong_carried_jacobian_is_rebuilt(grid, plus_march, scale, wrong):
+    # a warm start at the next amplitude whose carried matrix is wrong: the
+    # matrix must be rebuilt at the starting iterate, which costs at most
+    # one rejected trial plus 2K = 16 columns before the first accepted step
+    last = plus_march.points[-1]
+    base = np.eye(16) if wrong == "identity" else last.jacobian
+    cold = newton_solve(LAM, B, M, "+", 2.5e-3, trunc=8, grid=grid)
+    guess = dataclasses.replace(last, jacobian=scale * base)
+    warm = newton_solve(LAM, B, M, "+", 2.5e-3, initial_guess=guess,
+                        trunc=8, grid=grid)
+    assert warm.residual <= RESIDUAL_TOL
+    _close(warm, cold, 1e-9)
+    assert warm.evaluations <= 20
+    drift = np.linalg.norm(warm.jacobian - last.jacobian)
+    assert drift <= 1e-2 * np.linalg.norm(last.jacobian)
+
+
+def test_carried_jacobian_of_wrong_size_is_ignored(grid, plus_march):
+    point = plus_march.points[-1]
+    plain = newton_solve(LAM, B, M, "+", 2.5e-3, trunc=8, grid=grid,
+                         initial_guess=dataclasses.replace(point, jacobian=None))
+    misfit = newton_solve(LAM, B, M, "+", 2.5e-3, trunc=8, grid=grid,
+                          initial_guess=dataclasses.replace(
+                              point, jacobian=np.eye(3)))
+    assert misfit == plain
+    assert misfit.evaluations == plain.evaluations
+    assert np.array_equal(misfit.jacobian, plain.jacobian)
+
+
+def test_branch_points_differing_only_in_jacobian_are_equal(plus_march):
+    point = plus_march.points[0]
+    other = dataclasses.replace(point, jacobian=np.zeros((16, 16)))
+    assert other == point and hash(other) == hash(point)
+    assert "jacobian" not in repr(point)
 
 
 def test_trace_stops_at_ball_guard(grid):
