@@ -359,6 +359,13 @@ def _cmd_branch(config):
         modes = (find_threshold(lam, b, window=config.window).n + 2,)
     pairs = {}
     for m in modes:
+        if 2 * m * config.trunc >= config.grid_size:
+            raise ConfigError(
+                f"m={m} with trunc {config.trunc} needs m*trunc ="
+                f" {m * config.trunc} below grid size / 2 ="
+                f" {config.grid_size // 2}; raise --grid-size or lower"
+                " --trunc"
+            )
         delta, pairs[m] = _mode_spectrum(m, lam, b)
         if not delta > 0.0:
             raise ConfigError(
@@ -408,6 +415,7 @@ def _cmd_branch(config):
             "file": name,
             "points": len(trace.points),
             "residual_evaluations": sum(p.evaluations for p in trace.points),
+            "jacobian_builds": sum(p.builds for p in trace.points),
             "completed": trace.completed,
             "termination": trace.termination_reason,
             "omega_star": omega_star,

@@ -18,16 +18,22 @@ coefficient at a visible amplitude would demand an inner coefficient far
 outside the injectivity ball, so the inner coefficient is pinned instead.
 BranchPoint.pinned records the choice.
 
-One Jacobian estimate serves a whole branch.  A fresh one is a forward
-finite-difference matrix of the projected residual; every accepted Newton
-step applies a Broyden rank-1 update to it, and each converged point hands
-the updated matrix to the next point (BranchPoint.jacobian), whose starting
-guess is the secant extrapolation of the last two points.  A step taken
-with a carried matrix must cut the residual norm by 10%, or the matrix is
-rebuilt at the same iterate; steps with a fresh matrix are damped by
-halving on residual increase.  Truncation doubles automatically if the last
-retained coefficient is above 1e-12 (it never is near the bifurcation
-point), and the carried matrix is dropped when it does.
+One Jacobian estimate serves a whole branch.  A solve without a carried
+matrix (a cold start, or a restart after truncation doubling) starts from
+the linearized spectrum at the guess, which costs no residual: the
+mode-mk blocks mk M_mk(Omega) of the annulus for the coefficients, and the
+exact Omega column (G is affine in Omega).  Every accepted Newton step
+applies a Broyden rank-1 update, and each converged point hands the updated
+matrix to the next point (BranchPoint.jacobian), whose starting guess is the
+secant extrapolation of the last two points and which solves at the
+guess's truncation.  A step taken with a seeded or carried matrix must cut
+the residual norm by 10%, or the matrix is rebuilt by forward differences
+at the same iterate; steps with such a fresh matrix are damped by halving
+on residual increase.  Truncation doubles when the last retained
+coefficient is above 1e-12 after convergence, or after the damping of a
+fresh step runs out (the missing harmonics hold the node residual up), as
+long as the top mode m*K stays below P/2; the doubled solve starts from a
+new seed.
 """
 
 from __future__ import annotations
@@ -43,6 +49,8 @@ from .contour import (
     annulus_boundary,
     g_functional,
     make_grid,
+    multiplier_block,
+    omega_derivative,
     real_fourier,
 )
 from .spectrum import _simple_root
@@ -72,7 +80,8 @@ class BranchPoint:
     lattice are exact zeros by construction.  jacobian is the projected
     Jacobian estimate at the point, handed on to the next solve along the
     branch; evaluations counts the residual evaluations the point cost,
-    finite-difference columns included.
+    finite-difference columns included, and builds the forward-difference
+    Jacobians among them (seeded matrices not counted).
     """
 
     s: float
@@ -84,6 +93,7 @@ class BranchPoint:
     pinned: str
     jacobian: np.ndarray = field(default=None, compare=False, repr=False)
     evaluations: int = field(default=0, compare=False)
+    builds: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -122,11 +132,13 @@ def lattice_values(boundary, m, count):
 class _ProjectedSystem:
     """Projected m-fold residual with one pinned coefficient.
 
-    matrix is the Jacobian estimate the next Newton step uses (None until
-    one is built); evaluations counts the residuals computed so far.
+    matrix is the Jacobian estimate the next Newton step uses: the carried
+    one passed in, else the seeded linearization, else a forward-difference
+    build.  evaluations counts the residuals computed so far and builds the
+    forward-difference matrices.
     """
 
-    def __init__(self, lam, b, m, trunc, grid, pinned, s):
+    def __init__(self, lam, b, m, trunc, grid, pinned, s, matrix=None):
         self.lam = lam
         self.b = b
         self.m = m
@@ -134,8 +146,11 @@ class _ProjectedSystem:
         self.grid = grid
         self.pinned = pinned
         self.s = s
-        self.matrix = None
+        self.modes = m * np.arange(1, trunc + 1)
+        self.matrix = matrix
+        self.seedable = matrix is None
         self.evaluations = 0
+        self.builds = 0
 
     def boundaries(self, u):
         c1 = np.empty(self.trunc)
@@ -168,24 +183,59 @@ class _ProjectedSystem:
         self.evaluations += 1
         f1, f2, omega = self.boundaries(u)
         g1, g2 = g_functional(self.lam, self.b, omega, f1, f2, self.grid)
-        modes = self.m * np.arange(1, self.trunc + 1)
         _, _, sine1 = real_fourier(g1, self.grid)
         _, _, sine2 = real_fourier(g2, self.grid)
-        projected = np.concatenate([sine1[modes], sine2[modes]])
+        projected = np.concatenate([sine1[self.modes], sine2[self.modes]])
         node_res = max(np.max(np.abs(g1)), np.max(np.abs(g2)))
         return projected, node_res
 
     def jacobian(self, u, projected):
-        """The matrix for one Newton step at u, whose residual is projected:
-        the carried estimate, or else a fresh forward-difference one."""
-        if self.matrix is None:
-            step = 1e-8 * max(1.0, float(np.linalg.norm(u)))
-            self.matrix = np.empty((u.size, u.size))
-            for i in range(u.size):
-                bumped = u.copy()
-                bumped[i] += step
-                self.matrix[:, i] = (self.residual(bumped)[0] - projected) / step
-        return self.matrix
+        """(matrix, fresh) for one Newton step at u, whose residual is
+        projected: the current estimate, else the seeded linearization (once
+        per system), else a fresh forward-difference build."""
+        if self.matrix is not None:
+            return self.matrix, False
+        if self.seedable:
+            self.seedable = False
+            self.matrix = self.linearization(u)
+            return self.matrix, False
+        self.matrix = self.forward_difference(u, projected)
+        self.builds += 1
+        return self.matrix, True
+
+    def linearization(self, u):
+        """The Jacobian at u from the linearized spectrum, no residual spent.
+
+        Coefficient columns: the mode-mk blocks mk M_mk(Omega) of the
+        annulus at u's Omega, which couple only the two coefficients of the
+        same lattice index.  The Omega column is exact, G being affine in
+        Omega.  The pinned coefficient's column is dropped.
+        """
+        f1, f2, omega = self.boundaries(u)
+        count = self.trunc
+        full = np.zeros((2 * count, 2 * count + 1))
+        for k, n in enumerate(self.modes):
+            pair = (k, count + k)
+            full[np.ix_(pair, pair)] = multiplier_block(
+                n, self.lam, self.b, omega
+            )
+        for j, boundary in enumerate((f1, f2)):
+            _, _, sine = real_fourier(
+                omega_derivative(boundary, self.grid), self.grid
+            )
+            full[j * count : (j + 1) * count, -1] = sine[self.modes]
+        return np.delete(full, 0 if self.pinned == "outer" else count, axis=1)
+
+    def forward_difference(self, u, projected):
+        """Forward-difference Jacobian at u from 2K residuals (the one at u,
+        projected, is already known)."""
+        step = 1e-8 * max(1.0, float(np.linalg.norm(u)))
+        matrix = np.empty((u.size, u.size))
+        for i in range(u.size):
+            bumped = u.copy()
+            bumped[i] += step
+            matrix[:, i] = (self.residual(bumped)[0] - projected) / step
+        return matrix
 
     def broyden_update(self, du, dprojected):
         """Rank-1 secant correction after the accepted step du."""
@@ -199,7 +249,10 @@ def newton_solve(lam, b, m, sign, s, initial_guess=None, trunc=16, grid=None):
 
     initial_guess may be a BranchPoint (warm start along a branch) or None,
     in which case the annulus plus s times the kernel direction is used.
-    The guess's jacobian, when its size fits, is the first Newton matrix.
+    A warm start solves at the guess's truncation when that exceeds trunc,
+    and the guess's jacobian, when its size fits, is the first Newton
+    matrix; otherwise the linearized spectrum seeds it.  The top mode m*K
+    must stay below the grid's P/2, whose sine the nodes cannot see.
     Raises NonConvergence or DegenerateJacobian; ball-guard violations of
     candidate boundaries surface as ValueError before any iteration.
     """
@@ -210,9 +263,13 @@ def newton_solve(lam, b, m, sign, s, initial_guess=None, trunc=16, grid=None):
         raise ValueError(f"fold count must be >= 1; got {m}")
     if trunc < 2:
         raise ValueError(f"truncation must be >= 2; got {trunc}")
-    if m * trunc > grid.node_count // 2:
+    if initial_guess is not None:
+        trunc = max(trunc, max(
+            len(f.coefficients) for f in (initial_guess.f1, initial_guess.f2)
+        ) // m)
+    if 2 * m * trunc >= grid.node_count:
         raise ValueError(
-            f"m*trunc = {m * trunc} exceeds the grid bandwidth"
+            f"m*trunc = {m * trunc} must stay below the grid bandwidth"
             f" {grid.node_count // 2}"
         )
     omega_star, (v1, v2), _ = _simple_root(m, lam, b, sign)
@@ -234,38 +291,42 @@ def newton_solve(lam, b, m, sign, s, initial_guess=None, trunc=16, grid=None):
         omega = initial_guess.omega
         matrix = initial_guess.jacobian
 
-    # solve at trunc; while the last lattice coefficient of the solution is
-    # above _TAIL_TOL, pad the coefficients and solve again at twice trunc
-    evaluations = 0
+    # solve at trunc; while the last lattice coefficient is above _TAIL_TOL
+    # after convergence, or after a fresh matrix ran out of halvings (the
+    # missing harmonics keep the node residual up), pad the coefficients and
+    # solve again at twice trunc
+    evaluations = builds = 0
     while True:
-        system = _ProjectedSystem(lam, b, m, trunc, grid, pinned, float(s))
+        fits = matrix is not None and matrix.shape == (2 * trunc,) * 2
+        system = _ProjectedSystem(
+            lam, b, m, trunc, grid, pinned, float(s), matrix if fits else None
+        )
         u = system.pack(c1, c2, omega)
-        if matrix is not None and matrix.shape == (u.size, u.size):
-            system.matrix = matrix
         # the pinned coordinate is not in u; constructing the boundaries
         # checks the ball guard on the guess itself
         system.boundaries(u)
         projected, node_res = system.residual(u)
         norm = np.linalg.norm(projected)
+        stalled = False
         for _ in range(_MAX_ITERATIONS):
             if node_res <= RESIDUAL_TOL:
                 break
-            carried = system.matrix is not None
-            jac = system.jacobian(u, projected)
+            jac, fresh = system.jacobian(u, projected)
             cond = np.linalg.cond(jac)
             if not np.isfinite(cond) or cond > _CONDITION_CAP:
-                if carried:
+                if not fresh:
                     system.matrix = None
                     continue
                 raise DegenerateJacobian(
                     f"condition estimate {cond:.3e} at s={s}, m={m}"
                 )
             delta = np.linalg.solve(jac, -projected)
-            # a carried matrix gets one full step that must cut the residual
-            # by 10%, else it is rebuilt here; a fresh one is damped
+            # a carried or seeded matrix gets one full step that must cut
+            # the residual by 10%, else it is rebuilt here; a fresh one is
+            # damped
             halvings, target = (
-                (0, _CARRIED_DECREASE * norm) if carried
-                else (_MAX_HALVINGS, norm)
+                (_MAX_HALVINGS, norm) if fresh
+                else (0, _CARRIED_DECREASE * norm)
             )
             step_scale = 1.0
             for _ in range(halvings + 1):
@@ -280,40 +341,48 @@ def newton_solve(lam, b, m, sign, s, initial_guess=None, trunc=16, grid=None):
                     break
                 step_scale *= 0.5
             else:
-                if carried:
+                if not fresh:
                     system.matrix = None
                     continue
-                raise NonConvergence(
-                    f"damping exhausted at s={s}, m={m}"
-                    f" (residual {node_res:.3e})"
-                )
+                stalled = True
+                break
             system.broyden_update(trial - u, trial_proj - projected)
             u, projected, node_res, norm = (
                 trial, trial_proj, trial_res, trial_norm,
             )
         evaluations += system.evaluations
-        if not node_res <= RESIDUAL_TOL:
+        builds += system.builds
+        f1, f2, omega = system.boundaries(u)
+        tail = max(abs(lattice_values(f, m, trunc)[-1]) for f in (f1, f2))
+        # twice trunc would reach the Nyquist mode P/2
+        saturated = 4 * m * trunc >= grid.node_count
+        if node_res <= RESIDUAL_TOL:
+            if tail <= _TAIL_TOL:
+                return BranchPoint(
+                    s=system.s,
+                    omega=omega,
+                    f1=f1,
+                    f2=f2,
+                    residual=node_res,
+                    m=m,
+                    pinned=pinned,
+                    jacobian=system.matrix,
+                    evaluations=evaluations,
+                    builds=builds,
+                )
+            if saturated:
+                raise NonConvergence(
+                    f"truncation saturated: tail {tail:.3e} at K={trunc}"
+                )
+        elif not stalled:
             raise NonConvergence(
                 f"iteration cap reached at s={s}, m={m}"
                 f" (residual {node_res:.3e})"
             )
-        f1, f2, omega = system.boundaries(u)
-        tail = max(abs(lattice_values(f, m, trunc)[-1]) for f in (f1, f2))
-        if tail <= _TAIL_TOL:
-            return BranchPoint(
-                s=system.s,
-                omega=omega,
-                f1=f1,
-                f2=f2,
-                residual=node_res,
-                m=m,
-                pinned=pinned,
-                jacobian=system.matrix,
-                evaluations=evaluations,
-            )
-        if m * 2 * trunc > grid.node_count // 2:
+        elif tail <= _TAIL_TOL or saturated:
             raise NonConvergence(
-                f"truncation saturated: tail {tail:.3e} at K={trunc}"
+                f"damping exhausted at s={s}, m={m}"
+                f" (residual {node_res:.3e})"
             )
         trunc *= 2
         c1 = lattice_values(f1, m, trunc)

@@ -252,6 +252,29 @@ def real_fourier(values, grid):
     return mean, cosine, sine
 
 
+def multiplier_block(n, lam, b, omega):
+    """n M_n(lam, b, Omega) as a 2 x 2 array.
+
+    It is the linearization of G at the annulus on mode n: entry (row, col)
+    is the derivative of <G_row, sin(n theta)> with respect to the
+    coefficient of conj(w)^{n-1} in interface col (rows and columns in the
+    order outer, inner), for a fixed Omega.
+    """
+    from .spectrum import spectral_matrix
+
+    mat = spectral_matrix(n, lam, b, omega)
+    return n * np.array([[mat.m11, mat.m12], [mat.m21, mat.m22]])
+
+
+def omega_derivative(boundary, grid):
+    """dG_j/dOmega = Im{Phi_j(w) conj(w) conj(Phi_j'(w))} at the grid nodes.
+
+    G_j is affine in Omega, so this is exact at any boundary.
+    """
+    vals, derivs = conformal_eval(boundary, grid)
+    return np.imag(vals * np.conj(grid.nodes) * np.conj(derivs))
+
+
 def linearization_check(n, lam, b, omega, epsilon, grid):
     """Recover the mode-n multiplier matrix by central differences of G.
 
@@ -259,10 +282,9 @@ def linearization_check(n, lam, b, omega, epsilon, grid):
     components of G onto sin(n theta) gives column j of M_n after division
     by n (the linearization acts as (h_1, h_2) -> n M_n (a, b)^T sin(n
     theta) on mode n-1 inputs).  Returns (recovered, deviation) where
-    deviation = recovered - spectral_matrix(n, lam, b, omega) entrywise.
+    deviation = recovered - multiplier_block(n, lam, b, omega) / n
+    entrywise, i.e. the deviation from M_n.
     """
-    from .spectrum import spectral_matrix
-
     n = int(n)
     if n < 1:
         raise ValueError(f"order must be >= 1; got {n}")
@@ -283,10 +305,7 @@ def linearization_check(n, lam, b, omega, epsilon, grid):
             for row, g in enumerate((g1, g2)):
                 _, _, sine = real_fourier(g, grid)
                 recovered[row, col] += sign * sine[n] / (2.0 * epsilon * n)
-    analytic = spectral_matrix(n, lam, b, omega)
-    deviation = recovered - np.array(
-        [[analytic.m11, analytic.m12], [analytic.m21, analytic.m22]]
-    )
+    deviation = recovered - multiplier_block(n, lam, b, omega) / n
     return recovered, deviation
 
 

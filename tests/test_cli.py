@@ -11,6 +11,7 @@ import json
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import oracles
@@ -230,6 +231,52 @@ def test_branch_summary_counts_residual_evaluations(tmp_path, monkeypatch):
               for e in summary["results"]["branches"]]
     assert all(count > 0 for count in counts)
     assert sum(counts) == len(calls)
+
+
+def test_branch_summary_counts_difference_jacobians(tmp_path, monkeypatch):
+    builds = []
+    difference = continuation._ProjectedSystem.forward_difference
+
+    def counted(self, *args):
+        builds.append(None)
+        return difference(self, *args)
+
+    monkeypatch.setattr(continuation._ProjectedSystem, "forward_difference",
+                        counted)
+    argv = ("branch", "--lambda", "1", "--b", "0.5", "--m", "5",
+            "--s-max", "1e-3", "--steps", "2", "--trunc", "8",
+            "--grid-size", "128", "--jobs", "1")
+    assert _run(*argv, "--out", str(tmp_path / "seeded")) == 0
+    # a singular seed is rebuilt by forward differences at each first point
+    monkeypatch.setattr(continuation._ProjectedSystem, "linearization",
+                        lambda self, u: np.zeros((u.size, u.size)))
+    assert _run(*argv, "--out", str(tmp_path / "rebuilt")) == 0
+    counts = {}
+    for name in ("seeded", "rebuilt"):
+        summary = json.loads((tmp_path / name / "summary.json").read_text())
+        counts[name] = [e["jacobian_builds"]
+                        for e in summary["results"]["branches"]]
+    assert counts == {"seeded": [0, 0], "rebuilt": [1, 1]}
+    assert len(builds) == 2
+
+
+@pytest.mark.parametrize("flags, named", [
+    (("--m", "8"), "m=8"),  # 8 * 16 = 128 = P/2
+    (("--b", "0.97"), "m=46"),  # the default m, threshold + 2
+])
+def test_branch_refuses_top_mode_at_half_the_grid(tmp_path, capsys,
+                                                   monkeypatch, flags, named):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solver reached")
+
+    monkeypatch.setattr(continuation, "newton_solve", no_solve)
+    argv = ["branch", "--lambda", "1", "--b", "0.5", "--out",
+            str(tmp_path / "x"), "--jobs", "1"]
+    code = _run(*argv, *flags)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert named in err and "trunc 16" in err and "128" in err
 
 
 def test_branch_rejects_negative_discriminant(tmp_path, capsys):

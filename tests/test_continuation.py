@@ -4,7 +4,7 @@ Everything here runs at the reference point lam = 1, b = 0.5, where the
 mode m = 5 carries a simple real eigenvalue pair: the plus branch pins the
 outer interface (kernel dominated by the outer component) and the minus
 branch pins the inner one.  A coarse grid (P = 128) and short truncation
-(K = 8) keep the suite fast; the bandwidth cap m*K <= P/2 still holds with
+(K = 8) keep the suite fast; the bandwidth cap m*K < P/2 still holds with
 room for one point of the march to need more modes than that, which is the
 deliberate trigger for the saturation test.
 """
@@ -277,6 +277,114 @@ def test_trace_partial_on_truncation_saturation(grid):
     assert len(result.points) == 2
     for point in result.points:
         assert point.residual <= RESIDUAL_TOL
+
+
+def _cold_system(lam, sign, s, trunc, grid):
+    """(system, u, projected residual) at the cold guess of newton_solve."""
+    omega_star, (v1, v2), _ = continuation._simple_root(M, lam, B, sign)
+    pinned = "outer" if abs(v1) >= abs(v2) else "inner"
+    system = continuation._ProjectedSystem(lam, B, M, trunc, grid, pinned, s)
+    c1, c2 = np.zeros(trunc), np.zeros(trunc)
+    if pinned == "outer":
+        c1[0], c2[0] = s, s * v2 / v1
+    else:
+        c1[0], c2[0] = s * v1 / v2, s
+    u = system.pack(c1, c2, omega_star)
+    return system, u, system.residual(u)[0]
+
+
+@pytest.mark.parametrize("lam", [1.0, 4.0])
+@pytest.mark.parametrize("sign", ["+", "-"])
+def test_seeded_jacobian_matches_forward_differences(grid, lam, sign):
+    # the seed is the annulus linearization, the difference matrix is taken
+    # at amplitude s: coefficient columns agree to O(s), Omega exactly
+    system, u, projected = _cold_system(lam, sign, 1.25e-3, 8, grid)
+    seeded = system.linearization(u)
+    differenced = system.forward_difference(u, projected)
+    scale = np.linalg.norm(differenced, axis=0)
+    deviation = np.linalg.norm(seeded - differenced, axis=0) / scale
+    assert np.max(deviation[:-1]) <= 2e-2
+    assert deviation[-1] <= 1e-6
+    assert system.evaluations == 1 + 16  # the seed spends no residual
+
+
+def _difference_start(monkeypatch):
+    # a singular seed is rejected at the condition cap and rebuilt by
+    # forward differences, the start every solve had without the seed
+    monkeypatch.setattr(continuation._ProjectedSystem, "linearization",
+                        lambda self, u: np.zeros((u.size, u.size)))
+
+
+@pytest.mark.parametrize("sign", ["+", "-"])
+def test_cold_solve_from_the_seed(grid, sign, monkeypatch):
+    seeded = newton_solve(LAM, B, M, sign, 1e-3, trunc=8, grid=grid)
+    assert seeded.evaluations <= 6 and seeded.builds == 0
+    _difference_start(monkeypatch)
+    differenced = newton_solve(LAM, B, M, sign, 1e-3, trunc=8, grid=grid)
+    assert differenced.builds == 1 and differenced.evaluations >= 17
+    assert abs(seeded.omega - differenced.omega) <= 1e-8
+    for boundary, reference in ((seeded.f1, differenced.f1),
+                                (seeded.f2, differenced.f2)):
+        assert np.max(np.abs(np.subtract(boundary.coefficients,
+                                          reference.coefficients))) <= 1e-9
+
+
+@pytest.mark.parametrize("sign", ["+", "-"])
+def test_seeded_march_builds_no_difference_jacobian(grid, sign, monkeypatch):
+    # with a forward-difference start the same march spends 2K = 16 more
+    calls = _count_residuals(monkeypatch)
+    result = trace_branch(LAM, B, M, sign, 2e-3, 4, trunc=8, grid=grid)
+    assert result.completed
+    assert len(calls) <= 20
+    assert sum(p.builds for p in result.points) == 0
+
+
+def test_top_mode_at_half_the_grid_is_refused():
+    # m*K = P/2 is the Nyquist mode, whose sine vanishes at every node
+    with pytest.raises(ValueError, match="bandwidth"):
+        newton_solve(LAM, B, 8, "+", 1e-4, trunc=8, grid=make_grid(128))
+
+
+def test_doubling_stops_below_half_the_grid():
+    # K = 2 leaves a tail ~1e-8; K = 4 would put mode m*K = 20 at P/2
+    with pytest.raises(NonConvergence, match="truncation saturated"):
+        newton_solve(LAM, B, M, "+", 1e-4, trunc=2, grid=make_grid(40))
+
+
+def test_warm_start_keeps_the_guess_truncation(grid):
+    # the second point doubles K = 4 -> 8; later points start at K = 8 and
+    # keep the carried matrix instead of doubling again from K = 4
+    result = trace_branch(LAM, B, M, "+", 2e-3, 4, trunc=4, grid=grid)
+    assert result.completed
+    assert [len(p.f1.coefficients) // M for p in result.points] == [4, 8, 8, 8]
+    for point in result.points[2:]:
+        assert point.evaluations <= 6
+
+
+def test_too_short_truncation_doubles_instead_of_stalling(grid):
+    # at K = 2 the node residual floor (~4.5e-10) sits above the tolerance,
+    # so the damped steps stall; the tail is ~4e-7 and K doubles
+    result = trace_branch(LAM, B, M, "+", 2e-3, 4, trunc=2, grid=grid)
+    assert result.completed and len(result.points) == 4
+    for point in result.points:
+        assert point.residual <= RESIDUAL_TOL
+
+
+def test_thin_annulus_doubles_to_the_grid_limit():
+    # b = 0.9, m = 16: K = 4 is too short from the first point on, and K = 8
+    # is the last truncation below P/2 = 256.  The K = 8 solution at s = 2e-3
+    # has a last lattice coefficient of 1.1e-12, at the tail bound, so the
+    # fourth point is certified or refused as saturated depending on where
+    # the iteration crosses the residual tolerance; it never stalls
+    b, m, grid = 0.9, 16, make_grid(512)
+    result = trace_branch(LAM, b, m, "+", 2e-3, 4, trunc=4, grid=grid)
+    assert len(result.points) >= 3
+    assert result.completed or (
+        "truncation saturated" in result.termination_reason)
+    for point in result.points:
+        assert len(point.f1.coefficients) == 8 * m
+        assert point.residual <= RESIDUAL_TOL
+        assert verify_vstate(point, LAM, b, grid=grid).residual <= 1e-9
 
 
 def test_verify_annulus_point(grid, pair):
