@@ -10,12 +10,7 @@ a mode range.  Plain stdout; point the CLI at the same grid for files.
 import argparse
 
 from qgsw_vstates.cli import parse_float_grid, parse_int_grid
-from qgsw_vstates.spectrum import (
-    SearchExhausted,
-    eigenvalues,
-    find_threshold,
-    omega_limits,
-)
+from qgsw_vstates.spectrum import ModeCell, SearchExhausted
 
 
 def main():
@@ -33,15 +28,16 @@ def main():
 
     for lam in lambdas:
         for b in bs:
+            cell = ModeCell(lam, b)
             try:
-                threshold = find_threshold(lam, b)
+                threshold = cell.threshold()
             except SearchExhausted as exc:
                 print(f"lam={lam:g} b={b:g}: {exc}")
                 continue
-            lower, upper = omega_limits(lam, b)
+            lower, upper = cell.limits()
             marks = []
             for n in ns:
-                pair = eigenvalues(n, lam, b)
+                pair = cell.spectrum(n)[1]
                 if pair is None:
                     marks.append(f"{n}:-")
                 elif pair.degenerate:
@@ -54,7 +50,7 @@ def main():
             )
             print(f"  modes {' '.join(marks)}")
             n_first = threshold.n
-            pair = eigenvalues(n_first, lam, b)
+            pair = cell.spectrum(n_first)[1]
             if pair is not None:
                 print(
                     f"  first admissible n={n_first}: "

@@ -21,7 +21,9 @@ Overflow policy: a value that cannot be represented as a strictly positive
 finite double raises :class:`OverflowError` (a range error), never a silent
 ``inf`` or ``0.0``.
 
-All functions are pure.  The array kernels ``_i0_array``, ``_k0reg_array``
+All functions are pure; :class:`BesselLadder` carries the I and K
+recurrences of one argument across orders, and the scalar functions run on
+a fresh one.  The array kernels ``_i0_array``, ``_k0reg_array``
 and ``_k0_array`` (numpy) feed the contour quadrature: the same series as
 the scalar code, evaluated as one fixed-length Horner pass per array with
 coefficient tables built at import, and the same K_0 trapezoid rule above
@@ -51,35 +53,6 @@ def _as_order(n) -> int:
 # ---------------------------------------------------------------------------
 # I_n
 
-def _i_series_scaled(n: int, x: float) -> tuple[float, int]:
-    """Ascending series for I_n(x) as (mantissa, binary exponent).
-
-    I_n(x) = (x/2)^n / n! * sum_m (x^2/4)^m / (m! (n+1)...(n+m)); every term
-    is positive, so the sum is evaluated to full relative precision. The
-    prefactor is accumulated as a product with periodic renormalization so
-    that intermediate under/overflow cannot occur.
-    """
-    hx = 0.5 * x
-    p, ex = 1.0, 0
-    for k in range(1, n + 1):
-        p *= hx / k
-        if not 1e-150 < p < 1e150:
-            m, e = math.frexp(p)
-            p, ex = m, ex + e
-    q = x * x * 0.25
-    s, term, m = 1.0, 1.0, 0
-    while term > _SERIES_TOL * s:
-        m += 1
-        term *= q / (m * (n + m))
-        s += term
-        if s > 1e250:
-            s *= 2.0 ** -1000
-            term *= 2.0 ** -1000
-            ex += 1000
-    mant, e = math.frexp(p * s)
-    return mant, ex + e
-
-
 def log_bessel_i(n, x: float) -> float:
     """log I_n(x) for x > 0, valid far beyond the double range of I_n."""
     n = _as_order(n)
@@ -87,8 +60,7 @@ def log_bessel_i(n, x: float) -> float:
         raise ValueError("argument must be nonnegative")
     if x == 0.0:
         return 0.0 if n == 0 else -math.inf
-    mant, ex = _i_series_scaled(n, x)
-    return math.log(mant) + ex * math.log(2.0)
+    return BesselLadder(x).log_i(n)
 
 
 def _i_miller(n: int, x: float) -> float:
@@ -111,10 +83,11 @@ def _i_miller(n: int, x: float) -> float:
     # ratio I_n / I_0 survives the shared rescaling; account for shifts that
     # happened after the snapshot was taken
     log_ratio = math.log(snap) - math.log(ik) + (snap_shift - shifts) * math.log(1e250)
-    log_val = log_ratio + log_bessel_i(0, x)
+    ladder = BesselLadder(x)
+    log_val = log_ratio + ladder.log_i(0)
     if log_val > _LOG_DBL_MAX:
         raise OverflowError(f"I_{n}({x}) overflows a double")
-    m0, e0 = _i_series_scaled(0, x)
+    m0, e0 = ladder._i_scaled(0)
     if shifts == snap_shift and e0 < 1020:
         val = (snap / ik) * math.ldexp(m0, e0)  # full precision, no exp/log round trip
     else:
@@ -136,7 +109,7 @@ def bessel_i(n, x: float) -> float:
     if x == 0.0:
         return 1.0 if n == 0 else 0.0
     if x < max(10.0, 0.5 * n):
-        mant, ex = _i_series_scaled(n, x)
+        mant, ex = BesselLadder(x)._i_scaled(n)
         val = math.ldexp(mant, ex)
         if not (0.0 < val < math.inf):
             raise OverflowError(f"I_{n}({x}) is not representable as a positive double")
@@ -205,26 +178,114 @@ def _k01(x: float) -> tuple[float, float, float]:
     return _k01_integral(x)
 
 
-def _k_scaled(n: int, x: float) -> tuple[float, int, float]:
-    """K_n(x) as (mantissa, binary exponent, extra log scale).
+# ---------------------------------------------------------------------------
+# one argument, every order
 
-    Upward recurrence K_{j+1} = K_{j-1} + (2j/x) K_j with renormalization;
-    stable because K_n grows with n.
+class BesselLadder:
+    """I_n(x) and K_n(x) at one argument x > 0, across orders n >= 0.
+
+    The ladder is extended on demand and never restarted:
+
+    * K: the K_0/K_1 base, computed once, and the state of the upward
+      recurrence K_{j+1} = K_{j-1} + (2j/x) K_j (stable because K_n grows
+      with n), renormalized by 2^-1000 whenever it passes 1e250;
+    * I: the prefactor (x/2)^n / n! of every order reached, accumulated as
+      a product renormalized whenever it leaves (1e-150, 1e150), times the
+      ascending series sum_m (x^2/4)^m / (m! (n+1)...(n+m)), run only for
+      the orders asked for (every term is positive, so the sum has full
+      relative precision).
+
+    A sweep over orders 0..N therefore costs O(N) recurrence steps where
+    fresh evaluations cost O(N^2).  Each value is bit-for-bit the one a
+    fresh evaluation gives, because the free functions of this module run
+    on a throwaway ladder.  Log values are kept per order.
     """
-    k0, k1, ls = _k01(x)
-    ex = 0
-    if n == 0:
-        mant, e = math.frexp(k0)
-        return mant, e, ls
-    km, kc = k0, k1
-    for j in range(1, n):
-        km, kc = kc, km + (2.0 * j / x) * kc
-        if kc > 1e250:
-            km *= 2.0 ** -1000
-            kc *= 2.0 ** -1000
-            ex += 1000
-    mant, e = math.frexp(kc)
-    return mant, ex + e, ls
+
+    def __init__(self, x: float):
+        self.x = x
+        self._prefactors = [(1.0, 0)]  # order -> (mantissa, binary exponent)
+        self._k_orders = []  # order -> (mantissa, binary exponent)
+        self._k_state = None  # (K_{top-1}, K_top, exponent) of the recurrence
+        self._k_log_scale = 0.0
+        self._log_i = {}
+        self._log_k = {}
+
+    def _i_scaled(self, n: int) -> tuple[float, int]:
+        """I_n(x) as (mantissa, binary exponent)."""
+        prefactors = self._prefactors
+        if len(prefactors) <= n:
+            hx = 0.5 * self.x
+            p, ex = prefactors[-1]
+            for k in range(len(prefactors), n + 1):
+                p *= hx / k
+                if not 1e-150 < p < 1e150:
+                    m, e = math.frexp(p)
+                    p, ex = m, ex + e
+                prefactors.append((p, ex))
+        p, ex = prefactors[n]
+        q = self.x * self.x * 0.25
+        s, term, m = 1.0, 1.0, 0
+        while term > _SERIES_TOL * s:
+            m += 1
+            term *= q / (m * (n + m))
+            s += term
+            if s > 1e250:
+                s *= 2.0 ** -1000
+                term *= 2.0 ** -1000
+                ex += 1000
+        mant, e = math.frexp(p * s)
+        return mant, ex + e
+
+    def _k_scaled(self, n: int) -> tuple[float, int, float]:
+        """K_n(x) as (mantissa, binary exponent, extra log scale)."""
+        orders = self._k_orders
+        if not orders:
+            k0, k1, self._k_log_scale = _k01(self.x)
+            orders += [(k0, 0), (k1, 0)]
+            self._k_state = k0, k1, 0
+        if len(orders) <= n:
+            x = self.x
+            km, kc, ex = self._k_state
+            for j in range(len(orders) - 1, n):
+                km, kc = kc, km + (2.0 * j / x) * kc
+                if kc > 1e250:
+                    km *= 2.0 ** -1000
+                    kc *= 2.0 ** -1000
+                    ex += 1000
+                orders.append((kc, ex))
+            self._k_state = km, kc, ex
+        kc, ex = orders[n]
+        mant, e = math.frexp(kc)
+        return mant, ex + e, self._k_log_scale
+
+    def log_i(self, n: int) -> float:
+        """log I_n(x), valid far beyond the double range of I_n."""
+        if n not in self._log_i:
+            mant, ex = self._i_scaled(n)
+            self._log_i[n] = math.log(mant) + ex * math.log(2.0)
+        return self._log_i[n]
+
+    def log_k(self, n: int) -> float:
+        """log K_n(x), valid far beyond the double range of K_n."""
+        if n not in self._log_k:
+            mant, ex, ls = self._k_scaled(n)
+            self._log_k[n] = math.log(mant) + ex * math.log(2.0) + ls
+        return self._log_k[n]
+
+    def product(self, n: int) -> float:
+        """I_n(x) K_n(x) from the two logs."""
+        return math.exp(self.log_i(n) + self.log_k(n))
+
+    def k(self, n: int) -> float:
+        """K_n(x) as a double; OverflowError when it is not representable."""
+        mant, ex, ls = self._k_scaled(n)
+        log_val = self.log_k(n)
+        if log_val > _LOG_DBL_MAX:
+            raise OverflowError(f"K_{n}({self.x}) overflows a double")
+        val = math.ldexp(mant, ex) * math.exp(ls) if ls > -700.0 else math.exp(log_val)
+        if not (0.0 < val < math.inf):
+            raise OverflowError(f"K_{n}({self.x}) is not representable as a positive double")
+        return val
 
 
 def log_bessel_k(n, x: float) -> float:
@@ -232,8 +293,7 @@ def log_bessel_k(n, x: float) -> float:
     n = _as_order(n)
     if x <= 0.0:
         raise ValueError("argument must be positive")
-    mant, ex, ls = _k_scaled(n, x)
-    return math.log(mant) + ex * math.log(2.0) + ls
+    return BesselLadder(x).log_k(n)
 
 
 def bessel_k(n, x: float) -> float:
@@ -246,14 +306,7 @@ def bessel_k(n, x: float) -> float:
     n = _as_order(n)
     if x <= 0.0:
         raise ValueError("argument must be positive")
-    mant, ex, ls = _k_scaled(n, x)
-    log_val = math.log(mant) + ex * math.log(2.0) + ls
-    if log_val > _LOG_DBL_MAX:
-        raise OverflowError(f"K_{n}({x}) overflows a double")
-    val = math.ldexp(mant, ex) * math.exp(ls) if ls > -700.0 else math.exp(log_val)
-    if not (0.0 < val < math.inf):
-        raise OverflowError(f"K_{n}({x}) is not representable as a positive double")
-    return val
+    return BesselLadder(x).k(n)
 
 
 def bessel_derivative(kind: str, n, x: float) -> float:
@@ -284,7 +337,7 @@ def product_ik(n, x: float) -> float:
     n = _as_order(n)
     if x <= 0.0:
         raise ValueError("argument must be positive")
-    return math.exp(log_bessel_i(n, x) + log_bessel_k(n, x))
+    return BesselLadder(x).product(n)
 
 
 def beltrami_k0(a: float, b: float, theta: float, terms: int) -> float:
@@ -295,10 +348,11 @@ def beltrami_k0(a: float, b: float, theta: float, terms: int) -> float:
     """
     if not 0.0 < b < a:
         raise ValueError("need 0 < b < a")
+    inner, outer = BesselLadder(b), BesselLadder(a)
     total = bessel_i(0, b) * bessel_k(0, a)
     for m in range(1, terms + 1):
         total += 2.0 * math.cos(m * theta) * math.exp(
-            log_bessel_i(m, b) + log_bessel_k(m, a)
+            inner.log_i(m) + outer.log_k(m)
         )
     return total
 

@@ -33,15 +33,7 @@ import numpy as np
 from .bessel import bessel_derivative, bessel_i, bessel_k, beltrami_k0
 from .contour import g_functional, linearization_check, make_grid
 from .continuation import lattice_values, trace_branch
-from .spectrum import (
-    SearchExhausted,
-    _mode_spectrum,
-    euler_eigenvalues,
-    find_threshold,
-    omega_limits,
-    simply_connected_limit,
-    simply_connected_limit_minus,
-)
+from .spectrum import ModeCell, SearchExhausted, euler_eigenvalues
 
 _COMMANDS = ("spectrum", "eigen", "limits", "branch", "verify")
 
@@ -49,6 +41,13 @@ _COMMANDS = ("spectrum", "eigen", "limits", "branch", "verify")
 # finite-difference truncation (~1e-9 at eps = 2e-5) dominates at every P;
 # the coarse-grid entry only adds slack for modes near the bandwidth
 _MULTIPLIER_BOUNDS = {64: 1e-5, 128: 1e-6, 256: 1e-6}
+
+# largest lambda branch tracing is validated for: the contour quadrature's
+# trivial-annulus residual (b = 0.5, Omega = 0.3, P = 256) is 1.5e-11 at
+# lambda = 8 but 6.2e-11 at 9 and 4e-10 at 10, and a finer grid does not
+# lower it, so above 8 a point can no longer be certified at 1e-10 with a
+# margin
+_BRANCH_MAX_LAMBDA = 8.0
 
 
 class ConfigError(ValueError):
@@ -93,6 +92,12 @@ class RunConfig:
         for lam in self.lambdas:
             if not lam > 0.0 or not math.isfinite(lam):
                 raise ConfigError(f"lambda values must be positive; got {lam}")
+            if self.command == "branch" and lam > _BRANCH_MAX_LAMBDA:
+                raise ConfigError(
+                    f"branch tracing is validated for lambda <= "
+                    f"{_BRANCH_MAX_LAMBDA:g}; got {lam:g} (the contour"
+                    " quadrature cannot certify residuals of 1e-10 beyond)"
+                )
         for b in self.bs:
             if not 0.0 < b < 1.0:
                 raise ConfigError(
@@ -260,10 +265,11 @@ def _cmd_spectrum(config):
     )
 
     def cell_rows(lam, b):
-        threshold = find_threshold(lam, b, window=config.window)
-        lower, upper = omega_limits(lam, b)
+        cell = ModeCell(lam, b)
+        threshold = cell.threshold(config.window)
+        lower, upper = cell.limits()
         for n in config.ns:
-            delta, pair = _mode_spectrum(n, lam, b)
+            delta, pair = cell.spectrum(n)
             yield (
                 lam,
                 b,
@@ -297,8 +303,9 @@ def _cmd_eigen(config):
     )
 
     def cell_rows(lam, b):
+        cell = ModeCell(lam, b)
         for n in config.ns:
-            delta, pair = _mode_spectrum(n, lam, b)
+            delta, pair = cell.spectrum(n)
             if pair is None or pair.degenerate:
                 yield (lam, b, n, delta) + (None,) * 6 + (False, False)
                 continue
@@ -327,9 +334,11 @@ def _cmd_limits(config):
     )
 
     def cell_rows(lam, b):
-        lower, upper = omega_limits(lam, b)
+        cell = ModeCell(lam, b)
+        lower, upper = cell.limits()
         for n in config.ns:
             euler = euler_eigenvalues(n, b)
+            sc_minus, sc_plus = cell.simply_connected(n)
             yield (
                 lam,
                 b,
@@ -338,8 +347,8 @@ def _cmd_limits(config):
                 upper,
                 None if euler is None else euler.minus,
                 None if euler is None else euler.plus,
-                simply_connected_limit_minus(n, lam),
-                simply_connected_limit(n, lam),
+                sc_minus,
+                sc_plus,
                 (n - 1.0) / (2.0 * n),
             )
 
@@ -353,10 +362,11 @@ def _cmd_branch(config):
             f" (got {len(config.lambdas)} x {len(config.bs)})"
         )
     lam, b = config.lambdas[0], config.bs[0]
+    cell = ModeCell(lam, b)
     if config.ms:
         modes = tuple(config.ms)
     else:
-        modes = (find_threshold(lam, b, window=config.window).n + 2,)
+        modes = (cell.threshold(config.window).n + 2,)
     pairs = {}
     for m in modes:
         if 2 * m * config.trunc >= config.grid_size:
@@ -366,7 +376,7 @@ def _cmd_branch(config):
                 f" {config.grid_size // 2}; raise --grid-size or lower"
                 " --trunc"
             )
-        delta, pairs[m] = _mode_spectrum(m, lam, b)
+        delta, pairs[m] = cell.spectrum(m)
         if not delta > 0.0:
             raise ConfigError(
                 f"mode m={m} has discriminant {delta:.17g} <= 0 at"

@@ -29,11 +29,14 @@ secant extrapolation of the last two points and which solves at the
 guess's truncation.  A step taken with a seeded or carried matrix must cut
 the residual norm by 10%, or the matrix is rebuilt by forward differences
 at the same iterate; steps with such a fresh matrix are damped by halving
-on residual increase.  Truncation doubles when the last retained
-coefficient is above 1e-12 after convergence, or after the damping of a
-fresh step runs out (the missing harmonics hold the node residual up), as
-long as the top mode m*K stays below P/2; the doubled solve starts from a
-new seed.
+on residual increase, and a fresh step that no longer cuts the residual
+norm by 10% while the node residual stays up counts as exhausted damping.
+Truncation doubles when the last retained coefficient is above 1e-12 after
+convergence (a coefficient near that bound is first polished by a few more
+steps, so the verdict does not depend on the iteration path), or after the
+damping of a fresh step runs out (the missing harmonics hold the node
+residual up), as long as the top mode m*K stays below P/2; the doubled
+solve starts from a new seed.
 """
 
 from __future__ import annotations
@@ -61,6 +64,12 @@ _MAX_HALVINGS = 8
 _CARRIED_DECREASE = 0.9
 _CONDITION_CAP = 1e14
 _TAIL_TOL = 1e-12
+# an iterate just under RESIDUAL_TOL carries Newton noise in its tail
+# coefficient (seen from 3e-13 to 1e-12), so a tail from a tenth to a
+# hundred times _TAIL_TOL is polished by up to _POLISH_STEPS steps before
+# it decides between certifying, doubling and saturating
+_TAIL_DOUBT = (0.1 * _TAIL_TOL, 100.0 * _TAIL_TOL)
+_POLISH_STEPS = 3
 
 
 class NonConvergence(RuntimeError):
@@ -237,6 +246,36 @@ class _ProjectedSystem:
             matrix[:, i] = (self.residual(bumped)[0] - projected) / step
         return matrix
 
+    def tail(self, u):
+        """Largest last lattice coefficient of the two boundaries at u."""
+        f1, f2, _ = self.boundaries(u)
+        return max(
+            abs(lattice_values(f, self.m, self.trunc)[-1]) for f in (f1, f2)
+        )
+
+    def polish(self, u, projected, node_res):
+        """(u, projected, node_res) after up to _POLISH_STEPS more steps with
+        the current matrix.  A step is kept only if ||F|| does not rise and
+        the node residual stays under RESIDUAL_TOL; polishing stops at the
+        first step that does not cut ||F|| by 10% (the rounding floor)."""
+        norm = np.linalg.norm(projected)
+        for _ in range(_POLISH_STEPS):
+            matrix, _ = self.jacobian(u, projected)
+            trial = u + np.linalg.solve(matrix, -projected)
+            try:
+                trial_proj, trial_res = self.residual(trial)
+            except ValueError:
+                break
+            trial_norm = np.linalg.norm(trial_proj)
+            if trial_res > RESIDUAL_TOL or trial_norm > norm:
+                break
+            self.broyden_update(trial - u, trial_proj - projected)
+            u, projected, node_res = trial, trial_proj, trial_res
+            if trial_norm > _CARRIED_DECREASE * norm:
+                break
+            norm = trial_norm
+        return u, projected, node_res
+
     def broyden_update(self, du, dprojected):
         """Rank-1 secant correction after the accepted step du."""
         self.matrix = self.matrix + np.outer(
@@ -346,14 +385,24 @@ def newton_solve(lam, b, m, sign, s, initial_guess=None, trunc=16, grid=None):
                     continue
                 stalled = True
                 break
+            if (fresh and trial_res > RESIDUAL_TOL
+                    and trial_norm >= _CARRIED_DECREASE * norm):
+                # ||F|| is at its rounding floor while the node residual
+                # stays up: as good as exhausted damping
+                stalled = True
+                break
             system.broyden_update(trial - u, trial_proj - projected)
             u, projected, node_res, norm = (
                 trial, trial_proj, trial_res, trial_norm,
             )
+        if node_res <= RESIDUAL_TOL and (
+            _TAIL_DOUBT[0] < system.tail(u) < _TAIL_DOUBT[1]
+        ):
+            u, projected, node_res = system.polish(u, projected, node_res)
         evaluations += system.evaluations
         builds += system.builds
         f1, f2, omega = system.boundaries(u)
-        tail = max(abs(lattice_values(f, m, trunc)[-1]) for f in (f1, f2))
+        tail = system.tail(u)
         # twice trunc would reach the Nyquist mode P/2
         saturated = 4 * m * trunc >= grid.node_count
         if node_res <= RESIDUAL_TOL:

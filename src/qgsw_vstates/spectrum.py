@@ -13,6 +13,10 @@ Conventions: lam > 0 is the inverse length scale of the screened kernel
 K_0(lam*|.|), b in (0,1) the inner radius.  Lambda_n = I_n(lam b) K_n(lam)
 couples the two interfaces, Omega_n(x) = I_1(x)K_1(x) - I_n(x)K_n(x) is the
 single-interface multiplier.
+
+Every mode quantity of one (lam, b) cell comes from a ModeCell, which
+carries one Bessel ladder at lam and one at lam b across all orders; the
+per-order functions build a cell for their one call.
 """
 
 from __future__ import annotations
@@ -20,7 +24,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bessel import bessel_k, log_bessel_i, log_bessel_k, product_ik
+from .bessel import (
+    BesselLadder,
+    bessel_k,
+    log_bessel_i,
+    log_bessel_k,
+    product_ik,
+)
 
 # exp argument below which Lambda_n is a clean underflow (b^n/(2n) decay),
 # returned as 0.0 rather than raised: threshold scans must traverse it
@@ -44,6 +54,18 @@ def _check_b_open(b):
         raise ValueError(f"b must lie strictly inside (0, 1); got {b}")
 
 
+def _check_order(n):
+    n = int(n)
+    if n < 1:
+        raise ValueError(f"order must be >= 1; got {n}")
+    return n
+
+
+def _clean_exp(log_val):
+    # exp, with the b^n/(2n) decay of Lambda_n underflowing cleanly to 0.0
+    return 0.0 if log_val < _LOG_TINY else math.exp(log_val)
+
+
 def lambda_coupling(n, lam, b):
     """Interface coupling Lambda_n(lam, b) = I_n(lam b) K_n(lam).
 
@@ -52,17 +74,12 @@ def lambda_coupling(n, lam, b):
     0.0 instead of raising.  At b = 1 this is exactly product_ik(n, lam)
     (identical code path).
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"order must be >= 1; got {n}")
+    n = _check_order(n)
     if lam <= 0.0:
         raise ValueError(f"lambda must be positive; got {lam}")
     if not 0.0 < b <= 1.0:
         raise ValueError(f"b must lie in (0, 1]; got {b}")
-    log_val = log_bessel_i(n, lam * b) + log_bessel_k(n, lam)
-    if log_val < _LOG_TINY:
-        return 0.0
-    return math.exp(log_val)
+    return _clean_exp(log_bessel_i(n, lam * b) + log_bessel_k(n, lam))
 
 
 def omega_rankine(n, x):
@@ -71,9 +88,7 @@ def omega_rankine(n, x):
     Zero at n = 1, strictly positive for n >= 2, increasing to I_1 K_1 as
     n -> inf by the decay of the product.
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"order must be >= 1; got {n}")
+    n = _check_order(n)
     return product_ik(1, x) - product_ik(n, x)
 
 
@@ -98,31 +113,13 @@ class SpectralMatrix:
         return max(abs(self.m11), abs(self.m12), abs(self.m21), abs(self.m22))
 
 
-def _mode(n, lam, b):
-    """(Lambda_1, Lambda_n, Omega_n(lam), Omega_n(lam b)) at mode n.
-
-    The one place the mode quantities are assembled; everything else in
-    this module derives from one call per (n, lam, b).
-    """
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"order must be >= 1; got {n}")
-    _check_b_open(b)
-    return (
-        lambda_coupling(1, lam, b),
-        lambda_coupling(n, lam, b),
-        omega_rankine(n, lam),
-        omega_rankine(n, lam * b),
-    )
-
-
 def spectral_matrix(n, lam, b, omega):
     """Assemble M_n(lam, b, Omega) acting on the mode-n coefficient pair.
 
     Rows are (outer, inner) interface conditions, columns the perturbation
     coefficients (a_{n-1}, b_{n-1}); m12 > 0 > m21 always, m12/m21 = -b.
     """
-    lam1, lamn, outer, inner = _mode(n, lam, b)
+    lam1, lamn, outer, inner = ModeCell(lam, b).mode(n)
     return SpectralMatrix(
         m11=outer - omega - b * lam1,
         m12=b * lamn,
@@ -169,9 +166,8 @@ def _transversal(v, b):
     return abs(obstruction) > 1e-10 * max(scale, 1e-300)
 
 
-def _mode_spectrum(n, lam, b):
-    """(Delta_n, EigenPair or None) from one evaluation of mode n."""
-    lam1, lamn, outer, inner = _mode(n, lam, b)
+def _mode_spectrum(n, b, lam1, lamn, outer, inner):
+    """(Delta_n, EigenPair or None) from the quantities of mode n."""
     delta = b * (outer + inner) - (1.0 + b * b) * lam1
     b_coeff = (1.0 - b * b) * lam1 + b * (outer - inner)
     c_coeff = (outer - b * lam1) * (lam1 - b * inner) + b * lamn * lamn
@@ -184,7 +180,7 @@ def _mode_spectrum(n, lam, b):
     kernel_minus = (b * (inner + omega_minus) - lam1, -lamn)
     kernel_plus = (b * (inner + omega_plus) - lam1, -lamn)
     return delta_n, EigenPair(
-        n=int(n),
+        n=n,
         omega_minus=omega_minus,
         omega_plus=omega_plus,
         discriminant=delta_n,
@@ -198,6 +194,120 @@ def _mode_spectrum(n, lam, b):
     )
 
 
+@dataclass(frozen=True)
+class Threshold:
+    """Certified mode thresholds: Delta_n > 0 from n0 on (windowed check),
+    monotone interlacing of both eigenvalue families from n on."""
+
+    n0: int
+    n: int
+
+
+class ModeCell:
+    """The mode quantities of one (lam, b) cell, across all orders.
+
+    Holds one BesselLadder at lam and one at lam b, the n-independent
+    Lambda_1, I_1K_1(lam) and I_1K_1(lam b), and a memo from each order to
+    its (Delta_n, EigenPair or None), so a threshold scan and the table
+    rows that follow it evaluate each order once.  Every value is
+    bit-for-bit the one the per-order functions of this module return.
+    """
+
+    def __init__(self, lam, b):
+        if lam <= 0.0:
+            raise ValueError(f"lambda must be positive; got {lam}")
+        _check_b_open(b)
+        self.lam = lam
+        self.b = b
+        self.outer = BesselLadder(lam)
+        self.inner = BesselLadder(lam * b)
+        self.lam1 = self.coupling(1)
+        self.ik1_outer = self.outer.product(1)
+        self.ik1_inner = self.inner.product(1)
+        self._spectra = {}
+
+    def coupling(self, n):
+        """Lambda_n = I_n(lam b) K_n(lam), see lambda_coupling."""
+        return _clean_exp(self.inner.log_i(n) + self.outer.log_k(n))
+
+    def mode(self, n):
+        """(Lambda_1, Lambda_n, Omega_n(lam), Omega_n(lam b)) at order n.
+
+        The one place the mode quantities are assembled.
+        """
+        n = _check_order(n)
+        return (
+            self.lam1,
+            self.coupling(n),
+            self.ik1_outer - self.outer.product(n),
+            self.ik1_inner - self.inner.product(n),
+        )
+
+    def spectrum(self, n):
+        """(Delta_n, EigenPair or None), evaluated once per order."""
+        n = _check_order(n)
+        if n not in self._spectra:
+            self._spectra[n] = _mode_spectrum(n, self.b, *self.mode(n))
+        return self._spectra[n]
+
+    def limits(self):
+        """(Omega_inf_minus, Omega_inf_plus), see omega_limits."""
+        return (
+            self.lam1 / self.b - self.ik1_inner,
+            self.ik1_outer - self.b * self.lam1,
+        )
+
+    def simply_connected(self, n):
+        """b -> 0 limits (omega_minus, omega_plus) at order n, see
+        simply_connected_limit_minus and simply_connected_limit."""
+        n = _check_order(n)
+        return (
+            _simply_connected_minus(n, self.lam, self.outer.k(1)),
+            self.ik1_outer - self.outer.product(n),
+        )
+
+    def threshold(self, window=50, cap=100_000):
+        """The certified thresholds of this cell, see find_threshold."""
+        if window < 10:
+            raise ValueError(f"window must be >= 10; got {window}")
+        b = self.b
+        delta_inf = b * (self.ik1_outer + self.ik1_inner) - (
+            1.0 + b * b
+        ) * self.lam1
+
+        n0 = None
+        for candidate in range(1, cap + 1):
+            orders = range(candidate, candidate + window + 1)
+            if all(self.spectrum(k)[0] > 0.0 for k in orders):
+                tail = 2.0 * b * self.coupling(candidate + window)
+                if tail * tail < 0.5 * delta_inf * delta_inf:
+                    n0 = candidate
+                    break
+        if n0 is None:
+            raise SearchExhausted(
+                f"no positivity threshold below {cap} for lam={self.lam}, b={b}"
+            )
+
+        for candidate in range(n0, cap + 1):
+            orders = range(candidate, candidate + window + 1)
+            pairs = [self.spectrum(k)[1] for k in orders]
+            if any(p is None for p in pairs):
+                continue
+            rising = all(
+                pairs[i].omega_plus < pairs[i + 1].omega_plus
+                for i in range(len(pairs) - 1)
+            )
+            falling = all(
+                pairs[i].omega_minus > pairs[i + 1].omega_minus
+                for i in range(len(pairs) - 1)
+            )
+            if rising and falling:
+                return Threshold(n0=n0, n=candidate)
+        raise SearchExhausted(
+            f"no monotonicity threshold below {cap} for lam={self.lam}, b={b}"
+        )
+
+
 def discriminant(n, lam, b):
     """Delta_n = (b[Omega_n(lam) + Omega_n(lam b)] - (1+b^2) Lambda_1)^2
     - 4 b^2 Lambda_n^2.
@@ -205,7 +315,7 @@ def discriminant(n, lam, b):
     Negative values mean the mode-n eigenvalues are complex (no real
     rotating solution); equals B_n^2 - 4 b C_n identically.
     """
-    return _mode_spectrum(n, lam, b)[0]
+    return ModeCell(lam, b).spectrum(n)[0]
 
 
 def eigenvalues(n, lam, b):
@@ -214,7 +324,7 @@ def eigenvalues(n, lam, b):
     Absence is a value, not an error: parameter sweeps cross regions of
     complex eigenvalues routinely.
     """
-    return _mode_spectrum(n, lam, b)[1]
+    return ModeCell(lam, b).spectrum(n)[1]
 
 
 def omega_limits(lam, b):
@@ -225,22 +335,7 @@ def omega_limits(lam, b):
     and Omega_n^- decreases to Omega_inf_minus = Lambda_1/b
     - I_1(lam b)K_1(lam b) once n passes the threshold.
     """
-    if lam <= 0.0:
-        raise ValueError(f"lambda must be positive; got {lam}")
-    _check_b_open(b)
-    lam1 = lambda_coupling(1, lam, b)
-    lower = lam1 / b - product_ik(1, lam * b)
-    upper = product_ik(1, lam) - b * lam1
-    return lower, upper
-
-
-@dataclass(frozen=True)
-class Threshold:
-    """Certified mode thresholds: Delta_n > 0 from n0 on (windowed check),
-    monotone interlacing of both eigenvalue families from n on."""
-
-    n0: int
-    n: int
+    return ModeCell(lam, b).limits()
 
 
 def find_threshold(lam, b, window=50, cap=100_000):
@@ -254,53 +349,7 @@ def find_threshold(lam, b, window=50, cap=100_000):
     strictly decreases across the window.  Empirical certificate, not a
     proof.
     """
-    if window < 10:
-        raise ValueError(f"window must be >= 10; got {window}")
-    _check_b_open(b)
-
-    memo = {}  # order -> (Delta_k, pair): each order is evaluated once
-
-    def spectrum_at(k):
-        if k not in memo:
-            memo[k] = _mode_spectrum(k, lam, b)
-        return memo[k]
-
-    lam1 = lambda_coupling(1, lam, b)
-    delta_inf = b * (product_ik(1, lam) + product_ik(1, lam * b)) - (
-        1.0 + b * b
-    ) * lam1
-
-    n0 = None
-    for candidate in range(1, cap + 1):
-        orders = range(candidate, candidate + window + 1)
-        if all(spectrum_at(k)[0] > 0.0 for k in orders):
-            tail = 2.0 * b * lambda_coupling(candidate + window, lam, b)
-            if tail * tail < 0.5 * delta_inf * delta_inf:
-                n0 = candidate
-                break
-    if n0 is None:
-        raise SearchExhausted(
-            f"no positivity threshold below {cap} for lam={lam}, b={b}"
-        )
-
-    for candidate in range(n0, cap + 1):
-        orders = range(candidate, candidate + window + 1)
-        pairs = [spectrum_at(k)[1] for k in orders]
-        if any(p is None for p in pairs):
-            continue
-        rising = all(
-            pairs[i].omega_plus < pairs[i + 1].omega_plus
-            for i in range(len(pairs) - 1)
-        )
-        falling = all(
-            pairs[i].omega_minus > pairs[i + 1].omega_minus
-            for i in range(len(pairs) - 1)
-        )
-        if rising and falling:
-            return Threshold(n0=n0, n=candidate)
-    raise SearchExhausted(
-        f"no monotonicity threshold below {cap} for lam={lam}, b={b}"
-    )
+    return ModeCell(lam, b).threshold(window, cap)
 
 
 @dataclass(frozen=True)
@@ -314,9 +363,7 @@ class EulerPair:
 def euler_eigenvalues(n, b):
     """Euler-limit eigenvalues (1-b^2)/4 -+ sqrt((n(1-b^2)/2 - 1)^2
     - b^{2n}) / (2n), or None when the radicand is not positive."""
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"order must be >= 1; got {n}")
+    n = _check_order(n)
     _check_b_open(b)
     half_gap = n * (1.0 - b * b) / 2.0 - 1.0
     radicand = half_gap * half_gap - b ** (2 * n)
@@ -333,9 +380,7 @@ def euler_admissible(n, b):
     Slightly stronger than the radicand test in euler_eigenvalues: at n = 1
     the radicand (b^2/4)(b^2 ... ) can be positive while this fails.
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"order must be >= 1; got {n}")
+    n = _check_order(n)
     _check_b_open(b)
     return 1.0 + b**n - n * (1.0 - b * b) / 2.0 < 0.0
 
@@ -353,10 +398,11 @@ def simply_connected_limit_minus(n, lam):
     spectrum, so no bifurcation is claimed there; provided for the
     numerical continuity checks only.
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"order must be >= 1; got {n}")
-    return (lam * n * bessel_k(1, lam) - n + 1.0) / (2.0 * n)
+    return _simply_connected_minus(_check_order(n), lam, bessel_k(1, lam))
+
+
+def _simply_connected_minus(n, lam, k1):
+    return (lam * n * k1 - n + 1.0) / (2.0 * n)
 
 
 def _simple_root(m, lam, b, sign):

@@ -8,6 +8,7 @@ import oracles
 from oracles import _j0_array, bessel_j0, product_ik_asymptotic, stirling2
 from qgsw_vstates.bessel import (
     EULER_GAMMA,
+    BesselLadder,
     _i0_array,
     _k0_array,
     _k0reg_array,
@@ -19,6 +20,29 @@ from qgsw_vstates.bessel import (
     log_bessel_k,
     product_ik,
 )
+
+
+@pytest.mark.parametrize("x", [1e-3, 0.7, 4.0, math.nextafter(4.0, 5.0), 12.0, 60.0])
+def test_ladder_bitwise_equals_fresh_evaluation(x):
+    # one ladder walked up, another down in strides: both must give the
+    # values a fresh evaluation per order gives, bit for bit, past the
+    # renormalizations of the K recurrence (2^1000) and of the I prefactor
+    up, down = BesselLadder(x), BesselLadder(x)
+    for n in range(501):
+        assert up.log_i(n) == log_bessel_i(n, x), n
+        assert up.log_k(n) == log_bessel_k(n, x), n
+    for n in range(500, -1, -13):
+        assert down.log_k(n) == log_bessel_k(n, x), n
+        assert down.log_i(n) == log_bessel_i(n, x), n
+        assert down.product(n) == product_ik(n, x), n
+    assert up.k(1) == bessel_k(1, x)
+    assert up._k_orders[500][1] > 0  # K passed 1e250 and was rescaled
+    assert up._prefactors[500][1] < 0  # (x/2)^n/n! fell below 1e-150
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    arg = mp.mpf(repr(x))
+    assert up.log_i(500) == pytest.approx(float(mp.log(mp.besseli(500, arg))), rel=1e-14)
+    assert up.log_k(500) == pytest.approx(float(mp.log(mp.besselk(500, arg))), rel=1e-14)
 
 
 def test_i_small_argument_limit():

@@ -279,6 +279,28 @@ def test_branch_refuses_top_mode_at_half_the_grid(tmp_path, capsys,
     assert named in err and "trunc 16" in err and "128" in err
 
 
+@pytest.mark.parametrize("lam", ["9", "20"])
+def test_branch_refuses_lambda_above_eight(tmp_path, capsys, monkeypatch, lam):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solver reached")
+
+    monkeypatch.setattr(continuation, "newton_solve", no_solve)
+    code = _run("branch", "--lambda", lam, "--b", "0.5", "--m", "5",
+                "--out", str(tmp_path / "x"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "lambda <= 8" in err and f"got {lam}" in err
+
+
+def test_lambda_eight_is_accepted_and_tables_take_any_lambda(tmp_path):
+    assert _run("branch", "--lambda", "8", "--b", "0.5", "--m", "5",
+                "--steps", "1", "--trunc", "4", "--grid-size", "128",
+                "--s-max", "1e-4", "--out", str(tmp_path / "b")) == 0
+    assert _run("spectrum", "--lambda", "20", "--b", "0.5", "--n", "1:3",
+                "--out", str(tmp_path / "t")) == 0
+
+
 def test_branch_rejects_negative_discriminant(tmp_path, capsys):
     code = _run("branch", "--lambda", "1", "--b", "0.5", "--m", "2",
                 "--out", str(tmp_path / "x"))

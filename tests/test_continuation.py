@@ -370,6 +370,53 @@ def test_too_short_truncation_doubles_instead_of_stalling(grid):
         assert point.residual <= RESIDUAL_TOL
 
 
+def test_rounding_floor_ends_the_rebuilds_of_a_short_truncation(grid):
+    # at K = 2, ||F|| falls to ~1e-18 while the node residual stays ~4.5e-10:
+    # the first fresh step that no longer cuts ||F|| by 10% counts as
+    # exhausted damping and K doubles (it cost 91 evaluations, 9 builds,
+    # of rebuilds at the floor).  The points are the ones that path found
+    # (omega, b_4 and a_9 frozen from it)
+    frozen = (
+        (0.1645229939031249, -1.6329800968867396e-05, -3.607728811672378e-07),
+        (0.16452250756611528, -3.2660086655301406e-05, -1.4430891516539854e-06),
+        (0.16452169699015243, -4.899134182665686e-05, -3.2469430322096644e-06),
+        (0.16452056215333818, -6.532405133204265e-05, -5.772327143879831e-06),
+    )
+    result = trace_branch(LAM, B, M, "+", 2e-3, 4, trunc=2, grid=grid)
+    assert result.completed
+    assert result.points[0].evaluations <= 25
+    for point, (omega, b4, a9) in zip(result.points, frozen, strict=True):
+        assert abs(point.omega - omega) <= 1e-12
+        assert abs(point.f2.coefficients[4] - b4) <= 1e-12
+        assert abs(point.f1.coefficients[9] - a9) <= 1e-12
+
+
+def test_tail_verdict_does_not_depend_on_the_iteration_path(monkeypatch):
+    # b = 0.9, m = 16, K = 8 (the last truncation below P/2 at P = 512):
+    # the polished tail at s = 2e-3 is 1.126e-12.  The seed as given and
+    # the seed with its Omega column sign-flipped reach the tolerance at
+    # different iterates (tails 8.1e-13 and 1.13e-12); both must be
+    # polished to the same verdict
+    grid = make_grid(512)
+
+    def solve():
+        with pytest.raises(NonConvergence, match="truncation saturated") as err:
+            newton_solve(LAM, 0.9, 16, "+", 2e-3, trunc=8, grid=grid)
+        return float(str(err.value).split("tail ")[1].split()[0])
+
+    plain = solve()
+    seed = continuation._ProjectedSystem.linearization
+
+    def flipped(system, u):
+        matrix = seed(system, u)
+        matrix[:, -1] *= -1.0
+        return matrix
+
+    monkeypatch.setattr(continuation._ProjectedSystem, "linearization", flipped)
+    assert abs(solve() - plain) <= 1e-13
+    assert plain == pytest.approx(1.126e-12, abs=1e-15)
+
+
 def test_thin_annulus_doubles_to_the_grid_limit():
     # b = 0.9, m = 16: K = 4 is too short from the first point on, and K = 8
     # is the last truncation below P/2 = 256.  The K = 8 solution at s = 2e-3

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 import oracles
 import qgsw_vstates.spectrum as spectrum
+from qgsw_vstates import cli
 from qgsw_vstates.bessel import bessel_k, product_ik
 from qgsw_vstates.spectrum import (
     SearchExhausted,
@@ -215,18 +216,48 @@ def test_threshold_validation_and_exhaustion():
         find_threshold(1.0, 0.5, window=50, cap=2)
 
 
-def test_threshold_scan_builds_each_order_once(monkeypatch):
+def _count_cell_builds(monkeypatch):
+    """Counter of ModeCell.mode calls per order, for the rest of a test."""
     builds = Counter()
-    build = spectrum._mode
+    build = spectrum.ModeCell.mode
 
-    def counted(n, lam, b):
+    def counted(cell, n):
         builds[n] += 1
-        return build(n, lam, b)
+        return build(cell, n)
 
-    monkeypatch.setattr(spectrum, "_mode", counted)
+    monkeypatch.setattr(spectrum.ModeCell, "mode", counted)
+    return builds
+
+
+def test_threshold_scan_builds_each_order_once(monkeypatch):
+    builds = _count_cell_builds(monkeypatch)
     assert find_threshold(1.0, 0.5) == Threshold(n0=3, n=3)
     assert set(builds) == set(range(1, 54))  # both scans cover [1, 3 + 50]
     assert max(builds.values()) == 1
+
+
+def test_spectrum_command_builds_each_order_once_per_cell(monkeypatch, tmp_path):
+    builds = _count_cell_builds(monkeypatch)
+    argv = ["spectrum", "--lambda", "1", "--b", "0.5", "--n", "1:60",
+            "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    # the scan covers [1, 53], the rows [1, 60]; rows reuse the scan's memo
+    assert set(builds) == set(range(1, 61))
+    assert max(builds.values()) == 1
+
+
+def test_cell_matches_per_order_functions_bitwise():
+    lam, b = 2.3, 0.7
+    cell = spectrum.ModeCell(lam, b)
+    assert cell.limits() == omega_limits(lam, b)
+    assert cell.threshold(20) == find_threshold(lam, b, window=20)
+    for n in (40, 1, 7, 300, 2):  # orders below the top read the ladder state
+        assert cell.coupling(n) == lambda_coupling(n, lam, b)
+        assert cell.spectrum(n) == (discriminant(n, lam, b), eigenvalues(n, lam, b))
+        assert cell.simply_connected(n) == (
+            simply_connected_limit_minus(n, lam), simply_connected_limit(n, lam)
+        )
+        assert cell.mode(n)[2:] == (omega_rankine(n, lam), omega_rankine(n, lam * b))
 
 
 def test_euler_limit_of_rankine_velocity():
