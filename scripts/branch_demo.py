@@ -11,9 +11,11 @@ extrapolation of Omega with the spectral eigenvalues.
 import argparse
 import time
 
-import numpy as np
-
-from qgsw_vstates.continuation import trace_branch, verify_vstate
+from qgsw_vstates.continuation import (
+    omega_intercept,
+    trace_branch,
+    verify_vstate,
+)
 from qgsw_vstates.contour import make_grid
 from qgsw_vstates.spectrum import eigenvalues, find_threshold, kernel_vector
 
@@ -57,9 +59,7 @@ def main():
             print(f"  {point.s:12.6e} {point.omega:16.10f}"
                   f" {point.residual:10.2e}")
         if len(trace.points) >= 2:
-            svals = [p.s for p in trace.points[:3]]
-            ovals = [p.omega for p in trace.points[:3]]
-            omega0 = float(np.polyfit(svals, ovals, 1)[1])
+            omega0 = omega_intercept(trace.points)
             print(f"  Omega(s->0) = {omega0:.10f}"
                   f"  gap to eigenvalue {abs(omega0 - omega_star):.2e}")
             first = trace.points[0]

@@ -32,7 +32,7 @@ import numpy as np
 
 from .bessel import bessel_derivative, bessel_i, bessel_k, beltrami_k0
 from .contour import g_functional, linearization_check, make_grid
-from .continuation import lattice_values, trace_branch
+from .continuation import lattice_values, omega_intercept, trace_branch
 from .spectrum import ModeCell, SearchExhausted, euler_eigenvalues
 
 _COMMANDS = ("spectrum", "eigen", "limits", "branch", "verify")
@@ -393,15 +393,7 @@ def _cmd_branch(config):
         )
         pair = pairs[m]
         omega_star = pair.omega_plus if sign == "+" else pair.omega_minus
-        svals = [p.s for p in trace.points]
-        ovals = [p.omega for p in trace.points]
-        if len(svals) >= 2:
-            k = min(3, len(svals))  # fit the smallest-s prefix
-            omega0 = float(np.polyfit(svals[:k], ovals[:k], 1)[1])
-        elif svals:
-            omega0 = ovals[0]
-        else:
-            omega0 = None
+        omega0 = omega_intercept(trace.points)
         count = max(
             (len(p.f1.coefficients) + 1) // m for p in trace.points
         ) if trace.points else 0
@@ -580,7 +572,7 @@ def _build_parser():
         p.add_argument("--out", help="output directory")
         p.add_argument("--format", dest="fmt", choices=["csv", "json"])
         p.add_argument("--jobs", type=int,
-                       help="branch threads (default: all cores)")
+                       help="branch threads (default: 1, no pool)")
     return parser
 
 
@@ -639,7 +631,7 @@ def build_config(args):
             tol=_config_value(pick("tol", defaults.tol), float),
             out=str(out),
             fmt=pick("fmt", defaults.fmt),
-            jobs=_config_value(pick("jobs", os.cpu_count() or 1), int),
+            jobs=_config_value(pick("jobs", defaults.jobs), int),
         )
     except ConfigError:
         raise

@@ -130,21 +130,19 @@ def lattice_tuple(m, values):
 def lattice_values(boundary, m, count):
     """Inverse of lattice_tuple: the first count lattice coefficients of
     boundary, zero-padded past its truncation."""
-    values = np.zeros(count)
-    for k in range(count):
-        idx = m * (k + 1) - 1
-        if idx < len(boundary.coefficients):
-            values[k] = boundary.coefficients[idx]
-    return values
+    lattice = boundary.coefficients[m - 1 :: m][:count]
+    return np.pad(lattice, (0, count - len(lattice)))
 
 
 class _ProjectedSystem:
     """Projected m-fold residual with one pinned coefficient.
 
-    matrix is the Jacobian estimate the next Newton step uses: the carried
-    one passed in, else the seeded linearization, else a forward-difference
-    build.  evaluations counts the residuals computed so far and builds the
-    forward-difference matrices.
+    The unknowns u are the 2K lattice coefficients (f1's, then f2's) with
+    the one at index pin (0 for an outer pin, K for an inner one) left out,
+    followed by Omega.  matrix is the Jacobian estimate the next Newton
+    step uses: the carried one passed in, else the seeded linearization,
+    else a forward-difference build.  evaluations counts the residuals
+    computed so far and builds the forward-difference matrices.
     """
 
     def __init__(self, lam, b, m, trunc, grid, pinned, s, matrix=None):
@@ -153,7 +151,7 @@ class _ProjectedSystem:
         self.m = m
         self.trunc = trunc
         self.grid = grid
-        self.pinned = pinned
+        self.pin = 0 if pinned == "outer" else trunc
         self.s = s
         self.modes = m * np.arange(1, trunc + 1)
         self.matrix = matrix
@@ -162,30 +160,13 @@ class _ProjectedSystem:
         self.builds = 0
 
     def boundaries(self, u):
-        c1 = np.empty(self.trunc)
-        c2 = np.empty(self.trunc)
-        if self.pinned == "outer":
-            c1[0] = self.s
-            c1[1:] = u[: self.trunc - 1]
-            c2[:] = u[self.trunc - 1 : 2 * self.trunc - 1]
-        else:
-            c2[0] = self.s
-            c1[:] = u[: self.trunc]
-            c2[1:] = u[self.trunc : 2 * self.trunc - 1]
-        f1 = FourierBoundary(1.0, lattice_tuple(self.m, c1))
-        f2 = FourierBoundary(self.b, lattice_tuple(self.m, c2))
+        c = np.insert(u[:-1], self.pin, self.s)
+        f1 = FourierBoundary(1.0, lattice_tuple(self.m, c[: self.trunc]))
+        f2 = FourierBoundary(self.b, lattice_tuple(self.m, c[self.trunc :]))
         return f1, f2, u[-1]
 
     def pack(self, c1, c2, omega):
-        free = []
-        if self.pinned == "outer":
-            free.extend(c1[1:])
-            free.extend(c2)
-        else:
-            free.extend(c1)
-            free.extend(c2[1:])
-        free.append(omega)
-        return np.array(free)
+        return np.delete(np.concatenate([c1, c2, [omega]]), self.pin)
 
     def residual(self, u):
         """(projected residual vector, max node residual)."""
@@ -233,7 +214,7 @@ class _ProjectedSystem:
                 omega_derivative(boundary, self.grid), self.grid
             )
             full[j * count : (j + 1) * count, -1] = sine[self.modes]
-        return np.delete(full, 0 if self.pinned == "outer" else count, axis=1)
+        return np.delete(full, self.pin, axis=1)
 
     def forward_difference(self, u, projected):
         """Forward-difference Jacobian at u from 2K residuals (the one at u,
@@ -248,10 +229,8 @@ class _ProjectedSystem:
 
     def tail(self, u):
         """Largest last lattice coefficient of the two boundaries at u."""
-        f1, f2, _ = self.boundaries(u)
-        return max(
-            abs(lattice_values(f, self.m, self.trunc)[-1]) for f in (f1, f2)
-        )
+        c = np.insert(u[:-1], self.pin, self.s)
+        return max(abs(c[self.trunc - 1]), abs(c[-1]))
 
     def polish(self, u, projected, node_res):
         """(u, projected, node_res) after up to _POLISH_STEPS more steps with
@@ -292,8 +271,8 @@ def newton_solve(lam, b, m, sign, s, initial_guess=None, trunc=16, grid=None):
     and the guess's jacobian, when its size fits, is the first Newton
     matrix; otherwise the linearized spectrum seeds it.  The top mode m*K
     must stay below the grid's P/2, whose sine the nodes cannot see.
-    Raises NonConvergence or DegenerateJacobian; ball-guard violations of
-    candidate boundaries surface as ValueError before any iteration.
+    Raises NonConvergence or DegenerateJacobian; a guess outside the ball
+    guard raises ValueError at its first residual.
     """
     grid = grid if grid is not None else make_grid(256)
     m = int(m)
@@ -316,12 +295,8 @@ def newton_solve(lam, b, m, sign, s, initial_guess=None, trunc=16, grid=None):
     if initial_guess is None:
         c1 = np.zeros(trunc)
         c2 = np.zeros(trunc)
-        if pinned == "outer":
-            c1[0] = s
-            c2[0] = s * v2 / v1
-        else:
-            c2[0] = s
-            c1[0] = s * v1 / v2
+        v_pin = v1 if pinned == "outer" else v2
+        c1[0], c2[0] = s * v1 / v_pin, s * v2 / v_pin
         omega = omega_star
         matrix = None
     else:
@@ -341,9 +316,6 @@ def newton_solve(lam, b, m, sign, s, initial_guess=None, trunc=16, grid=None):
             lam, b, m, trunc, grid, pinned, float(s), matrix if fits else None
         )
         u = system.pack(c1, c2, omega)
-        # the pinned coordinate is not in u; constructing the boundaries
-        # checks the ball guard on the guess itself
-        system.boundaries(u)
         projected, node_res = system.residual(u)
         norm = np.linalg.norm(projected)
         stalled = False
@@ -477,6 +449,16 @@ def trace_branch(lam, b, m, sign, s_max, steps, trunc=16, grid=None):
     return TraceResult(
         points=tuple(points), termination_reason="completed", completed=True
     )
+
+
+def omega_intercept(points):
+    """Omega at s -> 0 from the line through the (s, Omega) of the first
+    three points (the smallest-s prefix of a march); the one Omega of a
+    single point, None for none."""
+    if len(points) < 2:
+        return points[0].omega if points else None
+    head = points[:3]
+    return float(np.polyfit([p.s for p in head], [p.omega for p in head], 1)[1])
 
 
 def _secant_guess(m, s, older, newer):

@@ -308,32 +308,3 @@ def linearization_check(n, lam, b, omega, epsilon, grid):
     deviation = recovered - multiplier_block(n, lam, b, omega) / n
     return recovered, deviation
 
-
-def velocity_at(z, f1, f2, lam, b, grid):
-    """Induced velocity at a point off both interfaces.
-
-    (1/2pi) [contour integral over the outer boundary minus inner boundary]
-    of K_0(lam |z - xi|) dxi, by the trapezoid rule; complex dxi makes each
-    term i Phi'(tau) tau K_0(...) nodewise.
-    """
-    if f1.scale != 1.0:
-        raise ValueError(f"outer boundary must have scale 1; got {f1.scale}")
-    if f2.scale != b:
-        raise ValueError(
-            f"inner boundary scale {f2.scale} does not match b = {b}"
-        )
-    z = complex(z)
-    total = 0.0 + 0.0j
-    for boundary, orientation in ((f1, +1.0), (f2, -1.0)):
-        vals, derivs = conformal_eval(boundary, grid)
-        dist = np.abs(z - vals)
-        if np.min(dist) < _COLLISION_TOL:
-            raise ValueError(
-                f"evaluation point {z} is within {_COLLISION_TOL} of an"
-                " interface; quadrature unreliable there"
-            )
-        kernel = _k0_array(lam * dist)
-        total += orientation * 1j * np.sum(
-            derivs * grid.nodes * kernel
-        ) / grid.node_count
-    return total

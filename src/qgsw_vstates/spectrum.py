@@ -374,17 +374,6 @@ def euler_eigenvalues(n, b):
     return EulerPair(minus=center - root, plus=center + root)
 
 
-def euler_admissible(n, b):
-    """Strict admissibility 1 + b^n - n(1-b^2)/2 < 0 for the Euler pair.
-
-    Slightly stronger than the radicand test in euler_eigenvalues: at n = 1
-    the radicand (b^2/4)(b^2 ... ) can be positive while this fails.
-    """
-    n = _check_order(n)
-    _check_b_open(b)
-    return 1.0 + b**n - n * (1.0 - b * b) / 2.0 < 0.0
-
-
 def simply_connected_limit(n, lam):
     """b -> 0 limit of omega_plus at mode n: the single-interface
     multiplier Omega_n(lam)."""

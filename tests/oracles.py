@@ -13,6 +13,8 @@ the self-interaction quadrature, the conformal map and the array kernels,
 which tests check against mpmath on their own; what those oracles check is
 the quadrature around them.  The one deliberately wrong function,
 g_functional_inner_flipped, gives the verification tests a fault to catch.
+The induced velocity off the interfaces and the Euler admissibility test
+live here too: only the tests use them.
 """
 
 import math
@@ -351,3 +353,52 @@ def g_functional_inner_flipped(lam, b, omega, f1, f2, grid):
         )
         outputs.append(np.imag(total * np.conj(grid.nodes) * np.conj(derivs)))
     return outputs[0], outputs[1]
+
+
+# ---------------------------------------------------------------------------
+# helpers only the tests use
+
+def velocity_at(z, f1, f2, lam, b, grid):
+    """Induced velocity at a point off both interfaces.
+
+    (1/2pi) [contour integral over the outer boundary minus inner boundary]
+    of K_0(lam |z - xi|) dxi, by the trapezoid rule; complex dxi makes each
+    term i Phi'(tau) tau K_0(...) nodewise.
+    """
+    from qgsw_vstates.bessel import _k0_array
+    from qgsw_vstates.contour import _COLLISION_TOL, conformal_eval
+
+    if f1.scale != 1.0:
+        raise ValueError(f"outer boundary must have scale 1; got {f1.scale}")
+    if f2.scale != b:
+        raise ValueError(
+            f"inner boundary scale {f2.scale} does not match b = {b}"
+        )
+    z = complex(z)
+    total = 0.0 + 0.0j
+    for boundary, orientation in ((f1, +1.0), (f2, -1.0)):
+        vals, derivs = conformal_eval(boundary, grid)
+        dist = np.abs(z - vals)
+        if np.min(dist) < _COLLISION_TOL:
+            raise ValueError(
+                f"evaluation point {z} is within {_COLLISION_TOL} of an"
+                " interface; quadrature unreliable there"
+            )
+        kernel = _k0_array(lam * dist)
+        total += orientation * 1j * np.sum(
+            derivs * grid.nodes * kernel
+        ) / grid.node_count
+    return total
+
+
+def euler_admissible(n, b):
+    """Strict admissibility 1 + b^n - n(1-b^2)/2 < 0 for the Euler pair.
+
+    Slightly stronger than the radicand test in euler_eigenvalues: at n = 1
+    the radicand (b^2/4)(b^2 ... ) can be positive while this fails.
+    """
+    if int(n) < 1:
+        raise ValueError(f"order must be >= 1; got {n}")
+    if not 0.0 < b < 1.0:
+        raise ValueError(f"b must lie strictly inside (0, 1); got {b}")
+    return 1.0 + b**n - n * (1.0 - b * b) / 2.0 < 0.0

@@ -78,6 +78,19 @@ def test_i_accuracy_against_mpmath():
     assert checked >= 30
 
 
+def test_i_large_argument_against_mpmath():
+    # one series path at every argument: a backward recurrence started at
+    # n + 2 sqrt(max(n, x)) + 40 starts below x once x passes ~100, and was
+    # off by 2.8e-6 at I_1(600)
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 30
+    for x in np.geomspace(10.0, 700.0, 25):
+        x = float(x)
+        for n in (*range(12), 20, 35, 50, 80, 120, 160, 200):
+            rel = abs(mp.mpf(bessel_i(n, x)) / mp.besseli(n, mp.mpf(repr(x))) - 1)
+            assert rel < 1e-13, (n, x, float(rel))
+
+
 def test_k_log_singularity_at_zero():
     got = bessel_k(0, 1e-8) + math.log(0.5e-8)
     assert got == pytest.approx(-EULER_GAMMA, abs=1e-7)

@@ -17,7 +17,13 @@ import pytest
 import oracles
 import qgsw_vstates.continuation as continuation
 import qgsw_vstates.contour as contour
-from qgsw_vstates.cli import main, parse_float_grid, parse_int_grid
+from qgsw_vstates.cli import (
+    _build_parser,
+    build_config,
+    main,
+    parse_float_grid,
+    parse_int_grid,
+)
 from qgsw_vstates.spectrum import (
     discriminant,
     eigenvalues,
@@ -421,6 +427,16 @@ def test_env_var_sets_default_output_dir(tmp_path, monkeypatch):
                 "--out", str(flag_dir), "--jobs", "1")
     assert code == 0
     assert (flag_dir / "spectrum.csv").exists()
+
+
+def test_jobs_default_does_not_depend_on_the_machine(monkeypatch):
+    # the summary records the resolved config, so a core-count default
+    # would write a different summary.json on every machine
+    monkeypatch.setattr(os, "cpu_count", lambda: 7)
+    args = _build_parser().parse_args(["branch"])
+    assert build_config(args).jobs == 1
+    args = _build_parser().parse_args(["branch", "--jobs", "3"])
+    assert build_config(args).jobs == 3
 
 
 def test_bad_config_file_exits_one(tmp_path, capsys):

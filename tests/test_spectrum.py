@@ -14,7 +14,6 @@ from qgsw_vstates.spectrum import (
     Threshold,
     discriminant,
     eigenvalues,
-    euler_admissible,
     euler_eigenvalues,
     find_threshold,
     kernel_vector,
@@ -270,9 +269,9 @@ def test_euler_existence_boundary():
     # degenerate boundary (radicand 0) and is reported absent
     assert euler_eigenvalues(4, 0.5) is not None
     assert euler_eigenvalues(3, 0.5) is None
-    assert euler_admissible(4, 0.5)
-    assert not euler_admissible(3, 0.5)
-    assert not euler_admissible(1, 0.5)
+    assert oracles.euler_admissible(4, 0.5)
+    assert not oracles.euler_admissible(3, 0.5)
+    assert not oracles.euler_admissible(1, 0.5)
 
 
 def test_euler_is_small_lambda_limit():
