@@ -16,9 +16,10 @@ representations with documented accuracy, no library calls:
 Log-scaled variants keep quantities like I_n(x)K_n(x) representable up to
 n = 2000 even though the factors themselves overflow near n ~ 700.
 
-Overflow policy: a value that cannot be represented as a strictly positive
-finite double raises :class:`OverflowError` (a range error), never a silent
-``inf`` or ``0.0``.
+Range policy: a value that cannot be represented as a normal double (finite
+and at least ``sys.float_info.min``) raises :class:`OverflowError` (a range
+error), never a silent ``inf``, ``0.0`` or subnormal with its precision
+gone.
 
 All functions are pure; :class:`BesselLadder` carries the I and K
 recurrences of one argument across orders, and the scalar functions run on
@@ -78,8 +79,8 @@ def bessel_i(n, x: float) -> float:
         return 1.0 if n == 0 else 0.0
     mant, ex = BesselLadder(x)._i_scaled(n)
     val = math.ldexp(mant, ex) if ex <= 1024 else math.inf
-    if not (0.0 < val < math.inf):
-        raise OverflowError(f"I_{n}({x}) is not representable as a positive double")
+    if not (sys.float_info.min <= val < math.inf):
+        raise OverflowError(f"I_{n}({x}) is not representable as a normal double")
     return val
 
 
@@ -249,8 +250,8 @@ class BesselLadder:
         if log_val > _LOG_DBL_MAX:
             raise OverflowError(f"K_{n}({self.x}) overflows a double")
         val = math.ldexp(mant, ex) * math.exp(ls) if ls > -700.0 else math.exp(log_val)
-        if not (0.0 < val < math.inf):
-            raise OverflowError(f"K_{n}({self.x}) is not representable as a positive double")
+        if not (sys.float_info.min <= val < math.inf):
+            raise OverflowError(f"K_{n}({self.x}) is not representable as a normal double")
         return val
 
 

@@ -31,9 +31,11 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .bessel import bessel_derivative, bessel_i, bessel_k, beltrami_k0
-from .contour import g_functional, linearization_check, make_grid
+from .contour import MAX_LAMBDA, g_functional, linearization_check, make_grid
 from .continuation import lattice_values, omega_intercept, trace_branch
-from .spectrum import ModeCell, SearchExhausted, euler_eigenvalues
+from .spectrum import (
+    ModeCell, SearchExhausted, _normalize_sign, euler_eigenvalues,
+)
 
 _COMMANDS = ("spectrum", "eigen", "limits", "branch", "verify")
 
@@ -41,13 +43,6 @@ _COMMANDS = ("spectrum", "eigen", "limits", "branch", "verify")
 # finite-difference truncation (~1e-9 at eps = 2e-5) dominates at every P;
 # the coarse-grid entry only adds slack for modes near the bandwidth
 _MULTIPLIER_BOUNDS = {64: 1e-5, 128: 1e-6, 256: 1e-6}
-
-# largest lambda branch tracing is validated for: the contour quadrature's
-# trivial-annulus residual (b = 0.5, Omega = 0.3, P = 256) is 1.5e-11 at
-# lambda = 8 but 6.2e-11 at 9 and 4e-10 at 10, and a finer grid does not
-# lower it, so above 8 a point can no longer be certified at 1e-10 with a
-# margin
-_BRANCH_MAX_LAMBDA = 8.0
 
 
 class ConfigError(ValueError):
@@ -92,10 +87,10 @@ class RunConfig:
         for lam in self.lambdas:
             if not lam > 0.0 or not math.isfinite(lam):
                 raise ConfigError(f"lambda values must be positive; got {lam}")
-            if self.command == "branch" and lam > _BRANCH_MAX_LAMBDA:
+            if self.command == "branch" and lam > MAX_LAMBDA:
                 raise ConfigError(
                     f"branch tracing is validated for lambda <= "
-                    f"{_BRANCH_MAX_LAMBDA:g}; got {lam:g} (the contour"
+                    f"{MAX_LAMBDA:g}; got {lam:g} (the contour"
                     " quadrature cannot certify residuals of 1e-10 beyond)"
                 )
         for b in self.bs:
@@ -103,8 +98,12 @@ class RunConfig:
                 raise ConfigError(
                     f"b values must lie strictly inside (0, 1); got {b}"
                 )
-        if self.sign not in ("+", "-", "plus", "minus", "both"):
-            raise ConfigError(f"sign must be +, -, or both; got {self.sign!r}")
+        try:
+            self.signs
+        except ValueError:
+            raise ConfigError(
+                f"sign must be +, -, plus, minus or both; got {self.sign!r}"
+            ) from None
         if self.grid_size < 8 or self.grid_size % 2 != 0:
             raise ConfigError(
                 f"grid size must be even and >= 8; got {self.grid_size}"
@@ -128,7 +127,8 @@ class RunConfig:
     def signs(self):
         if self.sign == "both":
             return ("+", "-")
-        return ("+",) if self.sign in ("+", "plus") else ("-",)
+        # str(): the normaliser also takes the integers +1 and -1
+        return ("+",) if _normalize_sign(str(self.sign)) > 0 else ("-",)
 
 
 def parse_float_grid(text):
@@ -165,23 +165,42 @@ def parse_int_grid(text):
     return tuple(range(lo, hi + 1))
 
 
-def _config_value(value, kind):
-    """kind(value) for a config-file value, refusing what the flag spelling
-    refuses: bools, and fractional numbers where kind is int."""
-    if isinstance(value, bool) or (
-        kind is int and isinstance(value, float) and not value.is_integer()
-    ):
-        raise ConfigError(f"bad config value: expected {kind.__name__},"
-                          f" got {value!r}")
+# every option that takes a value: flag name, RunConfig field, kind, help.
+# A kind is int, float, str, or a one-element tuple for a grid of that type.
+# The flag and the field name are also the config-file keys of the option.
+_OPTIONS = (
+    ("lambda", "lambdas", (float,),
+     "lambda grid: v, v1,v2,..., or start:stop:count"),
+    ("b", "bs", (float,), "b grid, same syntax, values inside (0,1)"),
+    ("n", "ns", (int,), "mode range: n, n1,n2,..., or lo:hi inclusive"),
+    ("m", "ms", (int,), "fold counts for branch tracing"),
+    ("sign", "sign", str, "+, -, plus, minus, or both"),
+    ("window", "window", int, None),
+    ("trunc", "trunc", int, None),
+    ("grid-size", "grid_size", int, None),
+    ("s-max", "s_max", float, None),
+    ("steps", "steps", int, None),
+    ("tol", "tol", float, None),
+    ("out", "out", str, "output directory"),
+    ("format", "fmt", str, "csv or json"),
+    ("jobs", "jobs", int, "branch threads (default: 1, no pool)"),
+)
+
+
+def _convert(value, kind):
+    """value as kind, from flag text or a config-file value.  Grids take
+    the flag syntax or a list, converted entry by entry.  Bools, non-strings
+    for str and fractional numbers for int are refused."""
+    if isinstance(kind, tuple):
+        if isinstance(value, (list, tuple)):
+            return tuple(_convert(v, kind[0]) for v in value)
+        return (parse_int_grid if kind[0] is int else parse_float_grid)(value)
+    if (isinstance(value, bool)
+            or (kind is str and not isinstance(value, str))
+            or (kind is int and isinstance(value, float)
+                and not value.is_integer())):
+        raise ConfigError(f"expected {kind.__name__}, got {value!r}")
     return kind(value)
-
-
-def _coerce_grid(value, parser, kind):
-    """Config-file grids may be JSON lists, converted entry by entry, or
-    the same strings as flags."""
-    if isinstance(value, (list, tuple)):
-        return tuple(_config_value(v, kind) for v in value)
-    return parser(value)
 
 
 def _format_cell(value):
@@ -221,18 +240,6 @@ def _write_table(path, header, rows, fmt):
             handle.write("\n")
 
 
-def _write_summary(out_dir, payload):
-    path = os.path.join(out_dir, "summary.json")
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return path
-
-
-def _table_name(config, stem):
-    return f"{stem}.{'csv' if config.fmt == 'csv' else 'json'}"
-
-
 def _table_command(config, stem, header, cell_rows):
     """One table of cell_rows(lam, b) over the (lambda, b) grid, in order.
 
@@ -241,9 +248,7 @@ def _table_command(config, stem, header, cell_rows):
     """
     points = [(lam, b) for lam in config.lambdas for b in config.bs]
     rows = [row for lam, b in points for row in cell_rows(lam, b)]
-    name = _table_name(config, stem)
-    _write_table(os.path.join(config.out, name), header, rows, config.fmt)
-    return 0, {"files": [name], "rows": len(rows), "cells": len(points)}
+    return 0, [(stem, header, rows)], {"rows": len(rows), "cells": len(points)}
 
 
 # ---------------------------------------------------------------------------
@@ -408,13 +413,11 @@ def _cmd_branch(config):
             + [f"a{m * (k + 1) - 1}" for k in range(count)]
             + [f"b{m * (k + 1) - 1}" for k in range(count)]
         )
-        tag = "plus" if sign == "+" else "minus"
-        name = _table_name(config, f"branch_m{m}_{tag}")
-        _write_table(os.path.join(config.out, name), header, rows, config.fmt)
-        return {
+        stem = f"branch_m{m}_{'plus' if sign == '+' else 'minus'}"
+        return (stem, header, rows), {
             "m": m,
             "sign": sign,
-            "file": name,
+            "file": f"{stem}.{config.fmt}",
             "points": len(trace.points),
             "residual_evaluations": sum(p.evaluations for p in trace.points),
             "jacobian_builds": sum(p.builds for p in trace.points),
@@ -430,14 +433,13 @@ def _cmd_branch(config):
     tasks = [(m, sign) for m in modes for sign in config.signs]
     if config.jobs > 1 and len(tasks) > 1:
         with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            branches = list(pool.map(job, tasks))
+            done = list(pool.map(job, tasks))
     else:
-        branches = [job(task) for task in tasks]
+        done = [job(task) for task in tasks]
+    tables, branches = zip(*done)
     partial = any(not entry["completed"] for entry in branches)
-    code = 3 if partial else 0
-    return code, {
-        "files": [entry["file"] for entry in branches],
-        "branches": branches,
+    return (3 if partial else 0), list(tables), {
+        "branches": list(branches),
         "partial": partial,
     }
 
@@ -498,29 +500,18 @@ def _cmd_verify(config):
         ("trivial_residual", _verify_trivial_residual(grid), config.tol),
         ("multiplier_match", _verify_multipliers(grid), multiplier_bound),
     ]
-    rows = []
-    all_passed = True
-    for name, measured, bound in checks:
-        passed = measured <= bound
-        all_passed = all_passed and passed
-        rows.append((name, config.grid_size, measured, bound, passed))
+    rows = [(name, config.grid_size, measured, bound, measured <= bound)
+            for name, measured, bound in checks]
+    passed = all(row[-1] for row in rows)
     header = ("check", "grid_size", "measured", "bound", "passed")
-    name = _table_name(config, "verify")
-    _write_table(os.path.join(config.out, name), header, rows, config.fmt)
-    summary = {
-        "files": [name],
-        "checks": [
-            {
-                "name": check,
-                "measured": measured,
-                "bound": bound,
-                "passed": measured <= bound,
-            }
-            for check, measured, bound in checks
-        ],
-        "passed": all_passed,
+    entries = [
+        {"name": name, "measured": measured, "bound": bound, "passed": ok}
+        for name, _, measured, bound, ok in rows
+    ]
+    return (0 if passed else 2), [("verify", header, rows)], {
+        "checks": entries,
+        "passed": passed,
     }
-    return (0 if all_passed else 2), summary
 
 
 _DISPATCH = {
@@ -554,95 +545,69 @@ def _build_parser():
     for command in _COMMANDS:
         p = sub.add_parser(command)
         p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--lambda", dest="lambdas", metavar="GRID",
-                       help="lambda grid: v, v1,v2,..., or start:stop:count")
-        p.add_argument("--b", dest="bs", metavar="GRID",
-                       help="b grid, same syntax, values inside (0,1)")
-        p.add_argument("--n", dest="ns", metavar="RANGE",
-                       help="mode range: n, n1,n2,..., or lo:hi inclusive")
-        p.add_argument("--m", dest="ms", metavar="RANGE",
-                       help="fold counts for branch tracing")
-        p.add_argument("--sign", choices=["+", "-", "plus", "minus", "both"])
-        p.add_argument("--window", type=int)
-        p.add_argument("--trunc", type=int)
-        p.add_argument("--grid-size", dest="grid_size", type=int)
-        p.add_argument("--s-max", dest="s_max", type=float)
-        p.add_argument("--steps", type=int)
-        p.add_argument("--tol", type=float)
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--format", dest="fmt", choices=["csv", "json"])
-        p.add_argument("--jobs", type=int,
-                       help="branch threads (default: 1, no pool)")
+        for flag, field, kind, help_text in _OPTIONS:
+            metavar = {(float,): "GRID", (int,): "RANGE"}.get(kind)
+            p.add_argument(f"--{flag}", dest=field, metavar=metavar,
+                           help=help_text)
     return parser
 
 
-def build_config(args):
-    """Merge precedence: flag > QGSW_VSTATES_OUT (out only) > config file."""
-    file_values = {}
-    if args.config is not None:
-        try:
-            with open(args.config) as handle:
-                file_values = json.load(handle)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file is not valid JSON: {exc}") from None
-        if not isinstance(file_values, dict):
-            raise ConfigError("config file must hold a JSON object")
-    # accept the flag spellings as config keys too
-    aliases = {"lambda": "lambdas", "b": "bs", "n": "ns", "m": "ms",
-               "format": "fmt", "grid-size": "grid_size", "s-max": "s_max"}
-    for alias, field_name in aliases.items():
-        if alias in file_values:
-            file_values.setdefault(field_name, file_values[alias])
-
-    def pick(key, fallback):
-        flag = getattr(args, key)
-        if flag is not None:
-            return flag
-        if key in file_values:
-            return file_values[key]
-        return fallback
-
-    out = args.out
-    if out is None:
-        out = os.environ.get("QGSW_VSTATES_OUT")
-    if out is None:
-        out = file_values.get("out", "runs")
-
-    defaults = RunConfig(command=args.command)
-    # config-file values arrive untyped: a value that does not convert is
-    # refused like any other bad input
+def _read_config_file(path):
+    """{field: value} from a JSON config file keyed by flag or field names."""
     try:
-        return RunConfig(
-            command=args.command,
-            lambdas=_coerce_grid(pick("lambdas", defaults.lambdas),
-                                 parse_float_grid, float),
-            bs=_coerce_grid(pick("bs", defaults.bs), parse_float_grid, float),
-            ns=_coerce_grid(pick("ns", defaults.ns), parse_int_grid, int),
-            ms=_coerce_grid(pick("ms", defaults.ms), parse_int_grid, int),
-            sign=pick("sign", defaults.sign),
-            window=_config_value(pick("window", defaults.window), int),
-            trunc=_config_value(pick("trunc", defaults.trunc), int),
-            grid_size=_config_value(pick("grid_size", defaults.grid_size),
-                                    int),
-            s_max=_config_value(pick("s_max", defaults.s_max), float),
-            steps=_config_value(pick("steps", defaults.steps), int),
-            tol=_config_value(pick("tol", defaults.tol), float),
-            out=str(out),
-            fmt=pick("fmt", defaults.fmt),
-            jobs=_config_value(pick("jobs", defaults.jobs), int),
-        )
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad config value: {exc}") from None
+        with open(path) as handle:
+            raw = json.load(handle)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config file is not valid JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ConfigError("config file must hold a JSON object")
+    fields = {key: field for flag, field, _, _ in _OPTIONS
+              for key in (flag, field)}
+    values, keys = {}, {}
+    for key, value in raw.items():
+        if key not in fields:
+            raise ConfigError(f"unknown config key {key!r}")
+        if value is None:
+            raise ConfigError(f"config key {key!r} is null")
+        field = fields[key]
+        if field in keys:
+            raise ConfigError(f"config keys {keys[field]!r} and {key!r}"
+                              " name the same option")
+        values[field], keys[field] = value, key
+    return values
+
+
+def build_config(args):
+    """Merge precedence: flag > QGSW_VSTATES_OUT (out only) > config file >
+    RunConfig default."""
+    file_values = {} if args.config is None else _read_config_file(args.config)
+    if args.out is None and "QGSW_VSTATES_OUT" in os.environ:
+        file_values["out"] = os.environ["QGSW_VSTATES_OUT"]
+    values = {}
+    for flag, field, kind, _ in _OPTIONS:
+        value = getattr(args, field)
+        if value is None:
+            value = file_values.get(field)
+        if value is None:
+            continue
+        try:
+            values[field] = _convert(value, kind)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad value for {flag}: {exc}") from None
+    return RunConfig(command=args.command, **values)
 
 
 def run(config):
     """Execute one resolved configuration; returns the process exit code."""
     os.makedirs(config.out, exist_ok=True)
-    code, results = _DISPATCH[config.command](config)
+    code, tables, results = _DISPATCH[config.command](config)
+    files = []
+    for stem, header, rows in tables:
+        files.append(f"{stem}.{config.fmt}")
+        _write_table(os.path.join(config.out, files[-1]), header, rows,
+                     config.fmt)
     summary = {
         "command": config.command,
         "config": {
@@ -650,9 +615,11 @@ def run(config):
             for key, value in asdict(config).items()
         },
         "exit_code": code,
-        "results": results,
+        "results": {"files": files, **results},
     }
-    _write_summary(config.out, summary)
+    with open(os.path.join(config.out, "summary.json"), "w") as handle:
+        json.dump(summary, handle, indent=2, sort_keys=True)
+        handle.write("\n")
     return code
 
 
@@ -661,7 +628,8 @@ def main(argv=None):
     try:
         config = build_config(args)
         return run(config)
-    except (ConfigError, SearchExhausted) as exc:
+    # OverflowError: a Bessel value outside the normal double range
+    except (ConfigError, SearchExhausted, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

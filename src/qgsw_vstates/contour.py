@@ -50,6 +50,12 @@ from .bessel import _i0_array, _k0_array, _k0reg_array
 
 _COLLISION_TOL = 1e-8
 
+# largest lambda the quadrature is validated for: its trivial-annulus
+# residual (b = 0.5, Omega = 0.3, P = 256) is 1.5e-11 at lambda = 8 but
+# 6.2e-11 at 9 and 4e-10 at 10, and a finer grid does not lower it, so
+# above 8 a branch point can no longer be certified at 1e-10 with a margin
+MAX_LAMBDA = 8.0
+
 
 @dataclass(frozen=True)
 class FourierBoundary:
@@ -211,8 +217,13 @@ def g_functional(lam, b, omega, f1, f2, grid):
 
     f1 must carry scale 1 (outer interface), f2 scale b (inner).  Both
     outputs are real node sequences with zero mean and no cosine content
-    for real-coefficient inputs.
+    for real-coefficient inputs.  Raises ValueError for lam > MAX_LAMBDA.
     """
+    if not lam <= MAX_LAMBDA:
+        raise ValueError(
+            f"the contour quadrature is validated for lambda <= "
+            f"{MAX_LAMBDA:g}; got {lam:g}"
+        )
     if not 0.0 < b < 1.0:
         raise ValueError(f"b must lie strictly inside (0, 1); got {b}")
     if f1.scale != 1.0:

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -143,6 +144,19 @@ def test_range_errors_raise():
         bessel_k(0, 800.0)
     with pytest.raises(OverflowError):
         bessel_k(250, 0.05)
+
+
+def test_subnormal_results_raise():
+    # a subnormal has lost most of its digits (K_0(740) would read 2e-323,
+    # 2.4% off), so it is a range error like underflow to zero
+    with pytest.raises(OverflowError):
+        bessel_k(0, 740.0)
+    with pytest.raises(OverflowError):
+        BesselLadder(740.0).k(0)
+    with pytest.raises(OverflowError):
+        bessel_i(120, 0.188)
+    assert bessel_k(0, 700.0) >= sys.float_info.min
+    assert bessel_i(120, 0.3) >= sys.float_info.min
 
 
 @given(n=st.integers(-40, 40), x=st.floats(0.5, 45.0))

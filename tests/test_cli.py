@@ -103,6 +103,8 @@ def test_spectrum_csv_round_trips_exactly(tmp_path):
         (["limits"], {"steps": True}),
         (["limits"], {"jobs": 1.5}),
         (["spectrum"], {"lambda": [True]}),
+        (["branch", "--sign", "1"], None),
+        (["branch"], {"sign": 1}),
     ],
     ids=["zero-order", "negative-order", "range-from-zero", "empty-range",
          "bad-range-count", "bad-range-bound", "config-jobs-text",
@@ -110,7 +112,7 @@ def test_spectrum_csv_round_trips_exactly(tmp_path):
          "config-bool-order", "config-fractional-fold",
          "config-fractional-trunc", "config-fractional-grid-size",
          "config-bool-steps", "config-fractional-jobs",
-         "config-bool-lambda"],
+         "config-bool-lambda", "numeric-sign", "config-numeric-sign"],
 )
 def test_bad_orders_and_grid_text_exit_one(tmp_path, capsys, argv, config):
     if config is not None:
@@ -129,6 +131,16 @@ def test_domain_guard_exits_one(tmp_path, capsys):
                 "--out", str(tmp_path / "x"))
     assert code == 1
     assert "strictly inside (0, 1)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lam", ["710", "800"])
+def test_bessel_range_error_exits_one(tmp_path, capsys, lam):
+    # sc_minus needs K_1(lambda), subnormal from about 706 and zero from 746
+    code = _run("limits", "--lambda", lam, "--b", "0.5", "--n", "1:2",
+                "--out", str(tmp_path / "x"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: K_1({lam}.0)") and "Traceback" not in err
 
 
 def test_unknown_command_exits_one():
@@ -445,3 +457,108 @@ def test_bad_config_file_exits_one(tmp_path, capsys):
     code = _run("spectrum", "--config", str(cfg), "--out", str(tmp_path))
     assert code == 1
     assert "config file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "config, named",
+    [
+        ({"lamda": 3}, "'lamda'"),
+        ({"command": "eigen"}, "'command'"),
+        ({"out": None}, "'out'"),
+        ({"lambda": [1], "n": None}, "'n'"),
+        ({"lambdas": [2], "lambda": [3]}, "'lambdas' and 'lambda'"),
+        ({"grid-size": 64, "grid_size": 128}, "'grid-size' and 'grid_size'"),
+    ],
+    ids=["unknown-key", "command-key", "null-out", "null-n", "both-lambda",
+         "both-grid-size"],
+)
+def test_config_keys_outside_the_option_table_exit_one(tmp_path, capsys,
+                                                         config, named):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "run"
+    code = _run("spectrum", "--n", "3", "--config", str(path),
+                "--out", str(out))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert named in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "config, named",
+    [({"sign": 1}, "sign"), ({"out": 5}, "out"), ({"format": True}, "format"),
+     ({"grid-size": "64.5"}, "grid-size"), ({"lambda": [[1]]}, "lambda")],
+)
+def test_config_value_that_does_not_convert_names_its_option(
+        tmp_path, capsys, monkeypatch, config, named):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("QGSW_VSTATES_OUT", raising=False)
+    Path("cfg.json").write_text(json.dumps(config))
+    code = _run("limits", "--config", "cfg.json")
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: bad value for {named}: ")
+
+
+@pytest.mark.parametrize("sign, signs", [
+    ("+", ["+"]), ("plus", ["+"]), ("-", ["-"]), ("minus", ["-"]),
+    ("both", ["+", "-"]),
+])
+def test_sign_spellings(sign, signs):
+    args = _build_parser().parse_args(["branch", "--sign", sign])
+    assert list(build_config(args).signs) == signs
+
+
+# one non-default setting per RunConfig field: (flag name, flag text,
+# config-file value, value recorded in summary.json); a field without an
+# entry here fails the drift test below
+_SETTINGS = {
+    "lambdas": ("lambda", "2", [2], [2.0]),
+    "bs": ("b", "0.25", "0.25", [0.25]),
+    "ns": ("n", "2:3", [2, 3], [2, 3]),
+    "ms": ("m", "7", [7], [7]),
+    "sign": ("sign", "plus", "plus", "plus"),
+    "window": ("window", "20", 20, 20),
+    "trunc": ("trunc", "4", 4, 4),
+    "grid_size": ("grid-size", "64", 64, 64),
+    "s_max": ("s-max", "1e-3", 1e-3, 1e-3),
+    "steps": ("steps", "3", 3, 3),
+    "tol": ("tol", "1e-9", 1e-9, 1e-9),
+    "out": ("out", None, None, None),
+    "fmt": ("format", "json", "json", "json"),
+    "jobs": ("jobs", "2", 2, 2),
+}
+
+
+def test_every_config_field_is_settable_by_flag_and_both_keys(
+        tmp_path, monkeypatch):
+    import dataclasses
+
+    from qgsw_vstates.cli import RunConfig
+
+    monkeypatch.delenv("QGSW_VSTATES_OUT", raising=False)
+    defaults = RunConfig(command="spectrum")
+    for field in dataclasses.fields(RunConfig):
+        if field.name == "command":
+            continue
+        flag, text, file_value, recorded = _SETTINGS[field.name]
+        for how in ("flag", flag, field.name):
+            out = tmp_path / f"{field.name}-{how}"
+            if field.name == "out":
+                text = file_value = recorded = str(out)
+            argv = ["spectrum"] if field.name == "out" else \
+                ["spectrum", "--out", str(out)]
+            if how == "flag":
+                argv += [f"--{flag}", text]
+            else:
+                path = tmp_path / f"{field.name}-{how}.json"
+                path.write_text(json.dumps({how: file_value}))
+                argv += ["--config", str(path)]
+            assert _run(*argv) == 0, (field.name, how)
+            config = json.loads((out / "summary.json").read_text())["config"]
+            assert config[field.name] == recorded, (field.name, how)
+            default = getattr(defaults, field.name)
+            assert recorded != (list(default) if isinstance(default, tuple)
+                                else default)

@@ -359,6 +359,15 @@ def test_top_mode_at_half_the_grid_is_refused():
         newton_solve(LAM, B, 8, "+", 1e-4, trunc=8, grid=make_grid(128))
 
 
+def test_trace_above_the_validated_lambda_names_the_bound(grid):
+    # lambda = 10 has a simple pair at m = 5 but lies past the range the
+    # quadrature can certify; the trace stops on that, not on the damping
+    assert eigenvalues(M, 10.0, B).discriminant > 0.0
+    result = trace_branch(10.0, B, M, "+", 1e-4, 2, trunc=8, grid=grid)
+    assert not result.completed and result.points == ()
+    assert "lambda <= 8; got 10" in result.termination_reason
+
+
 def test_doubling_stops_below_half_the_grid():
     # K = 2 leaves a tail ~1e-8; K = 4 would put mode m*K = 20 at P/2
     with pytest.raises(NonConvergence, match="truncation saturated"):

@@ -206,6 +206,14 @@ def test_trivial_solution_residual(grid):
         assert max(np.max(np.abs(g1)), np.max(np.abs(g2))) <= 1e-11
 
 
+def test_g_functional_refuses_lambda_above_the_validated_range(grid):
+    outer, inner = annulus_boundary(1.0), annulus_boundary(B)
+    g1, g2 = g_functional(8.0, B, 0.3, outer, inner, grid)
+    assert max(np.max(np.abs(g1)), np.max(np.abs(g2))) <= 1e-10
+    with pytest.raises(ValueError, match="lambda <= 8; got 8.5"):
+        g_functional(8.5, B, 0.3, outer, inner, grid)
+
+
 def test_g_functional_scale_validation(grid):
     with pytest.raises(ValueError):
         g_functional(LAM, B, 0.0, annulus_boundary(0.9), annulus_boundary(B), grid)
