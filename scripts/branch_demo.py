@@ -59,9 +59,10 @@ def main():
             print(f"  {point.s:12.6e} {point.omega:16.10f}"
                   f" {point.residual:10.2e}")
         if len(trace.points) >= 2:
-            omega0 = omega_intercept(trace.points)
+            omega0, bend = omega_intercept(trace.points)
             print(f"  Omega(s->0) = {omega0:.10f}"
-                  f"  gap to eigenvalue {abs(omega0 - omega_star):.2e}")
+                  f"  gap to eigenvalue {abs(omega0 - omega_star):.2e}"
+                  f"  bend {bend:.4f}")
             first = trace.points[0]
             v1, v2 = kernel_vector(m, lam, b, sign)
             tangent = (first.f1.coefficients[m - 1],

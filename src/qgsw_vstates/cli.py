@@ -398,7 +398,7 @@ def _cmd_branch(config):
         )
         pair = pairs[m]
         omega_star = pair.omega_plus if sign == "+" else pair.omega_minus
-        omega0 = omega_intercept(trace.points)
+        omega0, bend = omega_intercept(trace.points)
         count = max(
             (len(p.f1.coefficients) + 1) // m for p in trace.points
         ) if trace.points else 0
@@ -425,6 +425,7 @@ def _cmd_branch(config):
             "termination": trace.termination_reason,
             "omega_star": omega_star,
             "omega_extrapolated": omega0,
+            "omega_bend": bend,
             "gap": None if omega0 is None else abs(omega0 - omega_star),
         }
 
@@ -601,7 +602,10 @@ def build_config(args):
 
 def run(config):
     """Execute one resolved configuration; returns the process exit code."""
-    os.makedirs(config.out, exist_ok=True)
+    try:
+        os.makedirs(config.out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory: {exc}") from None
     code, tables, results = _DISPATCH[config.command](config)
     files = []
     for stem, header, rows in tables:

@@ -452,13 +452,18 @@ def trace_branch(lam, b, m, sign, s_max, steps, trunc=16, grid=None):
 
 
 def omega_intercept(points):
-    """Omega at s -> 0 from the line through the (s, Omega) of the first
-    three points (the smallest-s prefix of a march); the one Omega of a
-    single point, None for none."""
+    """(Omega at s -> 0, its bend c2) from the (s, Omega) of a march.
+
+    Omega is even in s (the point at -s is the one at +s turned by pi/m),
+    so Omega* + c2 s^2 + c4 s^4 is fitted by least squares over every
+    point; two points fit Omega* + c2 s^2.  One point gives its own Omega
+    and no bend, none gives (None, None).
+    """
     if len(points) < 2:
-        return points[0].omega if points else None
-    head = points[:3]
-    return float(np.polyfit([p.s for p in head], [p.omega for p in head], 1)[1])
+        return (points[0].omega if points else None), None
+    fit = np.polyfit([p.s ** 2 for p in points], [p.omega for p in points],
+                     min(len(points) - 1, 2))
+    return float(fit[-1]), float(fit[-2])
 
 
 def _secant_guess(m, s, older, newer):

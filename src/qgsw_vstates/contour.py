@@ -24,8 +24,10 @@ a circulant set of weights: row k of it applied to samples g(tau_l) is
 sum_l c[(k - l) mod P] g(tau_l) with c the inverse FFT of the moments.
 The weights and log|w_k - w_l| are both circulant in k - l, so the grid
 folds them into one real matrix, and every interaction, singular or not,
-is one real P x P kernel matrix (array Bessel kernels, fixed-length Horner
+is one real kernel matrix (array Bessel kernels, fixed-length Horner
 series) applied to the complex weights Phi'(tau) tau as real mat-vecs.
+Its rows are the target nodes of one rotational period of the pair (all
+P when nothing divides, see g_functional), its columns all P sources.
 
 The rotating-frame boundary condition is, at each node of interface j,
 
@@ -170,21 +172,23 @@ def conformal_eval(boundary, grid):
     return values, derivs
 
 
-def s_integral(lam, source, target, grid):
+def s_integral(lam, source, target, grid, rows=None):
     """Screened single-layer integral S(lam, Phi_source, Phi_target) at the
-    target-interface nodes.
+    first `rows` target-interface nodes (all P by default), each against
+    all P source nodes.
 
     Equal boundaries engage the singular split; distinct boundaries use the
     plain trapezoid rule and require the interfaces to stay farther apart
-    than the collision tolerance.
+    than the collision tolerance (over the rows evaluated).
     """
     if lam <= 0.0:
         raise ValueError(f"lambda must be positive; got {lam}")
+    head = slice(rows)
     src_vals, src_derivs = conformal_eval(source, grid)
     weights = src_derivs * grid.nodes  # Phi'(tau) tau at source nodes
 
     if source == target:
-        dist = np.abs(src_vals[:, None] - src_vals[None, :])
+        dist = np.abs(src_vals[head, None] - src_vals[None, :])
         scaled = lam * dist
         i0 = _i0_array(scaled)
         # smooth bracket of the kernel split
@@ -193,14 +197,14 @@ def s_integral(lam, source, target, grid):
         # -log r * I_0 with log r = log(r/|w - tau|) + log|w - tau|: the
         # ratio's diagonal limit is |Phi'(w)|, and grid.log_weights swaps
         # the plain log|w - tau| samples for the exact log product rule
-        np.fill_diagonal(dist, np.abs(src_derivs))
+        np.fill_diagonal(dist, np.abs(src_derivs[head]))
         log_part = np.log(dist, out=dist)
-        log_part += grid.log_weights
+        log_part += grid.log_weights[head]
         log_part *= i0
         kernel -= log_part
     else:
         tgt_vals, _ = conformal_eval(target, grid)
-        dist = np.abs(tgt_vals[:, None] - src_vals[None, :])
+        dist = np.abs(tgt_vals[head, None] - src_vals[None, :])
         if np.min(dist) < _COLLISION_TOL:
             raise ValueError(
                 f"interfaces collide: min node distance {np.min(dist):.3e}"
@@ -218,6 +222,12 @@ def g_functional(lam, b, omega, f1, f2, grid):
     f1 must carry scale 1 (outer interface), f2 scale b (inner).  Both
     outputs are real node sequences with zero mean and no cosine content
     for real-coefficient inputs.  Raises ValueError for lam > MAX_LAMBDA.
+
+    A map whose nonzero a_n all have d | n+1 obeys Phi(rho w) = rho Phi(w)
+    for rho = exp(2 pi i/d), so both G_j are 2 pi/d-periodic.  With d the
+    gcd of P and every such n+1 of both interfaces (P for the bare annulus)
+    the node shift P/d is that rotation: G is evaluated on the first P/d
+    nodes only and tiled d times.
     """
     if not lam <= MAX_LAMBDA:
         raise ValueError(
@@ -232,16 +242,21 @@ def g_functional(lam, b, omega, f1, f2, grid):
         raise ValueError(
             f"inner boundary scale {f2.scale} does not match b = {b}"
         )
-    conj_nodes = np.conj(grid.nodes)
+    fold = math.gcd(grid.node_count, *(
+        n + 1 for f in (f1, f2) for n, a in enumerate(f.coefficients) if a
+    ))
+    rows = grid.node_count // fold
+    conj_nodes = np.conj(grid.nodes[:rows])
     outputs = []
     for target in (f1, f2):
         vals, derivs = conformal_eval(target, grid)
         total = (
-            omega * vals
-            + s_integral(lam, f2, target, grid)
-            - s_integral(lam, f1, target, grid)
+            omega * vals[:rows]
+            + s_integral(lam, f2, target, grid, rows)
+            - s_integral(lam, f1, target, grid, rows)
         )
-        outputs.append(np.imag(total * conj_nodes * np.conj(derivs)))
+        period = np.imag(total * conj_nodes * np.conj(derivs[:rows]))
+        outputs.append(np.tile(period, fold))
     return outputs[0], outputs[1]
 
 

@@ -11,8 +11,11 @@ cosine-moment quadrature before the product oracle relies on it).  Only
 the Fourier-moment oracles import from qgsw_vstates: the K0 kernel and, for
 the self-interaction quadrature, the conformal map and the array kernels,
 which tests check against mpmath on their own; what those oracles check is
-the quadrature around them.  The one deliberately wrong function,
-g_functional_inner_flipped, gives the verification tests a fault to catch.
+the quadrature around them.  g_functional_unfolded keeps the boundary
+functional on full P x P kernels from the same library pieces; what it
+checks is the rotational fold of contour.g_functional.  The one
+deliberately wrong function, g_functional_inner_flipped, gives the
+verification tests a fault to catch.
 The induced velocity off the interfaces and the Euler admissibility test
 live here too: only the tests use them.
 """
@@ -337,22 +340,64 @@ def self_interaction_fft(lam, boundary, grid):
     return direct - log_part
 
 
-def g_functional_inner_flipped(lam, b, omega, f1, f2, grid):
-    """contour.g_functional with the sign of the inner interface's
-    contribution flipped: a wrong functional that still vanishes on every
-    annulus, for tests that the verification suite catches the fault."""
-    from qgsw_vstates.contour import conformal_eval, s_integral
+def _s_integral_unfolded(lam, source, target, grid):
+    """S(lam, Phi_source, Phi_target) at every target node from full P x P
+    kernel matrices, the same arithmetic as the library before the fold."""
+    from qgsw_vstates.bessel import _i0_array, _k0_array, _k0reg_array
+    from qgsw_vstates.contour import _COLLISION_TOL, conformal_eval
+
+    src_vals, src_derivs = conformal_eval(source, grid)
+    weights = src_derivs * grid.nodes
+    if source == target:
+        dist = np.abs(src_vals[:, None] - src_vals[None, :])
+        scaled = lam * dist
+        i0 = _i0_array(scaled)
+        kernel = _k0reg_array(scaled)
+        kernel -= math.log(lam / 2.0) * i0
+        np.fill_diagonal(dist, np.abs(src_derivs))
+        log_part = np.log(dist, out=dist)
+        log_part += grid.log_weights
+        log_part *= i0
+        kernel -= log_part
+    else:
+        tgt_vals, _ = conformal_eval(target, grid)
+        dist = np.abs(tgt_vals[:, None] - src_vals[None, :])
+        if np.min(dist) < _COLLISION_TOL:
+            raise ValueError(
+                f"interfaces collide: min node distance {np.min(dist):.3e}"
+            )
+        kernel = _k0_array(lam * dist)
+    pairs = weights.view(float).reshape(-1, 2)
+    return (kernel @ pairs).view(complex)[:, 0] / grid.node_count
+
+
+def g_functional_unfolded(lam, b, omega, f1, f2, grid, inner_sign=1.0):
+    """contour.g_functional evaluated at every node, with no use of the
+    boundaries' rotational symmetry: the check on the library's fold.
+
+    inner_sign = -1 flips the inner interface's contribution (see
+    g_functional_inner_flipped); the default is bit for bit the sum the
+    library forms.
+    """
+    from qgsw_vstates.contour import conformal_eval
 
     outputs = []
     for target in (f1, f2):
         vals, derivs = conformal_eval(target, grid)
         total = (
             omega * vals
-            - s_integral(lam, f2, target, grid)
-            - s_integral(lam, f1, target, grid)
+            + inner_sign * _s_integral_unfolded(lam, f2, target, grid)
+            - _s_integral_unfolded(lam, f1, target, grid)
         )
         outputs.append(np.imag(total * np.conj(grid.nodes) * np.conj(derivs)))
     return outputs[0], outputs[1]
+
+
+def g_functional_inner_flipped(lam, b, omega, f1, f2, grid):
+    """contour.g_functional with the sign of the inner interface's
+    contribution flipped: a wrong functional that still vanishes on every
+    annulus, for tests that the verification suite catches the fault."""
+    return g_functional_unfolded(lam, b, omega, f1, f2, grid, inner_sign=-1.0)
 
 
 # ---------------------------------------------------------------------------

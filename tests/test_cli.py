@@ -143,6 +143,25 @@ def test_bessel_range_error_exits_one(tmp_path, capsys, lam):
     assert err.startswith(f"error: K_1({lam}.0)") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("out", ["empty-flag", "empty-env", "a-file"])
+def test_unusable_output_directory_exits_one(tmp_path, capsys, monkeypatch,
+                                             out):
+    monkeypatch.chdir(tmp_path)
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    argv = ["limits", "--n", "1", "--jobs", "1"]
+    if out == "empty-env":
+        monkeypatch.setenv("QGSW_VSTATES_OUT", "")
+    else:
+        argv += ["--out", "" if out == "empty-flag" else str(taken)]
+    assert _run(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot create output directory")
+    assert "Traceback" not in err
+    assert taken.read_text() == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
+
 def test_unknown_command_exits_one():
     with pytest.raises(SystemExit) as info:
         _run("frobnicate")
@@ -228,6 +247,35 @@ def test_branch_demo_writes_both_signs(tmp_path):
         assert row_p["s"] == row_m["s"]
         assert float(row_m["omega"]) < float(row_p["omega"])
         assert float(row_p["residual"]) <= 1e-10
+
+
+def _branch_entries(out, *argv):
+    assert _run("branch", *argv, "--out", str(out), "--jobs", "1") == 0
+    summary = json.loads((out / "summary.json").read_text())
+    return {e["sign"]: e for e in summary["results"]["branches"]}
+
+
+def test_omega_fit_in_s_squared_closes_the_gap(tmp_path):
+    # Omega is even in s, so a fit in s^2 leaves no straight-line bias: the
+    # reference march (8 steps, default grid) and the screened lambda = 4
+    # march both land within 1e-7 of the spectral Omega*, and the bend c2
+    # does not depend on the step count
+    reference = ("--lambda", "1", "--b", "0.5", "--m", "5")
+    eight = _branch_entries(tmp_path / "eight", *reference)
+    sixteen = _branch_entries(tmp_path / "sixteen", *reference,
+                              "--steps", "16")
+    screened = _branch_entries(
+        tmp_path / "screened", "--lambda", "4.0", "--b", "0.5", "--m", "5",
+        "--sign", "+", "--s-max", "0.0025", "--steps", "2", "--trunc", "16",
+        "--grid-size", "256")
+    for entry in (*eight.values(), *sixteen.values(), *screened.values()):
+        assert entry["completed"]
+        assert entry["gap"] <= 1e-7
+    for sign in "+-":
+        assert sixteen[sign]["omega_bend"] == pytest.approx(
+            eight[sign]["omega_bend"], rel=1e-2)
+    # the plus branch bends down from Omega*, the minus branch up
+    assert eight["+"]["omega_bend"] < 0.0 < eight["-"]["omega_bend"]
 
 
 def test_branch_summary_counts_residual_evaluations(tmp_path, monkeypatch):

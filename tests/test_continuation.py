@@ -21,6 +21,7 @@ from qgsw_vstates.continuation import (
     BranchPoint,
     NonConvergence,
     newton_solve,
+    omega_intercept,
     trace_branch,
     verify_vstate,
 )
@@ -521,3 +522,23 @@ def test_branch_point_is_frozen(plus_march):
 
 def test_nonconvergence_is_runtime_error():
     assert issubclass(NonConvergence, RuntimeError)
+
+
+def test_omega_intercept_fits_an_even_curve():
+    from types import SimpleNamespace
+
+    def march(*ss, star=0.2, c2=-0.6, c4=40.0):
+        return [SimpleNamespace(s=s, omega=star + c2 * s**2 + c4 * s**4)
+                for s in ss]
+
+    # both signs of s sit on one even curve, which the fit recovers
+    intercept, bend = omega_intercept(march(1e-3, 2e-3, -3e-3, 4e-3))
+    assert intercept == pytest.approx(0.2, abs=1e-15)
+    assert bend == pytest.approx(-0.6, rel=1e-6)
+    # two points fit Omega* + c2 s^2, one point is its own Omega
+    intercept, bend = omega_intercept(march(1e-3, 2e-3, c4=0.0))
+    assert (intercept, bend) == (pytest.approx(0.2, abs=1e-15),
+                                 pytest.approx(-0.6, rel=1e-9))
+    single = march(1e-3)
+    assert omega_intercept(single) == (single[0].omega, None)
+    assert omega_intercept([]) == (None, None)

@@ -268,6 +268,93 @@ def test_fault_hook_changes_perturbed_residual_only(grid):
     assert np.max(np.abs(annulus[0])) <= 1e-11
 
 
+def _branch_point(lam, b, m, sign, trunc, node_count):
+    """Last point of a two-step march: a solved m-fold pair, not a bump."""
+    from qgsw_vstates.continuation import trace_branch
+
+    trace = trace_branch(lam, b, m, sign, 5e-3, 2, trunc=trunc,
+                         grid=make_grid(node_count))
+    assert trace.completed
+    point = trace.points[-1]
+    return b, point.omega, point.f1, point.f2
+
+
+_FOLD_CASES = {
+    "annulus": lambda: (64, 64, (B, 0.3, annulus_boundary(1.0),
+                                 annulus_boundary(B))),
+    **{
+        f"single-{n}": (lambda n=n: (256, math.gcd(256, n), (
+            B, 0.3, FourierBoundary.single_mode(1.0, n - 1, 2e-5),
+            annulus_boundary(B))))
+        for n in (4, 6, 8)
+    },
+    # an 8-fold outer and a 4-fold inner interface share 4 periods only
+    "mixed-8-4": lambda: (256, 4, (
+        B, 0.3, FourierBoundary.single_mode(1.0, 7, 1e-3),
+        FourierBoundary.single_mode(B, 3, 1e-3))),
+    "branch-m8": lambda: (256, 8, _branch_point(LAM, B, 8, "+", 8, 256)),
+    # the plus branch saturates K = 8 before s = 5e-3 at b = 0.9
+    "branch-m16-b0.9": lambda: (512, 16,
+                                _branch_point(LAM, 0.9, 16, "-", 4, 512)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FOLD_CASES))
+def test_g_functional_fold_matches_unfolded_oracle(case):
+    node_count, fold, (b, omega, f1, f2) = _FOLD_CASES[case]()
+    g = make_grid(node_count)
+    folded = g_functional(LAM, b, omega, f1, f2, g)
+    unfolded = oracles.g_functional_unfolded(LAM, b, omega, f1, f2, g)
+    period = node_count // fold
+    for got, want in zip(folded, unfolded):
+        assert np.max(np.abs(got - want)) <= 1e-13
+        # the tiled output repeats its first period exactly
+        assert np.array_equal(got.reshape(fold, period),
+                              np.broadcast_to(got[:period], (fold, period)))
+
+
+def test_g_functional_without_a_fold_is_the_unfolded_sum(grid):
+    # m = 5 does not divide P = 256: every row is evaluated, bit for bit
+    # the sum of the full-kernel evaluation
+    f1 = FourierBoundary(1.0, (0, 0, 0, 0, 0.03, 0, 0, 0, 0, 0.002))
+    f2 = FourierBoundary(B, (0, 0, 0, 0, 0.01))
+    folded = g_functional(LAM, B, 0.2, f1, f2, grid)
+    unfolded = oracles.g_functional_unfolded(LAM, B, 0.2, f1, f2, grid)
+    for got, want in zip(folded, unfolded):
+        assert np.array_equal(got, want)
+
+
+def test_g_functional_fold_still_sees_a_collision():
+    # outer a_3 = -0.1 touches the bare inner circle b = 0.9 at theta = 0,
+    # pi/2, pi and 3pi/2: the 4-fold evaluation holds the node theta = 0
+    outer = FourierBoundary.single_mode(1.0, 3, -0.1)
+    inner = annulus_boundary(0.9)
+    with pytest.raises(ValueError, match="interfaces collide"):
+        g_functional(LAM, 0.9, 0.1, outer, inner, make_grid(256))
+
+
+def test_g_functional_builds_kernels_for_one_period(grid, monkeypatch):
+    # each of the four kernel matrices (two self, two cross through the K0
+    # series) passes P/8 rows by P columns through I0 for 8-fold boundaries
+    import qgsw_vstates.bessel as bessel
+    import qgsw_vstates.contour as contour
+
+    elements = []
+    i0 = bessel._i0_array
+
+    def counted(z):
+        elements.append(np.size(z))
+        return i0(z)
+
+    monkeypatch.setattr(bessel, "_i0_array", counted)
+    monkeypatch.setattr(contour, "_i0_array", counted)
+    f1 = FourierBoundary.single_mode(1.0, 7, 1e-3)
+    f2 = FourierBoundary(B, (0,) * 7 + (5e-4,) + (0,) * 7 + (1e-4,))
+    g_functional(LAM, B, 0.1, f1, f2, grid)
+    node_count = grid.node_count
+    assert sum(elements) == 4 * (node_count // 8) * node_count
+
+
 def test_linearization_matches_multiplier_matrix(grid):
     recovered, deviation = linearization_check(6, LAM, B, 0.2, 1e-6, grid)
     assert np.max(np.abs(deviation)) < 1e-6
