@@ -13,8 +13,8 @@ representations with documented accuracy, no library calls:
 * products, the Beltrami cosine summation and the regularized (log-free)
   part of ``K_0``.
 
-Log-scaled variants keep quantities like I_n(x)K_n(x) representable up to
-n = 2000 even though the factors themselves overflow near n ~ 700.
+The ladder's log values keep quantities like I_n(x)K_n(x) representable up
+to n = 2000 even though the factors themselves overflow near n ~ 700.
 
 Range policy: a value that cannot be represented as a normal double (finite
 and at least ``sys.float_info.min``) raises :class:`OverflowError` (a range
@@ -52,16 +52,6 @@ def _as_order(n) -> int:
 
 # ---------------------------------------------------------------------------
 # I_n
-
-def log_bessel_i(n, x: float) -> float:
-    """log I_n(x) for x > 0, valid far beyond the double range of I_n."""
-    n = _as_order(n)
-    if x < 0.0:
-        raise ValueError("argument must be nonnegative")
-    if x == 0.0:
-        return 0.0 if n == 0 else -math.inf
-    return BesselLadder(x).log_i(n)
-
 
 def bessel_i(n, x: float) -> float:
     """I_n(x), the modified Bessel function of the first kind.
@@ -149,7 +139,11 @@ def _k01(x: float) -> tuple[float, float, float]:
 # one argument, every order
 
 class BesselLadder:
-    """I_n(x) and K_n(x) at one argument x > 0, across orders n >= 0.
+    """I_n(x) and K_n(x) at one argument x > 0, across integer orders.
+
+    A negative order reads its mirror (I_{-n} = I_n, K_{-n} = K_n) and a
+    fractional one is refused, as in the free functions; the order is
+    checked where a value is first computed, so a memo hit costs nothing.
 
     The ladder is extended on demand and never restarted:
 
@@ -179,6 +173,7 @@ class BesselLadder:
 
     def _i_scaled(self, n: int) -> tuple[float, int]:
         """I_n(x) as (mantissa, binary exponent)."""
+        n = _as_order(n)
         prefactors = self._prefactors
         if len(prefactors) <= n:
             hx = 0.5 * self.x
@@ -205,6 +200,7 @@ class BesselLadder:
 
     def _k_scaled(self, n: int) -> tuple[float, int, float]:
         """K_n(x) as (mantissa, binary exponent, extra log scale)."""
+        n = _as_order(n)
         orders = self._k_orders
         if not orders:
             k0, k1, self._k_log_scale = _k01(self.x)
@@ -253,14 +249,6 @@ class BesselLadder:
         if not (sys.float_info.min <= val < math.inf):
             raise OverflowError(f"K_{n}({self.x}) is not representable as a normal double")
         return val
-
-
-def log_bessel_k(n, x: float) -> float:
-    """log K_n(x) for x > 0, valid far beyond the double range of K_n."""
-    n = _as_order(n)
-    if x <= 0.0:
-        raise ValueError("argument must be positive")
-    return BesselLadder(x).log_k(n)
 
 
 def bessel_k(n, x: float) -> float:

@@ -72,12 +72,6 @@ class RunConfig:
     def __post_init__(self):
         if self.command not in _COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}")
-        if not self.lambdas:
-            raise ConfigError("lambda grid must be nonempty")
-        if not self.bs:
-            raise ConfigError("b grid must be nonempty")
-        if not self.ns and self.command not in ("branch", "verify"):
-            raise ConfigError("n grid must be nonempty")
         for n in self.ns:
             if n < 1:
                 raise ConfigError(f"mode orders must be >= 1; got {n}")
@@ -112,12 +106,14 @@ class RunConfig:
             raise ConfigError(f"trunc must be >= 2; got {self.trunc}")
         if self.steps < 1:
             raise ConfigError(f"steps must be >= 1; got {self.steps}")
-        if not self.s_max > 0.0:
-            raise ConfigError(f"s-max must be positive; got {self.s_max}")
+        if not 0.0 < self.s_max < math.inf:
+            raise ConfigError(
+                f"s-max must be positive and finite; got {self.s_max}"
+            )
         if self.window < 10:
             raise ConfigError(f"window must be >= 10; got {self.window}")
-        if not self.tol > 0.0:
-            raise ConfigError(f"tol must be positive; got {self.tol}")
+        if not 0.0 < self.tol < math.inf:
+            raise ConfigError(f"tol must be positive and finite; got {self.tol}")
         if self.fmt not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json; got {self.fmt!r}")
         if self.jobs < 1:
@@ -193,8 +189,13 @@ def _convert(value, kind):
     for str and fractional numbers for int are refused."""
     if isinstance(kind, tuple):
         if isinstance(value, (list, tuple)):
-            return tuple(_convert(v, kind[0]) for v in value)
-        return (parse_int_grid if kind[0] is int else parse_float_grid)(value)
+            grid = tuple(_convert(v, kind[0]) for v in value)
+        else:
+            grid = (parse_int_grid if kind[0] is int
+                    else parse_float_grid)(value)
+        if not grid:
+            raise ConfigError(f"grid {value!r} has no values")
+        return grid
     if (isinstance(value, bool)
             or (kind is str and not isinstance(value, str))
             or (kind is int and isinstance(value, float)
@@ -542,14 +543,12 @@ def _build_parser():
         description="Rotating doubly-connected vortex patches: spectrum "
         "tables, bifurcation branches, and verification sweeps.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command in _COMMANDS:
-        p = sub.add_parser(command)
-        p.add_argument("--config", help="JSON config file; flags override it")
-        for flag, field, kind, help_text in _OPTIONS:
-            metavar = {(float,): "GRID", (int,): "RANGE"}.get(kind)
-            p.add_argument(f"--{flag}", dest=field, metavar=metavar,
-                           help=help_text)
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--config", help="JSON config file; flags override it")
+    for flag, field, kind, help_text in _OPTIONS:
+        metavar = {(float,): "GRID", (int,): "RANGE"}.get(kind)
+        parser.add_argument(f"--{flag}", dest=field, metavar=metavar,
+                            help=help_text)
     return parser
 
 

@@ -52,11 +52,10 @@ from .contour import (
     annulus_boundary,
     g_functional,
     make_grid,
-    multiplier_block,
     omega_derivative,
     real_fourier,
 )
-from .spectrum import _simple_root
+from .spectrum import ModeCell, _simple_root
 
 RESIDUAL_TOL = 1e-10
 _MAX_ITERATIONS = 50
@@ -203,12 +202,11 @@ class _ProjectedSystem:
         """
         f1, f2, omega = self.boundaries(u)
         count = self.trunc
+        cell = ModeCell(self.lam, self.b)
         full = np.zeros((2 * count, 2 * count + 1))
         for k, n in enumerate(self.modes):
             pair = (k, count + k)
-            full[np.ix_(pair, pair)] = multiplier_block(
-                n, self.lam, self.b, omega
-            )
+            full[np.ix_(pair, pair)] = cell.matrix(n, omega).block()
         for j, boundary in enumerate((f1, f2)):
             _, _, sine = real_fourier(
                 omega_derivative(boundary, self.grid), self.grid

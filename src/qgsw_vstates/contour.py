@@ -49,6 +49,7 @@ from functools import cached_property
 import numpy as np
 
 from .bessel import _i0_array, _k0_array, _k0reg_array
+from .spectrum import ModeCell, _check_b_open
 
 _COLLISION_TOL = 1e-8
 
@@ -234,8 +235,7 @@ def g_functional(lam, b, omega, f1, f2, grid):
             f"the contour quadrature is validated for lambda <= "
             f"{MAX_LAMBDA:g}; got {lam:g}"
         )
-    if not 0.0 < b < 1.0:
-        raise ValueError(f"b must lie strictly inside (0, 1); got {b}")
+    _check_b_open(b)
     if f1.scale != 1.0:
         raise ValueError(f"outer boundary must have scale 1; got {f1.scale}")
     if f2.scale != b:
@@ -278,20 +278,6 @@ def real_fourier(values, grid):
     return mean, cosine, sine
 
 
-def multiplier_block(n, lam, b, omega):
-    """n M_n(lam, b, Omega) as a 2 x 2 array.
-
-    It is the linearization of G at the annulus on mode n: entry (row, col)
-    is the derivative of <G_row, sin(n theta)> with respect to the
-    coefficient of conj(w)^{n-1} in interface col (rows and columns in the
-    order outer, inner), for a fixed Omega.
-    """
-    from .spectrum import spectral_matrix
-
-    mat = spectral_matrix(n, lam, b, omega)
-    return n * np.array([[mat.m11, mat.m12], [mat.m21, mat.m22]])
-
-
 def omega_derivative(boundary, grid):
     """dG_j/dOmega = Im{Phi_j(w) conj(w) conj(Phi_j'(w))} at the grid nodes.
 
@@ -308,12 +294,11 @@ def linearization_check(n, lam, b, omega, epsilon, grid):
     components of G onto sin(n theta) gives column j of M_n after division
     by n (the linearization acts as (h_1, h_2) -> n M_n (a, b)^T sin(n
     theta) on mode n-1 inputs).  Returns (recovered, deviation) where
-    deviation = recovered - multiplier_block(n, lam, b, omega) / n
-    entrywise, i.e. the deviation from M_n.
+    deviation = recovered - M_n entrywise, with M_n from
+    ModeCell.matrix.
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"order must be >= 1; got {n}")
+    mat = ModeCell(lam, b).matrix(n, omega)  # refuses n < 1 up front
+    n = mat.n
     if not 1e-8 <= epsilon <= 1e-4:
         raise ValueError(
             f"step must lie in [1e-8, 1e-4]; got {epsilon}"
@@ -331,6 +316,6 @@ def linearization_check(n, lam, b, omega, epsilon, grid):
             for row, g in enumerate((g1, g2)):
                 _, _, sine = real_fourier(g, grid)
                 recovered[row, col] += sign * sine[n] / (2.0 * epsilon * n)
-    deviation = recovered - multiplier_block(n, lam, b, omega) / n
+    deviation = recovered - mat.block() / n
     return recovered, deviation
 

@@ -16,7 +16,7 @@ single-interface multiplier.
 
 Every mode quantity of one (lam, b) cell comes from a ModeCell, which
 carries one Bessel ladder at lam and one at lam b across all orders; the
-per-order functions build a cell for their one call.
+per-order functions are views that build a cell for their one call.
 """
 
 from __future__ import annotations
@@ -24,13 +24,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bessel import (
-    BesselLadder,
-    bessel_k,
-    log_bessel_i,
-    log_bessel_k,
-    product_ik,
-)
+import numpy as np
+
+from .bessel import BesselLadder
 
 # exp argument below which Lambda_n is a clean underflow (b^n/(2n) decay),
 # returned as 0.0 rather than raised: threshold scans must traverse it
@@ -66,30 +62,10 @@ def _clean_exp(log_val):
     return 0.0 if log_val < _LOG_TINY else math.exp(log_val)
 
 
-def lambda_coupling(n, lam, b):
-    """Interface coupling Lambda_n(lam, b) = I_n(lam b) K_n(lam).
-
-    Computed in log form so it stays finite up to n = 2000 and beyond; for
-    b < 1 the product decays like b^n/(2n) and is allowed to underflow to
-    0.0 instead of raising.  At b = 1 this is exactly product_ik(n, lam)
-    (identical code path).
-    """
-    n = _check_order(n)
-    if lam <= 0.0:
-        raise ValueError(f"lambda must be positive; got {lam}")
-    if not 0.0 < b <= 1.0:
-        raise ValueError(f"b must lie in (0, 1]; got {b}")
-    return _clean_exp(log_bessel_i(n, lam * b) + log_bessel_k(n, lam))
-
-
-def omega_rankine(n, x):
-    """Single-interface multiplier Omega_n(x) = I_1(x)K_1(x) - I_n(x)K_n(x).
-
-    Zero at n = 1, strictly positive for n >= 2, increasing to I_1 K_1 as
-    n -> inf by the decay of the product.
-    """
-    n = _check_order(n)
-    return product_ik(1, x) - product_ik(n, x)
+def _rankine(ladder, n):
+    """Omega_n(x) = I_1(x)K_1(x) - I_n(x)K_n(x) on the ladder at x: zero at
+    n = 1, positive from n = 2 on, increasing to I_1 K_1 as n -> inf."""
+    return ladder.product(1) - ladder.product(n)
 
 
 @dataclass(frozen=True)
@@ -101,35 +77,22 @@ class SpectralMatrix:
     m21: float
     m22: float
     n: int
-    lam: float
-    b: float
-    omega: float
 
     def determinant(self):
         return self.m11 * self.m22 - self.m12 * self.m21
 
-    def scale(self):
-        """Largest entry magnitude, for relative tolerance checks."""
-        return max(abs(self.m11), abs(self.m12), abs(self.m21), abs(self.m22))
+    def block(self):
+        """n M_n as a 2 x 2 array: the linearization of the contour
+        functional G at the annulus on mode n.  Entry (row, col) is the
+        derivative of <G_row, sin(n theta)> with respect to the coefficient
+        of conj(w)^{n-1} in interface col (outer, inner), at fixed Omega."""
+        return self.n * np.array([[self.m11, self.m12], [self.m21, self.m22]])
 
 
 def spectral_matrix(n, lam, b, omega):
-    """Assemble M_n(lam, b, Omega) acting on the mode-n coefficient pair.
-
-    Rows are (outer, inner) interface conditions, columns the perturbation
-    coefficients (a_{n-1}, b_{n-1}); m12 > 0 > m21 always, m12/m21 = -b.
-    """
-    lam1, lamn, outer, inner = ModeCell(lam, b).mode(n)
-    return SpectralMatrix(
-        m11=outer - omega - b * lam1,
-        m12=b * lamn,
-        m21=-lamn,
-        m22=lam1 - b * (inner + omega),
-        n=int(n),
-        lam=lam,
-        b=b,
-        omega=omega,
-    )
+    """M_n(lam, b, Omega) acting on the mode-n coefficient pair, see
+    ModeCell.matrix."""
+    return ModeCell(lam, b).matrix(n, omega)
 
 
 @dataclass(frozen=True)
@@ -207,10 +170,10 @@ class ModeCell:
     """The mode quantities of one (lam, b) cell, across all orders.
 
     Holds one BesselLadder at lam and one at lam b, the n-independent
-    Lambda_1, I_1K_1(lam) and I_1K_1(lam b), and a memo from each order to
-    its (Delta_n, EigenPair or None), so a threshold scan and the table
-    rows that follow it evaluate each order once.  Every value is
-    bit-for-bit the one the per-order functions of this module return.
+    Lambda_1, and a memo from each order to its (Delta_n, EigenPair or
+    None), so a threshold scan and the table rows that follow it evaluate
+    each order once.  The one place Lambda_n, Omega_n and M_n are
+    evaluated.
     """
 
     def __init__(self, lam, b):
@@ -222,29 +185,46 @@ class ModeCell:
         self.outer = BesselLadder(lam)
         self.inner = BesselLadder(lam * b)
         self.lam1 = self.coupling(1)
-        self.ik1_outer = self.outer.product(1)
-        self.ik1_inner = self.inner.product(1)
         self._spectra = {}
 
     def coupling(self, n):
-        """Lambda_n = I_n(lam b) K_n(lam), see lambda_coupling."""
+        """Lambda_n = I_n(lam b) K_n(lam) in log form: finite up to n = 2000
+        and beyond, its b^n/(2n) decay underflows to 0.0 instead of raising."""
         return _clean_exp(self.inner.log_i(n) + self.outer.log_k(n))
 
     def mode(self, n):
-        """(Lambda_1, Lambda_n, Omega_n(lam), Omega_n(lam b)) at order n.
-
-        The one place the mode quantities are assembled.
-        """
+        """(Lambda_1, Lambda_n, Omega_n(lam), Omega_n(lam b)) at order n."""
         n = _check_order(n)
         return (
             self.lam1,
             self.coupling(n),
-            self.ik1_outer - self.outer.product(n),
-            self.ik1_inner - self.inner.product(n),
+            _rankine(self.outer, n),
+            _rankine(self.inner, n),
+        )
+
+    def matrix(self, n, omega):
+        """M_n(lam, b, Omega) acting on the mode-n coefficient pair.
+
+        Rows are (outer, inner) interface conditions, columns the
+        perturbation coefficients (a_{n-1}, b_{n-1}); m12 > 0 > m21 always,
+        m12/m21 = -b.
+        """
+        lam1, lamn, outer, inner = self.mode(n)
+        b = self.b
+        return SpectralMatrix(
+            m11=outer - omega - b * lam1,
+            m12=b * lamn,
+            m21=-lamn,
+            m22=lam1 - b * (inner + omega),
+            n=int(n),
         )
 
     def spectrum(self, n):
-        """(Delta_n, EigenPair or None), evaluated once per order."""
+        """(Delta_n, EigenPair or None), evaluated once per order.
+
+        Delta_n = (b[Omega_n(lam) + Omega_n(lam b)] - (1+b^2) Lambda_1)^2
+        - 4 b^2 Lambda_n^2 = B_n^2 - 4 b C_n; negative means complex roots.
+        """
         n = _check_order(n)
         if n not in self._spectra:
             self._spectra[n] = _mode_spectrum(n, self.b, *self.mode(n))
@@ -253,17 +233,19 @@ class ModeCell:
     def limits(self):
         """(Omega_inf_minus, Omega_inf_plus), see omega_limits."""
         return (
-            self.lam1 / self.b - self.ik1_inner,
-            self.ik1_outer - self.b * self.lam1,
+            self.lam1 / self.b - self.inner.product(1),
+            self.outer.product(1) - self.b * self.lam1,
         )
 
     def simply_connected(self, n):
-        """b -> 0 limits (omega_minus, omega_plus) at order n, see
-        simply_connected_limit_minus and simply_connected_limit."""
+        """b -> 0 limits (omega_minus, omega_plus) at order n: (lam n
+        K_1(lam) - n + 1)/(2n), which collapses onto the degenerate part of
+        the spectrum (no bifurcation claimed, continuity checks only), and
+        Omega_n(lam), see simply_connected_limit."""
         n = _check_order(n)
         return (
-            _simply_connected_minus(n, self.lam, self.outer.k(1)),
-            self.ik1_outer - self.outer.product(n),
+            (self.lam * n * self.outer.k(1) - n + 1.0) / (2.0 * n),
+            _rankine(self.outer, n),
         )
 
     def threshold(self, window=50, cap=100_000):
@@ -271,7 +253,7 @@ class ModeCell:
         if window < 10:
             raise ValueError(f"window must be >= 10; got {window}")
         b = self.b
-        delta_inf = b * (self.ik1_outer + self.ik1_inner) - (
+        delta_inf = b * (self.outer.product(1) + self.inner.product(1)) - (
             1.0 + b * b
         ) * self.lam1
 
@@ -306,16 +288,6 @@ class ModeCell:
         raise SearchExhausted(
             f"no monotonicity threshold below {cap} for lam={self.lam}, b={b}"
         )
-
-
-def discriminant(n, lam, b):
-    """Delta_n = (b[Omega_n(lam) + Omega_n(lam b)] - (1+b^2) Lambda_1)^2
-    - 4 b^2 Lambda_n^2.
-
-    Negative values mean the mode-n eigenvalues are complex (no real
-    rotating solution); equals B_n^2 - 4 b C_n identically.
-    """
-    return ModeCell(lam, b).spectrum(n)[0]
 
 
 def eigenvalues(n, lam, b):
@@ -377,21 +349,10 @@ def euler_eigenvalues(n, b):
 def simply_connected_limit(n, lam):
     """b -> 0 limit of omega_plus at mode n: the single-interface
     multiplier Omega_n(lam)."""
-    return omega_rankine(n, lam)
-
-
-def simply_connected_limit_minus(n, lam):
-    """b -> 0 limit of omega_minus: (lam n K_1(lam) - n + 1)/(2n).
-
-    The limit exists but collapses onto the degenerate part of the
-    spectrum, so no bifurcation is claimed there; provided for the
-    numerical continuity checks only.
-    """
-    return _simply_connected_minus(_check_order(n), lam, bessel_k(1, lam))
-
-
-def _simply_connected_minus(n, lam, k1):
-    return (lam * n * k1 - n + 1.0) / (2.0 * n)
+    n = _check_order(n)
+    if lam <= 0.0:
+        raise ValueError(f"lambda must be positive; got {lam}")
+    return _rankine(BesselLadder(lam), n)
 
 
 def _simple_root(m, lam, b, sign):

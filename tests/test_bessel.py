@@ -17,24 +17,40 @@ from qgsw_vstates.bessel import (
     bessel_i,
     bessel_k,
     beltrami_k0,
-    log_bessel_i,
-    log_bessel_k,
     product_ik,
 )
+
+
+@pytest.mark.parametrize("x", [0.7, 12.0])
+def test_ladder_reads_a_negative_order_as_its_mirror(x):
+    # I_{-n} = I_n and K_{-n} = K_n, as the free functions have it, also
+    # once the ladder's state has moved past the order
+    ladder = BesselLadder(x)
+    ladder.log_i(5)
+    ladder.log_k(5)
+    for n in (1, 2, 5, 7):
+        assert ladder.log_i(-n) == ladder.log_i(n)
+        assert ladder.log_i(n) == pytest.approx(math.log(bessel_i(n, x)), rel=1e-14)
+        assert ladder.log_k(-n) == ladder.log_k(n)
+        assert ladder.product(-n) == ladder.product(n) == product_ik(-n, x)
+        assert ladder.k(-n) == ladder.k(n) == bessel_k(-n, x)
+    for method in (ladder.log_i, ladder.log_k, ladder.k):
+        with pytest.raises(ValueError, match="integer"):
+            method(2.5)
 
 
 @pytest.mark.parametrize("x", [1e-3, 0.7, 4.0, math.nextafter(4.0, 5.0), 12.0, 60.0])
 def test_ladder_bitwise_equals_fresh_evaluation(x):
     # one ladder walked up, another down in strides: both must give the
-    # values a fresh evaluation per order gives, bit for bit, past the
+    # values a fresh ladder per order gives, bit for bit, past the
     # renormalizations of the K recurrence (2^1000) and of the I prefactor
     up, down = BesselLadder(x), BesselLadder(x)
     for n in range(501):
-        assert up.log_i(n) == log_bessel_i(n, x), n
-        assert up.log_k(n) == log_bessel_k(n, x), n
+        assert up.log_i(n) == BesselLadder(x).log_i(n), n
+        assert up.log_k(n) == BesselLadder(x).log_k(n), n
     for n in range(500, -1, -13):
-        assert down.log_k(n) == log_bessel_k(n, x), n
-        assert down.log_i(n) == log_bessel_i(n, x), n
+        assert down.log_k(n) == BesselLadder(x).log_k(n), n
+        assert down.log_i(n) == BesselLadder(x).log_i(n), n
         assert down.product(n) == product_ik(n, x), n
     assert up.k(1) == bessel_k(1, x)
     assert up._k_orders[500][1] > 0  # K passed 1e250 and was rescaled
@@ -370,7 +386,7 @@ def test_asymptotic_error_decays_with_order():
     # expansion approximates
     errs = []
     for n in (20, 40, 80):
-        exact = math.exp(log_bessel_i(n, 0.5) + log_bessel_k(n, 1.0))
+        exact = math.exp(BesselLadder(0.5).log_i(n) + BesselLadder(1.0).log_k(n))
         errs.append(abs(product_ik_asymptotic(n, 1.0, 0.5, 4) - exact))
     assert errs[0] > errs[1] > errs[2]
 
@@ -393,7 +409,7 @@ def test_beltrami_matches_direct_kernel():
 
 
 def test_beltrami_tail_term_negligible():
-    term = 2.0 * math.exp(log_bessel_i(30, 0.5) + log_bessel_k(30, 1.0))
+    term = 2.0 * math.exp(BesselLadder(0.5).log_i(30) + BesselLadder(1.0).log_k(30))
     assert term < 0.5**30 / 60.0 * 2.01  # (b/a)^m / (2m) decay rate
     assert term < 1e-9
 

@@ -25,7 +25,7 @@ from qgsw_vstates.cli import (
     parse_int_grid,
 )
 from qgsw_vstates.spectrum import (
-    discriminant,
+    ModeCell,
     eigenvalues,
     kernel_vector,
     transversality_check,
@@ -78,7 +78,7 @@ def test_spectrum_csv_round_trips_exactly(tmp_path):
          "--out", str(out), "--jobs", "1")
     for row in _read_csv(out / "spectrum.csv"):
         n = int(row["n"])
-        assert float(row["delta"]) == discriminant(n, 1.0, 0.6)
+        assert float(row["delta"]) == ModeCell(1.0, 0.6).spectrum(n)[0]
         pair = eigenvalues(n, 1.0, 0.6)
         assert float(row["omega_plus"]) == pair.omega_plus
         assert float(row["omega_minus"]) == pair.omega_minus
@@ -124,6 +124,70 @@ def test_bad_orders_and_grid_text_exit_one(tmp_path, capsys, argv, config):
     assert code == 1
     assert any(line.startswith("error: ") for line in err.splitlines())
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, config, named",
+    [
+        (["branch", "--m", "5:3"], None, "m"),
+        (["branch"], {"m": []}, "m"),
+        (["branch", "--n", "4:1"], None, "n"),
+        (["limits"], {"ns": []}, "n"),
+        (["spectrum", "--lambda", ""], None, "lambda"),
+        (["eigen"], {"b": []}, "b"),
+    ],
+    ids=["flag-m", "config-m", "flag-n-branch", "config-n", "flag-lambda",
+         "config-b"],
+)
+def test_empty_grid_option_is_refused_by_name(tmp_path, capsys, argv, config,
+                                              named):
+    # an explicitly empty grid must not fall back to the default grid
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv = argv + ["--config", str(path)]
+    out = tmp_path / "run"
+    code = _run(*argv, "--steps", "1", "--s-max", "1e-4", "--trunc", "4",
+                "--grid-size", "64", "--out", str(out))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: bad value for {named}: ")
+    assert "has no values" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["branch", "--s-max", "inf"], "s-max"),
+        (["branch", "--s-max", "nan"], "s-max"),
+        (["verify", "--grid-size", "64", "--tol", "inf"], "tol"),
+        (["verify", "--grid-size", "64", "--tol", "nan"], "tol"),
+    ],
+    ids=["s-max-inf", "s-max-nan", "tol-inf", "tol-nan"],
+)
+def test_non_finite_amplitude_and_tolerance_exit_one(tmp_path, capsys, argv,
+                                                     named):
+    out = tmp_path / "run"
+    code = _run(*argv, "--out", str(out))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: {named} must be positive and finite")
+    assert not out.exists()
+
+
+def test_missing_command_exits_one(capsys):
+    with pytest.raises(SystemExit) as info:
+        _run()
+    assert info.value.code == 1
+    assert "error: " in capsys.readouterr().err
+
+
+def test_options_are_declared_once_for_every_command():
+    parser = _build_parser()
+    for command in ("spectrum", "eigen", "limits", "branch", "verify"):
+        args = parser.parse_args(["--lambda", "2", command, "--n", "3"])
+        assert (args.command, args.lambdas, args.ns) == (command, "2", "3")
 
 
 def test_domain_guard_exits_one(tmp_path, capsys):
@@ -187,7 +251,7 @@ def test_eigen_table_matches_kernel_vectors(tmp_path):
     assert rows[5]["transversal_plus"] == "true"
     # the one-evaluation rows agree bit for bit with the public functions
     for n, row in rows.items():
-        delta = discriminant(n, 1.0, 0.5)
+        delta = ModeCell(1.0, 0.5).spectrum(n)[0]
         assert _same_bits(row["delta"], delta)
         assert _same_bits(spectrum_rows[n]["delta"], delta)
         if delta <= 0.0:

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import qgsw_vstates.continuation as continuation
+import qgsw_vstates.spectrum as spectrum
 from qgsw_vstates.continuation import (
     RESIDUAL_TOL,
     BranchPoint,
@@ -26,7 +27,7 @@ from qgsw_vstates.continuation import (
     verify_vstate,
 )
 from qgsw_vstates.contour import FourierBoundary, make_grid
-from qgsw_vstates.spectrum import eigenvalues, kernel_vector
+from qgsw_vstates.spectrum import eigenvalues, kernel_vector, spectral_matrix
 
 LAM, B, M = 1.0, 0.5, 5
 
@@ -307,6 +308,31 @@ def test_seeded_jacobian_matches_forward_differences(grid, lam, sign):
     assert np.max(deviation[:-1]) <= 2e-2
     assert deviation[-1] <= 1e-6
     assert system.evaluations == 1 + 16  # the seed spends no residual
+
+
+def test_one_linearization_builds_one_mode_cell(monkeypatch):
+    # all K blocks of the seed come from one cell, bit for bit the blocks
+    # n M_n of the per-order view
+    trunc = 16
+    system = continuation._ProjectedSystem(
+        LAM, B, M, trunc, make_grid(256), "outer", 1e-3
+    )
+    u = system.pack(np.zeros(trunc), np.zeros(trunc), 0.3)
+    built = []
+    init = spectrum.ModeCell.__init__
+
+    def counted(cell, lam, b):
+        built.append((lam, b))
+        init(cell, lam, b)
+
+    monkeypatch.setattr(spectrum.ModeCell, "__init__", counted)
+    seeded = system.linearization(u)
+    assert built == [(LAM, B)]
+    monkeypatch.undo()
+    for k in range(1, trunc):  # column 0, the pinned a_{m-1}, is dropped
+        block = seeded[np.ix_((k, trunc + k), (k - 1, trunc + k - 1))]
+        want = spectral_matrix(M * (k + 1), LAM, B, 0.3).block()
+        assert np.array_equal(block, want), k
 
 
 def _difference_start(monkeypatch):

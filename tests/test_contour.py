@@ -17,7 +17,7 @@ from qgsw_vstates.contour import (
     real_fourier,
     s_integral,
 )
-from qgsw_vstates.spectrum import lambda_coupling
+from qgsw_vstates.spectrum import ModeCell
 
 LAM, B = 1.0, 0.5
 
@@ -118,8 +118,8 @@ def test_s_integral_annulus_closed_forms(grid):
     cw = np.conj(grid.nodes)
     cases = (
         (outer, outer, product_ik(1, LAM)),
-        (inner, outer, B * lambda_coupling(1, LAM, B)),
-        (outer, inner, lambda_coupling(1, LAM, B)),
+        (inner, outer, B * ModeCell(LAM, B).coupling(1)),
+        (outer, inner, ModeCell(LAM, B).coupling(1)),
         (inner, inner, B * product_ik(1, LAM * B)),
     )
     for source, target, want in cases:

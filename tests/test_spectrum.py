@@ -8,75 +8,102 @@ from hypothesis import given, strategies as st
 import oracles
 import qgsw_vstates.spectrum as spectrum
 from qgsw_vstates import cli
-from qgsw_vstates.bessel import bessel_k, product_ik
+from qgsw_vstates.bessel import BesselLadder, bessel_k, product_ik
 from qgsw_vstates.spectrum import (
+    ModeCell,
     SearchExhausted,
     Threshold,
-    discriminant,
     eigenvalues,
     euler_eigenvalues,
     find_threshold,
     kernel_vector,
-    lambda_coupling,
     omega_limits,
-    omega_rankine,
     simply_connected_limit,
-    simply_connected_limit_minus,
     spectral_matrix,
     transversality_check,
 )
 
 
+def _coupling(n, lam, b):
+    return ModeCell(lam, b).coupling(n)
+
+
+def _delta(n, lam, b):
+    return ModeCell(lam, b).spectrum(n)[0]
+
+
+def _rankine(n, x):
+    # Omega_n(x) from fresh free-function products, apart from any cell
+    return product_ik(1, x) - product_ik(n, x)
+
+
+def _scale(mat):
+    """Largest entry magnitude, for relative tolerance checks."""
+    return max(abs(mat.m11), abs(mat.m12), abs(mat.m21), abs(mat.m22))
+
+
 def test_coupling_small_lambda_limit():
     # I_n(lam b) K_n(lam) -> b^n/(2n) as lam -> 0
-    assert lambda_coupling(3, 1e-4, 0.5) == pytest.approx(0.5**3 / 6, abs=1e-4)
-
-
-def test_coupling_collapses_to_product_at_b_one():
-    assert lambda_coupling(7, 1.3, 1.0) == product_ik(7, 1.3)
+    assert _coupling(3, 1e-4, 0.5) == pytest.approx(0.5**3 / 6, abs=1e-4)
 
 
 def test_coupling_matches_cosine_moment_quadrature():
     want = oracles.k0_cosine_moment(1.0, 0.5, 4)
-    assert lambda_coupling(4, 1.0, 0.5) == pytest.approx(want, abs=1e-10)
+    assert _coupling(4, 1.0, 0.5) == pytest.approx(want, abs=1e-10)
 
 
 def test_coupling_extreme_order():
     # b^n/(2n) scaling: representable at b = 0.99, clean underflow at 0.5
-    val = lambda_coupling(2000, 1.0, 0.99)
+    val = _coupling(2000, 1.0, 0.99)
     assert val == pytest.approx(0.99**2000 / 4000.0, rel=1e-4)
-    assert lambda_coupling(2000, 1.0, 0.5) == 0.0
+    assert _coupling(2000, 1.0, 0.5) == 0.0
 
 
 def test_coupling_validation():
-    with pytest.raises(ValueError):
-        lambda_coupling(0, 1.0, 0.5)
-    with pytest.raises(ValueError):
-        lambda_coupling(3, -1.0, 0.5)
-    with pytest.raises(ValueError):
-        lambda_coupling(3, 1.0, 1.2)
+    # the cell refuses lam <= 0, b outside (0, 1) and orders below 1
+    cell = ModeCell(1.0, 0.5)
+    for call in (cell.mode, cell.spectrum, cell.simply_connected,
+                 lambda n: cell.matrix(n, 0.1),
+                 lambda n: simply_connected_limit(n, 1.0)):
+        for n in (0, -2):
+            with pytest.raises(ValueError, match="order must be >= 1"):
+                call(n)
+    for lam in (0.0, -1.0):
+        with pytest.raises(ValueError, match="lambda must be positive"):
+            ModeCell(lam, 0.5)
+        with pytest.raises(ValueError, match="lambda must be positive"):
+            simply_connected_limit(3, lam)
+    for b in (0.0, 1.0, 1.2, -0.5):
+        with pytest.raises(ValueError, match="strictly inside"):
+            ModeCell(1.0, b)
 
 
 def test_rankine_multiplier_basics():
     for x in (0.3, 1.0, 7.0):
-        assert omega_rankine(1, x) == 0.0
+        assert simply_connected_limit(1, x) == 0.0
         for n in (2, 3, 9):
-            assert omega_rankine(n, x) > 0.0
+            assert simply_connected_limit(n, x) > 0.0
 
 
 def test_rankine_multiplier_tail():
-    assert omega_rankine(400, 1.0) == pytest.approx(product_ik(1, 1.0), abs=2e-3)
+    assert simply_connected_limit(400, 1.0) == pytest.approx(
+        product_ik(1, 1.0), abs=2e-3
+    )
 
 
 def test_matrix_entries_rebuild_bit_identical():
     n, lam, b = 8, 1.0, 0.5
     mat = spectral_matrix(n, lam, b, 0.0)
-    lam1 = lambda_coupling(1, lam, b)
-    lamn = lambda_coupling(n, lam, b)
-    assert mat.m11 == omega_rankine(n, lam) - 0.0 - b * lam1
+    lam1 = _coupling(1, lam, b)
+    lamn = _coupling(n, lam, b)
+    assert mat.m11 == _rankine(n, lam) - 0.0 - b * lam1
     assert mat.m12 == b * lamn
     assert mat.m21 == -lamn
-    assert mat.m22 == lam1 - b * (omega_rankine(n, lam * b) + 0.0)
+    assert mat.m22 == lam1 - b * (_rankine(n, lam * b) + 0.0)
+    assert mat.n == n
+    assert np.array_equal(
+        mat.block(), n * np.array([[mat.m11, mat.m12], [mat.m21, mat.m22]])
+    )
 
 
 def test_matrix_sign_structure():
@@ -90,26 +117,26 @@ def test_matrix_determinant_vanishes_at_roots():
     pair = eigenvalues(5, 1.0, 0.5)
     for omega in (pair.omega_minus, pair.omega_plus):
         mat = spectral_matrix(5, 1.0, 0.5, omega)
-        assert abs(mat.determinant()) <= 1e-12 * mat.scale() ** 2
+        assert abs(mat.determinant()) <= 1e-12 * _scale(mat) ** 2
 
 
 def test_discriminant_tends_to_squared_limit():
     lam, b = 1.0, 0.5
-    lam1 = lambda_coupling(1, lam, b)
+    lam1 = _coupling(1, lam, b)
     delta_inf = b * (product_ik(1, lam) + product_ik(1, lam * b)) - (1 + b * b) * lam1
     assert delta_inf > 0.0
     # gap decays like 2 delta_inf * b/n (the I_n K_n tails), so halving is
     # expected between n = 200 and n = 400, and 1e-2 relative needs n ~ 530
-    gap_200 = abs(discriminant(200, lam, b) - delta_inf**2)
-    gap_400 = abs(discriminant(400, lam, b) - delta_inf**2)
+    gap_200 = abs(_delta(200, lam, b) - delta_inf**2)
+    gap_400 = abs(_delta(400, lam, b) - delta_inf**2)
     assert gap_400 == pytest.approx(gap_200 / 2.0, rel=2e-2)
-    assert abs(discriminant(600, lam, b) - delta_inf**2) < 1e-2 * delta_inf**2
+    assert abs(_delta(600, lam, b) - delta_inf**2) < 1e-2 * delta_inf**2
 
 
 def test_squared_limit_positive_on_grid():
     for lam in (0.5, 1.0, 2.0):
         for b in (0.3, 0.5, 0.7):
-            lam1 = lambda_coupling(1, lam, b)
+            lam1 = _coupling(1, lam, b)
             delta_inf = (
                 b * (product_ik(1, lam) + product_ik(1, lam * b))
                 - (1 + b * b) * lam1
@@ -120,7 +147,7 @@ def test_squared_limit_positive_on_grid():
 def test_discriminant_equals_quadratic_recombination():
     for n in (1, 3, 4, 5, 8, 20):
         for lam, b in ((1.0, 0.5), (0.5, 0.3), (2.0, 0.7)):
-            delta_n = discriminant(n, lam, b)
+            delta_n = _delta(n, lam, b)
             pair = eigenvalues(n, lam, b)
             if pair is None:
                 continue
@@ -132,10 +159,10 @@ def test_discriminant_equals_quadratic_recombination():
 def test_eigenvalues_closed_form_term_by_term():
     m, lam, b = 12, 1.0, 0.5
     pair = eigenvalues(m, lam, b)
-    lam1 = lambda_coupling(1, lam, b)
-    lamm = lambda_coupling(m, lam, b)
-    outer = omega_rankine(m, lam)
-    inner = omega_rankine(m, lam * b)
+    lam1 = _coupling(1, lam, b)
+    lamm = _coupling(m, lam, b)
+    outer = _rankine(m, lam)
+    inner = _rankine(m, lam * b)
     b_m = (1 - b * b) * lam1 + b * (outer - inner)
     delta = (b * (outer + inner) - (1 + b * b) * lam1) ** 2 - 4 * b * b * lamm**2
     assert pair.omega_plus == pytest.approx((b_m + math.sqrt(delta)) / (2 * b), rel=1e-14)
@@ -144,7 +171,7 @@ def test_eigenvalues_closed_form_term_by_term():
 
 
 def test_eigenvalues_absent_when_discriminant_negative():
-    assert discriminant(2, 1.0, 0.5) < 0.0
+    assert _delta(2, 1.0, 0.5) < 0.0
     assert eigenvalues(2, 1.0, 0.5) is None
 
 
@@ -189,7 +216,7 @@ def test_threshold_at_reference_point():
     # frozen from the scan; cross-checked by the discriminant signs below
     th = find_threshold(1.0, 0.5, window=50)
     assert th == Threshold(n0=3, n=3)
-    assert discriminant(2, 1.0, 0.5) < 0.0 < discriminant(3, 1.0, 0.5)
+    assert _delta(2, 1.0, 0.5) < 0.0 < _delta(3, 1.0, 0.5)
     plus_n = eigenvalues(th.n, 1.0, 0.5)
     plus_next = eigenvalues(th.n + 1, 1.0, 0.5)
     assert plus_n.omega_plus < plus_next.omega_plus
@@ -246,17 +273,22 @@ def test_spectrum_command_builds_each_order_once_per_cell(monkeypatch, tmp_path)
 
 
 def test_cell_matches_per_order_functions_bitwise():
+    # the public functions are views of a fresh cell, and one cell that
+    # reached other orders first gives the same bits
     lam, b = 2.3, 0.7
     cell = spectrum.ModeCell(lam, b)
     assert cell.limits() == omega_limits(lam, b)
     assert cell.threshold(20) == find_threshold(lam, b, window=20)
     for n in (40, 1, 7, 300, 2):  # orders below the top read the ladder state
-        assert cell.coupling(n) == lambda_coupling(n, lam, b)
-        assert cell.spectrum(n) == (discriminant(n, lam, b), eigenvalues(n, lam, b))
-        assert cell.simply_connected(n) == (
-            simply_connected_limit_minus(n, lam), simply_connected_limit(n, lam)
-        )
-        assert cell.mode(n)[2:] == (omega_rankine(n, lam), omega_rankine(n, lam * b))
+        fresh = math.exp(BesselLadder(lam * b).log_i(n) + BesselLadder(lam).log_k(n))
+        assert cell.mode(n)[1:] == (fresh, _rankine(n, lam), _rankine(n, lam * b))
+        pair = cell.spectrum(n)[1]
+        assert pair == eigenvalues(n, lam, b)
+        assert cell.matrix(n, 0.3) == spectral_matrix(n, lam, b, 0.3)
+        assert cell.simply_connected(n)[1] == simply_connected_limit(n, lam)
+        if pair is not None:
+            assert pair.kernel_minus == kernel_vector(n, lam, b, "-")
+            assert pair.kernel_plus == kernel_vector(n, lam, b, "+")
 
 
 def test_euler_limit_of_rankine_velocity():
@@ -296,11 +328,15 @@ def test_euler_gap_decreases_with_lambda():
 
 def test_simply_connected_is_small_b_limit():
     assert simply_connected_limit(1, 1.0) == 0.0
-    assert simply_connected_limit(6, 1.0) == omega_rankine(6, 1.0)
+    assert simply_connected_limit(6, 1.0) == _rankine(6, 1.0)
+    cell = ModeCell(1.0, 1e-4)
     for n in range(2, 21):
-        pair = eigenvalues(n, 1.0, 1e-4)
-        assert abs(pair.omega_plus - simply_connected_limit(n, 1.0)) < 1e-3, n
-        assert abs(pair.omega_minus - simply_connected_limit_minus(n, 1.0)) < 1e-3, n
+        pair = cell.spectrum(n)[1]
+        sc_minus, sc_plus = cell.simply_connected(n)
+        assert sc_minus == (n * bessel_k(1, 1.0) - n + 1.0) / (2.0 * n)
+        assert sc_plus == simply_connected_limit(n, 1.0)
+        assert abs(pair.omega_plus - sc_plus) < 1e-3, n
+        assert abs(pair.omega_minus - sc_minus) < 1e-3, n
 
 
 def test_x_k1_bounded_and_decreasing():
@@ -319,8 +355,8 @@ def test_kernel_vector_membership_and_sign():
         norm_v = math.hypot(v1, v2)
         assert v2 < 0.0
         assert norm_v > 0.0
-        assert abs(mat.m11 * v1 + mat.m12 * v2) <= 1e-11 * mat.scale() * norm_v
-        assert abs(mat.m21 * v1 + mat.m22 * v2) <= 1e-11 * mat.scale() * norm_v
+        assert abs(mat.m11 * v1 + mat.m12 * v2) <= 1e-11 * _scale(mat) * norm_v
+        assert abs(mat.m21 * v1 + mat.m22 * v2) <= 1e-11 * _scale(mat) * norm_v
 
 
 def test_kernel_vector_is_adjugate_column():
@@ -364,9 +400,9 @@ def test_obstruction_vanishes_at_double_root():
     m, lam, b = 7, 1.0, 0.5
     pair = eigenvalues(m, lam, b)
     omega_vertex = pair.b_coeff / (2.0 * b)
-    lam1 = lambda_coupling(1, lam, b)
-    lamm = lambda_coupling(m, lam, b)
-    left = lam1 - b * (omega_rankine(m, lam * b) + omega_vertex)
+    lam1 = _coupling(1, lam, b)
+    lamm = _coupling(m, lam, b)
+    left = lam1 - b * (_rankine(m, lam * b) + omega_vertex)
     obstruction = left * left - b * b * lamm * lamm
     assert obstruction == pytest.approx(pair.discriminant / 4.0, rel=1e-10)
 
@@ -379,7 +415,7 @@ def test_simple_kernel_guard_on_harmonics():
         omega = pair.omega_plus if sign == "+" else pair.omega_minus
         for k in range(2, 11):
             mat = spectral_matrix(5 * k, 1.0, 0.5, omega)
-            assert abs(mat.determinant()) > 1e-10 * mat.scale() ** 2, (sign, k)
+            assert abs(mat.determinant()) > 1e-10 * _scale(mat) ** 2, (sign, k)
 
 
 @given(
@@ -393,7 +429,7 @@ def test_quadratic_structure_property(n, lam, b):
     assert mat.m12 / mat.m21 == pytest.approx(-b, rel=1e-13)
     pair = eigenvalues(n, lam, b)
     if pair is None:
-        assert discriminant(n, lam, b) < 0.0
+        assert _delta(n, lam, b) < 0.0
         return
     assert pair.omega_minus <= pair.omega_plus
     assert pair.omega_minus + pair.omega_plus == pytest.approx(
@@ -402,5 +438,5 @@ def test_quadratic_structure_property(n, lam, b):
     for omega in (pair.omega_minus, pair.omega_plus):
         det = spectral_matrix(n, lam, b, omega).determinant()
         assert abs(det) <= 1e-10 * max(
-            spectral_matrix(n, lam, b, omega).scale() ** 2, 1e-300
+            _scale(spectral_matrix(n, lam, b, omega)) ** 2, 1e-300
         )
