@@ -67,11 +67,7 @@ def bessel_i(n, x: float) -> float:
         raise ValueError("argument must be nonnegative")
     if x == 0.0:
         return 1.0 if n == 0 else 0.0
-    mant, ex = BesselLadder(x)._i_scaled(n)
-    val = math.ldexp(mant, ex) if ex <= 1024 else math.inf
-    if not (sys.float_info.min <= val < math.inf):
-        raise OverflowError(f"I_{n}({x}) is not representable as a normal double")
-    return val
+    return BesselLadder(x).i(n)
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +235,16 @@ class BesselLadder:
         """I_n(x) K_n(x) from the two logs."""
         return math.exp(self.log_i(n) + self.log_k(n))
 
+    def i(self, n: int) -> float:
+        """I_n(x) as a double; OverflowError when it is not representable."""
+        mant, ex = self._i_scaled(n)
+        val = math.ldexp(mant, ex) if ex <= 1024 else math.inf
+        if not (sys.float_info.min <= val < math.inf):
+            raise OverflowError(
+                f"I_{n}({self.x}) is not representable as a normal double"
+            )
+        return val
+
     def k(self, n: int) -> float:
         """K_n(x) as a double; OverflowError when it is not representable."""
         mant, ex, ls = self._k_scaled(n)
@@ -249,6 +255,19 @@ class BesselLadder:
         if not (sys.float_info.min <= val < math.inf):
             raise OverflowError(f"K_{n}({self.x}) is not representable as a normal double")
         return val
+
+    def derivative(self, kind: str, n: int) -> float:
+        """Z_n'(x) via the two-term recurrence, kind is "I" or "K".
+
+        Uses Z_{n-1}(x) - (n/x) Z_n(x) with the sign pattern of K; the
+        (n+1)-form is algebraically equivalent and is exercised by tests.
+        """
+        if kind not in ("I", "K"):
+            raise ValueError("kind must be 'I' or 'K'")
+        n = _as_order(n)
+        if kind == "I":
+            return self.i(abs(n - 1)) - (n / self.x) * self.i(n)
+        return -self.k(abs(n - 1)) - (n / self.x) * self.k(n)
 
 
 def bessel_k(n, x: float) -> float:
@@ -265,19 +284,10 @@ def bessel_k(n, x: float) -> float:
 
 
 def bessel_derivative(kind: str, n, x: float) -> float:
-    """Z_n'(x) via the two-term recurrence, kind is "I" or "K".
-
-    Uses Z_{n-1}(x) - (n/x) Z_n(x) with the sign pattern of K; the
-    (n+1)-form is algebraically equivalent and is exercised by tests.
-    """
-    if kind not in ("I", "K"):
-        raise ValueError("kind must be 'I' or 'K'")
-    n = _as_order(n)
+    """Z_n'(x), kind is "I" or "K"; see BesselLadder.derivative."""
     if x <= 0.0:
         raise ValueError("argument must be positive")
-    if kind == "I":
-        return bessel_i(abs(n - 1), x) - (n / x) * bessel_i(n, x)
-    return -bessel_k(abs(n - 1), x) - (n / x) * bessel_k(n, x)
+    return BesselLadder(x).derivative(kind, n)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +314,7 @@ def beltrami_k0(a: float, b: float, theta: float, terms: int) -> float:
     if not 0.0 < b < a:
         raise ValueError("need 0 < b < a")
     inner, outer = BesselLadder(b), BesselLadder(a)
-    total = bessel_i(0, b) * bessel_k(0, a)
+    total = inner.i(0) * outer.k(0)
     for m in range(1, terms + 1):
         total += 2.0 * math.cos(m * theta) * math.exp(
             inner.log_i(m) + outer.log_k(m)

@@ -30,7 +30,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .bessel import bessel_derivative, bessel_i, bessel_k, beltrami_k0
+from .bessel import BesselLadder, bessel_k, beltrami_k0
 from .contour import MAX_LAMBDA, g_functional, linearization_check, make_grid
 from .continuation import lattice_values, omega_intercept, trace_branch
 from .spectrum import (
@@ -43,6 +43,8 @@ _COMMANDS = ("spectrum", "eigen", "limits", "branch", "verify")
 # finite-difference truncation (~1e-9 at eps = 2e-5) dominates at every P;
 # the coarse-grid entry only adds slack for modes near the bandwidth
 _MULTIPLIER_BOUNDS = {64: 1e-5, 128: 1e-6, 256: 1e-6}
+# mode orders of verify's multiplier check; each needs a sine on the grid
+_VERIFY_MODES = range(1, 13)
 
 
 class ConfigError(ValueError):
@@ -447,13 +449,14 @@ def _cmd_branch(config):
 
 
 def _verify_bessel_wronskian():
+    ladders = [BesselLadder(float(x)) for x in np.geomspace(0.1, 30.0, 25)]
     worst = 0.0
     for n in range(0, 16):
-        for x in np.geomspace(0.1, 30.0, 25):
-            x = float(x)
+        for ladder in ladders:
+            x = ladder.x
             wronskian = (
-                bessel_i(n, x) * bessel_derivative("K", n, x)
-                - bessel_derivative("I", n, x) * bessel_k(n, x)
+                ladder.i(n) * ladder.derivative("K", n)
+                - ladder.derivative("I", n) * ladder.k(n)
             )
             worst = max(worst, abs(wronskian + 1.0 / x) * x)
     return worst
@@ -487,13 +490,19 @@ def _verify_trivial_residual(grid):
 
 def _verify_multipliers(grid):
     worst = 0.0
-    for n in range(1, 13):
+    for n in _VERIFY_MODES:
         _, deviation = linearization_check(n, 1.0, 0.5, 0.2, 2e-5, grid)
         worst = max(worst, float(np.max(np.abs(deviation))))
     return worst
 
 
 def _cmd_verify(config):
+    top = _VERIFY_MODES[-1]
+    if not config.grid_size // 2 > top:
+        raise ConfigError(
+            f"verify checks modes up to {top}, which need grid size / 2"
+            f" above {top}; got grid size {config.grid_size}"
+        )
     grid = make_grid(config.grid_size)
     multiplier_bound = _MULTIPLIER_BOUNDS.get(config.grid_size, 1e-6)
     checks = [

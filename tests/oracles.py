@@ -13,7 +13,9 @@ the self-interaction quadrature, the conformal map and the array kernels,
 which tests check against mpmath on their own; what those oracles check is
 the quadrature around them.  g_functional_unfolded keeps the boundary
 functional on full P x P kernels from the same library pieces; what it
-checks is the rotational fold of contour.g_functional.  The one
+checks is the rotational fold of contour.g_functional, and
+linearization_check_central keeps the two-sided stencil that checks the
+one-sided recovery of contour.linearization_check.  The one
 deliberately wrong function, g_functional_inner_flipped, gives the
 verification tests a fault to catch.
 The induced velocity off the interfaces and the Euler admissibility test
@@ -398,6 +400,40 @@ def g_functional_inner_flipped(lam, b, omega, f1, f2, grid):
     contribution flipped: a wrong functional that still vanishes on every
     annulus, for tests that the verification suite catches the fault."""
     return g_functional_unfolded(lam, b, omega, f1, f2, grid, inner_sign=-1.0)
+
+
+def linearization_check_central(n, lam, b, omega, epsilon, grid):
+    """contour.linearization_check by central differences of G(+-epsilon)
+    for every column, two G evaluations per column where the library needs
+    one outside the aliased case 3n = 0 (mod P): the check on its
+    one-sided recovery.
+    """
+    from qgsw_vstates.contour import (
+        FourierBoundary, annulus_boundary, g_functional, real_fourier,
+    )
+    from qgsw_vstates.spectrum import ModeCell
+
+    mat = ModeCell(lam, b).matrix(n, omega)  # refuses n < 1 up front
+    n = mat.n
+    if not 1e-8 <= epsilon <= 1e-4:
+        raise ValueError(
+            f"step must lie in [1e-8, 1e-4]; got {epsilon}"
+        )
+    flat_outer = annulus_boundary(1.0)
+    flat_inner = annulus_boundary(b)
+    recovered = np.zeros((2, 2))
+    for col, scale in ((0, 1.0), (1, b)):
+        for sign in (+1.0, -1.0):
+            bumped = FourierBoundary.single_mode(scale, n - 1, sign * epsilon)
+            if col == 0:
+                g1, g2 = g_functional(lam, b, omega, bumped, flat_inner, grid)
+            else:
+                g1, g2 = g_functional(lam, b, omega, flat_outer, bumped, grid)
+            for row, g in enumerate((g1, g2)):
+                _, _, sine = real_fourier(g, grid)
+                recovered[row, col] += sign * sine[n] / (2.0 * epsilon * n)
+    deviation = recovered - mat.block() / n
+    return recovered, deviation
 
 
 # ---------------------------------------------------------------------------

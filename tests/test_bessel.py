@@ -34,9 +34,16 @@ def test_ladder_reads_a_negative_order_as_its_mirror(x):
         assert ladder.log_k(-n) == ladder.log_k(n)
         assert ladder.product(-n) == ladder.product(n) == product_ik(-n, x)
         assert ladder.k(-n) == ladder.k(n) == bessel_k(-n, x)
-    for method in (ladder.log_i, ladder.log_k, ladder.k):
+        assert ladder.i(-n) == ladder.i(n) == bessel_i(-n, x)
+        for kind in ("I", "K"):
+            assert ladder.derivative(kind, -n) == ladder.derivative(kind, n) \
+                == bessel_derivative(kind, -n, x)
+    for method in (ladder.log_i, ladder.log_k, ladder.k, ladder.i,
+                   lambda n: ladder.derivative("I", n)):
         with pytest.raises(ValueError, match="integer"):
             method(2.5)
+    with pytest.raises(ValueError, match="kind"):
+        ladder.derivative("J", 1)
 
 
 @pytest.mark.parametrize("x", [1e-3, 0.7, 4.0, math.nextafter(4.0, 5.0), 12.0, 60.0])
@@ -171,6 +178,8 @@ def test_subnormal_results_raise():
         BesselLadder(740.0).k(0)
     with pytest.raises(OverflowError):
         bessel_i(120, 0.188)
+    with pytest.raises(OverflowError):
+        BesselLadder(0.188).i(120)
     assert bessel_k(0, 700.0) >= sys.float_info.min
     assert bessel_i(120, 0.3) >= sys.float_info.min
 
@@ -412,6 +421,22 @@ def test_beltrami_tail_term_negligible():
     term = 2.0 * math.exp(BesselLadder(0.5).log_i(30) + BesselLadder(1.0).log_k(30))
     assert term < 0.5**30 / 60.0 * 2.01  # (b/a)^m / (2m) decay rate
     assert term < 1e-9
+
+
+def test_beltrami_builds_one_ladder_per_argument(monkeypatch):
+    import qgsw_vstates.bessel as bessel
+
+    built = []
+
+    class Counted(BesselLadder):
+        def __init__(self, x):
+            built.append(x)
+            super().__init__(x)
+
+    monkeypatch.setattr(bessel, "BesselLadder", Counted)
+    # the m = 0 term reads the same two ladders as every other order
+    beltrami_k0(1.0, 0.5, 1.1, 40)
+    assert sorted(built) == [0.5, 1.0]
 
 
 def test_beltrami_requires_b_below_a():

@@ -489,6 +489,55 @@ def test_verify_fault_injection_fails_loudly(tmp_path):
     assert contour.g_functional is clean
 
 
+@pytest.mark.parametrize("size", [16, 24])
+def test_verify_refuses_grids_without_its_modes(tmp_path, capsys, size):
+    # mode 12 needs a sine on the grid: at P = 24 it sits on the Nyquist
+    # node, and below that sine[12] does not exist
+    code = _run("verify", "--grid-size", str(size),
+                "--out", str(tmp_path / "run"), "--jobs", "1")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "grid size" in err
+
+
+def test_verify_smallest_grid_reaches_a_verdict(tmp_path, capsys):
+    out = tmp_path / "run"
+    code = _run("verify", "--grid-size", "26", "--out", str(out),
+                "--jobs", "1")
+    # every check runs; the multiplier deviation (2e-5) is over its bound
+    assert code == 2
+    assert capsys.readouterr().err == ""
+    rows = {r["check"]: r for r in _read_csv(out / "verify.csv")}
+    assert len(rows) == 4
+    assert rows["multiplier_match"]["passed"] == "false"
+
+
+@pytest.mark.parametrize("size, calls", [(256, 27 + 24), (30, 27 + 26)])
+def test_verify_evaluates_g_once_per_multiplier_column(tmp_path, monkeypatch,
+                                                      size, calls):
+    # 27 trivial-residual evaluations, then one G per column of each of the
+    # 12 multiplier matrices; at P = 30 mode 10 (3n = 0 mod P) takes the
+    # central difference, two per column
+    import qgsw_vstates.cli as cli
+
+    counted_calls = []
+    clean = contour.g_functional
+
+    def counted(*args, **kwargs):
+        counted_calls.append(args[0])
+        return clean(*args, **kwargs)
+
+    monkeypatch.setattr(contour, "g_functional", counted)
+    monkeypatch.setattr(cli, "g_functional", counted)
+    out = tmp_path / "run"
+    _run("verify", "--grid-size", str(size), "--out", str(out), "--jobs", "1")
+    assert len(counted_calls) == calls
+    rows = {r["check"]: r for r in _read_csv(out / "verify.csv")}
+    # one ladder per argument leaves the Wronskian bits as they were
+    assert rows["bessel_wronskian"]["measured"] == "4.9232823111362653e-14"
+
+
 def test_identical_runs_are_byte_identical(tmp_path):
     first = tmp_path / "a"
     second = tmp_path / "b"

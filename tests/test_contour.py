@@ -386,6 +386,37 @@ def test_linearization_step_validation(grid):
         linearization_check(6, LAM, B, 0.2, 1e-3, grid)
 
 
+@pytest.mark.parametrize("node_count, n", [(24, 12), (16, 9)])
+def test_linearization_refuses_modes_without_a_sine(node_count, n):
+    with pytest.raises(ValueError, match="grid size"):
+        linearization_check(n, LAM, B, 0.2, 2e-5, make_grid(node_count))
+
+
+@pytest.mark.parametrize("node_count", [64, 256])
+def test_linearization_one_sided_matches_central_stencil(node_count):
+    # G(+eps) alone leaves no eps^2 term in sin(n theta) when 3n != 0 mod P
+    grid = make_grid(node_count)
+    for n in range(1, 13):
+        assert 3 * n % node_count != 0
+        recovered, deviation = linearization_check(n, LAM, B, 0.2, 2e-5, grid)
+        central, central_dev = oracles.linearization_check_central(
+            n, LAM, B, 0.2, 2e-5, grid)
+        assert np.max(np.abs(recovered - central)) < 1e-11, n
+        assert np.max(np.abs(deviation - central_dev)) < 1e-11, n
+
+
+@pytest.mark.parametrize("node_count, n", [(30, 10), (36, 12)])
+def test_linearization_aliased_mode_is_the_central_stencil(node_count, n):
+    # 2n aliases onto -n, so the eps^2 term reaches sin(n theta) and only
+    # the central difference cancels it
+    grid = make_grid(node_count)
+    recovered, deviation = linearization_check(n, LAM, B, 0.2, 2e-5, grid)
+    central, central_dev = oracles.linearization_check_central(
+        n, LAM, B, 0.2, 2e-5, grid)
+    assert np.array_equal(recovered, central)
+    assert np.array_equal(deviation, central_dev)
+
+
 def test_velocity_annulus_symmetries(grid):
     outer, inner = annulus_boundary(1.0), annulus_boundary(B)
     assert abs(oracles.velocity_at(0.0, outer, inner, LAM, B, grid)) < 1e-13
