@@ -20,35 +20,47 @@ trace returned a partial result (outputs still written).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from .bessel import BesselLadder, bessel_k, beltrami_k0
-from .contour import MAX_LAMBDA, g_functional, linearization_check, make_grid
+from .contour import (
+    _check_bandwidth, _check_max_lambda, _check_mode_fits, _check_node_count,
+    annulus_boundary, g_functional, linearization_check, make_grid,
+)
 from .continuation import lattice_values, omega_intercept, trace_branch
 from .spectrum import (
-    ModeCell, SearchExhausted, _normalize_sign, euler_eigenvalues,
+    ModeCell, SearchExhausted, _check_b_open, _check_lambda, _normalize_sign,
+    euler_eigenvalues,
 )
 
 _COMMANDS = ("spectrum", "eigen", "limits", "branch", "verify")
 
-# multiplier-check bound by grid size: the quadrature is spectral, so the
-# finite-difference truncation (~1e-9 at eps = 2e-5) dominates at every P;
-# the coarse-grid entry only adds slack for modes near the bandwidth
-_MULTIPLIER_BOUNDS = {64: 1e-5, 128: 1e-6, 256: 1e-6}
+# multiplier-check bound: the quadrature is spectral, so the O(eps^2)
+# finite-difference error (~1e-9 at eps = 2e-5) dominates at every P from 32
+_MULTIPLIER_BOUND = 1e-6
 # mode orders of verify's multiplier check; each needs a sine on the grid
 _VERIFY_MODES = range(1, 13)
 
 
 class ConfigError(ValueError):
     """Invalid configuration (bad grid, out-of-domain parameter, ...)."""
+
+
+@contextlib.contextmanager
+def _library_rules():
+    """A library check's ValueError as a ConfigError with the same message."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -80,30 +92,22 @@ class RunConfig:
         for m in self.ms:
             if m < 1:
                 raise ConfigError(f"fold count must be >= 1; got {m}")
-        for lam in self.lambdas:
-            if not lam > 0.0 or not math.isfinite(lam):
-                raise ConfigError(f"lambda values must be positive; got {lam}")
-            if self.command == "branch" and lam > MAX_LAMBDA:
-                raise ConfigError(
-                    f"branch tracing is validated for lambda <= "
-                    f"{MAX_LAMBDA:g}; got {lam:g} (the contour"
-                    " quadrature cannot certify residuals of 1e-10 beyond)"
-                )
-        for b in self.bs:
-            if not 0.0 < b < 1.0:
-                raise ConfigError(
-                    f"b values must lie strictly inside (0, 1); got {b}"
-                )
+            if self.ms.count(m) > 1:
+                raise ConfigError(f"fold count m={m} is given twice")
+        with _library_rules():
+            for lam in self.lambdas:
+                _check_lambda(lam)
+                if self.command == "branch":
+                    _check_max_lambda(lam)
+            for b in self.bs:
+                _check_b_open(b)
+            _check_node_count(self.grid_size)
         try:
             self.signs
         except ValueError:
             raise ConfigError(
                 f"sign must be +, -, plus, minus or both; got {self.sign!r}"
             ) from None
-        if self.grid_size < 8 or self.grid_size % 2 != 0:
-            raise ConfigError(
-                f"grid size must be even and >= 8; got {self.grid_size}"
-            )
         if self.trunc < 2:
             raise ConfigError(f"trunc must be >= 2; got {self.trunc}")
         if self.steps < 1:
@@ -181,7 +185,7 @@ _OPTIONS = (
     ("tol", "tol", float, None),
     ("out", "out", str, "output directory"),
     ("format", "fmt", str, "csv or json"),
-    ("jobs", "jobs", int, "branch threads (default: 1, no pool)"),
+    ("jobs", "jobs", int, "accepted and recorded; selects nothing"),
 )
 
 
@@ -244,11 +248,7 @@ def _write_table(path, header, rows, fmt):
 
 
 def _table_command(config, stem, header, cell_rows):
-    """One table of cell_rows(lam, b) over the (lambda, b) grid, in order.
-
-    The cells run serially whatever --jobs says: they are scalar Python that
-    holds the GIL, so threads bought these tables nothing.
-    """
+    """One table of cell_rows(lam, b) over the (lambda, b) grid, in order."""
     points = [(lam, b) for lam in config.lambdas for b in config.bs]
     rows = [row for lam, b in points for row in cell_rows(lam, b)]
     return 0, [(stem, header, rows)], {"rows": len(rows), "cells": len(points)}
@@ -375,21 +375,12 @@ def _cmd_branch(config):
         modes = tuple(config.ms)
     else:
         modes = (cell.threshold(config.window).n + 2,)
-    pairs = {}
-    for m in modes:
-        if 2 * m * config.trunc >= config.grid_size:
-            raise ConfigError(
-                f"m={m} with trunc {config.trunc} needs m*trunc ="
-                f" {m * config.trunc} below grid size / 2 ="
-                f" {config.grid_size // 2}; raise --grid-size or lower"
-                " --trunc"
-            )
-        delta, pairs[m] = cell.spectrum(m)
-        if not delta > 0.0:
-            raise ConfigError(
-                f"mode m={m} has discriminant {delta:.17g} <= 0 at"
-                f" lambda={lam:.17g}, b={b:.17g}; no simple eigenvalue pair"
-            )
+    tasks = [(m, sign) for m in modes for sign in config.signs]
+    omega_stars = {}
+    with _library_rules():
+        for m, sign in tasks:
+            _check_bandwidth(m, config.trunc, config.grid_size)
+            omega_stars[m, sign] = cell.root(m, sign)[0]
 
     grid = make_grid(config.grid_size)
 
@@ -399,12 +390,9 @@ def _cmd_branch(config):
             lam, b, m, sign, config.s_max, config.steps,
             trunc=config.trunc, grid=grid,
         )
-        pair = pairs[m]
-        omega_star = pair.omega_plus if sign == "+" else pair.omega_minus
+        omega_star = omega_stars[task]
         omega0, bend = omega_intercept(trace.points)
-        count = max(
-            (len(p.f1.coefficients) + 1) // m for p in trace.points
-        ) if trace.points else 0
+        count = max((p.truncation for p in trace.points), default=0)
         rows = [
             [p.s, p.omega, p.residual]
             + list(lattice_values(p.f1, m, count))
@@ -432,15 +420,7 @@ def _cmd_branch(config):
             "gap": None if omega0 is None else abs(omega0 - omega_star),
         }
 
-    # each branch is a long numpy-bound trace, the one place where threads
-    # pay off; map keeps the output order independent of completion order
-    tasks = [(m, sign) for m in modes for sign in config.signs]
-    if config.jobs > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            done = list(pool.map(job, tasks))
-    else:
-        done = [job(task) for task in tasks]
-    tables, branches = zip(*done)
+    tables, branches = zip(*map(job, tasks))
     partial = any(not entry["completed"] for entry in branches)
     return (3 if partial else 0), list(tables), {
         "branches": list(branches),
@@ -474,8 +454,6 @@ def _verify_bessel_beltrami():
 
 
 def _verify_trivial_residual(grid):
-    from .contour import annulus_boundary
-
     worst = 0.0
     for lam in (0.5, 1.0, 2.0):
         for b in (0.3, 0.5, 0.7):
@@ -497,19 +475,14 @@ def _verify_multipliers(grid):
 
 
 def _cmd_verify(config):
-    top = _VERIFY_MODES[-1]
-    if not config.grid_size // 2 > top:
-        raise ConfigError(
-            f"verify checks modes up to {top}, which need grid size / 2"
-            f" above {top}; got grid size {config.grid_size}"
-        )
+    with _library_rules():
+        _check_mode_fits(_VERIFY_MODES[-1], config.grid_size)
     grid = make_grid(config.grid_size)
-    multiplier_bound = _MULTIPLIER_BOUNDS.get(config.grid_size, 1e-6)
     checks = [
         ("bessel_wronskian", _verify_bessel_wronskian(), 1e-11),
         ("bessel_beltrami", _verify_bessel_beltrami(), 1e-10),
         ("trivial_residual", _verify_trivial_residual(grid), config.tol),
-        ("multiplier_match", _verify_multipliers(grid), multiplier_bound),
+        ("multiplier_match", _verify_multipliers(grid), _MULTIPLIER_BOUND),
     ]
     rows = [(name, config.grid_size, measured, bound, measured <= bound)
             for name, measured, bound in checks]

@@ -49,13 +49,14 @@ import numpy as np
 
 from .contour import (
     FourierBoundary,
+    _check_bandwidth,
     annulus_boundary,
     g_functional,
     make_grid,
     omega_derivative,
     real_fourier,
 )
-from .spectrum import ModeCell, _simple_root
+from .spectrum import ModeCell
 
 RESIDUAL_TOL = 1e-10
 _MAX_ITERATIONS = 50
@@ -102,6 +103,12 @@ class BranchPoint:
     jacobian: np.ndarray = field(default=None, compare=False, repr=False)
     evaluations: int = field(default=0, compare=False)
     builds: int = field(default=0, compare=False)
+
+    @property
+    def truncation(self):
+        """Lattice coefficients K per interface (m*K coefficients)."""
+        longest = max(len(self.f1.coefficients), len(self.f2.coefficients))
+        return longest // self.m
 
 
 @dataclass(frozen=True)
@@ -280,15 +287,9 @@ def newton_solve(lam, b, m, sign, s, initial_guess=None, trunc=16, grid=None):
     if trunc < 2:
         raise ValueError(f"truncation must be >= 2; got {trunc}")
     if initial_guess is not None:
-        trunc = max(trunc, max(
-            len(f.coefficients) for f in (initial_guess.f1, initial_guess.f2)
-        ) // m)
-    if 2 * m * trunc >= grid.node_count:
-        raise ValueError(
-            f"m*trunc = {m * trunc} must stay below the grid bandwidth"
-            f" {grid.node_count // 2}"
-        )
-    omega_star, (v1, v2), _ = _simple_root(m, lam, b, sign)
+        trunc = max(trunc, initial_guess.truncation)
+    _check_bandwidth(m, trunc, grid.node_count)
+    omega_star, (v1, v2), _ = ModeCell(lam, b).root(m, sign)
     pinned = "outer" if abs(v1) >= abs(v2) else "inner"
     if initial_guess is None:
         c1 = np.zeros(trunc)
@@ -428,7 +429,7 @@ def trace_branch(lam, b, m, sign, s_max, steps, trunc=16, grid=None):
             if len(points) == 1:
                 # the line through the annulus at (0, Omega*) and point one
                 annulus = dataclasses.replace(
-                    points[0], s=0.0, omega=_simple_root(m, lam, b, sign)[0],
+                    points[0], s=0.0, omega=ModeCell(lam, b).root(m, sign)[0],
                     f1=annulus_boundary(1.0), f2=annulus_boundary(b),
                 )
                 guess = _secant_guess(m, s, annulus, points[0])
@@ -471,7 +472,7 @@ def _secant_guess(m, s, older, newer):
     leave the ball guard, newer itself is the guess (zero-order start).
     """
     t = (s - newer.s) / (newer.s - older.s)
-    count = max(len(p.f1.coefficients) for p in (older, newer)) // m
+    count = max(older.truncation, newer.truncation)
 
     def extrapolate(old, new):
         last = lattice_values(new, m, count)

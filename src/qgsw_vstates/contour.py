@@ -49,7 +49,7 @@ from functools import cached_property
 import numpy as np
 
 from .bessel import _i0_array, _k0_array, _k0reg_array
-from .spectrum import ModeCell, _check_b_open
+from .spectrum import ModeCell, _check_b_open, _check_lambda
 
 _COLLISION_TOL = 1e-8
 
@@ -58,6 +58,36 @@ _COLLISION_TOL = 1e-8
 # 6.2e-11 at 9 and 4e-10 at 10, and a finer grid does not lower it, so
 # above 8 a branch point can no longer be certified at 1e-10 with a margin
 MAX_LAMBDA = 8.0
+
+
+def _check_max_lambda(lam):
+    if not lam <= MAX_LAMBDA:
+        raise ValueError(
+            f"the contour quadrature is validated for lambda <= "
+            f"{MAX_LAMBDA:g}; got {lam:g}"
+        )
+
+
+def _check_node_count(node_count):
+    if node_count < 8 or node_count % 2 != 0:
+        raise ValueError(f"grid size must be even and >= 8; got {node_count}")
+
+
+def _check_mode_fits(n, node_count):
+    # a mode at or above P/2 has no sine on the grid
+    if not 2 * n < node_count:
+        raise ValueError(
+            f"mode {n} needs grid size above {2 * n}; got {node_count}"
+        )
+
+
+def _check_bandwidth(m, trunc, node_count):
+    # the m-fold lattice's top mode m*trunc needs a sine on the grid
+    if not 2 * m * trunc < node_count:
+        raise ValueError(
+            f"m={m} with trunc {trunc} reaches the grid bandwidth: m*trunc"
+            f" = {m * trunc} is not below P/2 = {node_count // 2}"
+        )
 
 
 @dataclass(frozen=True)
@@ -144,10 +174,7 @@ class QuadratureGrid:
 
 def make_grid(node_count):
     node_count = int(node_count)
-    if node_count < 8 or node_count % 2 != 0:
-        raise ValueError(
-            f"node count must be even and >= 8; got {node_count}"
-        )
+    _check_node_count(node_count)
     theta = 2.0 * np.pi * np.arange(node_count) / node_count
     return QuadratureGrid(node_count, theta, np.exp(1j * theta))
 
@@ -182,8 +209,7 @@ def s_integral(lam, source, target, grid, rows=None):
     plain trapezoid rule and require the interfaces to stay farther apart
     than the collision tolerance (over the rows evaluated).
     """
-    if lam <= 0.0:
-        raise ValueError(f"lambda must be positive; got {lam}")
+    _check_lambda(lam)
     head = slice(rows)
     src_vals, src_derivs = conformal_eval(source, grid)
     weights = src_derivs * grid.nodes  # Phi'(tau) tau at source nodes
@@ -230,11 +256,7 @@ def g_functional(lam, b, omega, f1, f2, grid):
     the node shift P/d is that rotation: G is evaluated on the first P/d
     nodes only and tiled d times.
     """
-    if not lam <= MAX_LAMBDA:
-        raise ValueError(
-            f"the contour quadrature is validated for lambda <= "
-            f"{MAX_LAMBDA:g}; got {lam:g}"
-        )
+    _check_max_lambda(lam)
     _check_b_open(b)
     if f1.scale != 1.0:
         raise ValueError(f"outer boundary must have scale 1; got {f1.scale}")
@@ -313,10 +335,7 @@ def linearization_check(n, lam, b, omega, epsilon, grid):
     """
     mat = ModeCell(lam, b).matrix(n, omega)  # refuses n < 1 up front
     n = mat.n
-    if not 2 * n < grid.node_count:
-        raise ValueError(
-            f"mode {n} needs grid size above {2 * n}; got {grid.node_count}"
-        )
+    _check_mode_fits(n, grid.node_count)
     if not 1e-8 <= epsilon <= 1e-4:
         raise ValueError(
             f"step must lie in [1e-8, 1e-4]; got {epsilon}"

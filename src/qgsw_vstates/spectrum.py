@@ -45,6 +45,11 @@ def _normalize_sign(sign):
     raise ValueError(f"sign must be one of +, -, plus, minus; got {sign!r}")
 
 
+def _check_lambda(lam):
+    if not 0.0 < lam < math.inf:
+        raise ValueError(f"lambda must be positive and finite; got {lam}")
+
+
 def _check_b_open(b):
     if not 0.0 < b < 1.0:
         raise ValueError(f"b must lie strictly inside (0, 1); got {b}")
@@ -177,8 +182,7 @@ class ModeCell:
     """
 
     def __init__(self, lam, b):
-        if lam <= 0.0:
-            raise ValueError(f"lambda must be positive; got {lam}")
+        _check_lambda(lam)
         _check_b_open(b)
         self.lam = lam
         self.b = b
@@ -229,6 +233,22 @@ class ModeCell:
         if n not in self._spectra:
             self._spectra[n] = _mode_spectrum(n, self.b, *self.mode(n))
         return self._spectra[n]
+
+    def root(self, m, sign):
+        """(Omega_m^{sign}, kernel vector, transversal flag) of mode m, see
+        kernel_vector; ValueError unless Delta_m > 0 strictly."""
+        plus = _normalize_sign(sign) > 0
+        m = _check_order(m)
+        delta, pair = self.spectrum(m)
+        if not delta > 0.0:
+            raise ValueError(
+                f"mode m={m} has no simple real pair at lambda="
+                f"{self.lam:.17g}, b={self.b:.17g}: discriminant"
+                f" {delta:.17g} <= 0"
+            )
+        if plus:
+            return pair.omega_plus, pair.kernel_plus, pair.transversal_plus
+        return pair.omega_minus, pair.kernel_minus, pair.transversal_minus
 
     def limits(self):
         """(Omega_inf_minus, Omega_inf_plus), see omega_limits."""
@@ -350,24 +370,8 @@ def simply_connected_limit(n, lam):
     """b -> 0 limit of omega_plus at mode n: the single-interface
     multiplier Omega_n(lam)."""
     n = _check_order(n)
-    if lam <= 0.0:
-        raise ValueError(f"lambda must be positive; got {lam}")
+    _check_lambda(lam)
     return _rankine(BesselLadder(lam), n)
-
-
-def _simple_root(m, lam, b, sign):
-    """(Omega_m^{sign}, kernel vector, transversal flag) of one evaluation
-    of mode m; ValueError unless Delta_m > 0 strictly."""
-    m = int(m)
-    plus = _normalize_sign(sign) > 0
-    pair = eigenvalues(m, lam, b)
-    if pair is None or pair.discriminant <= 0.0:
-        raise ValueError(
-            f"mode m={m} has no simple real pair at lam={lam}, b={b}"
-        )
-    if plus:
-        return pair.omega_plus, pair.kernel_plus, pair.transversal_plus
-    return pair.omega_minus, pair.kernel_minus, pair.transversal_minus
 
 
 def kernel_vector(m, lam, b, sign):
@@ -379,7 +383,7 @@ def kernel_vector(m, lam, b, sign):
     the adjugate so kernel membership is exact in both rows.  Requires
     Delta_m > 0 strictly.
     """
-    return _simple_root(m, lam, b, sign)[1]
+    return ModeCell(lam, b).root(m, sign)[1]
 
 
 def transversality_check(m, lam, b, sign):
@@ -391,4 +395,4 @@ def transversality_check(m, lam, b, sign):
     discriminant always passes.  Compared against 1e-10 times its own
     natural scale.
     """
-    return _simple_root(m, lam, b, sign)[2]
+    return ModeCell(lam, b).root(m, sign)[2]

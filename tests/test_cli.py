@@ -9,6 +9,8 @@ the acceptance suite.
 import csv
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -723,3 +725,70 @@ def test_every_config_field_is_settable_by_flag_and_both_keys(
             default = getattr(defaults, field.name)
             assert recorded != (list(default) if isinstance(default, tuple)
                                 else default)
+
+
+def test_branch_refuses_a_repeated_fold_count(tmp_path, capsys, monkeypatch):
+    # m = 5 twice would trace it twice into one file, listed twice
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solver reached")
+
+    monkeypatch.setattr(continuation, "newton_solve", no_solve)
+    out = tmp_path / "x"
+    code = _run("branch", "--lambda", "1", "--b", "0.5", "--m", "5,5",
+                "--out", str(out))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "m=5" in err
+    assert not out.exists()
+
+
+def test_single_fold_table_has_one_column_per_coefficient(tmp_path):
+    # at m = 1 the lattice is every index, so K = 4 gives a0..a3, b0..b3
+    out = tmp_path / "run"
+    assert _run("branch", "--lambda", "1", "--b", "0.5", "--m", "1",
+                "--trunc", "4", "--grid-size", "64", "--steps", "2",
+                "--s-max", "1e-3", "--out", str(out)) == 0
+    for sign in ("plus", "minus"):
+        with open(out / f"branch_m1_{sign}.csv") as handle:
+            header = next(csv.reader(handle))
+        assert header == (["s", "omega", "residual"]
+                          + [f"a{k}" for k in range(4)]
+                          + [f"b{k}" for k in range(4)])
+
+
+@pytest.mark.parametrize("argv, library_call", [
+    (["branch", "--lambda", "1", "--b", "0.5", "--m", "5", "--trunc", "16",
+      "--grid-size", "128"],
+     lambda: continuation.newton_solve(1, 0.5, 5, "+", 1e-4, trunc=16,
+                                       grid=contour.make_grid(128))),
+    (["branch", "--lambda", "1", "--b", "0.5", "--m", "2"],
+     lambda: kernel_vector(2, 1.0, 0.5, "+")),
+    (["branch", "--lambda", "9", "--b", "0.5", "--m", "5"],
+     lambda: contour.g_functional(9.0, 0.5, 0.3,
+                                  contour.annulus_boundary(1.0),
+                                  contour.annulus_boundary(0.5),
+                                  contour.make_grid(64))),
+    (["verify", "--grid-size", "24"],
+     lambda: contour.linearization_check(12, 1.0, 0.5, 0.2, 2e-5,
+                                         contour.make_grid(24))),
+], ids=["bandwidth", "admission", "lambda-bound", "mode-fit"])
+def test_cli_refuses_with_the_library_message(tmp_path, capsys, argv,
+                                             library_call):
+    with pytest.raises(ValueError) as info:
+        library_call()
+    assert _run(*argv, "--out", str(tmp_path / "x")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(info.value) in err
+
+
+def test_import_loads_no_thread_pool_or_logging():
+    # neither is used by any run; logging is opt-in and must cost nothing
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(__file__).parent.parent / "src"), env.get("PYTHONPATH")]))
+    probe = ("import sys, qgsw_vstates.cli; print(sorted("
+             "{'concurrent.futures', 'logging'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -283,7 +283,7 @@ def test_trace_partial_on_truncation_saturation(grid):
 
 def _cold_system(lam, sign, s, trunc, grid):
     """(system, u, projected residual) at the cold guess of newton_solve."""
-    omega_star, (v1, v2), _ = continuation._simple_root(M, lam, B, sign)
+    omega_star, (v1, v2), _ = spectrum.ModeCell(lam, B).root(M, sign)
     pinned = "outer" if abs(v1) >= abs(v2) else "inner"
     system = continuation._ProjectedSystem(lam, B, M, trunc, grid, pinned, s)
     c1, c2 = np.zeros(trunc), np.zeros(trunc)

@@ -9,6 +9,7 @@ import oracles
 import qgsw_vstates.spectrum as spectrum
 from qgsw_vstates import cli
 from qgsw_vstates.bessel import BesselLadder, bessel_k, product_ik
+from qgsw_vstates.contour import annulus_boundary, make_grid, s_integral
 from qgsw_vstates.spectrum import (
     ModeCell,
     SearchExhausted,
@@ -440,3 +441,20 @@ def test_quadratic_structure_property(n, lam, b):
         assert abs(det) <= 1e-10 * max(
             _scale(spectral_matrix(n, lam, b, omega)) ** 2, 1e-300
         )
+
+
+@pytest.mark.parametrize("lam", [math.inf, math.nan])
+def test_lambda_must_be_finite(lam):
+    # inf used to give an all-NaN pair and a 100,000-order threshold scan
+    circle = annulus_boundary(1.0)
+    calls = (
+        lambda: ModeCell(lam, 0.5),
+        lambda: eigenvalues(5, lam, 0.5),
+        lambda: find_threshold(lam, 0.5),
+        lambda: simply_connected_limit(5, lam),
+        lambda: s_integral(lam, circle, circle, make_grid(16)),
+    )
+    for call in calls:
+        with pytest.raises(ValueError,
+                           match="lambda must be positive and finite"):
+            call()
