@@ -17,7 +17,7 @@ from qgsw_vstates.continuation import (
     verify_vstate,
 )
 from qgsw_vstates.contour import make_grid
-from qgsw_vstates.spectrum import eigenvalues, find_threshold, kernel_vector
+from qgsw_vstates.spectrum import ModeCell
 
 
 def main():
@@ -33,17 +33,19 @@ def main():
     args = parser.parse_args()
 
     lam, b = args.lam, args.b
-    threshold = find_threshold(lam, b)
+    cell = ModeCell(lam, b)
+    threshold = cell.threshold()
     m = args.m if args.m > 0 else threshold.n + 2
-    pair = eigenvalues(m, lam, b)
-    if pair is None or pair.degenerate:
-        raise SystemExit(f"mode m={m} has no simple eigenvalue pair")
+    try:
+        roots = {sign: cell.root(m, sign) for sign in "+-"}
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}") from None
     print(f"lam={lam:g} b={b:g}  threshold N={threshold.n}  m={m}")
-    print(f"eigenvalues: Omega^- = {pair.omega_minus:.10f},"
-          f" Omega^+ = {pair.omega_plus:.10f}")
+    print(f"eigenvalues: Omega^- = {roots['-'][0]:.10f},"
+          f" Omega^+ = {roots['+'][0]:.10f}")
 
     grid = make_grid(args.grid_size)
-    for sign, omega_star in (("+", pair.omega_plus), ("-", pair.omega_minus)):
+    for sign, (omega_star, (v1, v2), _) in roots.items():
         t0 = time.time()
         trace = trace_branch(lam, b, m, sign, args.s_max, args.steps,
                              trunc=args.trunc, grid=grid)
@@ -64,7 +66,6 @@ def main():
                   f"  gap to eigenvalue {abs(omega0 - omega_star):.2e}"
                   f"  bend {bend:.4f}")
             first = trace.points[0]
-            v1, v2 = kernel_vector(m, lam, b, sign)
             tangent = (first.f1.coefficients[m - 1],
                        first.f2.coefficients[m - 1])
             ratio = tangent[1] / tangent[0] if first.pinned == "outer" \

@@ -582,16 +582,22 @@ def build_config(args):
 
 
 def run(config):
-    """Execute one resolved configuration; returns the process exit code."""
+    """Execute one resolved configuration; returns the process exit code.
+    --out is made only once the command has returned, so a refusal raised
+    inside the command leaves no directory behind."""
+    out = config.out
+    if not out or (os.path.exists(out) and not os.path.isdir(out)):
+        raise ConfigError(f"cannot create output directory: {out!r} is"
+                          " empty or not a directory")
+    code, tables, results = _DISPATCH[config.command](config)
     try:
-        os.makedirs(config.out, exist_ok=True)
+        os.makedirs(out, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory: {exc}") from None
-    code, tables, results = _DISPATCH[config.command](config)
     files = []
     for stem, header, rows in tables:
         files.append(f"{stem}.{config.fmt}")
-        _write_table(os.path.join(config.out, files[-1]), header, rows,
+        _write_table(os.path.join(out, files[-1]), header, rows,
                      config.fmt)
     summary = {
         "command": config.command,
@@ -602,7 +608,7 @@ def run(config):
         "exit_code": code,
         "results": {"files": files, **results},
     }
-    with open(os.path.join(config.out, "summary.json"), "w") as handle:
+    with open(os.path.join(out, "summary.json"), "w") as handle:
         json.dump(summary, handle, indent=2, sort_keys=True)
         handle.write("\n")
     return code

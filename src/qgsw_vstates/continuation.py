@@ -29,14 +29,16 @@ secant extrapolation of the last two points and which solves at the
 guess's truncation.  A step taken with a seeded or carried matrix must cut
 the residual norm by 10%, or the matrix is rebuilt by forward differences
 at the same iterate; steps with such a fresh matrix are damped by halving
-on residual increase, and a fresh step that no longer cuts the residual
-norm by 10% while the node residual stays up counts as exhausted damping.
-Truncation doubles when the last retained coefficient is above 1e-12 after
-convergence (a coefficient near that bound is first polished by a few more
-steps, so the verdict does not depend on the iteration path), or after the
-damping of a fresh step runs out (the missing harmonics hold the node
-residual up), as long as the top mode m*K stays below P/2; the doubled
-solve starts from a new seed.
+on residual increase.  The iteration stops once the node residual is at
+RESIDUAL_TOL, or once ||F|| is down to _RESOLVED of the node residual: the
+lattice equations are solved and only the harmonics past K hold the nodes
+up.  Then the last retained coefficient (the tail) decides.  A tail at most
+1e-12 certifies the point, or ends the solve at the node residual floor if
+the nodes are still up (more harmonics cannot help); a larger tail doubles
+K unless contour._check_bandwidth refuses m*2K (truncation saturated), and
+the doubled solve starts from a new seed.  A tail near 1e-12 is first
+polished by a few more steps, so the verdict does not depend on the
+iteration path.
 """
 
 from __future__ import annotations
@@ -62,6 +64,9 @@ RESIDUAL_TOL = 1e-10
 _MAX_ITERATIONS = 50
 _MAX_HALVINGS = 8
 _CARRIED_DECREASE = 0.9
+# the lattice equations count as solved once ||F|| is this fraction of the
+# node residual
+_RESOLVED = 1e-3
 _CONDITION_CAP = 1e14
 _TAIL_TOL = 1e-12
 # an iterate just under RESIDUAL_TOL carries Newton noise in its tail
@@ -304,10 +309,10 @@ def newton_solve(lam, b, m, sign, s, initial_guess=None, trunc=16, grid=None):
         omega = initial_guess.omega
         matrix = initial_guess.jacobian
 
-    # solve at trunc; while the last lattice coefficient is above _TAIL_TOL
-    # after convergence, or after a fresh matrix ran out of halvings (the
-    # missing harmonics keep the node residual up), pad the coefficients and
-    # solve again at twice trunc
+    # solve at trunc until the nodes are solved or the lattice equations
+    # are (||F|| down to _RESOLVED of the node residual: the harmonics past
+    # K hold the nodes up); then the tail decides between certifying,
+    # failing at the node floor and solving again at twice trunc
     evaluations = builds = 0
     while True:
         fits = matrix is not None and matrix.shape == (2 * trunc,) * 2
@@ -317,10 +322,14 @@ def newton_solve(lam, b, m, sign, s, initial_guess=None, trunc=16, grid=None):
         u = system.pack(c1, c2, omega)
         projected, node_res = system.residual(u)
         norm = np.linalg.norm(projected)
-        stalled = False
-        for _ in range(_MAX_ITERATIONS):
-            if node_res <= RESIDUAL_TOL:
-                break
+        iterations = 0
+        while node_res > RESIDUAL_TOL and norm > _RESOLVED * node_res:
+            if iterations == _MAX_ITERATIONS:
+                raise NonConvergence(
+                    f"iteration cap reached at s={s}, m={m}"
+                    f" (residual {node_res:.3e})"
+                )
+            iterations += 1
             jac, fresh = system.jacobian(u, projected)
             cond = np.linalg.cond(jac)
             if not np.isfinite(cond) or cond > _CONDITION_CAP:
@@ -354,14 +363,10 @@ def newton_solve(lam, b, m, sign, s, initial_guess=None, trunc=16, grid=None):
                 if not fresh:
                     system.matrix = None
                     continue
-                stalled = True
-                break
-            if (fresh and trial_res > RESIDUAL_TOL
-                    and trial_norm >= _CARRIED_DECREASE * norm):
-                # ||F|| is at its rounding floor while the node residual
-                # stays up: as good as exhausted damping
-                stalled = True
-                break
+                raise NonConvergence(
+                    f"damping exhausted at s={s}, m={m}"
+                    f" (residual {node_res:.3e})"
+                )
             system.broyden_update(trial - u, trial_proj - projected)
             u, projected, node_res, norm = (
                 trial, trial_proj, trial_res, trial_norm,
@@ -374,36 +379,23 @@ def newton_solve(lam, b, m, sign, s, initial_guess=None, trunc=16, grid=None):
         builds += system.builds
         f1, f2, omega = system.boundaries(u)
         tail = system.tail(u)
-        # twice trunc would reach the Nyquist mode P/2
-        saturated = 4 * m * trunc >= grid.node_count
-        if node_res <= RESIDUAL_TOL:
-            if tail <= _TAIL_TOL:
-                return BranchPoint(
-                    s=system.s,
-                    omega=omega,
-                    f1=f1,
-                    f2=f2,
-                    residual=node_res,
-                    m=m,
-                    pinned=pinned,
-                    jacobian=system.matrix,
-                    evaluations=evaluations,
-                    builds=builds,
-                )
-            if saturated:
+        if tail <= _TAIL_TOL:
+            if node_res > RESIDUAL_TOL:
                 raise NonConvergence(
-                    f"truncation saturated: tail {tail:.3e} at K={trunc}"
+                    f"node residual floor: residual {node_res:.3e} with"
+                    f" tail {tail:.3e} at s={s}, m={m}, K={trunc}"
                 )
-        elif not stalled:
-            raise NonConvergence(
-                f"iteration cap reached at s={s}, m={m}"
-                f" (residual {node_res:.3e})"
+            return BranchPoint(
+                s=system.s, omega=omega, f1=f1, f2=f2, residual=node_res,
+                m=m, pinned=pinned, jacobian=system.matrix,
+                evaluations=evaluations, builds=builds,
             )
-        elif tail <= _TAIL_TOL or saturated:
+        try:
+            _check_bandwidth(m, 2 * trunc, grid.node_count)
+        except ValueError:
             raise NonConvergence(
-                f"damping exhausted at s={s}, m={m}"
-                f" (residual {node_res:.3e})"
-            )
+                f"truncation saturated: tail {tail:.3e} at K={trunc}"
+            ) from None
         trunc *= 2
         c1 = lattice_values(f1, m, trunc)
         c2 = lattice_values(f2, m, trunc)

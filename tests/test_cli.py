@@ -228,6 +228,19 @@ def test_unusable_output_directory_exits_one(tmp_path, capsys, monkeypatch,
     assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["branch", "--lambda", "1", "--b", "0.5", "--m", "2"],
+     "no simple real pair"),
+    (["verify", "--grid-size", "24"], "needs grid size above 24"),
+])
+def test_refusal_inside_a_command_leaves_no_output_directory(
+        tmp_path, capsys, argv, message):
+    out = tmp_path / "run"
+    assert _run(*argv, "--out", str(out)) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_command_exits_one():
     with pytest.raises(SystemExit) as info:
         _run("frobnicate")

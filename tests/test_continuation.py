@@ -413,21 +413,21 @@ def test_warm_start_keeps_the_guess_truncation(grid):
 
 def test_too_short_truncation_doubles_instead_of_stalling(grid):
     # at K = 2 the node residual floor (~4.5e-10) sits above the tolerance,
-    # so the damped steps stall; the tail is ~4e-7 and K doubles
+    # so the lattice equations are solved first; the tail is ~4e-7 and K
+    # doubles
     result = trace_branch(LAM, B, M, "+", 2e-3, 4, trunc=2, grid=grid)
     assert result.completed and len(result.points) == 4
     for point in result.points:
         assert point.residual <= RESIDUAL_TOL
 
 
-def test_rounding_floor_ends_the_rebuilds_of_a_short_truncation(grid):
-    # at K = 2, ||F|| falls to ~1e-18 while the node residual stays ~4.5e-10:
-    # the first fresh step that no longer cuts ||F|| by 10% counts as
-    # exhausted damping and K doubles (it cost 91 evaluations, 9 builds,
-    # of rebuilds at the floor).  The points are the ones that path found
-    # (omega, b_4 and a_9 frozen from it), and the path is pinned exactly:
-    # two rebuilds and the doubling on the first point, then the carried
-    # matrix
+def test_short_truncation_doubles_once_its_lattice_is_solved(grid):
+    # at K = 2 the node residual stays ~4.5e-10 while ||F|| falls: once
+    # ||F|| is a thousandth of it the lattice equations count as solved, the
+    # tail (~4e-7) doubles K, and no forward-difference matrix is built.
+    # omega, b_4 and a_9 are frozen from the path that rebuilt the matrix
+    # at the rounding floor of ||F||; this path is pinned exactly: the
+    # doubling on the first point, then the carried matrix
     frozen = (
         (0.1645229939031249, -1.6329800968867396e-05, -3.607728811672378e-07),
         (0.16452250756611528, -3.2660086655301406e-05, -1.4430891516539854e-06),
@@ -436,12 +436,63 @@ def test_rounding_floor_ends_the_rebuilds_of_a_short_truncation(grid):
     )
     result = trace_branch(LAM, B, M, "+", 2e-3, 4, trunc=2, grid=grid)
     assert result.completed
-    assert [p.evaluations for p in result.points] == [22, 8, 4, 4]
-    assert [p.builds for p in result.points] == [2, 0, 0, 0]
+    assert [p.evaluations for p in result.points] == [9, 8, 4, 4]
+    assert [p.builds for p in result.points] == [0, 0, 0, 0]
     for point, (omega, b4, a9) in zip(result.points, frozen, strict=True):
         assert abs(point.omega - omega) <= 1e-12
         assert abs(point.f2.coefficients[4] - b4) <= 1e-12
         assert abs(point.f1.coefficients[9] - a9) <= 1e-12
+
+
+@pytest.fixture
+def perturbed_g(monkeypatch):
+    """perturb(change): from then on the solver sees change(G_1, G_2) in
+    place of G, e.g. a scaling at G's rounding level."""
+    exact = continuation.g_functional
+
+    def perturb(change):
+        def changed(*args, **kwargs):
+            return change(*exact(*args, **kwargs))
+
+        monkeypatch.setattr(continuation, "g_functional", changed)
+
+    return perturb
+
+
+def _short_march_costs(grid):
+    result = trace_branch(LAM, B, M, "+", 2e-3, 4, trunc=2, grid=grid)
+    assert result.completed
+    return ([p.evaluations for p in result.points],
+            [p.builds for p in result.points])
+
+
+@pytest.mark.parametrize("eps", [1e-14, -1e-14])
+def test_rounding_of_g_does_not_move_the_solver_path(grid, perturbed_g, eps):
+    # the doubling of K must follow how well the point is resolved, not the
+    # last bits of G
+    exact = _short_march_costs(grid)
+    perturbed_g(lambda g1, g2: (g1 * (1.0 + eps), g2 * (1.0 - eps)))
+    assert _short_march_costs(grid) == exact
+
+
+@pytest.mark.parametrize("sign", ["+", "-"])
+def test_thin_annulus_point_doubles_without_rebuilds(sign):
+    # b = 0.97, m = 46: K = 4 leaves the nodes up with the lattice solved,
+    # and one doubling certifies from the seed
+    point = newton_solve(LAM, 0.97, 46, sign, 6.25e-4, trunc=4,
+                         grid=make_grid(1104))
+    assert point.truncation == 8
+    assert point.builds == 0
+    assert point.residual <= RESIDUAL_TOL
+
+
+def test_nodes_the_lattice_cannot_see_end_at_the_floor(grid, perturbed_g):
+    # a constant 1e-9 added to G_1 has no sine component: the lattice
+    # equations are solved at the annulus, the tail is zero, and more
+    # harmonics cannot lower the nodes
+    perturbed_g(lambda g1, g2: (g1 + 1e-9, g2))
+    with pytest.raises(NonConvergence, match="node residual floor"):
+        newton_solve(LAM, B, M, "+", 0.0, trunc=8, grid=grid)
 
 
 def test_tail_verdict_does_not_depend_on_the_iteration_path(monkeypatch):

@@ -35,6 +35,20 @@ def test_script_runs(script, args, first_line, tmp_path):
         _check_demo_against_cli(args, done.stdout, tmp_path)
 
 
+def test_demo_refuses_a_mode_with_the_library_rule():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "branch_demo.py"), "--m", "2",
+         "--steps", "1", "--trunc", "4", "--grid-size", "64"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode != 0
+    assert "mode m=2 has no simple real pair" in done.stderr
+    assert done.stdout == ""
+
+
 def _check_demo_against_cli(args, stdout, out):
     """The demo's Omega(s->0) and residual-evaluation totals are the ones
     the CLI writes to summary.json for the same march."""
