@@ -3,12 +3,15 @@
 Picks m = N + 2 by default (two above the threshold, comfortably inside
 the admissible range), runs the plus and minus branches to s_max, then
 re-verifies every endpoint on a doubled grid and compares the s -> 0
-extrapolation of Omega with the spectral eigenvalues.
+extrapolation of Omega with the spectral eigenvalues.  After each sign it
+prints the process's peak resident memory, so a large-P march shows its
+cost in memory as well as time.
 
     python scripts/branch_demo.py --lambda 1 --b 0.5 --s-max 5e-3 --steps 8
 """
 
 import argparse
+import resource
 import time
 
 from qgsw_vstates.continuation import (
@@ -76,6 +79,9 @@ def main():
             report = verify_vstate(trace.points[-1], lam, b, grid=grid)
             print(f"  endpoint on doubled grid: residual {report.residual:.2e}"
                   f" symmetry defect {report.symmetry_defect:.1e}")
+        # ru_maxrss is in KiB on Linux
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        print(f"  peak RSS so far {peak:.1f} MB")
 
 
 if __name__ == "__main__":

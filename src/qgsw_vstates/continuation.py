@@ -20,25 +20,25 @@ BranchPoint.pinned records the choice.
 
 One Jacobian estimate serves a whole branch.  A solve without a carried
 matrix (a cold start, or a restart after truncation doubling) starts from
-the linearized spectrum at the guess, which costs no residual: the
-mode-mk blocks mk M_mk(Omega) of the annulus for the coefficients, and the
-exact Omega column (G is affine in Omega).  Every accepted Newton step
-applies a Broyden rank-1 update, and each converged point hands the updated
-matrix to the next point (BranchPoint.jacobian), whose starting guess is the
-secant extrapolation of the last two points and which solves at the
-guess's truncation.  A step taken with a seeded or carried matrix must cut
-the residual norm by 10%, or the matrix is rebuilt by forward differences
-at the same iterate; steps with such a fresh matrix are damped by halving
-on residual increase.  The iteration stops once the node residual is at
-RESIDUAL_TOL, or once ||F|| is down to _RESOLVED of the node residual: the
-lattice equations are solved and only the harmonics past K hold the nodes
-up.  Then the last retained coefficient (the tail) decides.  A tail at most
-1e-12 certifies the point, or ends the solve at the node residual floor if
-the nodes are still up (more harmonics cannot help); a larger tail doubles
-K unless contour._check_bandwidth refuses m*2K (truncation saturated), and
-the doubled solve starts from a new seed.  A tail near 1e-12 is first
-polished by a few more steps, so the verdict does not depend on the
-iteration path.
+the linearized spectrum at the guess, which costs no residual: the mode-mk
+blocks mk M_mk(Omega) of the annulus for the coefficients, and the exact
+Omega column (G is affine in Omega).  Every accepted Newton step applies a
+Broyden rank-1 update, and each converged point hands the updated matrix to
+the next point (BranchPoint.jacobian), whose starting guess is the secant
+extrapolation of the last two points and which solves at the guess's
+truncation.  A step taken with a seeded or carried matrix must cut the
+residual norm by 10%; a failed matrix is replaced at the same iterate by
+the linearized spectrum (once per system), then by forward differences,
+whose fresh steps are damped by halving on residual increase.  The
+iteration stops once the node residual is at RESIDUAL_TOL, or once ||F|| is
+down to _RESOLVED of the node residual: the lattice equations are solved
+and only the harmonics past K hold the nodes up.  Then the last retained
+coefficient (the tail) decides.  A tail at most 1e-12 certifies the point,
+or ends the solve at the node residual floor if the nodes are still up
+(more harmonics cannot help); a larger tail doubles K unless
+contour._check_bandwidth refuses m*2K (truncation saturated), and the
+doubled solve starts from a new seed.  A tail near 1e-12 is first polished
+by a few more steps, so the verdict does not depend on the iteration path.
 """
 
 from __future__ import annotations
@@ -166,7 +166,7 @@ class _ProjectedSystem:
         self.s = s
         self.modes = m * np.arange(1, trunc + 1)
         self.matrix = matrix
-        self.seedable = matrix is None
+        self.seedable = True
         self.evaluations = 0
         self.builds = 0
 
@@ -193,7 +193,8 @@ class _ProjectedSystem:
     def jacobian(self, u, projected):
         """(matrix, fresh) for one Newton step at u, whose residual is
         projected: the current estimate, else the seeded linearization (once
-        per system), else a fresh forward-difference build."""
+        per system, also in place of a carried matrix that failed), else a
+        fresh forward-difference build."""
         if self.matrix is not None:
             return self.matrix, False
         if self.seedable:

@@ -22,12 +22,13 @@ samples of its smooth cofactor through the closed-form Fourier moments
 (1/2pi) int log|1 - e^{i t}| cos(n t) dt = -1/(2n).  That product rule is
 a circulant set of weights: row k of it applied to samples g(tau_l) is
 sum_l c[(k - l) mod P] g(tau_l) with c the inverse FFT of the moments.
-The weights and log|w_k - w_l| are both circulant in k - l, so the grid
-folds them into one real matrix, and every interaction, singular or not,
-is one real kernel matrix (array Bessel kernels, fixed-length Horner
-series) applied to the complex weights Phi'(tau) tau as real mat-vecs.
-Its rows are the target nodes of one rotational period of the pair (all
-P when nothing divides, see g_functional), its columns all P sources.
+The weights and log|w_k - w_l| = log|2 sin(pi (k - l)/P)| both depend on
+k - l alone, so one length-P vector holds them.  Every interaction,
+singular or not, is one real kernel matrix (array Bessel kernels,
+fixed-length Horner series) applied to the complex weights Phi'(tau) tau
+as real mat-vecs; its rows are the target nodes of one rotational period
+of the pair (all P when nothing divides, see g_functional), its columns
+all P sources, and the grid gathers only those rows of the weights.
 
 The rotating-frame boundary condition is, at each node of interface j,
 
@@ -44,7 +45,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -131,11 +131,7 @@ def annulus_boundary(scale):
 
 @dataclass(frozen=True, eq=False)
 class QuadratureGrid:
-    """Uniform circle grid w_k = exp(2 pi i k/P) with its log-kernel weights.
-
-    log_weights is derived from nodes on first use and then kept, read-only,
-    with the grid.
-    """
+    """Uniform circle grid w_k = w_0 exp(2 pi i k/P), log weights on use."""
 
     node_count: int
     theta: np.ndarray = field(repr=False)
@@ -145,31 +141,35 @@ class QuadratureGrid:
         for arr in (self.theta, self.nodes):
             arr.setflags(write=False)
 
-    @cached_property
-    def log_weights(self):
-        """Real P x P matrix P c[(k - l) mod P] - log|w_k - w_l|.
+    def log_weights(self, rows):
+        """Rows 0..rows-1 of the real P x P matrix v[(k - l) mod P], kept
+        read-only with the grid and gathered again only for more rows.
 
-        c is the inverse FFT of the log-kernel moments over FFT frequencies
-        0..P-1, (1/2pi) int log|1 - e^{i t}| cos(n t) dt = -1/(2|n|) with 0
-        at n = 0 (the Nyquist entry n = P/2 is just the formula at that
-        order: real samples alias +-P/2 onto a pure cosine, so one real
-        moment is all the product quadrature needs).  c holds the circulant
-        product-quadrature weights of log|w_k - tau|: (1/2pi) int log|w_k
-        - tau| g(tau) dtheta' = sum_l c[(k - l) mod P] g(tau_l) on the
-        trapezoid bandwidth.  The diagonal takes log|w_k - w_k| as 0, the
-        chord factor of the self-interaction ratio on its diagonal.
+        v[j] = P c[j] - log|2 sin(pi j/P)|, v[0] = P c[0]: c is the inverse
+        FFT of the log moments -1/(2|n|) over FFT frequencies 0..P-1, 0 at
+        n = 0 (real samples alias +-P/2 onto a pure cosine, so the Nyquist
+        entry is just the formula at that order), the circulant weights of
+        Kress's product rule for log|w_k - tau| (Linear Integral Equations,
+        ch. 12).  The diagonal takes log|w_k - w_k| as 0, the chord factor
+        of the self-interaction ratio on its diagonal.
         """
-        count = self.node_count
-        index = np.arange(count)
-        freq = np.minimum(index, count - index)
-        moments = np.where(freq == 0, 0.0, -0.5 / np.maximum(freq, 1))
-        circulant = count * np.fft.ifft(moments).real
-        offsets = (index[:, None] - index[None, :]) % count
-        chord = np.abs(self.nodes[:, None] - self.nodes[None, :])
-        np.fill_diagonal(chord, 1.0)
-        weights = circulant[offsets] - np.log(chord)
-        weights.setflags(write=False)
-        return weights
+        block = vars(self).get("_log_block")
+        if block is None or len(block) < rows:
+            count = self.node_count
+            index = np.arange(count)
+            freq = np.minimum(index, count - index)
+            moments = np.where(freq == 0, 0.0, -0.5 / np.maximum(freq, 1))
+            vector = count * np.fft.ifft(moments).real
+            vector[1:] -= np.log(2.0 * np.sin(np.pi * index[1:] / count))
+            # gathered while the offset table is live, so the table leaves
+            # the kernels headroom under the kept block: without it glibc
+            # trims the heap after each G (~1000 page faults, P=256, lam=4)
+            offsets = np.subtract.outer(index[:rows], index)
+            offsets %= count
+            block = vector[offsets]
+            block.setflags(write=False)
+            object.__setattr__(self, "_log_block", block)
+        return block[:rows]
 
 
 def make_grid(node_count):
@@ -183,21 +183,20 @@ def conformal_eval(boundary, grid):
     """Values and derivatives (Phi(w_k), Phi'(w_k)) at the grid nodes.
 
     Phi'(w) = scale - sum n a_n conj(w)^{n+1} on |w| = 1, because
-    conj(w)^n = w^{-n} there.  Direct summation; exact for any truncation,
-    though callers should keep the top mode below P/2 to avoid aliasing in
-    the quadratures downstream.
+    conj(w)^n = w^{-n} there.  On the grid conj(w_k)^n = conj(w_0)^n
+    exp(-2 pi i k n/P), so both sums are one FFT of the coefficients times
+    conj(w_0)^n, orders folded mod P: exact for any truncation, though
+    callers should keep the top mode below P/2 to avoid aliasing in the
+    quadratures downstream.
     """
-    conjw = np.conj(grid.nodes)
-    values = boundary.scale * grid.nodes
-    derivs = np.full(grid.node_count, boundary.scale, dtype=complex)
-    power = np.ones(grid.node_count, dtype=complex)  # conj(w)^n
-    for n, a in enumerate(boundary.coefficients):
-        if a != 0.0:
-            values = values + a * power
-            if n > 0:
-                derivs = derivs - (n * a) * power * conjw
-        power = power * conjw
-    return values, derivs
+    order = np.arange(len(boundary.coefficients))
+    terms = np.array(boundary.coefficients) * np.conj(grid.nodes[0]) ** order
+    series = np.zeros((2, grid.node_count), dtype=complex)
+    np.add.at(series, (0, order % grid.node_count), terms)
+    np.add.at(series, (1, order % grid.node_count), order * terms)
+    values, slopes = np.fft.fft(series)
+    return (boundary.scale * grid.nodes + values,
+            boundary.scale - slopes * np.conj(grid.nodes))
 
 
 def s_integral(lam, source, target, grid, rows=None):
@@ -226,7 +225,7 @@ def s_integral(lam, source, target, grid, rows=None):
         # the plain log|w - tau| samples for the exact log product rule
         np.fill_diagonal(dist, np.abs(src_derivs[head]))
         log_part = np.log(dist, out=dist)
-        log_part += grid.log_weights[head]
+        log_part += grid.log_weights(len(log_part))
         log_part *= i0
         kernel -= log_part
     else:

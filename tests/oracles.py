@@ -312,6 +312,39 @@ def log_moments(node_count):
     return moments
 
 
+def log_weights_from_nodes(grid):
+    """The real P x P log weight matrix P c[(k - l) mod P] - log|w_k - w_l|
+    built from the grid's rounded complex nodes: an offset table into the
+    circulant product-quadrature weights c, and the chords |w_k - w_l| as
+    node differences, with log|w_k - w_k| taken as 0.  The check on the
+    library's closed-form rows of QuadratureGrid.log_weights.
+    """
+    count = grid.node_count
+    index = np.arange(count)
+    circulant = count * np.fft.ifft(log_moments(count)).real
+    offsets = (index[:, None] - index[None, :]) % count
+    chord = np.abs(grid.nodes[:, None] - grid.nodes[None, :])
+    np.fill_diagonal(chord, 1.0)
+    return circulant[offsets] - np.log(chord)
+
+
+def conformal_eval_direct(boundary, grid):
+    """contour.conformal_eval by direct summation over every order, the
+    powers conj(w)^n built by repeated multiplication: the check on the
+    library's FFT form."""
+    conjw = np.conj(grid.nodes)
+    values = boundary.scale * grid.nodes
+    derivs = np.full(grid.node_count, boundary.scale, dtype=complex)
+    power = np.ones(grid.node_count, dtype=complex)  # conj(w)^n
+    for n, a in enumerate(boundary.coefficients):
+        if a != 0.0:
+            values = values + a * power
+            if n > 0:
+                derivs = derivs - (n * a) * power * conjw
+        power = power * conjw
+    return values, derivs
+
+
 def self_interaction_fft(lam, boundary, grid):
     """S(lam, Phi, Phi) at the grid nodes with the log product quadrature
     taken row by row through FFTs.
@@ -358,7 +391,7 @@ def _s_integral_unfolded(lam, source, target, grid):
         kernel -= math.log(lam / 2.0) * i0
         np.fill_diagonal(dist, np.abs(src_derivs))
         log_part = np.log(dist, out=dist)
-        log_part += grid.log_weights
+        log_part += grid.log_weights(grid.node_count)
         log_part *= i0
         kernel -= log_part
     else:

@@ -211,8 +211,9 @@ def test_evaluations_count_every_residual_across_doubling(grid, monkeypatch):
 ])
 def test_wrong_carried_jacobian_is_rebuilt(grid, plus_march, scale, wrong):
     # a warm start at the next amplitude whose carried matrix is wrong: the
-    # matrix must be rebuilt at the starting iterate, which costs at most
-    # one rejected trial plus 2K = 16 columns before the first accepted step
+    # matrix must be replaced at the starting iterate, which costs at most
+    # one rejected trial, the seed's trial and 2K = 16 columns before the
+    # first accepted step
     last = plus_march.points[-1]
     base = np.eye(16) if wrong == "identity" else last.jacobian
     cold = newton_solve(LAM, B, M, "+", 2.5e-3, trunc=8, grid=grid)
@@ -378,6 +379,17 @@ def test_reference_march_spends_exactly_its_evaluations(sign, evaluations):
     assert result.completed
     assert [p.evaluations for p in result.points] == evaluations
     assert [p.builds for p in result.points] == [0] * 8
+
+
+def test_failed_carried_jacobian_is_reseeded_before_a_build():
+    # the benchmark's seed-1 amplitude: the second minus point's carried
+    # matrix fails its 10% test, and the linearized spectrum at the new
+    # Omega replaces it where a forward-difference build cost 2K = 32 more
+    result = trace_branch(LAM, B, M, "-", 0.0027042084804697786, 2,
+                          trunc=16, grid=make_grid(256))
+    assert result.completed
+    assert [p.evaluations for p in result.points] == [2, 3]
+    assert [p.builds for p in result.points] == [0, 0]
 
 
 def test_top_mode_at_half_the_grid_is_refused():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -77,6 +78,24 @@ def test_conformal_eval_annulus(grid):
     assert np.all(derivs == 0.7)
 
 
+@pytest.mark.parametrize("length, rotated", [
+    (40, False),  # orders below P
+    (150, False),  # orders past P alias onto n mod P
+    (40, True),
+    (150, True),
+])
+def test_conformal_eval_matches_direct_summation(length, rotated):
+    g = _half_step_grid(64) if rotated else make_grid(64)
+    rng = np.random.default_rng(length)
+    coeffs = rng.standard_normal(length)
+    coeffs *= 0.3 / np.sum(np.abs(coeffs) * np.arange(1, length + 1))
+    f = FourierBoundary(0.8, tuple(coeffs))
+    got = conformal_eval(f, g)
+    want = oracles.conformal_eval_direct(f, g)
+    for a, b in zip(got, want):
+        assert np.max(np.abs(a - b)) <= 1e-14
+
+
 def test_conformal_eval_m_fold_symmetry(grid):
     m = 4
     f = FourierBoundary.single_mode(1.0, m - 1, 0.05)
@@ -153,12 +172,7 @@ def test_s_integral_rotation_covariance(grid):
     f = FourierBoundary(1.0, (0.0, 0.0, 0.05, 0.01))
     plain = s_integral(LAM, f, f, grid)
     alpha = np.pi / grid.node_count
-    shifted = QuadratureGrid(
-        grid.node_count,
-        grid.theta + alpha,
-        np.exp(1j * (grid.theta + alpha)),
-    )
-    rotated = s_integral(LAM, f, f, shifted)
+    rotated = s_integral(LAM, f, f, _half_step_grid(grid.node_count))
     freqs = np.fft.fftfreq(grid.node_count, d=1.0 / grid.node_count)
     coeff = np.fft.fft(plain) / grid.node_count
     interp = (
@@ -171,24 +185,65 @@ def test_s_integral_rotation_covariance(grid):
 def test_self_interaction_matches_fft_product_quadrature(lam):
     # the circulant log weights must reproduce the row-by-row FFT form of
     # the log product quadrature, on the standard and a half-step rotated
-    # grid; the weight matrix is built on first use, not by make_grid
-    plain = make_grid(256)
-    alpha = np.pi / plain.node_count
-    shifted = QuadratureGrid(
-        plain.node_count,
-        plain.theta + alpha,
-        np.exp(1j * (plain.theta + alpha)),
-    )
-    for g in (plain, shifted):
-        assert "log_weights" not in vars(g)
+    # grid; the weight rows are gathered on first use, not by make_grid
+    for g in (make_grid(256), _half_step_grid(256)):
+        assert "_log_block" not in vars(g)
         for f in (FourierBoundary(1.0, (0.0, 0.0, 0.05, 0.01)),
                   FourierBoundary(B, (0.02, 0.0, 0.0, 0.0, 0.0, 0.01))):
             got = s_integral(lam, f, f, g)
             want = oracles.self_interaction_fft(lam, f, g)
             assert np.max(np.abs(got - want)) <= 1e-13
-        assert not g.log_weights.flags.writeable
+        assert not g.log_weights(g.node_count).flags.writeable
         with pytest.raises(ValueError):
-            g.log_weights[0, 0] = 0.0
+            g.log_weights(1)[0, 0] = 0.0
+
+
+def _half_step_grid(node_count):
+    plain = make_grid(node_count)
+    alpha = np.pi / node_count
+    return QuadratureGrid(
+        node_count, plain.theta + alpha, np.exp(1j * (plain.theta + alpha))
+    )
+
+
+@pytest.mark.parametrize("node_count", [64, 256, 1104])
+@pytest.mark.parametrize("rotated", [False, True])
+def test_log_weight_rows_match_the_node_built_matrix(node_count, rotated):
+    # the closed-form rows against the matrix built from rounded nodes,
+    # which is itself circulant only to about 3e-13 at P = 1104
+    g = _half_step_grid(node_count) if rotated else make_grid(node_count)
+    want = oracles.log_weights_from_nodes(g)
+    for rows in (1, node_count // 4, node_count):
+        got = g.log_weights(rows)
+        assert got.shape == (rows, node_count)
+        assert np.max(np.abs(got - want[:rows])) <= 1e-12
+
+
+def test_log_weight_block_grows_only_on_demand():
+    # the grid holds one contiguous block of the rows asked for so far,
+    # gathered again only when a call asks for more
+    g = make_grid(64)
+    tall = g.log_weights(16)
+    assert vars(g)["_log_block"].shape == (16, 64)
+    short = g.log_weights(4)
+    assert short.flags.c_contiguous and np.shares_memory(short, tall)
+    taller = g.log_weights(32)
+    assert vars(g)["_log_block"].shape == (32, 64)
+    assert np.array_equal(taller[:16], tall)
+
+
+def test_g_functional_memory_stays_with_the_folded_rows():
+    # P = 4096 with a 64-fold outer boundary evaluates 64 rows: every
+    # array is 64 x P, where a P x P weight matrix alone is 134 MB
+    grid = make_grid(4096)
+    outer = FourierBoundary.single_mode(1.0, 63, 1e-3)
+    tracemalloc.start()
+    try:
+        g_functional(LAM, B, 0.3, outer, annulus_boundary(B), grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_s_integral_collision_error(grid):
