@@ -35,10 +35,13 @@ from .contour import (
     _check_bandwidth, _check_max_lambda, _check_mode_fits, _check_node_count,
     annulus_boundary, g_functional, linearization_check, make_grid,
 )
-from .continuation import lattice_values, omega_intercept, trace_branch
+from .continuation import (
+    _check_steps, _check_truncation, lattice_values, omega_intercept,
+    trace_branch,
+)
 from .spectrum import (
-    ModeCell, SearchExhausted, _check_b_open, _check_lambda, _normalize_sign,
-    euler_eigenvalues,
+    ModeCell, SearchExhausted, _check_b_open, _check_lambda, _check_order,
+    _check_window, _normalize_sign, euler_eigenvalues,
 )
 
 _COMMANDS = ("spectrum", "eigen", "limits", "branch", "verify")
@@ -86,15 +89,9 @@ class RunConfig:
     def __post_init__(self):
         if self.command not in _COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}")
-        for n in self.ns:
-            if n < 1:
-                raise ConfigError(f"mode orders must be >= 1; got {n}")
-        for m in self.ms:
-            if m < 1:
-                raise ConfigError(f"fold count must be >= 1; got {m}")
-            if self.ms.count(m) > 1:
-                raise ConfigError(f"fold count m={m} is given twice")
         with _library_rules():
+            for n in self.ns + self.ms:
+                _check_order(n)
             for lam in self.lambdas:
                 _check_lambda(lam)
                 if self.command == "branch":
@@ -102,22 +99,22 @@ class RunConfig:
             for b in self.bs:
                 _check_b_open(b)
             _check_node_count(self.grid_size)
+            _check_truncation(self.trunc)
+            _check_steps(self.steps)
+            _check_window(self.window)
+        for m in self.ms:
+            if self.ms.count(m) > 1:
+                raise ConfigError(f"fold count m={m} is given twice")
         try:
             self.signs
         except ValueError:
             raise ConfigError(
                 f"sign must be +, -, plus, minus or both; got {self.sign!r}"
             ) from None
-        if self.trunc < 2:
-            raise ConfigError(f"trunc must be >= 2; got {self.trunc}")
-        if self.steps < 1:
-            raise ConfigError(f"steps must be >= 1; got {self.steps}")
         if not 0.0 < self.s_max < math.inf:
             raise ConfigError(
                 f"s-max must be positive and finite; got {self.s_max}"
             )
-        if self.window < 10:
-            raise ConfigError(f"window must be >= 10; got {self.window}")
         if not 0.0 < self.tol < math.inf:
             raise ConfigError(f"tol must be positive and finite; got {self.tol}")
         if self.fmt not in ("csv", "json"):

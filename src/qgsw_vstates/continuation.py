@@ -77,6 +77,20 @@ _TAIL_DOUBT = (0.1 * _TAIL_TOL, 100.0 * _TAIL_TOL)
 _POLISH_STEPS = 3
 
 
+def _check_truncation(trunc):
+    trunc = int(trunc)
+    if trunc < 2:
+        raise ValueError(f"truncation must be >= 2; got {trunc}")
+    return trunc
+
+
+def _check_steps(steps):
+    steps = int(steps)
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1; got {steps}")
+    return steps
+
+
 class NonConvergence(RuntimeError):
     """Newton iteration failed to reach the residual tolerance."""
 
@@ -287,11 +301,7 @@ def newton_solve(lam, b, m, sign, s, initial_guess=None, trunc=16, grid=None):
     """
     grid = grid if grid is not None else make_grid(256)
     m = int(m)
-    trunc = int(trunc)
-    if m < 1:
-        raise ValueError(f"fold count must be >= 1; got {m}")
-    if trunc < 2:
-        raise ValueError(f"truncation must be >= 2; got {trunc}")
+    trunc = _check_truncation(trunc)
     if initial_guess is not None:
         trunc = max(trunc, initial_guess.truncation)
     _check_bandwidth(m, trunc, grid.node_count)
@@ -411,35 +421,28 @@ def trace_branch(lam, b, m, sign, s_max, steps, trunc=16, grid=None):
     failure recorded in termination_reason, never raising.
     """
     grid = grid if grid is not None else make_grid(256)
-    steps = int(steps)
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1; got {steps}")
-    points = []
+    steps = _check_steps(steps)
+    history, reason = [], "completed"
     try:
+        # the annulus at (0, Omega*), exact and with nothing pinned, anchors
+        # the secant through point one
+        history.append(BranchPoint(
+            s=0.0, omega=ModeCell(lam, b).root(m, sign)[0],
+            f1=annulus_boundary(1.0), f2=annulus_boundary(b),
+            residual=0.0, m=m, pinned=None,
+        ))
         for k in range(1, steps + 1):
             s = s_max * k / steps
-            guess = None
-            if len(points) == 1:
-                # the line through the annulus at (0, Omega*) and point one
-                annulus = dataclasses.replace(
-                    points[0], s=0.0, omega=ModeCell(lam, b).root(m, sign)[0],
-                    f1=annulus_boundary(1.0), f2=annulus_boundary(b),
-                )
-                guess = _secant_guess(m, s, annulus, points[0])
-            elif points:
-                guess = _secant_guess(m, s, points[-2], points[-1])
-            points.append(newton_solve(
+            guess = _secant_guess(m, s, *history[-2:]) if k > 1 else None
+            history.append(newton_solve(
                 lam, b, m, sign, s,
                 initial_guess=guess, trunc=trunc, grid=grid,
             ))
     except (NonConvergence, DegenerateJacobian, ValueError) as exc:
-        return TraceResult(
-            points=tuple(points),
-            termination_reason=f"{type(exc).__name__}: {exc}",
-            completed=False,
-        )
+        reason = f"{type(exc).__name__}: {exc}"
     return TraceResult(
-        points=tuple(points), termination_reason="completed", completed=True
+        points=tuple(history[1:]), termination_reason=reason,
+        completed=reason == "completed",
     )
 
 

@@ -62,6 +62,11 @@ def _check_order(n):
     return n
 
 
+def _check_window(window):
+    if window < 10:
+        raise ValueError(f"window must be >= 10; got {window}")
+
+
 def _clean_exp(log_val):
     # exp, with the b^n/(2n) decay of Lambda_n underflowing cleanly to 0.0
     return 0.0 if log_val < _LOG_TINY else math.exp(log_val)
@@ -270,8 +275,7 @@ class ModeCell:
 
     def threshold(self, window=50, cap=100_000):
         """The certified thresholds of this cell, see find_threshold."""
-        if window < 10:
-            raise ValueError(f"window must be >= 10; got {window}")
+        _check_window(window)
         b = self.b
         delta_inf = b * (self.outer.product(1) + self.inner.product(1)) - (
             1.0 + b * b

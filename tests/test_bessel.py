@@ -13,8 +13,6 @@ from qgsw_vstates.bessel import (
     _i0_array,
     _k0_array,
     _k0reg_array,
-    bessel_derivative,
-    bessel_i,
     bessel_k,
     beltrami_k0,
     product_ik,
@@ -30,14 +28,15 @@ def test_ladder_reads_a_negative_order_as_its_mirror(x):
     ladder.log_k(5)
     for n in (1, 2, 5, 7):
         assert ladder.log_i(-n) == ladder.log_i(n)
-        assert ladder.log_i(n) == pytest.approx(math.log(bessel_i(n, x)), rel=1e-14)
+        assert ladder.log_i(n) == pytest.approx(
+            math.log(BesselLadder(x).i(n)), rel=1e-14)
         assert ladder.log_k(-n) == ladder.log_k(n)
         assert ladder.product(-n) == ladder.product(n) == product_ik(-n, x)
         assert ladder.k(-n) == ladder.k(n) == bessel_k(-n, x)
-        assert ladder.i(-n) == ladder.i(n) == bessel_i(-n, x)
+        assert ladder.i(-n) == ladder.i(n) == BesselLadder(x).i(-n)
         for kind in ("I", "K"):
             assert ladder.derivative(kind, -n) == ladder.derivative(kind, n) \
-                == bessel_derivative(kind, -n, x)
+                == BesselLadder(x).derivative(kind, -n)
     for method in (ladder.log_i, ladder.log_k, ladder.k, ladder.i,
                    lambda n: ladder.derivative("I", n)):
         with pytest.raises(ValueError, match="integer"):
@@ -70,18 +69,16 @@ def test_ladder_bitwise_equals_fresh_evaluation(x):
 
 
 def test_i_small_argument_limit():
-    assert bessel_i(0, 1e-12) == pytest.approx(1.0, abs=1e-12)
-    assert bessel_i(0, 0.0) == 1.0
-    assert bessel_i(3, 0.0) == 0.0
+    assert BesselLadder(1e-12).i(0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_i_negative_order_bit_identical():
-    assert bessel_i(-2, 1.3) == bessel_i(2, 1.3)
+    assert BesselLadder(1.3).i(-2) == BesselLadder(1.3).i(2)
 
 
 def test_i_matches_truncated_series():
     want = oracles.i_series_direct(2, 1.0, terms=40)
-    got = bessel_i(2, 1.0)
+    got = BesselLadder(1.0).i(2)
     assert got == pytest.approx(want, rel=1e-14)
     assert got == pytest.approx(0.13574766976703828, rel=1e-13)  # frozen
 
@@ -93,7 +90,7 @@ def test_i_accuracy_against_mpmath():
     for n in (0, 1, 2, 5, 17, 60, 200):
         for x in (0.05, 0.7, 3.3, 9.0, 27.0, 50.0):
             try:
-                got = bessel_i(n, x)
+                got = BesselLadder(x).i(n)
             except OverflowError:
                 continue  # below representable range, policy tested separately
             rel = abs(mp.mpf(got) / mp.besseli(n, mp.mpf(repr(x))) - 1)
@@ -111,7 +108,8 @@ def test_i_large_argument_against_mpmath():
     for x in np.geomspace(10.0, 700.0, 25):
         x = float(x)
         for n in (*range(12), 20, 35, 50, 80, 120, 160, 200):
-            rel = abs(mp.mpf(bessel_i(n, x)) / mp.besseli(n, mp.mpf(repr(x))) - 1)
+            got = BesselLadder(x).i(n)
+            rel = abs(mp.mpf(got) / mp.besseli(n, mp.mpf(repr(x))) - 1)
             assert rel < 1e-13, (n, x, float(rel))
 
 
@@ -152,17 +150,15 @@ def test_k_rejects_nonpositive_argument():
         bessel_k(0, 0.0)
     with pytest.raises(ValueError):
         bessel_k(2, -1.0)
-    with pytest.raises(ValueError):
-        bessel_derivative("K", 1, 0.0)
 
 
 def test_range_errors_raise():
     # overflow and underflow-to-zero both surface as range errors,
     # never silent inf/0
     with pytest.raises(OverflowError):
-        bessel_i(0, 800.0)
+        BesselLadder(800.0).i(0)
     with pytest.raises(OverflowError):
-        bessel_i(250, 0.05)
+        BesselLadder(0.05).i(250)
     with pytest.raises(OverflowError):
         bessel_k(0, 800.0)
     with pytest.raises(OverflowError):
@@ -177,36 +173,34 @@ def test_subnormal_results_raise():
     with pytest.raises(OverflowError):
         BesselLadder(740.0).k(0)
     with pytest.raises(OverflowError):
-        bessel_i(120, 0.188)
-    with pytest.raises(OverflowError):
         BesselLadder(0.188).i(120)
     assert bessel_k(0, 700.0) >= sys.float_info.min
-    assert bessel_i(120, 0.3) >= sys.float_info.min
+    assert BesselLadder(0.3).i(120) >= sys.float_info.min
 
 
 @given(n=st.integers(-40, 40), x=st.floats(0.5, 45.0))
 def test_symmetry_and_positivity(n, x):
-    ival = bessel_i(n, x)
+    ival = BesselLadder(x).i(n)
     kval = bessel_k(n, x)
     assert ival > 0.0
     assert kval > 0.0
-    assert bessel_i(-n, x) == ival
+    assert BesselLadder(x).i(-n) == ival
     assert bessel_k(-n, x) == kval
 
 
 def test_derivative_low_order_identities():
     x = 1.7
     want = -bessel_k(0, x) - bessel_k(1, x) / x
-    assert bessel_derivative("K", 1, x) == pytest.approx(want, rel=1e-11)
-    assert bessel_derivative("I", 0, 0.9) == pytest.approx(
-        bessel_i(1, 0.9), rel=1e-14
+    assert BesselLadder(x).derivative("K", 1) == pytest.approx(want, rel=1e-11)
+    assert BesselLadder(0.9).derivative("I", 0) == pytest.approx(
+        BesselLadder(0.9).i(1), rel=1e-14
     )
 
 
 def test_derivative_matches_finite_difference():
     h = 1e-6
     fd = (bessel_k(2, 3.0 + h) - bessel_k(2, 3.0 - h)) / (2 * h)
-    assert bessel_derivative("K", 2, 3.0) == pytest.approx(fd, abs=1e-6)
+    assert BesselLadder(3.0).derivative("K", 2) == pytest.approx(fd, abs=1e-6)
 
 
 def test_derivative_recurrence_forms_agree():
@@ -215,12 +209,13 @@ def test_derivative_recurrence_forms_agree():
     for n in range(1, 21):
         for x in np.geomspace(0.1, 30.0, 20):
             x = float(x)
-            alt_i = bessel_i(n + 1, x) + (n / x) * bessel_i(n, x)
+            ladder = BesselLadder(x)
+            alt_i = ladder.i(n + 1) + (n / x) * ladder.i(n)
             alt_k = -bessel_k(n + 1, x) + (n / x) * bessel_k(n, x)
-            assert bessel_derivative("I", n, x) == pytest.approx(
+            assert ladder.derivative("I", n) == pytest.approx(
                 alt_i, rel=1e-11
             )
-            assert bessel_derivative("K", n, x) == pytest.approx(
+            assert ladder.derivative("K", n) == pytest.approx(
                 alt_k, rel=1e-11
             )
 
@@ -229,15 +224,16 @@ def test_derivative_ratio_bounds():
     for n in range(0, 41, 5):
         for x in (0.3, 1.0, 3.7, 12.0, 40.0):
             bound = math.hypot(n, x)
-            assert x * bessel_derivative("K", n, x) / bessel_k(n, x) < -bound
-            assert x * bessel_derivative("I", n, x) / bessel_i(n, x) < bound
+            ladder = BesselLadder(x)
+            assert x * ladder.derivative("K", n) / bessel_k(n, x) < -bound
+            assert x * ladder.derivative("I", n) / ladder.i(n) < bound
 
 
 @given(n=st.integers(0, 40), x=st.floats(0.5, 45.0))
 def test_wronskian_identity(n, x):
-    wron = bessel_i(n, x) * bessel_derivative("K", n, x) - bessel_derivative(
-        "I", n, x
-    ) * bessel_k(n, x)
+    ladder = BesselLadder(x)
+    wron = (ladder.i(n) * ladder.derivative("K", n)
+            - ladder.derivative("I", n) * bessel_k(n, x))
     assert wron == pytest.approx(-1.0 / x, rel=1e-11)
 
 
@@ -459,5 +455,5 @@ def test_k0_regularized_smooth_near_zero():
 
 
 def test_k0_regularized_recombination():
-    want = bessel_k(0, 0.8) + math.log(0.4) * bessel_i(0, 0.8)
+    want = bessel_k(0, 0.8) + math.log(0.4) * BesselLadder(0.8).i(0)
     assert _k0reg(0.8) == pytest.approx(want, rel=1e-12)

@@ -29,6 +29,7 @@ from qgsw_vstates.cli import (
 from qgsw_vstates.spectrum import (
     ModeCell,
     eigenvalues,
+    find_threshold,
     kernel_vector,
     transversality_check,
 )
@@ -784,12 +785,23 @@ def test_single_fold_table_has_one_column_per_coefficient(tmp_path):
     (["verify", "--grid-size", "24"],
      lambda: contour.linearization_check(12, 1.0, 0.5, 0.2, 2e-5,
                                          contour.make_grid(24))),
-], ids=["bandwidth", "admission", "lambda-bound", "mode-fit"])
+    (["spectrum", "--n", "0"], lambda: eigenvalues(0, 1.0, 0.5)),
+    (["branch", "--m", "0"], lambda: ModeCell(1, 0.5).root(0, "+")),
+    (["branch", "--m", "5", "--trunc", "1"],
+     lambda: continuation.newton_solve(1, 0.5, 5, "+", 1e-4, trunc=1)),
+    (["branch", "--m", "5", "--steps", "0"],
+     lambda: continuation.trace_branch(1, 0.5, 5, "+", 1e-3, 0)),
+    (["spectrum", "--window", "5"], lambda: find_threshold(1, 0.5, 5)),
+], ids=["bandwidth", "admission", "lambda-bound", "mode-fit", "order",
+        "fold-order", "truncation", "steps", "window"])
 def test_cli_refuses_with_the_library_message(tmp_path, capsys, argv,
                                              library_call):
+    # one implementation per rule: the CLI prints the library's own message
+    # and writes nothing
     with pytest.raises(ValueError) as info:
         library_call()
     assert _run(*argv, "--out", str(tmp_path / "x")) == 1
+    assert not (tmp_path / "x").exists()
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(info.value) in err
 

@@ -197,6 +197,24 @@ def test_secant_guess_outside_the_ball_falls_back_to_the_last_point(
     assert continuation._secant_guess(M, 2.5e-3, older, newer) is not newer
 
 
+def test_zero_order_fallback_rescues_a_point():
+    # the secant lines to s = 0.030 and 0.036 leave the ball guard; from the
+    # point at 0.024 itself the solve reaches 0.030, and only 0.036 ends the
+    # march at the guard (4 points without the fallback)
+    result = trace_branch(3.0, 0.7, 11, "-", 0.036, 6, trunc=8,
+                          grid=make_grid(440))
+    assert [p.s for p in result.points] == pytest.approx(
+        [0.006, 0.012, 0.018, 0.024, 0.030], rel=1e-12)
+    assert "ball guard" in result.termination_reason
+
+
+def test_inadmissible_mode_ends_the_trace_with_the_root_message(grid):
+    result = trace_branch(LAM, B, 2, "+", 1e-3, 2, trunc=8, grid=grid)
+    assert not result.completed and result.points == ()
+    assert result.termination_reason.startswith(
+        "ValueError: mode m=2 has no simple real pair")
+
+
 def test_evaluations_count_every_residual_across_doubling(grid, monkeypatch):
     calls = _count_residuals(monkeypatch)
     point = newton_solve(LAM, B, M, "+", 1e-4, trunc=2, grid=grid)
@@ -590,7 +608,7 @@ def test_mode_without_real_pair_is_rejected(grid):
 
 
 def test_validation_errors(grid):
-    with pytest.raises(ValueError, match="fold count"):
+    with pytest.raises(ValueError, match="order must be >= 1"):
         newton_solve(LAM, B, 0, "+", 0.0, trunc=8, grid=grid)
     with pytest.raises(ValueError, match="truncation"):
         newton_solve(LAM, B, M, "+", 0.0, trunc=1, grid=grid)
