@@ -27,8 +27,9 @@ derivatives are read.  The free functions ``bessel_k``, ``product_ik`` and
 ``beltrami_k0`` run on fresh ladders.  The array kernels ``_i0_array``,
 ``_k0reg_array`` and ``_k0_array`` (numpy) feed the contour quadrature: the
 same series as the scalar code, evaluated as one fixed-length Horner pass
-per array with coefficient tables built at import, and the same K_0
-trapezoid rule above 4.
+per array with coefficient tables built at import, and above 4 a K_0
+trapezoid rule whose nodes are sized to each array's range (the scalar
+``_k01_integral`` keeps its own rule).
 """
 
 from __future__ import annotations
@@ -121,6 +122,8 @@ class BesselLadder:
     A negative order reads its mirror (I_{-n} = I_n, K_{-n} = K_n) and a
     fractional one is refused, as in bessel_k and product_ik; the order is
     checked where a value is first computed, so a memo hit costs nothing.
+    The constructor refuses an x that is not positive and finite with
+    ValueError, the one check bessel_k and product_ik rely on.
 
     The ladder is extended on demand and never restarted:
 
@@ -140,6 +143,8 @@ class BesselLadder:
     """
 
     def __init__(self, x: float):
+        if not 0.0 < x < math.inf:
+            raise ValueError(f"argument must be positive and finite; got {x}")
         self.x = x
         self._prefactors = [(1.0, 0)]  # order -> (mantissa, binary exponent)
         self._k_orders = []  # order -> (mantissa, binary exponent)
@@ -264,8 +269,6 @@ def bessel_k(n, x: float) -> float:
     Relative error <= 1e-12 on n <= 200, x <= 50; best effort outside.
     """
     n = _as_order(n)
-    if x <= 0.0:
-        raise ValueError("argument must be positive")
     return BesselLadder(x).k(n)
 
 
@@ -279,8 +282,6 @@ def product_ik(n, x: float) -> float:
     for large order.
     """
     n = _as_order(n)
-    if x <= 0.0:
-        raise ValueError("argument must be positive")
     return BesselLadder(x).product(n)
 
 
@@ -368,23 +369,19 @@ def _k0reg_array(z: np.ndarray) -> np.ndarray:
     return _horner(z, _K0REG_COEFFS)
 
 
-# trapezoid nodes of int_0^inf e^{-z cosh t} dt for z > 4: truncation at
-# z (cosh T - 1) = 52 for z = 4, step <= 0.1, stored as cosh(t_j) - 1
-_K0_T_MAX = math.acosh(1.0 + 52.0 / 4.0)
-_K0_STEPS = max(34, int(math.ceil(_K0_T_MAX / 0.1)))
-_K0_STEP = _K0_T_MAX / _K0_STEPS
-_K0_COSH_M1 = np.cosh(np.linspace(0.0, _K0_T_MAX, _K0_STEPS + 1)) - 1.0
-
-
 def _k0_array(z: np.ndarray) -> np.ndarray:
-    """K_0 on an array of positive values, split at 4.
+    """K_0 on an array of positive finite values, split at 4.
 
     Up to 4 the logarithmic series -log(z/2) I_0(z) + k0reg(z), both as
     fixed-length Horner passes; an array with every value in that range
-    takes it whole.  Above 4 that series cancels, so the fixed-node
-    trapezoid rule on e^{-z} int_0^inf e^{-z (cosh t - 1)} dt takes over
-    (relative error ~1e-15 up to z = 60, degrading beyond), accumulated one
-    node at a time over the values instead of as a values-by-nodes matrix.
+    takes it whole.  Above 4 that series cancels, so a trapezoid rule on
+    e^{-z} int_0^T e^{-z (cosh t - 1)} dt takes over, sized to the array's
+    range as _horner sizes its series: T so that z (cosh T - 1) >= 40 at
+    the smallest z, the step h so that the strip error e^{z - pi^2/h} and
+    the Gaussian-width error e^{-2 pi^2/(z h^2)} stay below e^{-37} at the
+    largest.  Relative error <= 1e-15 against mpmath on 4 < z <= 200 (14
+    nodes on (4, 6.5], 75 on (4, 200]).  The sum runs one node at a time
+    over the values; cosh t - 1 = 2 sinh^2(t/2) keeps its relative digits.
     """
     z = np.asarray(z, dtype=float)
     small = z <= 4.0
@@ -393,15 +390,21 @@ def _k0_array(z: np.ndarray) -> np.ndarray:
     out = np.empty_like(z)
     if small.any():
         out[small] = _k0_series(z[small])
-    zl = z[~small]
+    large = ~small
+    zl = z[large]
+    lo, hi = float(zl.min()), float(zl.max())
+    t_max = math.acosh(1.0 + 40.0 / lo)
+    steps = math.ceil(t_max / min(math.pi**2 / (hi + 37.0),
+                                  math.pi * math.sqrt(2.0 / (37.0 * hi))))
+    half_nodes = np.linspace(0.0, 0.5 * t_max, steps + 1)[1:]
     acc = np.full_like(zl, 0.5)  # node t = 0 at half weight
     term = np.empty_like(zl)
-    for c in _K0_COSH_M1[1:]:
+    for c in 2.0 * np.sinh(half_nodes) ** 2:
         np.multiply(zl, -c, out=term)
         np.exp(term, out=term)
         acc += term
     acc -= 0.5 * term  # the last node carries half weight too
-    out[~small] = acc * _K0_STEP * np.exp(-zl)
+    out[large] = acc * (t_max / steps) * np.exp(-zl)
     return out
 
 

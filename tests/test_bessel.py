@@ -146,10 +146,13 @@ def test_k_accuracy_against_mpmath():
 
 
 def test_k_rejects_nonpositive_argument():
-    with pytest.raises(ValueError):
-        bessel_k(0, 0.0)
-    with pytest.raises(ValueError):
-        bessel_k(2, -1.0)
+    # the ladder holds the one argument check, nonfinite values included,
+    # so the free functions and every ladder method refuse alike
+    for x in (0.0, -1.0, math.nan, math.inf):
+        for call in (lambda: BesselLadder(x), lambda: bessel_k(2, x),
+                     lambda: product_ik(1, x)):
+            with pytest.raises(ValueError, match="positive and finite"):
+                call()
 
 
 def test_range_errors_raise():
@@ -272,10 +275,26 @@ def test_product_extreme_order_stays_finite():
     assert abs(val - 1.0 / 4000.0) <= 1.0 / (4 * 2000**3) + 1e-9
 
 
-def _mpmath_values(fn, zs):
+def _mpmath_values(fn, zs, dps=40):
+    # mpf(float) takes the double exactly; mpf(repr(z)) would round the
+    # decimal string, a relative error near z * 1e-16 in K_0(z)
     mp = pytest.importorskip("mpmath")
-    mp.mp.dps = 40
-    return np.array([float(fn(mp, mp.mpf(repr(float(z))))) for z in zs])
+    mp.mp.dps = dps
+    return np.array([float(fn(mp, mp.mpf(float(z)))) for z in zs])
+
+
+@pytest.fixture(scope="module")
+def k0_large_z():
+    """Sorted arguments of _k0_array's large-z branch, (4, 200] and denser
+    up to 16, with K_0 there from mpmath: computed once for the module."""
+    rng = np.random.default_rng(7)
+    zs = np.sort(np.concatenate([
+        [np.nextafter(4.0, 5.0), 6.5, 16.0, 200.0],
+        rng.uniform(4.0, 6.5, 30),
+        rng.uniform(6.5, 16.0, 40),
+        np.geomspace(16.0, 200.0, 25)[1:-1],
+    ]))
+    return zs, _mpmath_values(lambda mp, z: mp.besselk(0, z), zs, dps=20)
 
 
 def test_i0_array_against_mpmath():
@@ -312,6 +331,32 @@ def test_k0_array_against_mpmath():
     got = _k0_array(mixed)
     assert got.shape == mixed.shape
     assert np.max(np.abs(got.ravel() / want - 1.0)) <= 5e-13
+
+
+def test_k0_array_fits_its_large_z_rule_to_each_range(k0_large_z):
+    # the trapezoid nodes follow the range of the array: the branch-screened
+    # cross arrays (lambda = 4, z <= 6.5), random sub-ranges of (4, 16] and
+    # all of (4, 200], where nodes sized for z = 4 alone lost digits past 60
+    # and cosh t - 1 taken by subtraction would lose z * 1e-16
+    zs, want = k0_large_z
+    upto16 = np.searchsorted(zs, 16.0, side="right")
+    rng = np.random.default_rng(8)
+    parts = [slice(0, np.searchsorted(zs, 6.5, side="right")), slice(None)] + [
+        slice(i, j + 1)
+        for i, j in np.sort(rng.integers(0, upto16, size=(30, 2)), axis=1)
+    ]
+    for part in parts:
+        rel = np.abs(_k0_array(zs[part]) / want[part] - 1.0)
+        assert np.max(rel) <= 2e-15, (zs[part][[0, -1]], np.max(rel))
+
+
+def test_k0_array_value_barely_moves_when_the_range_widens(k0_large_z):
+    zs, _ = k0_large_z
+    whole = _k0_array(zs)
+    screened = zs <= 6.5
+    alone = np.array([_k0_array(np.array([z]))[0] for z in zs])
+    for got, ref in ((alone, whole), (_k0_array(zs[screened]), whole[screened])):
+        assert np.max(np.abs(ref / got - 1.0)) <= 2e-15
 
 
 @pytest.mark.parametrize("kernel", [_i0_array, _k0reg_array, _k0_array])

@@ -198,6 +198,30 @@ def test_self_interaction_matches_fft_product_quadrature(lam):
             g.log_weights(1)[0, 0] = 0.0
 
 
+@pytest.mark.parametrize("lam", [4.0, 8.0])
+def test_cross_interaction_matches_the_mpmath_kernel_sum(lam):
+    # lam r spans both sides of _k0_array's split at 4; the pair is 8-fold,
+    # so the first 4 of 32 target rows stand for the rest, as in g_functional
+    mp = pytest.importorskip("mpmath")
+    grid, rows = make_grid(32), 4
+    source = FourierBoundary.single_mode(B, 7, 0.01)
+    target = FourierBoundary(1.0, (0.0,) * 7 + (0.02,) + (0.0,) * 7 + (0.005,))
+    src_vals, src_derivs = conformal_eval(source, grid)
+    tgt_vals, _ = conformal_eval(target, grid)
+    z = lam * np.abs(tgt_vals[:rows, None] - src_vals[None, :])
+    assert z.min() < 4.0 < z.max()
+    with mp.workdps(20):
+        kernel = np.array([float(mp.besselk(0, mp.mpf(float(v))))
+                           for v in z.ravel()]).reshape(z.shape)
+    terms = kernel * (src_derivs * grid.nodes)
+    want = terms.sum(axis=1) / grid.node_count
+    scale = np.abs(terms).sum(axis=1) / grid.node_count
+    got = s_integral(lam, source, target, grid, rows)
+    # on the scale of the terms: single kernel values just below 4 carry
+    # up to ~1e-13 relative error from the series branch's cancellation
+    assert np.max(np.abs(got - want) / scale) <= 1e-14
+
+
 def _half_step_grid(node_count):
     plain = make_grid(node_count)
     alpha = np.pi / node_count
