@@ -54,9 +54,10 @@ def main():
                              trunc=args.trunc, grid=grid)
         elapsed = time.time() - t0
         evaluations = sum(p.evaluations for p in trace.points)
+        steps = sum(p.newton_steps for p in trace.points)
         builds = sum(p.builds for p in trace.points)
         print(f"\nsign {sign}: {len(trace.points)} points in {elapsed:.1f}s,"
-              f" {evaluations} residual evaluations,"
+              f" {evaluations} residual evaluations, {steps} Newton steps,"
               f" {builds} forward-difference Jacobians"
               f" ({trace.termination_reason})")
         print(f"  {'s':>12} {'Omega':>16} {'residual':>10}")

@@ -409,6 +409,7 @@ def _cmd_branch(config):
             "points": len(trace.points),
             "residual_evaluations": sum(p.evaluations for p in trace.points),
             "jacobian_builds": sum(p.builds for p in trace.points),
+            "newton_steps": sum(p.newton_steps for p in trace.points),
             "completed": trace.completed,
             "termination": trace.termination_reason,
             "omega_star": omega_star,

@@ -18,27 +18,26 @@ coefficient at a visible amplitude would demand an inner coefficient far
 outside the injectivity ball, so the inner coefficient is pinned instead.
 BranchPoint.pinned records the choice.
 
-One Jacobian estimate serves a whole branch.  A solve without a carried
-matrix (a cold start, or a restart after truncation doubling) starts from
-the linearized spectrum at the guess, which costs no residual: the mode-mk
-blocks mk M_mk(Omega) of the annulus for the coefficients, and the exact
-Omega column (G is affine in Omega).  Every accepted Newton step applies a
-Broyden rank-1 update, and each converged point hands the updated matrix to
-the next point (BranchPoint.jacobian), whose starting guess is the secant
-extrapolation of the last two points and which solves at the guess's
-truncation.  A step taken with a seeded or carried matrix must cut the
+Each point after the first starts from the two before it, extrapolated in
+s^2 by the s -> -s symmetry (see _parity_guess), at the last point's
+truncation.  Every solve (cold, warm, or restarted after truncation
+doubling) seeds its Jacobian with the linearized spectrum at its own guess,
+which costs no residual: the mode-mk blocks mk M_mk(Omega) of the annulus
+for the coefficients, and the exact Omega column (G is affine in Omega).
+Every accepted Newton step applies a Broyden rank-1 update within the
+solve.  A step taken with the seeded or updated matrix must cut the
 residual norm by 10%; a failed matrix is replaced at the same iterate by
-the linearized spectrum (once per system), then by forward differences,
-whose fresh steps are damped by halving on residual increase.  The
-iteration stops once the node residual is at RESIDUAL_TOL, or once ||F|| is
-down to _RESOLVED of the node residual: the lattice equations are solved
-and only the harmonics past K hold the nodes up.  Then the last retained
-coefficient (the tail) decides.  A tail at most 1e-12 certifies the point,
-or ends the solve at the node residual floor if the nodes are still up
-(more harmonics cannot help); a larger tail doubles K unless
-contour._check_bandwidth refuses m*2K (truncation saturated), and the
-doubled solve starts from a new seed.  A tail near 1e-12 is first polished
-by a few more steps, so the verdict does not depend on the iteration path.
+forward differences, whose fresh steps are damped by halving on residual
+increase.  The iteration stops once the node residual is at RESIDUAL_TOL,
+or once ||F|| is down to _RESOLVED of the node residual: the lattice
+equations are solved and only the harmonics past K hold the nodes up.  Then
+the last retained coefficient (the tail) decides.  A tail at most 1e-12
+certifies the point, or ends the solve at the node residual floor if the
+nodes are still up (more harmonics cannot help); a larger tail doubles K
+unless contour._check_bandwidth refuses m*2K (truncation saturated), and
+the doubled solve starts from a new seed.  A tail near 1e-12 is first
+polished by a few more steps, so the verdict does not depend on the
+iteration path.
 """
 
 from __future__ import annotations
@@ -63,7 +62,8 @@ from .spectrum import ModeCell
 RESIDUAL_TOL = 1e-10
 _MAX_ITERATIONS = 50
 _MAX_HALVINGS = 8
-_CARRIED_DECREASE = 0.9
+# a full step with the seeded or updated matrix must cut ||F|| to this
+_DECREASE = 0.9
 # the lattice equations count as solved once ||F|| is this fraction of the
 # node residual
 _RESOLVED = 1e-3
@@ -105,11 +105,11 @@ class BranchPoint:
 
     s is the value of the pinned lattice coefficient (f1's a_{m-1} when
     pinned == "outer", f2's when "inner"); all coefficients off the m-fold
-    lattice are exact zeros by construction.  jacobian is the projected
-    Jacobian estimate at the point, handed on to the next solve along the
-    branch; evaluations counts the residual evaluations the point cost,
-    finite-difference columns included, and builds the forward-difference
-    Jacobians among them (seeded matrices not counted).
+    lattice are exact zeros by construction.  evaluations counts the
+    residual evaluations the point cost, finite-difference columns
+    included, builds the forward-difference Jacobians among them (seeded
+    matrices not counted), and newton_steps the accepted Newton steps,
+    polish steps included.
     """
 
     s: float
@@ -119,9 +119,9 @@ class BranchPoint:
     residual: float
     m: int
     pinned: str
-    jacobian: np.ndarray = field(default=None, compare=False, repr=False)
     evaluations: int = field(default=0, compare=False)
     builds: int = field(default=0, compare=False)
+    newton_steps: int = field(default=0, compare=False)
 
     @property
     def truncation(self):
@@ -165,12 +165,13 @@ class _ProjectedSystem:
     The unknowns u are the 2K lattice coefficients (f1's, then f2's) with
     the one at index pin (0 for an outer pin, K for an inner one) left out,
     followed by Omega.  matrix is the Jacobian estimate the next Newton
-    step uses: the carried one passed in, else the seeded linearization,
-    else a forward-difference build.  evaluations counts the residuals
-    computed so far and builds the forward-difference matrices.
+    step uses: the seeded linearization, Broyden-updated, else a
+    forward-difference build.  evaluations counts the residuals computed so
+    far, builds the forward-difference matrices and steps the accepted
+    Newton steps.
     """
 
-    def __init__(self, lam, b, m, trunc, grid, pinned, s, matrix=None):
+    def __init__(self, lam, b, m, trunc, grid, pinned, s):
         self.lam = lam
         self.b = b
         self.m = m
@@ -179,10 +180,11 @@ class _ProjectedSystem:
         self.pin = 0 if pinned == "outer" else trunc
         self.s = s
         self.modes = m * np.arange(1, trunc + 1)
-        self.matrix = matrix
+        self.matrix = None
         self.seedable = True
         self.evaluations = 0
         self.builds = 0
+        self.steps = 0
 
     def boundaries(self, u):
         c = np.insert(u[:-1], self.pin, self.s)
@@ -207,8 +209,7 @@ class _ProjectedSystem:
     def jacobian(self, u, projected):
         """(matrix, fresh) for one Newton step at u, whose residual is
         projected: the current estimate, else the seeded linearization (once
-        per system, also in place of a carried matrix that failed), else a
-        fresh forward-difference build."""
+        per system), else a fresh forward-difference build."""
         if self.matrix is not None:
             return self.matrix, False
         if self.seedable:
@@ -274,8 +275,9 @@ class _ProjectedSystem:
             if trial_res > RESIDUAL_TOL or trial_norm > norm:
                 break
             self.broyden_update(trial - u, trial_proj - projected)
+            self.steps += 1
             u, projected, node_res = trial, trial_proj, trial_res
-            if trial_norm > _CARRIED_DECREASE * norm:
+            if trial_norm > _DECREASE * norm:
                 break
             norm = trial_norm
         return u, projected, node_res
@@ -287,15 +289,24 @@ class _ProjectedSystem:
         ) / (du @ du)
 
 
+def _kernel_direction(lam, b, m, sign):
+    """(Omega*, pinned side, kernel direction (v1, v2) over its pinned
+    component) of the branch: the pin is the dominant component."""
+    omega_star, (v1, v2), _ = ModeCell(lam, b).root(m, sign)
+    if abs(v1) >= abs(v2):
+        return omega_star, "outer", np.array([1.0, v2 / v1])
+    return omega_star, "inner", np.array([v1 / v2, 1.0])
+
+
 def newton_solve(lam, b, m, sign, s, initial_guess=None, trunc=16, grid=None):
     """Solve the projected m-fold system at amplitude s.
 
     initial_guess may be a BranchPoint (warm start along a branch) or None,
     in which case the annulus plus s times the kernel direction is used.
-    A warm start solves at the guess's truncation when that exceeds trunc,
-    and the guess's jacobian, when its size fits, is the first Newton
-    matrix; otherwise the linearized spectrum seeds it.  The top mode m*K
-    must stay below the grid's P/2, whose sine the nodes cannot see.
+    A warm start solves at the guess's truncation when that exceeds trunc.
+    Either way the linearized spectrum at the guess seeds the first Newton
+    matrix.  The top mode m*K must stay below the grid's P/2, whose sine
+    the nodes cannot see.
     Raises NonConvergence or DegenerateJacobian; a guess outside the ball
     guard raises ValueError at its first residual.
     """
@@ -305,31 +316,24 @@ def newton_solve(lam, b, m, sign, s, initial_guess=None, trunc=16, grid=None):
     if initial_guess is not None:
         trunc = max(trunc, initial_guess.truncation)
     _check_bandwidth(m, trunc, grid.node_count)
-    omega_star, (v1, v2), _ = ModeCell(lam, b).root(m, sign)
-    pinned = "outer" if abs(v1) >= abs(v2) else "inner"
+    omega_star, pinned, direction = _kernel_direction(lam, b, m, sign)
     if initial_guess is None:
         c1 = np.zeros(trunc)
         c2 = np.zeros(trunc)
-        v_pin = v1 if pinned == "outer" else v2
-        c1[0], c2[0] = s * v1 / v_pin, s * v2 / v_pin
+        c1[0], c2[0] = s * direction
         omega = omega_star
-        matrix = None
     else:
         c1 = lattice_values(initial_guess.f1, m, trunc)
         c2 = lattice_values(initial_guess.f2, m, trunc)
         omega = initial_guess.omega
-        matrix = initial_guess.jacobian
 
     # solve at trunc until the nodes are solved or the lattice equations
     # are (||F|| down to _RESOLVED of the node residual: the harmonics past
     # K hold the nodes up); then the tail decides between certifying,
     # failing at the node floor and solving again at twice trunc
-    evaluations = builds = 0
+    evaluations = builds = steps = 0
     while True:
-        fits = matrix is not None and matrix.shape == (2 * trunc,) * 2
-        system = _ProjectedSystem(
-            lam, b, m, trunc, grid, pinned, float(s), matrix if fits else None
-        )
+        system = _ProjectedSystem(lam, b, m, trunc, grid, pinned, float(s))
         u = system.pack(c1, c2, omega)
         projected, node_res = system.residual(u)
         norm = np.linalg.norm(projected)
@@ -351,12 +355,12 @@ def newton_solve(lam, b, m, sign, s, initial_guess=None, trunc=16, grid=None):
                     f"condition estimate {cond:.3e} at s={s}, m={m}"
                 )
             delta = np.linalg.solve(jac, -projected)
-            # a carried or seeded matrix gets one full step that must cut
+            # a seeded or updated matrix gets one full step that must cut
             # the residual by 10%, else it is rebuilt here; a fresh one is
             # damped
             halvings, target = (
                 (_MAX_HALVINGS, norm) if fresh
-                else (0, _CARRIED_DECREASE * norm)
+                else (0, _DECREASE * norm)
             )
             step_scale = 1.0
             for _ in range(halvings + 1):
@@ -379,6 +383,7 @@ def newton_solve(lam, b, m, sign, s, initial_guess=None, trunc=16, grid=None):
                     f" (residual {node_res:.3e})"
                 )
             system.broyden_update(trial - u, trial_proj - projected)
+            system.steps += 1
             u, projected, node_res, norm = (
                 trial, trial_proj, trial_res, trial_norm,
             )
@@ -388,6 +393,7 @@ def newton_solve(lam, b, m, sign, s, initial_guess=None, trunc=16, grid=None):
             u, projected, node_res = system.polish(u, projected, node_res)
         evaluations += system.evaluations
         builds += system.builds
+        steps += system.steps
         f1, f2, omega = system.boundaries(u)
         tail = system.tail(u)
         if tail <= _TAIL_TOL:
@@ -398,8 +404,8 @@ def newton_solve(lam, b, m, sign, s, initial_guess=None, trunc=16, grid=None):
                 )
             return BranchPoint(
                 s=system.s, omega=omega, f1=f1, f2=f2, residual=node_res,
-                m=m, pinned=pinned, jacobian=system.matrix,
-                evaluations=evaluations, builds=builds,
+                m=m, pinned=pinned, evaluations=evaluations, builds=builds,
+                newton_steps=steps,
             )
         try:
             _check_bandwidth(m, 2 * trunc, grid.node_count)
@@ -410,7 +416,6 @@ def newton_solve(lam, b, m, sign, s, initial_guess=None, trunc=16, grid=None):
         trunc *= 2
         c1 = lattice_values(f1, m, trunc)
         c2 = lattice_values(f2, m, trunc)
-        matrix = None
 
 
 def trace_branch(lam, b, m, sign, s_max, steps, trunc=16, grid=None):
@@ -425,15 +430,17 @@ def trace_branch(lam, b, m, sign, s_max, steps, trunc=16, grid=None):
     history, reason = [], "completed"
     try:
         # the annulus at (0, Omega*), exact and with nothing pinned, anchors
-        # the secant through point one
+        # the prediction of point two
+        omega_star, _, direction = _kernel_direction(lam, b, m, sign)
         history.append(BranchPoint(
-            s=0.0, omega=ModeCell(lam, b).root(m, sign)[0],
+            s=0.0, omega=omega_star,
             f1=annulus_boundary(1.0), f2=annulus_boundary(b),
             residual=0.0, m=m, pinned=None,
         ))
         for k in range(1, steps + 1):
             s = s_max * k / steps
-            guess = _secant_guess(m, s, *history[-2:]) if k > 1 else None
+            guess = None if k == 1 else _parity_guess(
+                m, s, *history[-2:], direction)
             history.append(newton_solve(
                 lam, b, m, sign, s,
                 initial_guess=guess, trunc=trunc, grid=grid,
@@ -452,32 +459,54 @@ def omega_intercept(points):
     Omega is even in s (the point at -s is the one at +s turned by pi/m),
     so Omega* + c2 s^2 + c4 s^4 is fitted by least squares over every
     point; two points fit Omega* + c2 s^2.  One point gives its own Omega
-    and no bend, none gives (None, None).
+    and no bend, none gives (None, None).  The fit runs in s over the
+    farthest point's |s| and on Omega less that point's Omega, so that no
+    power of s underflows at tiny amplitudes and a flat march fits exactly.
     """
     if len(points) < 2:
         return (points[0].omega if points else None), None
-    fit = np.polyfit([p.s ** 2 for p in points], [p.omega for p in points],
+    far = max(points, key=lambda p: abs(p.s))
+    fit = np.polyfit([(p.s / far.s) ** 2 for p in points],
+                     [p.omega - far.omega for p in points],
                      min(len(points) - 1, 2))
-    return float(fit[-1]), float(fit[-2])
+    return float(far.omega + fit[-1]), float(fit[-2] / far.s / far.s)
 
 
-def _secant_guess(m, s, older, newer):
-    """Guess at amplitude s on the line through two branch points.
+def _parity_guess(m, s, older, newer, direction):
+    """Guess at amplitude s from the last two branch points.
 
-    The guess carries newer's Jacobian.  When the extrapolated boundaries
-    leave the ball guard, newer itself is the guess (zero-order start).
+    The point at -s is the one at s turned by pi/m, so Omega and the
+    lattice coefficients of even k are even in s and those of odd k are
+    odd in s: Omega, the even coefficients and the odd ones over s are
+    extrapolated linearly in s^2.  older may be the annulus (s = 0), whose
+    odd coefficients over s are direction (the kernel direction over its
+    pinned component) at k = 1 and zero above.  When the extrapolated
+    boundaries leave the ball guard, newer itself is the guess (zero-order
+    start).
     """
-    t = (s - newer.s) / (newer.s - older.s)
+    # the step in s^2 in units of the last one, scale-free so that s^2
+    # cannot underflow
+    t = ((s / newer.s) ** 2 - 1.0) / (1.0 - (older.s / newer.s) ** 2)
     count = max(older.truncation, newer.truncation)
+    odd = np.arange(count) % 2 == 0  # lattice index k = 1, 3, ...
 
-    def extrapolate(old, new):
-        last = lattice_values(new, m, count)
-        values = last + t * (last - lattice_values(old, m, count))
-        return FourierBoundary(new.scale, lattice_tuple(m, values))
+    def reduced(point, side):
+        values = lattice_values((point.f1, point.f2)[side], m, count)
+        if point.s == 0.0:
+            values[0] = direction[side]
+        else:
+            values[odd] /= point.s
+        return values
+
+    def extrapolate(side):
+        last = reduced(newer, side)
+        values = last + t * (last - reduced(older, side))
+        values[odd] *= s
+        scale = (newer.f1, newer.f2)[side].scale
+        return FourierBoundary(scale, lattice_tuple(m, values))
 
     try:
-        f1 = extrapolate(older.f1, newer.f1)
-        f2 = extrapolate(older.f2, newer.f2)
+        f1, f2 = extrapolate(0), extrapolate(1)
     except ValueError:
         return newer
     omega = newer.omega + t * (newer.omega - older.omega)

@@ -8,6 +8,7 @@ the acceptance suite.
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -404,6 +405,38 @@ def test_branch_summary_counts_difference_jacobians(tmp_path, monkeypatch):
                         for e in summary["results"]["branches"]]
     assert counts == {"seeded": [0, 0], "rebuilt": [1, 1]}
     assert len(builds) == 2
+
+
+def test_branch_summary_counts_newton_steps(tmp_path, monkeypatch):
+    steps = []
+    update = continuation._ProjectedSystem.broyden_update
+
+    def counted(self, *args):
+        steps.append(None)
+        update(self, *args)
+
+    monkeypatch.setattr(continuation._ProjectedSystem, "broyden_update",
+                        counted)
+    entries = _branch_entries(
+        tmp_path / "run", "--lambda", "1", "--b", "0.5", "--m", "5",
+        "--s-max", "2e-3", "--steps", "4", "--trunc", "2",
+        "--grid-size", "128")
+    counts = [entries[sign]["newton_steps"] for sign in "+-"]
+    assert all(count > 0 for count in counts)
+    assert sum(counts) == len(steps)
+
+
+@pytest.mark.parametrize("s_max", ["1e-60", "1e-300"])
+def test_branch_at_tiny_amplitudes_reports_a_finite_gap(tmp_path, s_max):
+    # s^2 (and s^4) underflow here: the Omega fit must not see them
+    entries = _branch_entries(
+        tmp_path / "run", "--lambda", "1", "--b", "0.5", "--m", "5",
+        "--s-max", s_max, "--steps", "3", "--trunc", "4",
+        "--grid-size", "64")
+    for entry in entries.values():
+        assert entry["completed"] and entry["points"] == 3
+        assert math.isfinite(entry["gap"]) and entry["gap"] <= 1e-15
+        assert math.isfinite(entry["omega_bend"])
 
 
 @pytest.mark.parametrize("flags, named", [

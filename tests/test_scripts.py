@@ -50,15 +50,17 @@ def test_demo_refuses_a_mode_with_the_library_rule():
 
 
 def _check_demo_against_cli(args, stdout, out):
-    """The demo's Omega(s->0) and residual-evaluation totals are the ones
-    the CLI writes to summary.json for the same march."""
+    """The demo's Omega(s->0), residual-evaluation and Newton-step totals
+    are the ones the CLI writes to summary.json for the same march."""
     assert main(["branch", *args, "--out", str(out), "--jobs", "1"]) == 0
     with open(out / "summary.json") as handle:
         branches = json.load(handle)["results"]["branches"]
-    evaluations = [int(line.split(", ")[1].split()[0])
-                   for line in stdout.splitlines() if line.startswith("sign ")]
+    counts = [line.split(", ")[1:3]
+              for line in stdout.splitlines() if line.startswith("sign ")]
     intercepts = [line.split("=")[1].split()[0]
                   for line in stdout.splitlines() if "Omega(s->0)" in line]
-    assert evaluations == [entry["residual_evaluations"] for entry in branches]
+    assert counts == [[f"{entry['residual_evaluations']} residual evaluations",
+                       f"{entry['newton_steps']} Newton steps"]
+                      for entry in branches]
     assert intercepts == [f"{entry['omega_extrapolated']:.10f}"
                           for entry in branches]
