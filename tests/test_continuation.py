@@ -415,18 +415,31 @@ def test_cold_solve_from_the_seed(grid, sign, monkeypatch):
 
 
 @pytest.mark.parametrize("sign", ["+", "-"])
-def test_seeded_march_builds_no_difference_jacobian(grid, sign, monkeypatch):
-    # 8 (+) and 7 (-) residuals; a forward-difference start spends 2K = 16
-    # more per point, and a solver that rebuilds a central-difference
-    # Jacobian at every Newton step spends 136 (+) and 169 (-)
+def test_carried_jacobian_keeps_the_march_cheap(grid, sign, monkeypatch):
+    # each point seeds one matrix at its guess and carries it, Broyden
+    # updated, through its Newton steps: 8 (+) and 7 (-) residuals, where a
+    # solver that rebuilds a central-difference Jacobian at every Newton
+    # step spends 136 (+) and 169 (-)
     calls = _count_residuals(monkeypatch)
     result = trace_branch(LAM, B, M, sign, 2e-3, 4, trunc=8, grid=grid)
     assert result.completed
     assert len(calls) <= 10
     assert sum(p.evaluations for p in result.points) == len(calls)
-    assert sum(p.builds for p in result.points) == 0
     for point in result.points:
         assert point.residual <= RESIDUAL_TOL
+        # K = 8 throughout, so the carried matrix stays 2K x 2K = 16 x 16
+        assert len(point.f1.coefficients) // M == 8
+
+
+@pytest.mark.parametrize("sign", ["+", "-"])
+def test_seeded_march_builds_no_difference_jacobian(grid, sign, monkeypatch):
+    # with a forward-difference start the same march spends 2K = 16 more
+    # residuals per point
+    calls = _count_residuals(monkeypatch)
+    result = trace_branch(LAM, B, M, sign, 2e-3, 4, trunc=8, grid=grid)
+    assert result.completed
+    assert len(calls) <= 10
+    assert sum(p.builds for p in result.points) == 0
 
 
 @pytest.fixture(scope="module")
