@@ -36,8 +36,8 @@ from .contour import (
     annulus_boundary, g_functional, linearization_check, make_grid,
 )
 from .continuation import (
-    _check_steps, _check_truncation, lattice_values, omega_intercept,
-    trace_branch,
+    _check_amplitude, _check_steps, _check_truncation, lattice_values,
+    omega_intercept, trace_branch,
 )
 from .spectrum import (
     ModeCell, SearchExhausted, _check_b_open, _check_lambda, _check_order,
@@ -101,6 +101,7 @@ class RunConfig:
             _check_node_count(self.grid_size)
             _check_truncation(self.trunc)
             _check_steps(self.steps)
+            _check_amplitude(self.s_max)
             _check_window(self.window)
         for m in self.ms:
             if self.ms.count(m) > 1:
@@ -111,10 +112,6 @@ class RunConfig:
             raise ConfigError(
                 f"sign must be +, -, plus, minus or both; got {self.sign!r}"
             ) from None
-        if not 0.0 < self.s_max < math.inf:
-            raise ConfigError(
-                f"s-max must be positive and finite; got {self.s_max}"
-            )
         if not 0.0 < self.tol < math.inf:
             raise ConfigError(f"tol must be positive and finite; got {self.tol}")
         if self.fmt not in ("csv", "json"):

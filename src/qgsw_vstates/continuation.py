@@ -91,6 +91,11 @@ def _check_steps(steps):
     return steps
 
 
+def _check_amplitude(s_max):
+    if not 0.0 < s_max < math.inf:
+        raise ValueError(f"s-max must be positive and finite; got {s_max}")
+
+
 class NonConvergence(RuntimeError):
     """Newton iteration failed to reach the residual tolerance."""
 
@@ -422,11 +427,13 @@ def trace_branch(lam, b, m, sign, s_max, steps, trunc=16, grid=None):
     """March the branch from the annulus out to amplitude s_max.
 
     Returns a TraceResult whose points are the converged BranchPoints in
-    increasing |s|; an unconverged step terminates the trace early with the
-    failure recorded in termination_reason, never raising.
+    increasing s; an unconverged step terminates the trace early with the
+    failure recorded in termination_reason, never raising.  An s_max that is
+    not positive and finite, or steps below 1, raises ValueError up front.
     """
-    grid = grid if grid is not None else make_grid(256)
+    _check_amplitude(s_max)
     steps = _check_steps(steps)
+    grid = grid if grid is not None else make_grid(256)
     history, reason = [], "completed"
     try:
         # the annulus at (0, Omega*), exact and with nothing pinned, anchors

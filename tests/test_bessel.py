@@ -359,6 +359,33 @@ def test_k0_array_value_barely_moves_when_the_range_widens(k0_large_z):
         assert np.max(np.abs(ref / got - 1.0)) <= 2e-15
 
 
+def test_ladder_k0_k1_above_the_split_against_mpmath():
+    # the ladder's base takes the array kernel's trapezoid at lo = hi = x;
+    # the range stops below 700, where k() switches to exp(log_k)
+    xs = np.concatenate([[np.nextafter(4.0, 5.0)],
+                         np.linspace(4.0, 699.0, 76)[1:]])
+    for n in (0, 1):
+        want = _mpmath_values(lambda mp, z: mp.besselk(n, z), xs, dps=30)
+        got = np.array([BesselLadder(float(x)).k(n) for x in xs])
+        assert np.max(np.abs(got / want - 1.0)) <= 1e-15, n
+
+
+def test_ladder_log_k_past_the_double_range_against_mpmath():
+    xs = np.array([800.0, 1500.0])
+    for n in (0, 1):
+        want = _mpmath_values(lambda mp, z: mp.log(mp.besselk(n, z)), xs,
+                              dps=30)
+        got = np.array([BesselLadder(x).log_k(n) for x in xs])
+        assert np.max(np.abs(got - want)) <= 1e-12, n
+
+
+def test_ladder_and_array_k0_agree_above_the_split():
+    xs = np.linspace(4.0, 200.0, 80)[1:]
+    ladder = np.array([BesselLadder(float(x)).k(0) for x in xs])
+    array = np.array([_k0_array(np.array([x]))[0] for x in xs])
+    assert np.max(np.abs(ladder / array - 1.0)) <= 1e-15
+
+
 @pytest.mark.parametrize("kernel", [_i0_array, _k0reg_array, _k0_array])
 def test_array_kernels_keep_shape(kernel):
     assert kernel(np.empty(0)).shape == (0,)

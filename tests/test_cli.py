@@ -243,6 +243,46 @@ def test_refusal_inside_a_command_leaves_no_output_directory(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, config, message", [
+    (["branch", "--lambda", "1,2"], None, "exactly one lambda and one b"),
+    (["branch", "--b", "0.5,0.6"], None, "exactly one lambda and one b"),
+    (["limits", "--jobs", "0"], None, "jobs must be >= 1; got 0"),
+    (["limits", "--format", "xml"], None, "format must be csv or json"),
+    (["limits", "--n", "1:2:3"], None, "integer range syntax is lo:hi"),
+    (["limits"], "missing", "cannot read config file"),
+    (["limits"], [1, 2], "config file must hold a JSON object"),
+], ids=["two-lambdas", "two-bs", "jobs-zero", "format-xml", "int-range",
+        "config-missing", "config-list"])
+def test_refused_option_exits_one_without_output(tmp_path, capsys, argv,
+                                                 config, message):
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        if config != "missing":
+            path.write_text(json.dumps(config))
+        argv = argv + ["--config", str(path)]
+    out = tmp_path / "run"
+    assert _run(*argv, "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert message in err
+    assert not out.exists()
+
+
+def test_output_directory_under_a_file_exits_one_after_the_run(
+        tmp_path, capsys):
+    # the path passes the check before the run (it does not exist yet), so
+    # the refusal comes from creating it once the command has returned
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    code = _run("limits", "--n", "1", "--out", str(taken / "sub"))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: cannot create output directory")
+    assert "Traceback" not in err
+    assert taken.read_text() == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
+
 def test_unknown_command_exits_one():
     with pytest.raises(SystemExit) as info:
         _run("frobnicate")
@@ -825,8 +865,13 @@ def test_single_fold_table_has_one_column_per_coefficient(tmp_path):
     (["branch", "--m", "5", "--steps", "0"],
      lambda: continuation.trace_branch(1, 0.5, 5, "+", 1e-3, 0)),
     (["spectrum", "--window", "5"], lambda: find_threshold(1, 0.5, 5)),
+    (["branch", "--s-max", "0"],
+     lambda: continuation.trace_branch(1, 0.5, 5, "+", 0.0, 2)),
+    (["branch", "--s-max=-2e-3"],
+     lambda: continuation.trace_branch(1, 0.5, 5, "+", -2e-3, 2)),
 ], ids=["bandwidth", "admission", "lambda-bound", "mode-fit", "order",
-        "fold-order", "truncation", "steps", "window"])
+        "fold-order", "truncation", "steps", "window", "amplitude-zero",
+        "amplitude-negative"])
 def test_cli_refuses_with_the_library_message(tmp_path, capsys, argv,
                                              library_call):
     # one implementation per rule: the CLI prints the library's own message

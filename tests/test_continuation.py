@@ -20,6 +20,7 @@ import qgsw_vstates.spectrum as spectrum
 from qgsw_vstates.continuation import (
     RESIDUAL_TOL,
     BranchPoint,
+    DegenerateJacobian,
     NonConvergence,
     lattice_tuple,
     lattice_values,
@@ -695,6 +696,72 @@ def test_validation_errors(grid):
         newton_solve(LAM, B, M, "x", 0.0, trunc=8, grid=grid)
     with pytest.raises(ValueError, match="steps"):
         trace_branch(LAM, B, M, "+", 1e-3, 0, trunc=8, grid=grid)
+
+
+@pytest.mark.parametrize("s_max", [0.0, -2e-3, math.nan, math.inf])
+@pytest.mark.parametrize("steps", [1, 2])
+def test_trace_refuses_an_amplitude_that_is_not_positive_and_finite(
+        grid, s_max, steps):
+    # s_max = 0 put point 1 on the annulus, whose s = 0 the predictor of
+    # point 2 divides by; a negative one marched the mirrored branch
+    with pytest.raises(ValueError,
+                       match="s-max must be positive and finite; got"):
+        trace_branch(LAM, B, M, "+", s_max, steps, trunc=8, grid=grid)
+
+
+def _singular_seed(monkeypatch, difference):
+    # the zero seed is dropped at the condition cap, so the first step runs
+    # on difference(forward-difference matrix), the fresh, damped matrix
+    system = continuation._ProjectedSystem
+    built = system.forward_difference
+    monkeypatch.setattr(system, "linearization",
+                        lambda self, u: np.zeros((u.size, u.size)))
+    monkeypatch.setattr(system, "forward_difference",
+                        lambda self, u, projected:
+                        difference(built(self, u, projected)))
+
+
+def test_iteration_cap_ends_the_solve(grid, monkeypatch):
+    monkeypatch.setattr(continuation, "_MAX_ITERATIONS", 0)
+    with pytest.raises(NonConvergence, match="iteration cap reached"):
+        newton_solve(LAM, B, M, "+", 1e-3, trunc=8, grid=grid)
+    result = trace_branch(LAM, B, M, "+", 1e-3, 2, trunc=8, grid=grid)
+    assert not result.completed and result.points == ()
+    assert result.termination_reason.startswith(
+        "NonConvergence: iteration cap reached at s=0.0005, m=5 (residual")
+
+
+def test_singular_difference_matrix_is_degenerate(grid, monkeypatch):
+    _singular_seed(monkeypatch, np.zeros_like)
+    with pytest.raises(DegenerateJacobian, match="condition estimate inf"):
+        newton_solve(LAM, B, M, "+", 1e-3, trunc=8, grid=grid)
+
+
+def test_ascent_direction_exhausts_the_damping(grid, monkeypatch):
+    _singular_seed(monkeypatch, np.negative)
+    with pytest.raises(NonConvergence, match="damping exhausted"):
+        newton_solve(LAM, B, M, "+", 1e-3, trunc=8, grid=grid)
+
+
+def test_trials_outside_the_ball_guard_are_halved(grid, monkeypatch):
+    # a matrix 1e6 too small makes steps 1e6 too long: the first halvings
+    # leave the ball guard, which counts as a failed trial, not as an error
+    _singular_seed(monkeypatch, lambda matrix: matrix / 1e6)
+    residual = continuation._ProjectedSystem.residual
+    outside = []
+
+    def guarded(self, u):
+        try:
+            return residual(self, u)
+        except ValueError as exc:
+            outside.append(str(exc))
+            raise
+
+    monkeypatch.setattr(continuation._ProjectedSystem, "residual", guarded)
+    with pytest.raises(NonConvergence, match="damping exhausted"):
+        newton_solve(LAM, B, M, "+", 1e-3, trunc=8, grid=grid)
+    assert len(outside) == 5
+    assert all("ball guard" in reason for reason in outside)
 
 
 def test_branch_point_is_frozen(plus_march):
