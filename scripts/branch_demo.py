@@ -3,7 +3,10 @@
 Picks m = N + 2 by default (two above the threshold, comfortably inside
 the admissible range), runs the plus and minus branches to s_max, then
 re-verifies every endpoint on a doubled grid and compares the s -> 0
-extrapolation of Omega with the spectral eigenvalues.  After each sign it
+extrapolation of Omega with the spectral eigenvalues.  As in the CLI,
+--grid-size is a floor: the march runs on the least even P at or above it
+that m divides (contour.fold_grid), and the endpoints are re-verified on
+twice the requested size, independent of that P.  After each sign it
 prints the process's peak resident memory, so a large-P march shows its
 cost in memory as well as time.
 
@@ -19,7 +22,7 @@ from qgsw_vstates.continuation import (
     trace_branch,
     verify_vstate,
 )
-from qgsw_vstates.contour import make_grid
+from qgsw_vstates.contour import fold_grid, make_grid
 from qgsw_vstates.spectrum import ModeCell
 
 
@@ -47,7 +50,10 @@ def main():
     print(f"eigenvalues: Omega^- = {roots['-'][0]:.10f},"
           f" Omega^+ = {roots['+'][0]:.10f}")
 
-    grid = make_grid(args.grid_size)
+    grid = fold_grid(m, args.grid_size)
+    check_grid = make_grid(args.grid_size)
+    print(f"grid P={grid.node_count} (floor {args.grid_size}),"
+          f" endpoints checked at P={2 * args.grid_size}")
     for sign, (omega_star, (v1, v2), _) in roots.items():
         t0 = time.time()
         trace = trace_branch(lam, b, m, sign, args.s_max, args.steps,
@@ -68,7 +74,7 @@ def main():
             omega0, bend = omega_intercept(trace.points)
             print(f"  Omega(s->0) = {omega0:.10f}"
                   f"  gap to eigenvalue {abs(omega0 - omega_star):.2e}"
-                  f"  bend {bend:.4f}")
+                  f"  bend {'none' if bend is None else f'{bend:.4f}'}")
             first = trace.points[0]
             tangent = (first.f1.coefficients[m - 1],
                        first.f2.coefficients[m - 1])
@@ -77,7 +83,7 @@ def main():
             target = v2 / v1 if first.pinned == "outer" else v1 / v2
             print(f"  tangent ratio {ratio:.6f} vs kernel {target:.6f}")
         if trace.points:
-            report = verify_vstate(trace.points[-1], lam, b, grid=grid)
+            report = verify_vstate(trace.points[-1], lam, b, grid=check_grid)
             print(f"  endpoint on doubled grid: residual {report.residual:.2e}"
                   f" symmetry defect {report.symmetry_defect:.1e}")
         # ru_maxrss is in KiB on Linux

@@ -33,7 +33,7 @@ import numpy as np
 from .bessel import BesselLadder, bessel_k, beltrami_k0
 from .contour import (
     _check_bandwidth, _check_max_lambda, _check_mode_fits, _check_node_count,
-    annulus_boundary, g_functional, linearization_check, make_grid,
+    annulus_boundary, fold_grid, g_functional, linearization_check, make_grid,
 )
 from .continuation import (
     _check_amplitude, _check_steps, _check_truncation, lattice_values,
@@ -376,15 +376,12 @@ def _cmd_branch(config):
             _check_bandwidth(m, config.trunc, config.grid_size)
             omega_stars[m, sign] = cell.root(m, sign)[0]
 
-    grid = make_grid(config.grid_size)
-
-    def job(task):
-        m, sign = task
+    def job(m, sign, grid):
         trace = trace_branch(
             lam, b, m, sign, config.s_max, config.steps,
             trunc=config.trunc, grid=grid,
         )
-        omega_star = omega_stars[task]
+        omega_star = omega_stars[m, sign]
         omega0, bend = omega_intercept(trace.points)
         count = max((p.truncation for p in trace.points), default=0)
         rows = [
@@ -402,6 +399,7 @@ def _cmd_branch(config):
         return (stem, header, rows), {
             "m": m,
             "sign": sign,
+            "grid_size": grid.node_count,
             "file": f"{stem}.{config.fmt}",
             "points": len(trace.points),
             "residual_evaluations": sum(p.evaluations for p in trace.points),
@@ -415,7 +413,11 @@ def _cmd_branch(config):
             "gap": None if omega0 is None else abs(omega0 - omega_star),
         }
 
-    tables, branches = zip(*map(job, tasks))
+    # --grid-size is a floor: one fold_grid per m, shared by both signs
+    tables, branches = zip(*(
+        job(m, sign, grid) for m in modes
+        for grid in [fold_grid(m, config.grid_size)] for sign in config.signs
+    ))
     partial = any(not entry["completed"] for entry in branches)
     return (3 if partial else 0), list(tables), {
         "branches": list(branches),

@@ -52,6 +52,7 @@ from .contour import (
     FourierBoundary,
     _check_bandwidth,
     annulus_boundary,
+    fold_grid,
     g_functional,
     make_grid,
     omega_derivative,
@@ -311,12 +312,12 @@ def newton_solve(lam, b, m, sign, s, initial_guess=None, trunc=16, grid=None):
     A warm start solves at the guess's truncation when that exceeds trunc.
     Either way the linearized spectrum at the guess seeds the first Newton
     matrix.  The top mode m*K must stay below the grid's P/2, whose sine
-    the nodes cannot see.
+    the nodes cannot see; the default grid is fold_grid(m, 256).
     Raises NonConvergence or DegenerateJacobian; a guess outside the ball
     guard raises ValueError at its first residual.
     """
-    grid = grid if grid is not None else make_grid(256)
     m = int(m)
+    grid = grid if grid is not None else fold_grid(m, 256)
     trunc = _check_truncation(trunc)
     if initial_guess is not None:
         trunc = max(trunc, initial_guess.truncation)
@@ -430,12 +431,13 @@ def trace_branch(lam, b, m, sign, s_max, steps, trunc=16, grid=None):
     increasing s; an unconverged step terminates the trace early with the
     failure recorded in termination_reason, never raising.  An s_max that is
     not positive and finite, or steps below 1, raises ValueError up front.
+    The default grid is fold_grid(m, 256), as in newton_solve.
     """
     _check_amplitude(s_max)
     steps = _check_steps(steps)
-    grid = grid if grid is not None else make_grid(256)
     history, reason = [], "completed"
     try:
+        grid = grid if grid is not None else fold_grid(m, 256)
         # the annulus at (0, Omega*), exact and with nothing pinned, anchors
         # the prediction of point two
         omega_star, _, direction = _kernel_direction(lam, b, m, sign)
@@ -469,6 +471,7 @@ def omega_intercept(points):
     and no bend, none gives (None, None).  The fit runs in s over the
     farthest point's |s| and on Omega less that point's Omega, so that no
     power of s underflows at tiny amplitudes and a flat march fits exactly.
+    A bend past the float range (Omega's rounding at s < 1e-150) is None.
     """
     if len(points) < 2:
         return (points[0].omega if points else None), None
@@ -476,7 +479,8 @@ def omega_intercept(points):
     fit = np.polyfit([(p.s / far.s) ** 2 for p in points],
                      [p.omega - far.omega for p in points],
                      min(len(points) - 1, 2))
-    return float(far.omega + fit[-1]), float(fit[-2] / far.s / far.s)
+    bend = float(fit[-2]) / far.s / far.s
+    return float(far.omega + fit[-1]), (bend if math.isfinite(bend) else None)
 
 
 def _parity_guess(m, s, older, newer, direction):

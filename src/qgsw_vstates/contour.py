@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bessel import _i0_array, _k0_array, _k0reg_array
-from .spectrum import ModeCell, _check_b_open, _check_lambda
+from .spectrum import ModeCell, _check_b_open, _check_lambda, _check_order
 
 _COLLISION_TOL = 1e-8
 
@@ -88,6 +88,15 @@ def _check_bandwidth(m, trunc, node_count):
             f"m={m} with trunc {trunc} reaches the grid bandwidth: m*trunc"
             f" = {m * trunc} is not below P/2 = {node_count // 2}"
         )
+
+
+def fold_grid(m, floor):
+    """Grid of the least P >= floor that lcm(2, m) divides: g_functional
+    folds an m-fold pair onto its first P/m rows, and as every 2*m*K is a
+    multiple of lcm(2, m), _check_bandwidth reads the same on P and floor."""
+    _check_node_count(floor)
+    step = math.lcm(2, _check_order(m))
+    return make_grid(-(-floor // step) * step)
 
 
 @dataclass(frozen=True)

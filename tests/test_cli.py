@@ -7,6 +7,7 @@ the acceptance suite.
 """
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -542,6 +543,63 @@ def test_branch_partial_trace_exits_three(tmp_path):
     assert not entry["completed"]
     assert "truncation saturated" in entry["termination"]
     assert len(_read_csv(out / "branch_m5_minus.csv")) == entry["points"] == 2
+
+
+def _table_point(row, m, b):
+    """BranchPoint from one branch-table row (.17g cells read back exact)."""
+    lattice = {prefix: [float(v) for key, v in row.items()
+                        if key[0] == prefix and key[1:].isdigit()]
+               for prefix in "ab"}
+    return continuation.BranchPoint(
+        s=float(row["s"]), omega=float(row["omega"]),
+        f1=contour.FourierBoundary(1.0, continuation.lattice_tuple(
+            m, lattice["a"])),
+        f2=contour.FourierBoundary(b, continuation.lattice_tuple(
+            m, lattice["b"])),
+        residual=float(row["residual"]), m=m, pinned="")
+
+
+def test_branch_grid_size_is_a_floor_that_m_divides(tmp_path):
+    # m = 5 does not divide 256, so branch solves on P = 260 = 5 * 52; the
+    # Newton path is the one on P = 256 and Omega moves only in its last
+    # bits, and the last point still certifies on the doubled 256 grid
+    out = tmp_path / "run"
+    entries = _branch_entries(out, "--lambda", "1", "--b", "0.5", "--m", "5",
+                              "--steps", "2", "--s-max", "2.5e-3")
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["config"]["grid_size"] == 256
+    grid = contour.make_grid(256)
+    for sign, entry in entries.items():
+        assert entry["completed"] and entry["grid_size"] == 260
+        explicit = continuation.trace_branch(1.0, 0.5, 5, sign, 2.5e-3, 2,
+                                             grid=grid)
+        assert entry["residual_evaluations"] == sum(
+            p.evaluations for p in explicit.points)
+        rows = _read_csv(out / entry["file"])
+        omegas = [float(row["omega"]) for row in rows]
+        assert omegas == pytest.approx(
+            [p.omega for p in explicit.points], abs=1e-12, rel=0)
+        # the library's default grid is the CLI's, not 256
+        default = continuation.trace_branch(1.0, 0.5, 5, sign, 2.5e-3, 2)
+        assert omegas == [p.omega for p in default.points]
+        report = continuation.verify_vstate(
+            _table_point(rows[-1], 5, 0.5), 1.0, 0.5, grid=grid)
+        assert report.residual <= 1e-9
+
+
+def test_branch_on_a_floor_that_m_divides_keeps_it(tmp_path):
+    # m = 4 divides 256: the grid is the requested one, bit for bit
+    out = tmp_path / "run"
+    entries = _branch_entries(out, "--lambda", "1", "--b", "0.5", "--m", "4",
+                              "--steps", "2", "--s-max", "1e-3", "--trunc",
+                              "8")
+    for sign, entry in entries.items():
+        assert entry["grid_size"] == 256
+        explicit = continuation.trace_branch(
+            1.0, 0.5, 4, sign, 1e-3, 2, trunc=8, grid=contour.make_grid(256))
+        rows = _read_csv(out / entry["file"])
+        assert [_table_point(row, 4, 0.5) for row in rows] == [
+            dataclasses.replace(p, pinned="") for p in explicit.points]
 
 
 def test_verify_clean_run_passes(tmp_path):

@@ -812,6 +812,16 @@ def test_omega_intercept_at_tiny_amplitudes(unit):
     assert omega_intercept(flat) == (0.2, 0.0)
 
 
+def test_omega_intercept_has_no_bend_past_the_float_range():
+    # one rounding step of Omega over (2e-200)^2 overflows: no bend, and no
+    # Infinity for summary.json (warnings are errors in this suite)
+    from types import SimpleNamespace
+
+    march = [SimpleNamespace(s=1e-200, omega=0.2),
+             SimpleNamespace(s=2e-200, omega=0.2 + 2.8e-17)]
+    assert omega_intercept(march) == (0.2, None)
+
+
 def test_newton_steps_count_every_accepted_step(grid, monkeypatch):
     # the K = 2 march doubles, and its steps include the polish; each
     # accepted step makes one Broyden update

@@ -12,6 +12,7 @@ from qgsw_vstates.contour import (
     QuadratureGrid,
     annulus_boundary,
     conformal_eval,
+    fold_grid,
     g_functional,
     linearization_check,
     make_grid,
@@ -530,3 +531,30 @@ def test_s_integral_conjugation_property(amp, mode):
     vals = s_integral(LAM, f, f, grid)
     idx = (-np.arange(grid.node_count)) % grid.node_count
     assert np.max(np.abs(np.conj(vals) - vals[idx])) < 1e-12
+
+
+@given(
+    m=st.integers(1, 300),
+    floor=st.integers(4, 4096).map(lambda half: 2 * half),
+    trunc=st.integers(2, 512),
+)
+def test_fold_grid_is_the_least_even_multiple_of_m_at_the_floor(m, floor,
+                                                                trunc):
+    size = fold_grid(m, floor).node_count
+    step = math.lcm(2, m)
+    assert floor <= size < floor + step
+    assert size % m == 0 and size % 2 == 0
+    # the bandwidth rule decides the same on the fold grid as on its floor
+    for k in (trunc, 2 * trunc):
+        assert (2 * m * k < size) == (2 * m * k < floor)
+
+
+@pytest.mark.parametrize("m, floor, message", [
+    (5, 255, "grid size must be even and >= 8; got 255"),
+    (5, 6, "grid size must be even and >= 8; got 6"),
+    (0, 256, "order must be >= 1; got 0"),
+])
+def test_fold_grid_refuses_what_the_grid_and_mode_rules_refuse(m, floor,
+                                                                message):
+    with pytest.raises(ValueError, match=message):
+        fold_grid(m, floor)
