@@ -5,10 +5,10 @@ representations with documented accuracy, no library calls:
 
 * ``I_n`` by its ascending series at every argument (all terms positive,
   so no cancellation, and no second path for large arguments).
-* ``K_0``/``K_1`` by the logarithmic power series for x <= 4; for larger x
-  that series cancels catastrophically (error ~ e^{2x} eps), so the
-  representation K_nu(x) = int_0^inf e^{-x cosh t} cosh(nu t) dt is used
-  instead, by one trapezoid rule (``_k0_nodes``) for scalars and arrays.
+* ``K_0``/``K_1`` by K_nu(x) = int_0^inf e^{-x cosh t} cosh(nu t) dt, one
+  trapezoid rule (``_k0_nodes``) for scalars at every argument and for
+  arrays above 4.  The logarithmic power series, which cancels as x grows
+  (error ~ e^{2x} eps), is left to the array kernels up to 4.
 * ``K_n`` for n >= 2 by upward recurrence, which is stable for K.
 * products, the Beltrami cosine summation and the regularized (log-free)
   part of ``K_0``.
@@ -26,9 +26,10 @@ recurrences of one argument across orders and is where I_n and the
 derivatives are read.  The free functions ``bessel_k``, ``product_ik`` and
 ``beltrami_k0`` run on fresh ladders.  The array kernels ``_i0_array``,
 ``_k0reg_array`` and ``_k0_array`` (numpy) feed the contour quadrature: the
-same series as the scalar code, evaluated as one fixed-length Horner pass
-per array with coefficient tables built at import, and above 4 the
-ladder's trapezoid rule with its nodes sized to each array's range.
+ascending series of I_0 and of the log-free part of K_0, evaluated as one
+fixed-length Horner pass per array with coefficient tables built at
+import, and above 4 the ladder's trapezoid rule with its nodes sized to
+each array's range.
 """
 
 from __future__ import annotations
@@ -43,10 +44,8 @@ EULER_GAMMA = 0.57721566490153286061
 
 _LOG_DBL_MAX = math.log(1.7976931348623157e308)
 _SERIES_TOL = 1e-17
-# above this argument K_0 and K_1 leave their series for the one trapezoid
-# rule of _k0_nodes; up to it the series stays two codes, the ladder's loop
-# (its bits pinned by the tests/data goldens) and the arrays' Horner passes
-# (their element counts pinned by the benchmark)
+# _k0_array's split: up to it the series as Horner passes, above it the
+# trapezoid rule of _k0_nodes (the ladder takes that rule at every argument)
 _K0_SPLIT = 4.0
 
 
@@ -59,44 +58,19 @@ def _as_order(n) -> int:
 # ---------------------------------------------------------------------------
 # K_n
 
-def _k01_series(x: float) -> tuple[float, float]:
-    """K_0 and K_1 by the logarithmic power series (x <= 4)."""
-    q = 0.25 * x * x
-    lg = math.log(0.5 * x)
-    # K_0 = -log(x/2) I_0(x) + sum psi(m+1) q^m / (m!)^2
-    i0, k0reg = 1.0, -EULER_GAMMA
-    term, m, psi = 1.0, 0, -EULER_GAMMA
-    while term > _SERIES_TOL * i0:
-        m += 1
-        term *= q / (m * m)
-        psi += 1.0 / m
-        i0 += term
-        k0reg += term * psi
-    k0 = -lg * i0 + k0reg
-    # K_1 = 1/x + log(x/2) I_1(x) - (x/4) sum [psi(m+1)+psi(m+2)] q^m / (m!(m+1)!)
-    i1 = 0.5 * x
-    term, m = 1.0, 0
-    s = -EULER_GAMMA + (1.0 - EULER_GAMMA)
-    i1_sum, psi1, psi2 = 1.0, -EULER_GAMMA, 1.0 - EULER_GAMMA
-    while term > _SERIES_TOL * i1_sum:
-        m += 1
-        term *= q / (m * (m + 1))
-        psi1 += 1.0 / m
-        psi2 += 1.0 / (m + 1)
-        i1_sum += term
-        s += term * (psi1 + psi2)
-    k1 = 1.0 / x + lg * i1 * i1_sum - 0.25 * x * s
-    return k0, k1
-
-
 def _k0_nodes(lo: float, hi: float) -> tuple[np.ndarray, float]:
     """(c, h) of the trapezoid rule K_0(z) = e^{-z} int_0^T e^{-z c(t)} dt on
     lo <= z <= hi: nodes c = cosh t - 1 = 2 sinh^2(t/2) (no cancellation) at
     t = h, ..., T, the last at half weight like t = 0.  T makes c(T) z >= 40
     at lo; h keeps the strip error e^{z - pi^2/h} and the Gaussian-width
     error e^{-2 pi^2/(z h^2)} below e^{-37} at hi (Trefethen & Weideman,
-    SIAM Review 56 (2014))."""
+    SIAM Review 56 (2014)).  A range error when no T can be sized: 40/lo
+    overflows below lo ~ 2.2e-307, and T rounds to 0 above ~3.6e17."""
     t_max = math.acosh(1.0 + 40.0 / lo)
+    if not 0.0 < t_max < math.inf:
+        raise OverflowError(
+            f"K_0({lo!r}): the trapezoid rule cannot be sized at this argument"
+        )
     steps = math.ceil(t_max / min(math.pi**2 / (hi + 37.0),
                                   math.pi * math.sqrt(2.0 / (37.0 * hi))))
     half_nodes = np.linspace(0.0, 0.5 * t_max, steps + 1)[1:]
@@ -104,11 +78,8 @@ def _k0_nodes(lo: float, hi: float) -> tuple[np.ndarray, float]:
 
 
 def _k01(x: float) -> tuple[float, float, float]:
-    """(k0_mant, k1_mant, log_scale): K_nu(x) = mant * exp(log_scale); above
-    the split _k0_nodes at lo = hi = x, K_1 weighting each node by cosh t."""
-    if x <= _K0_SPLIT:
-        k0, k1 = _k01_series(x)
-        return k0, k1, 0.0
+    """(k0_mant, k1_mant, log_scale): K_nu(x) = mant * exp(log_scale) by
+    _k0_nodes at lo = hi = x, K_1 weighting each node by cosh t."""
     c, h = _k0_nodes(x, x)
     w = np.exp(-x * c)
     w[-1] *= 0.5  # the last node carries half weight, as t = 0 does
@@ -270,7 +241,8 @@ def bessel_k(n, x: float) -> float:
     Symmetric in the order (K_{-n} = K_n), strictly positive, behaves like
     -log(x/2) - gamma at 0 for n = 0 and like Gamma(n)/2 (2/x)^n for n >= 1.
     Worst relative error against mpmath on n <= 200 (K_n(x) a normal double):
-    3.6e-13 on x <= 4 (K_1 near 4), 2.7e-15 on 4 < x < 700, 5.8e-14 above.
+    3.1e-15 on 1e-12 <= x <= 4 (K_0 alone 5.0e-16), 2.7e-15 on 4 < x < 700,
+    5.8e-14 above.
     """
     n = _as_order(n)
     return BesselLadder(x).k(n)

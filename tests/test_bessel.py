@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import numpy as np
@@ -140,7 +141,7 @@ def test_k_accuracy_against_mpmath():
             except OverflowError:
                 continue
             rel = abs(mp.mpf(got) / mp.besselk(n, mp.mpf(repr(x))) - 1)
-            assert rel < 1e-12, (n, x, float(rel))
+            assert rel < 1e-14, (n, x, float(rel))
             checked += 1
     assert checked >= 30
 
@@ -166,6 +167,11 @@ def test_range_errors_raise():
         bessel_k(0, 800.0)
     with pytest.raises(OverflowError):
         bessel_k(250, 0.05)
+    # arguments where the K_0/K_1 trapezoid rule has no truncation point,
+    # even for log_k, whose value would be representable
+    for x in (1e-310, 4e17):
+        with pytest.raises(OverflowError, match=re.escape(f"K_0({x!r})")):
+            BesselLadder(x).log_k(0)
 
 
 def test_subnormal_results_raise():
@@ -359,15 +365,18 @@ def test_k0_array_value_barely_moves_when_the_range_widens(k0_large_z):
         assert np.max(np.abs(ref / got - 1.0)) <= 2e-15
 
 
-def test_ladder_k0_k1_above_the_split_against_mpmath():
-    # the ladder's base takes the array kernel's trapezoid at lo = hi = x;
-    # the range stops below 700, where k() switches to exp(log_k)
-    xs = np.concatenate([[np.nextafter(4.0, 5.0)],
-                         np.linspace(4.0, 699.0, 76)[1:]])
-    for n in (0, 1):
-        want = _mpmath_values(lambda mp, z: mp.besselk(n, z), xs, dps=30)
-        got = np.array([BesselLadder(float(x)).k(n) for x in xs])
-        assert np.max(np.abs(got / want - 1.0)) <= 1e-15, n
+def test_ladder_k0_k1_against_mpmath():
+    # the ladder's base takes the array kernel's trapezoid at lo = hi = x at
+    # every argument; the range stops below 700, where k() switches to
+    # exp(log_k)
+    small = np.geomspace(1e-8, 4.0, 40)
+    large = np.concatenate([[np.nextafter(4.0, 5.0)],
+                            np.linspace(4.0, 699.0, 76)[1:]])
+    for n, bound_up_to_4 in ((0, 1e-15), (1, 3e-15)):
+        for xs, bound in ((small, bound_up_to_4), (large, 1e-15)):
+            want = _mpmath_values(lambda mp, z: mp.besselk(n, z), xs, dps=30)
+            got = np.array([BesselLadder(float(x)).k(n) for x in xs])
+            assert np.max(np.abs(got / want - 1.0)) <= bound, (n, xs[0])
 
 
 def test_ladder_log_k_past_the_double_range_against_mpmath():

@@ -212,6 +212,17 @@ def test_bessel_range_error_exits_one(tmp_path, capsys, lam):
     assert err.startswith(f"error: K_1({lam}.0)") and "Traceback" not in err
 
 
+def test_unsizable_bessel_argument_exits_one(tmp_path, capsys):
+    # lambda b = 1e-310 is below 40/DBL_MAX, where the K_0/K_1 trapezoid rule
+    # has no truncation point; the table must not be written with nan rows
+    code = _run("eigen", "--lambda", "1e-300", "--b", "1e-10", "--n", "1:2",
+                "--out", str(tmp_path / "x"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert any(line.startswith("error: K_") for line in err.splitlines())
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("out", ["empty-flag", "empty-env", "a-file"])
 def test_unusable_output_directory_exits_one(tmp_path, capsys, monkeypatch,
                                              out):
@@ -682,7 +693,7 @@ def test_verify_evaluates_g_once_per_multiplier_column(tmp_path, monkeypatch,
     assert len(counted_calls) == calls
     rows = {r["check"]: r for r in _read_csv(out / "verify.csv")}
     # one ladder per argument leaves the Wronskian bits as they were
-    assert rows["bessel_wronskian"]["measured"] == "4.9232823111362653e-14"
+    assert rows["bessel_wronskian"]["measured"] == "1.4785653413752505e-15"
 
 
 def test_identical_runs_are_byte_identical(tmp_path):
