@@ -22,8 +22,10 @@ Each point after the first starts from the two before it, extrapolated in
 s^2 by the s -> -s symmetry (see _parity_guess), at the last point's
 truncation.  Every solve (cold, warm, or restarted after truncation
 doubling) seeds its Jacobian with the linearized spectrum at its own guess,
-which costs no residual: the mode-mk blocks mk M_mk(Omega) of the annulus
-for the coefficients, and the exact Omega column (G is affine in Omega).
+which costs no residual and no grid work: the mode-mk blocks mk M_mk(Omega)
+of the annulus, from the solve's one ModeCell, for the coefficients, and
+the exact Omega column (G is affine in Omega) in closed form, which
+nothing aliases because all its modes lie below P/2.
 Every accepted Newton step applies a Broyden rank-1 update within the
 solve.  A step taken with the seeded or updated matrix must cut the
 residual norm by 10%; a failed matrix is replaced at the same iterate by
@@ -55,8 +57,7 @@ from .contour import (
     fold_grid,
     g_functional,
     make_grid,
-    omega_derivative,
-    real_fourier,
+    sine_coefficients,
 )
 from .spectrum import ModeCell
 
@@ -174,12 +175,11 @@ class _ProjectedSystem:
     step uses: the seeded linearization, Broyden-updated, else a
     forward-difference build.  evaluations counts the residuals computed so
     far, builds the forward-difference matrices and steps the accepted
-    Newton steps.
+    Newton steps.  cell is the solve's ModeCell, of its (lam, b).
     """
 
-    def __init__(self, lam, b, m, trunc, grid, pinned, s):
-        self.lam = lam
-        self.b = b
+    def __init__(self, cell, m, trunc, grid, pinned, s):
+        self.cell = cell
         self.m = m
         self.trunc = trunc
         self.grid = grid
@@ -192,10 +192,14 @@ class _ProjectedSystem:
         self.builds = 0
         self.steps = 0
 
+    def lattice(self, u):
+        """The 2 x K lattice coefficients at u, the pinned one inserted."""
+        return np.insert(u[:-1], self.pin, self.s).reshape(2, self.trunc)
+
     def boundaries(self, u):
-        c = np.insert(u[:-1], self.pin, self.s)
-        f1 = FourierBoundary(1.0, lattice_tuple(self.m, c[: self.trunc]))
-        f2 = FourierBoundary(self.b, lattice_tuple(self.m, c[self.trunc :]))
+        c1, c2 = self.lattice(u)
+        f1 = FourierBoundary(1.0, lattice_tuple(self.m, c1))
+        f2 = FourierBoundary(self.cell.b, lattice_tuple(self.m, c2))
         return f1, f2, u[-1]
 
     def pack(self, c1, c2, omega):
@@ -205,10 +209,10 @@ class _ProjectedSystem:
         """(projected residual vector, max node residual)."""
         self.evaluations += 1
         f1, f2, omega = self.boundaries(u)
-        g1, g2 = g_functional(self.lam, self.b, omega, f1, f2, self.grid)
-        _, _, sine1 = real_fourier(g1, self.grid)
-        _, _, sine2 = real_fourier(g2, self.grid)
-        projected = np.concatenate([sine1[self.modes], sine2[self.modes]])
+        g1, g2 = g_functional(self.cell.lam, self.cell.b, omega, f1, f2,
+                              self.grid)
+        projected = np.concatenate(
+            [sine_coefficients(g, self.grid)[self.modes] for g in (g1, g2)])
         node_res = max(np.max(np.abs(g1)), np.max(np.abs(g2)))
         return projected, node_res
 
@@ -231,21 +235,24 @@ class _ProjectedSystem:
 
         Coefficient columns: the mode-mk blocks mk M_mk(Omega) of the
         annulus at u's Omega, which couple only the two coefficients of the
-        same lattice index.  The Omega column is exact, G being affine in
-        Omega.  The pinned coefficient's column is dropped.
+        same lattice index.  The Omega column is exact (G is affine in
+        Omega): the sine coefficient at mk of dG_j/dOmega = Im{Phi_j conj(w)
+        conj(Phi_j')} is -mk (c_j a_k + sum_i a_i a_{i+k}), c_1 = 1, c_2 = b,
+        a_k the interface's lattice coefficient at index mk-1.  On |w| = 1
+        that product holds only the modes m(k - i) and mk, all below P/2 by
+        _check_bandwidth, so nothing aliases and this is the grid's sine
+        projection.  The pinned coefficient's column is dropped.
         """
-        f1, f2, omega = self.boundaries(u)
+        lattice, omega = self.lattice(u), u[-1]
         count = self.trunc
-        cell = ModeCell(self.lam, self.b)
         full = np.zeros((2 * count, 2 * count + 1))
         for k, n in enumerate(self.modes):
             pair = (k, count + k)
-            full[np.ix_(pair, pair)] = cell.matrix(n, omega).block()
-        for j, boundary in enumerate((f1, f2)):
-            _, _, sine = real_fourier(
-                omega_derivative(boundary, self.grid), self.grid
-            )
-            full[j * count : (j + 1) * count, -1] = sine[self.modes]
+            full[np.ix_(pair, pair)] = self.cell.matrix(n, omega).block()
+        for j, (scale, a) in enumerate(zip((1.0, self.cell.b), lattice)):
+            lags = np.append(np.correlate(a, a, "full")[count:], 0.0)
+            full[j * count : (j + 1) * count, -1] = (
+                -self.modes * (scale * a + lags))
         return np.delete(full, self.pin, axis=1)
 
     def forward_difference(self, u, projected):
@@ -261,8 +268,7 @@ class _ProjectedSystem:
 
     def tail(self, u):
         """Largest last lattice coefficient of the two boundaries at u."""
-        c = np.insert(u[:-1], self.pin, self.s)
-        return max(abs(c[self.trunc - 1]), abs(c[-1]))
+        return np.max(np.abs(self.lattice(u)[:, -1]))
 
     def polish(self, u, projected, node_res):
         """(u, projected, node_res) after up to _POLISH_STEPS more steps with
@@ -295,10 +301,10 @@ class _ProjectedSystem:
         ) / (du @ du)
 
 
-def _kernel_direction(lam, b, m, sign):
+def _kernel_direction(cell, m, sign):
     """(Omega*, pinned side, kernel direction (v1, v2) over its pinned
-    component) of the branch: the pin is the dominant component."""
-    omega_star, (v1, v2), _ = ModeCell(lam, b).root(m, sign)
+    component) of the branch in cell: the pin is the dominant component."""
+    omega_star, (v1, v2), _ = cell.root(m, sign)
     if abs(v1) >= abs(v2):
         return omega_star, "outer", np.array([1.0, v2 / v1])
     return omega_star, "inner", np.array([v1 / v2, 1.0])
@@ -322,7 +328,8 @@ def newton_solve(lam, b, m, sign, s, initial_guess=None, trunc=16, grid=None):
     if initial_guess is not None:
         trunc = max(trunc, initial_guess.truncation)
     _check_bandwidth(m, trunc, grid.node_count)
-    omega_star, pinned, direction = _kernel_direction(lam, b, m, sign)
+    cell = ModeCell(lam, b)
+    omega_star, pinned, direction = _kernel_direction(cell, m, sign)
     if initial_guess is None:
         c1 = np.zeros(trunc)
         c2 = np.zeros(trunc)
@@ -339,7 +346,7 @@ def newton_solve(lam, b, m, sign, s, initial_guess=None, trunc=16, grid=None):
     # failing at the node floor and solving again at twice trunc
     evaluations = builds = steps = 0
     while True:
-        system = _ProjectedSystem(lam, b, m, trunc, grid, pinned, float(s))
+        system = _ProjectedSystem(cell, m, trunc, grid, pinned, float(s))
         u = system.pack(c1, c2, omega)
         projected, node_res = system.residual(u)
         norm = np.linalg.norm(projected)
@@ -440,7 +447,8 @@ def trace_branch(lam, b, m, sign, s_max, steps, trunc=16, grid=None):
         grid = grid if grid is not None else fold_grid(m, 256)
         # the annulus at (0, Omega*), exact and with nothing pinned, anchors
         # the prediction of point two
-        omega_star, _, direction = _kernel_direction(lam, b, m, sign)
+        omega_star, _, direction = _kernel_direction(
+            ModeCell(lam, b), m, sign)
         history.append(BranchPoint(
             s=0.0, omega=omega_star,
             f1=annulus_boundary(1.0), f2=annulus_boundary(b),
@@ -524,13 +532,12 @@ def _parity_guess(m, s, older, newer, direction):
     return dataclasses.replace(newer, s=s, omega=omega, f1=f1, f2=f2)
 
 
-def verify_vstate(point, lam, b, grid=None):
-    """Independent residual check of a branch point on a doubled grid.
+def verify_vstate(point, lam, b, grid):
+    """Independent residual check of a branch point on grid doubled.
 
     symmetry_defect is the coefficient energy off the m-fold lattice
     (exactly zero for solver output; nonzero flags hand-edited data).
     """
-    grid = grid if grid is not None else make_grid(256)
     doubled = make_grid(2 * grid.node_count)
     g1, g2 = g_functional(lam, b, point.omega, point.f1, point.f2, doubled)
     residual = max(np.max(np.abs(g1)), np.max(np.abs(g2)))

@@ -290,31 +290,12 @@ def g_functional(lam, b, omega, f1, f2, grid):
     return outputs[0], outputs[1]
 
 
-def real_fourier(values, grid):
-    """(mean, cosine, sine) coefficients of a real node sequence.
-
-    values = mean + sum_m cos[m] cos(m theta) + sin[m] sin(m theta), modes
-    m = 1 .. P/2 (arrays indexed from 0 with entry 0 unused).  The Nyquist
-    cosine keeps its unhalved trapezoid weight so the identity above holds
-    node-wise as written.
-    """
-    spectrum = np.fft.rfft(values)
-    scale = 2.0 / grid.node_count
-    mean = spectrum[0].real / grid.node_count
-    cosine = spectrum.real * scale
-    sine = -spectrum.imag * scale
-    cosine[0] = 0.0
+def sine_coefficients(values, grid):
+    """Sine coefficients of a real node sequence, sin[m] of sin(m theta) for
+    m = 1 .. P/2 (entry 0 unused and 0)."""
+    sine = np.fft.rfft(values).imag * (-2.0 / grid.node_count)
     sine[0] = 0.0
-    return mean, cosine, sine
-
-
-def omega_derivative(boundary, grid):
-    """dG_j/dOmega = Im{Phi_j(w) conj(w) conj(Phi_j'(w))} at the grid nodes.
-
-    G_j is affine in Omega, so this is exact at any boundary.
-    """
-    vals, derivs = conformal_eval(boundary, grid)
-    return np.imag(vals * np.conj(grid.nodes) * np.conj(derivs))
+    return sine
 
 
 def linearization_check(n, lam, b, omega, epsilon, grid):
@@ -360,7 +341,7 @@ def linearization_check(n, lam, b, omega, epsilon, grid):
             else:
                 g1, g2 = g_functional(lam, b, omega, flat_outer, bumped, grid)
             for row, g in enumerate((g1, g2)):
-                _, _, sine = real_fourier(g, grid)
+                sine = sine_coefficients(g, grid)
                 recovered[row, col] += (
                     sign * sine[n] / (len(signs) * epsilon * n)
                 )

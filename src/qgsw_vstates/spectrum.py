@@ -28,11 +28,6 @@ import numpy as np
 
 from .bessel import BesselLadder
 
-# exp argument below which Lambda_n is a clean underflow (b^n/(2n) decay),
-# returned as 0.0 rather than raised: threshold scans must traverse it
-_LOG_TINY = -745.0
-
-
 class SearchExhausted(RuntimeError):
     """Mode scan hit its cap without certifying a threshold."""
 
@@ -65,11 +60,6 @@ def _check_order(n):
 def _check_window(window):
     if window < 10:
         raise ValueError(f"window must be >= 10; got {window}")
-
-
-def _clean_exp(log_val):
-    # exp, with the b^n/(2n) decay of Lambda_n underflowing cleanly to 0.0
-    return 0.0 if log_val < _LOG_TINY else math.exp(log_val)
 
 
 def _rankine(ladder, n):
@@ -198,8 +188,8 @@ class ModeCell:
 
     def coupling(self, n):
         """Lambda_n = I_n(lam b) K_n(lam) in log form: finite up to n = 2000
-        and beyond, its b^n/(2n) decay underflows to 0.0 instead of raising."""
-        return _clean_exp(self.inner.log_i(n) + self.outer.log_k(n))
+        and beyond, its b^n/(2n) decay underflows to 0.0 (exp never raises)."""
+        return math.exp(self.inner.log_i(n) + self.outer.log_k(n))
 
     def mode(self, n):
         """(Lambda_1, Lambda_n, Omega_n(lam), Omega_n(lam b)) at order n."""

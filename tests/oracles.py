@@ -15,9 +15,10 @@ the quadrature around them.  g_functional_unfolded keeps the boundary
 functional on full P x P kernels from the same library pieces; what it
 checks is the rotational fold of contour.g_functional, and
 linearization_check_central keeps the two-sided stencil that checks the
-one-sided recovery of contour.linearization_check.  The one
-deliberately wrong function, g_functional_inner_flipped, gives the
-verification tests a fault to catch.
+one-sided recovery of contour.linearization_check.  omega_column
+projects the grid's dG/dOmega, which the solver's seed writes in closed
+form.  The one deliberately wrong function, g_functional_inner_flipped,
+gives the verification tests a fault to catch.
 The induced velocity off the interfaces and the Euler admissibility test
 live here too: only the tests use them.
 """
@@ -442,7 +443,7 @@ def linearization_check_central(n, lam, b, omega, epsilon, grid):
     one-sided recovery.
     """
     from qgsw_vstates.contour import (
-        FourierBoundary, annulus_boundary, g_functional, real_fourier,
+        FourierBoundary, annulus_boundary, g_functional, sine_coefficients,
     )
     from qgsw_vstates.spectrum import ModeCell
 
@@ -463,11 +464,32 @@ def linearization_check_central(n, lam, b, omega, epsilon, grid):
             else:
                 g1, g2 = g_functional(lam, b, omega, flat_outer, bumped, grid)
             for row, g in enumerate((g1, g2)):
-                _, _, sine = real_fourier(g, grid)
+                sine = sine_coefficients(g, grid)
                 recovered[row, col] += sign * sine[n] / (2.0 * epsilon * n)
     deviation = recovered - mat.block() / n
     return recovered, deviation
 
+
+def omega_column(lattice, m, b, grid):
+    """The Omega column of the projected m-fold Jacobian from the grid:
+    dG_j/dOmega = Im{Phi_j(w) conj(w) conj(Phi_j'(w))} evaluated through
+    contour.conformal_eval at the nodes and projected onto sin(mk theta),
+    k = 1..K, for the 2 x K lattice coefficients (f1's row, then f2's).
+    The check on the closed form of the seed, which evaluates no map.
+    """
+    from qgsw_vstates.continuation import lattice_tuple
+    from qgsw_vstates.contour import (
+        FourierBoundary, conformal_eval, sine_coefficients,
+    )
+
+    modes = m * np.arange(1, lattice.shape[1] + 1)
+    column = []
+    for scale, row in zip((1.0, b), lattice):
+        boundary = FourierBoundary(scale, lattice_tuple(m, row))
+        vals, derivs = conformal_eval(boundary, grid)
+        slope = np.imag(vals * np.conj(grid.nodes) * np.conj(derivs))
+        column.append(sine_coefficients(slope, grid)[modes])
+    return np.concatenate(column)
 
 # ---------------------------------------------------------------------------
 # helpers only the tests use

@@ -382,10 +382,34 @@ def test_branch_demo_writes_both_signs(tmp_path):
         assert float(row_p["residual"]) <= 1e-10
 
 
-def _branch_entries(out, *argv):
-    assert _run("branch", *argv, "--out", str(out), "--jobs", "1") == 0
+def _branch_entries(out, *argv, code=0):
+    assert _run("branch", *argv, "--out", str(out), "--jobs", "1") == code
     summary = json.loads((out / "summary.json").read_text())
     return {e["sign"]: e for e in summary["results"]["branches"]}
+
+
+_BENCH_BRANCH = ("--b", "0.5", "--m", "5", "--s-max", "0.0025", "--steps",
+                 "2", "--trunc", "16", "--grid-size", "256")
+
+
+@pytest.mark.parametrize("argv, code, counts", [
+    # the benchmark's branch-ref and branch-screened argvs at seed 0
+    (("--lambda", "1.0", "--sign", "both", *_BENCH_BRANCH), 0,
+     {"+": (2, 6, 0, 4), "-": (2, 4, 0, 2)}),
+    (("--lambda", "4.0", "--sign", "+", *_BENCH_BRANCH), 0,
+     {"+": (2, 5, 0, 3)}),
+    # the far trace, which ends at the truncation and ball-guard limits
+    (("--lambda", "1", "--b", "0.5", "--m", "5", "--s-max", "0.1",
+      "--steps", "40"), 3,
+     {"+": (20, 104, 0, 84), "-": (19, 88, 0, 69)}),
+], ids=["branch-ref", "branch-screened", "far-trace"])
+def test_branch_counters_stay_pinned(tmp_path, argv, code, counts):
+    # points / residual evaluations / difference Jacobians / Newton steps
+    # per sign: a change of Newton path shows here, not only in perfbench
+    entries = _branch_entries(tmp_path / "run", *argv, code=code)
+    assert {sign: (entry["points"], entry["residual_evaluations"],
+                   entry["jacobian_builds"], entry["newton_steps"])
+            for sign, entry in entries.items()} == counts
 
 
 def test_omega_fit_in_s_squared_closes_the_gap(tmp_path):

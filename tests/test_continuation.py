@@ -15,6 +15,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 import qgsw_vstates.continuation as continuation
 import qgsw_vstates.spectrum as spectrum
 from qgsw_vstates.continuation import (
@@ -29,7 +30,12 @@ from qgsw_vstates.continuation import (
     trace_branch,
     verify_vstate,
 )
-from qgsw_vstates.contour import FourierBoundary, annulus_boundary, make_grid
+from qgsw_vstates.contour import (
+    FourierBoundary,
+    annulus_boundary,
+    fold_grid,
+    make_grid,
+)
 from qgsw_vstates.spectrum import eigenvalues, kernel_vector, spectral_matrix
 
 LAM, B, M = 1.0, 0.5, 5
@@ -182,7 +188,8 @@ def test_parity_guess_outside_the_ball_falls_back_to_the_last_point(
         plus_march):
     # the guess pins a_4 = 0.1, weight m*|a_4| = 0.5: outside the ball
     older, newer = plus_march.points[:2]
-    direction = continuation._kernel_direction(LAM, B, M, "+")[2]
+    direction = continuation._kernel_direction(
+        spectrum.ModeCell(LAM, B), M, "+")[2]
     guess = continuation._parity_guess
     assert guess(M, 0.1, older, newer, direction) is newer
     assert guess(M, 2.5e-3, older, newer, direction) is not newer
@@ -342,14 +349,12 @@ def test_trace_partial_on_truncation_saturation(grid):
 
 def _cold_system(lam, sign, s, trunc, grid):
     """(system, u, projected residual) at the cold guess of newton_solve."""
-    omega_star, (v1, v2), _ = spectrum.ModeCell(lam, B).root(M, sign)
-    pinned = "outer" if abs(v1) >= abs(v2) else "inner"
-    system = continuation._ProjectedSystem(lam, B, M, trunc, grid, pinned, s)
+    cell = spectrum.ModeCell(lam, B)
+    omega_star, pinned, direction = continuation._kernel_direction(
+        cell, M, sign)
+    system = continuation._ProjectedSystem(cell, M, trunc, grid, pinned, s)
     c1, c2 = np.zeros(trunc), np.zeros(trunc)
-    if pinned == "outer":
-        c1[0], c2[0] = s, s * v2 / v1
-    else:
-        c1[0], c2[0] = s * v1 / v2, s
+    c1[0], c2[0] = s * direction
     u = system.pack(c1, c2, omega_star)
     return system, u, system.residual(u)[0]
 
@@ -369,14 +374,39 @@ def test_seeded_jacobian_matches_forward_differences(grid, lam, sign):
     assert system.evaluations == 1 + 16  # the seed spends no residual
 
 
+@pytest.mark.parametrize("lam", [1.0, 4.0])
+@pytest.mark.parametrize("sign", ["+", "-"])
+def test_seed_omega_column_is_the_grid_projection(lam, sign, monkeypatch):
+    # the closed-form Omega column of every seed, out to s = 0.03 at K = 16
+    # and after K doublings from 2, is the sine projection of the grid's
+    # dG/dOmega at the lattice modes
+    seeds = []
+    seed = continuation._ProjectedSystem.linearization
+
+    def spy(system, u):
+        matrix = seed(system, u)
+        seeds.append((system, u, matrix[:, -1]))
+        return matrix
+
+    monkeypatch.setattr(continuation._ProjectedSystem, "linearization", spy)
+    far = trace_branch(lam, B, M, sign, 0.03, 3, trunc=16,
+                       grid=fold_grid(M, 256))
+    assert far.completed and far.points[-1].truncation == 16
+    newton_solve(lam, B, M, sign, 5e-3, trunc=2, grid=make_grid(128))
+    # seeds at K = 16 (the march) and at K = 2 and 4 (before and after
+    # the first doubling)
+    assert {2, 4, 16} <= {system.trunc for system, _, _ in seeds}
+    for system, u, column in seeds:
+        want = oracles.omega_column(system.lattice(u), M, B, system.grid)
+        bound = 1e-14 * np.max(np.abs(column))
+        assert np.max(np.abs(column - want)) <= bound, system.trunc
+
+
 def test_one_linearization_builds_one_mode_cell(monkeypatch):
-    # all K blocks of the seed come from one cell, bit for bit the blocks
-    # n M_n of the per-order view
-    trunc = 16
-    system = continuation._ProjectedSystem(
-        LAM, B, M, trunc, make_grid(256), "outer", 1e-3
-    )
-    u = system.pack(np.zeros(trunc), np.zeros(trunc), 0.3)
+    # the seed builds no cell of its own, and its K blocks are bit for bit
+    # the blocks n M_n of the per-order view; a solve builds one cell,
+    # truncation doublings included, and an N-step trace N + 1 (one for
+    # its annulus anchor)
     built = []
     init = spectrum.ModeCell.__init__
 
@@ -384,9 +414,19 @@ def test_one_linearization_builds_one_mode_cell(monkeypatch):
         built.append((lam, b))
         init(cell, lam, b)
 
+    trunc = 16
+    system = continuation._ProjectedSystem(
+        spectrum.ModeCell(LAM, B), M, trunc, make_grid(256), "outer", 1e-3
+    )
+    u = system.pack(np.zeros(trunc), np.zeros(trunc), 0.3)
     monkeypatch.setattr(spectrum.ModeCell, "__init__", counted)
     seeded = system.linearization(u)
-    assert built == [(LAM, B)]
+    assert built == []
+    point = newton_solve(1, 0.5, 5, "+", 1e-4, trunc=2, grid=make_grid(128))
+    assert point.truncation == 4 and built == [(1, 0.5)]
+    built.clear()
+    trace = trace_branch(LAM, B, M, "+", 2e-3, 4, trunc=8, grid=make_grid(128))
+    assert trace.completed and len(built) == 4 + 1
     monkeypatch.undo()
     for k in range(1, trunc):  # column 0, the pinned a_{m-1}, is dropped
         block = seeded[np.ix_((k, trunc + k), (k - 1, trunc + k - 1))]
