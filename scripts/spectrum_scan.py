@@ -27,8 +27,10 @@ def main():
     ns = parse_int_grid(args.ns)
 
     for lam in lambdas:
+        ladder = None  # the first cell's ladder at lam, shared by the row
         for b in bs:
-            cell = ModeCell(lam, b)
+            cell = ModeCell(lam, b, outer=ladder)
+            ladder = cell.outer
             try:
                 threshold = cell.threshold()
             except SearchExhausted as exc:

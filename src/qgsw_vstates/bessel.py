@@ -113,7 +113,8 @@ class BesselLadder:
     A sweep over orders 0..N therefore costs O(N) recurrence steps where
     fresh evaluations cost O(N^2).  Each value is bit-for-bit the one a
     fresh ladder gives, so it is also the value of bessel_k and product_ik,
-    which run on a throwaway ladder.  Log values are kept per order.
+    which run on a throwaway ladder.  I_n (its series run once), log K_n
+    and I_n K_n are kept per order, for every cell sharing the ladder.
     """
 
     def __init__(self, x: float):
@@ -124,12 +125,15 @@ class BesselLadder:
         self._k_orders = []  # order -> (mantissa, binary exponent)
         self._k_state = None  # (K_{top-1}, K_top, exponent) of the recurrence
         self._k_log_scale = 0.0
-        self._log_i = {}
+        self._i_orders = {}  # order -> (mantissa, binary exponent)
         self._log_k = {}
+        self._products = {}
 
-    def _i_scaled(self, n: int) -> tuple[float, int]:
-        """I_n(x) as (mantissa, binary exponent)."""
-        n = _as_order(n)
+    def _i_scaled(self, order: int) -> tuple[float, int]:
+        """I_n(x) as (mantissa, binary exponent), its series run once."""
+        if order in self._i_orders:
+            return self._i_orders[order]
+        n = _as_order(order)
         prefactors = self._prefactors
         if len(prefactors) <= n:
             hx = 0.5 * self.x
@@ -152,6 +156,7 @@ class BesselLadder:
                 term *= 2.0 ** -1000
                 ex += 1000
         mant, e = math.frexp(p * s)
+        self._i_orders[order] = mant, ex + e
         return mant, ex + e
 
     def _k_scaled(self, n: int) -> tuple[float, int, float]:
@@ -179,10 +184,8 @@ class BesselLadder:
 
     def log_i(self, n: int) -> float:
         """log I_n(x), valid far beyond the double range of I_n."""
-        if n not in self._log_i:
-            mant, ex = self._i_scaled(n)
-            self._log_i[n] = math.log(mant) + ex * math.log(2.0)
-        return self._log_i[n]
+        mant, ex = self._i_scaled(n)
+        return math.log(mant) + ex * math.log(2.0)
 
     def log_k(self, n: int) -> float:
         """log K_n(x), valid far beyond the double range of K_n."""
@@ -193,7 +196,9 @@ class BesselLadder:
 
     def product(self, n: int) -> float:
         """I_n(x) K_n(x) from the two logs."""
-        return math.exp(self.log_i(n) + self.log_k(n))
+        if n not in self._products:
+            self._products[n] = math.exp(self.log_i(n) + self.log_k(n))
+        return self._products[n]
 
     def i(self, n: int) -> float:
         """I_n(x) as a double; OverflowError when it is not representable.

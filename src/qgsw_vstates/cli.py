@@ -204,11 +204,16 @@ def _convert(value, kind):
     return kind(value)
 
 
+# cell text by exact type; any other type takes _format_cell's chain
+_CELL_TEXT = {float: "{:.17g}".format, np.float64: "{:.17g}".format, int: str,
+              str: str, bool: {True: "true", False: "false"}.get,
+              type(None): lambda value: ""}
+
+
 def _format_cell(value):
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
+    text = _CELL_TEXT.get(type(value))
+    if text is not None:
+        return text(value)
     if isinstance(value, str):
         return value
     if isinstance(value, (int, np.integer)):
@@ -230,8 +235,7 @@ def _write_table(path, header, rows, fmt):
         with open(path, "w", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(header)
-            for row in rows:
-                writer.writerow([_format_cell(v) for v in row])
+            writer.writerows(map(_format_cell, row) for row in rows)
     else:
         objects = [
             {key: _json_cell(v) for key, v in zip(header, row)} for row in rows
@@ -242,10 +246,13 @@ def _write_table(path, header, rows, fmt):
 
 
 def _table_command(config, stem, header, cell_rows):
-    """One table of cell_rows(lam, b) over the (lambda, b) grid, in order."""
-    points = [(lam, b) for lam in config.lambdas for b in config.bs]
-    rows = [row for lam, b in points for row in cell_rows(lam, b)]
-    return 0, [(stem, header, rows)], {"rows": len(rows), "cells": len(points)}
+    """One table of cell_rows(cell) over the (lambda, b) grid, in order: a
+    ModeCell per point, the cells of one lambda sharing its ladder."""
+    cells = (ModeCell(lam, b, outer=ladder) for lam in config.lambdas
+             for ladder in [BesselLadder(lam)] for b in config.bs)
+    rows = [row for cell in cells for row in cell_rows(cell)]
+    count = len(config.lambdas) * len(config.bs)
+    return 0, [(stem, header, rows)], {"rows": len(rows), "cells": count}
 
 
 # ---------------------------------------------------------------------------
@@ -266,15 +273,14 @@ def _cmd_spectrum(config):
         "n_threshold",
     )
 
-    def cell_rows(lam, b):
-        cell = ModeCell(lam, b)
+    def cell_rows(cell):
         threshold = cell.threshold(config.window)
         lower, upper = cell.limits()
         for n in config.ns:
             delta, pair = cell.spectrum(n)
             yield (
-                lam,
-                b,
+                cell.lam,
+                cell.b,
                 n,
                 delta,
                 None if pair is None else pair.omega_minus,
@@ -304,15 +310,15 @@ def _cmd_eigen(config):
         "transversal_plus",
     )
 
-    def cell_rows(lam, b):
-        cell = ModeCell(lam, b)
+    def cell_rows(cell):
         for n in config.ns:
             delta, pair = cell.spectrum(n)
+            head = (cell.lam, cell.b, n, delta)
             if pair is None or pair.degenerate:
-                yield (lam, b, n, delta) + (None,) * 6 + (False, False)
+                yield head + (None,) * 6 + (False, False)
                 continue
             yield (
-                (lam, b, n, delta, pair.omega_minus, pair.omega_plus)
+                head + (pair.omega_minus, pair.omega_plus)
                 + pair.kernel_minus
                 + pair.kernel_plus
                 + (pair.transversal_minus, pair.transversal_plus)
@@ -335,15 +341,14 @@ def _cmd_limits(config):
         "burbea",
     )
 
-    def cell_rows(lam, b):
-        cell = ModeCell(lam, b)
+    def cell_rows(cell):
         lower, upper = cell.limits()
         for n in config.ns:
-            euler = euler_eigenvalues(n, b)
+            euler = euler_eigenvalues(n, cell.b)
             sc_minus, sc_plus = cell.simply_connected(n)
             yield (
-                lam,
-                b,
+                cell.lam,
+                cell.b,
                 n,
                 lower,
                 upper,

@@ -310,7 +310,8 @@ def _kernel_direction(cell, m, sign):
     return omega_star, "inner", np.array([v1 / v2, 1.0])
 
 
-def newton_solve(lam, b, m, sign, s, initial_guess=None, trunc=16, grid=None):
+def newton_solve(lam, b, m, sign, s, initial_guess=None, trunc=16, grid=None,
+                 *, _cell=None):
     """Solve the projected m-fold system at amplitude s.
 
     initial_guess may be a BranchPoint (warm start along a branch) or None,
@@ -320,7 +321,8 @@ def newton_solve(lam, b, m, sign, s, initial_guess=None, trunc=16, grid=None):
     matrix.  The top mode m*K must stay below the grid's P/2, whose sine
     the nodes cannot see; the default grid is fold_grid(m, 256).
     Raises NonConvergence or DegenerateJacobian; a guess outside the ball
-    guard raises ValueError at its first residual.
+    guard raises ValueError at its first residual.  _cell is trace_branch's
+    ModeCell of (lam, b), which its anchor and every solve share.
     """
     m = int(m)
     grid = grid if grid is not None else fold_grid(m, 256)
@@ -328,7 +330,7 @@ def newton_solve(lam, b, m, sign, s, initial_guess=None, trunc=16, grid=None):
     if initial_guess is not None:
         trunc = max(trunc, initial_guess.truncation)
     _check_bandwidth(m, trunc, grid.node_count)
-    cell = ModeCell(lam, b)
+    cell = ModeCell(lam, b) if _cell is None else _cell
     omega_star, pinned, direction = _kernel_direction(cell, m, sign)
     if initial_guess is None:
         c1 = np.zeros(trunc)
@@ -447,8 +449,8 @@ def trace_branch(lam, b, m, sign, s_max, steps, trunc=16, grid=None):
         grid = grid if grid is not None else fold_grid(m, 256)
         # the annulus at (0, Omega*), exact and with nothing pinned, anchors
         # the prediction of point two
-        omega_star, _, direction = _kernel_direction(
-            ModeCell(lam, b), m, sign)
+        cell = ModeCell(lam, b)
+        omega_star, _, direction = _kernel_direction(cell, m, sign)
         history.append(BranchPoint(
             s=0.0, omega=omega_star,
             f1=annulus_boundary(1.0), f2=annulus_boundary(b),
@@ -460,7 +462,7 @@ def trace_branch(lam, b, m, sign, s_max, steps, trunc=16, grid=None):
                 m, s, *history[-2:], direction)
             history.append(newton_solve(
                 lam, b, m, sign, s,
-                initial_guess=guess, trunc=trunc, grid=grid,
+                initial_guess=guess, trunc=trunc, grid=grid, _cell=cell,
             ))
     except (NonConvergence, DegenerateJacobian, ValueError) as exc:
         reason = f"{type(exc).__name__}: {exc}"

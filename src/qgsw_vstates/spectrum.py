@@ -15,8 +15,9 @@ couples the two interfaces, Omega_n(x) = I_1(x)K_1(x) - I_n(x)K_n(x) is the
 single-interface multiplier.
 
 Every mode quantity of one (lam, b) cell comes from a ModeCell, which
-carries one Bessel ladder at lam and one at lam b across all orders; the
-per-order functions are views that build a cell for their one call.
+carries one Bessel ladder at lam and one at lam b across all orders (the
+cells of one lam may share its ladder); the per-order functions are views
+that build a cell for their one call.
 """
 
 from __future__ import annotations
@@ -173,15 +174,19 @@ class ModeCell:
     Lambda_1, and a memo from each order to its (Delta_n, EigenPair or
     None), so a threshold scan and the table rows that follow it evaluate
     each order once.  The one place Lambda_n, Omega_n and M_n are
-    evaluated.
+    evaluated.  outer, if given, is a ladder at lam (any other argument is
+    a ValueError) shared with other cells, bit-identical to a fresh one.
     """
 
-    def __init__(self, lam, b):
+    def __init__(self, lam, b, *, outer=None):
         _check_lambda(lam)
         _check_b_open(b)
+        if outer is not None and outer.x != lam:
+            raise ValueError(
+                f"outer ladder is at x={outer.x!r}, not at lambda={lam!r}")
         self.lam = lam
         self.b = b
-        self.outer = BesselLadder(lam)
+        self.outer = BesselLadder(lam) if outer is None else outer
         self.inner = BesselLadder(lam * b)
         self.lam1 = self.coupling(1)
         self._spectra = {}

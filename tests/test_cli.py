@@ -19,10 +19,13 @@ import numpy as np
 import pytest
 
 import oracles
+import qgsw_vstates.bessel as bessel
 import qgsw_vstates.continuation as continuation
 import qgsw_vstates.contour as contour
+import qgsw_vstates.spectrum as spectrum
 from qgsw_vstates.cli import (
     _build_parser,
+    _format_cell,
     build_config,
     main,
     parse_float_grid,
@@ -345,6 +348,57 @@ def test_table_commands_match_golden_files(tmp_path, command):
     assert code == 0
     name = f"{command}.csv"
     assert (out / name).read_bytes() == (DATA / name).read_bytes()
+
+
+def _count_builds(monkeypatch, cls):
+    """The first argument of every cls(...) built from here on."""
+    built = []
+    init = cls.__init__
+
+    def counted(self, first, *args, **kwargs):
+        built.append(first)
+        init(self, first, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "__init__", counted)
+    return built
+
+
+@pytest.mark.parametrize("command", ["spectrum", "eigen", "limits"])
+def test_table_commands_build_one_ladder_per_lambda_row(tmp_path, monkeypatch,
+                                                        command):
+    # the benchmark's 8 x 8 grid: the cells of one lambda share its ladder,
+    # so 8 ladders at lambda and 64 at lambda b (128 with two per cell)
+    ladders = _count_builds(monkeypatch, bessel.BesselLadder)
+    code = _run(command, "--lambda", "0.1:5:8", "--b", "0.1:0.9:8",
+                "--n", "1:40", "--out", str(tmp_path / "run"))
+    assert code == 0
+    assert len(ladders) == 72
+    assert all(ladders.count(lam) == 1 for lam in parse_float_grid("0.1:5:8"))
+
+
+def test_branch_builds_one_mode_cell_per_trace(tmp_path, monkeypatch):
+    # the 8-step reference march, both signs: the command's cell for
+    # Omega*, then one per trace for its anchor and all its solves (19 with
+    # a cell per solve and per anchor)
+    cells = _count_builds(monkeypatch, spectrum.ModeCell)
+    code = _run("branch", "--lambda", "1", "--b", "0.5", "--m", "5",
+                "--out", str(tmp_path / "run"))
+    assert code == 0
+    assert 2 <= len(cells) <= 3
+
+
+@pytest.mark.parametrize("value, text", [
+    (None, ""), (True, "true"), (False, "false"), (7, "7"), (-12, "-12"),
+    (2**70, "1180591620717411303424"), (np.int64(-3), "-3"), (0.0, "0"),
+    (-0.0, "-0"), (math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf"),
+    (0.1, "0.10000000000000001"), (5e-324, "4.9406564584124654e-324"),
+    (np.float64(1 / 3), "0.33333333333333331"), (np.float64(-0.0), "-0"),
+    (np.float64(math.nan), "nan"), ("x,y", "x,y"),
+    # types outside the lookup table take the isinstance chain
+    (np.float32(0.1), "0.10000000149011612"), (np.True_, "1"),
+])
+def test_cell_text_by_type(value, text):
+    assert _format_cell(value) == text
 
 
 def test_limits_json_round_trips(tmp_path):

@@ -405,14 +405,14 @@ def test_seed_omega_column_is_the_grid_projection(lam, sign, monkeypatch):
 def test_one_linearization_builds_one_mode_cell(monkeypatch):
     # the seed builds no cell of its own, and its K blocks are bit for bit
     # the blocks n M_n of the per-order view; a solve builds one cell,
-    # truncation doublings included, and an N-step trace N + 1 (one for
-    # its annulus anchor)
+    # truncation doublings included, and an N-step trace one, shared by
+    # its annulus anchor and every solve
     built = []
     init = spectrum.ModeCell.__init__
 
-    def counted(cell, lam, b):
+    def counted(cell, lam, b, **shared):
         built.append((lam, b))
-        init(cell, lam, b)
+        init(cell, lam, b, **shared)
 
     trunc = 16
     system = continuation._ProjectedSystem(
@@ -426,7 +426,7 @@ def test_one_linearization_builds_one_mode_cell(monkeypatch):
     assert point.truncation == 4 and built == [(1, 0.5)]
     built.clear()
     trace = trace_branch(LAM, B, M, "+", 2e-3, 4, trunc=8, grid=make_grid(128))
-    assert trace.completed and len(built) == 4 + 1
+    assert trace.completed and built == [(LAM, B)]
     monkeypatch.undo()
     for k in range(1, trunc):  # column 0, the pinned a_{m-1}, is dropped
         block = seeded[np.ix_((k, trunc + k), (k - 1, trunc + k - 1))]

@@ -273,23 +273,47 @@ def test_spectrum_command_builds_each_order_once_per_cell(monkeypatch, tmp_path)
     assert max(builds.values()) == 1
 
 
+def _cell_on_a_used_ladder(lam, b):
+    # the ladder at lam a table row shares, already extended past order 60
+    # (and its memos filled) by the cell of another b
+    ladder = BesselLadder(lam)
+    ModeCell(lam, 0.2, outer=ladder).threshold(20)
+    ladder.i(90)
+    cell = ModeCell(lam, b, outer=ladder)
+    assert cell.outer is ladder
+    return cell
+
+
 def test_cell_matches_per_order_functions_bitwise():
     # the public functions are views of a fresh cell, and one cell that
-    # reached other orders first gives the same bits
+    # reached other orders first, or shares a used ladder, gives the same
+    # bits
     lam, b = 2.3, 0.7
-    cell = spectrum.ModeCell(lam, b)
-    assert cell.limits() == omega_limits(lam, b)
-    assert cell.threshold(20) == find_threshold(lam, b, window=20)
-    for n in (40, 1, 7, 300, 2):  # orders below the top read the ladder state
-        fresh = math.exp(BesselLadder(lam * b).log_i(n) + BesselLadder(lam).log_k(n))
-        assert cell.mode(n)[1:] == (fresh, _rankine(n, lam), _rankine(n, lam * b))
-        pair = cell.spectrum(n)[1]
-        assert pair == eigenvalues(n, lam, b)
-        assert cell.matrix(n, 0.3) == spectral_matrix(n, lam, b, 0.3)
-        assert cell.simply_connected(n)[1] == simply_connected_limit(n, lam)
-        if pair is not None:
-            assert pair.kernel_minus == kernel_vector(n, lam, b, "-")
-            assert pair.kernel_plus == kernel_vector(n, lam, b, "+")
+    for build, orders in (
+        (ModeCell, (40, 1, 7, 300, 2)),  # orders below the top read the state
+        (_cell_on_a_used_ladder, range(1, 61)),
+    ):
+        cell = build(lam, b)
+        assert cell.limits() == omega_limits(lam, b)
+        assert cell.threshold(20) == find_threshold(lam, b, window=20)
+        for n in orders:
+            fresh = math.exp(BesselLadder(lam * b).log_i(n)
+                             + BesselLadder(lam).log_k(n))
+            assert cell.mode(n)[1:] == (
+                fresh, _rankine(n, lam), _rankine(n, lam * b))
+            pair = cell.spectrum(n)[1]
+            assert pair == eigenvalues(n, lam, b)
+            assert cell.matrix(n, 0.3) == spectral_matrix(n, lam, b, 0.3)
+            assert cell.simply_connected(n)[1] == simply_connected_limit(n, lam)
+            if pair is not None:
+                assert pair.kernel_minus == kernel_vector(n, lam, b, "-")
+                assert pair.kernel_plus == kernel_vector(n, lam, b, "+")
+
+
+def test_cell_refuses_a_ladder_at_another_argument():
+    with pytest.raises(ValueError, match="not at lambda=1.0"):
+        ModeCell(1.0, 0.5, outer=BesselLadder(0.5))  # the ladder at lam b
+    assert ModeCell(1.0, 0.5, outer=BesselLadder(1.0)).outer.x == 1.0
 
 
 def test_euler_limit_of_rankine_velocity():
