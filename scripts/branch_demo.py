@@ -76,8 +76,7 @@ def main():
                   f"  gap to eigenvalue {abs(omega0 - omega_star):.2e}"
                   f"  bend {'none' if bend is None else f'{bend:.4f}'}")
             first = trace.points[0]
-            tangent = (first.f1.coefficients[m - 1],
-                       first.f2.coefficients[m - 1])
+            tangent = first.lattice(1)[:, 0]
             ratio = tangent[1] / tangent[0] if first.pinned == "outer" \
                 else tangent[0] / tangent[1]
             target = v2 / v1 if first.pinned == "outer" else v1 / v2

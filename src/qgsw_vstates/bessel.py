@@ -274,7 +274,12 @@ def beltrami_k0(a: float, b: float, theta: float, terms: int) -> float:
     """
     if not 0.0 < b < a:
         raise ValueError("need 0 < b < a")
-    inner, outer = BesselLadder(b), BesselLadder(a)
+    return _beltrami_sum(BesselLadder(b), BesselLadder(a), theta, terms)
+
+
+def _beltrami_sum(inner, outer, theta, terms):
+    """beltrami_k0's sum on the ladders at b (inner) and a (outer), which
+    callers at several theta share."""
     total = inner.i(0) * outer.k(0)
     for m in range(1, terms + 1):
         total += 2.0 * math.cos(m * theta) * math.exp(
@@ -301,7 +306,10 @@ def _series_tables():
         m = len(i0)
         harmonic = harmonic * m + fact
         fact *= m
-    return np.array(i0), np.array(k0reg)
+    tables = np.array(i0), np.array(k0reg)
+    for table in tables:
+        table.flags.writeable = False  # shared by every kernel call
+    return tables
 
 
 _I0_COEFFS, _K0REG_COEFFS = _series_tables()

@@ -30,14 +30,14 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .bessel import BesselLadder, bessel_k, beltrami_k0
+from .bessel import BesselLadder, _beltrami_sum, bessel_k
 from .contour import (
     _check_bandwidth, _check_max_lambda, _check_mode_fits, _check_node_count,
     annulus_boundary, fold_grid, g_functional, linearization_check, make_grid,
 )
 from .continuation import (
-    _check_amplitude, _check_steps, _check_truncation, lattice_values,
-    omega_intercept, trace_branch,
+    _check_amplitude, _check_steps, _check_truncation, omega_intercept,
+    trace_branch,
 )
 from .spectrum import (
     ModeCell, SearchExhausted, _check_b_open, _check_lambda, _check_order,
@@ -204,28 +204,19 @@ def _convert(value, kind):
     return kind(value)
 
 
-# cell text by exact type; any other type takes _format_cell's chain
+# cell text by exact type, for the types the commands write
 _CELL_TEXT = {float: "{:.17g}".format, np.float64: "{:.17g}".format, int: str,
               str: str, bool: {True: "true", False: "false"}.get,
               type(None): lambda value: ""}
 
 
 def _format_cell(value):
-    text = _CELL_TEXT.get(type(value))
-    if text is not None:
-        return text(value)
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.17g}"
+    return _CELL_TEXT[type(value)](value)
 
 
 def _json_cell(value):
     if value is None or isinstance(value, (bool, int, str)):
         return value
-    if isinstance(value, np.integer):
-        return int(value)
     return float(value)
 
 
@@ -389,17 +380,11 @@ def _cmd_branch(config):
         omega_star = omega_stars[m, sign]
         omega0, bend = omega_intercept(trace.points)
         count = max((p.truncation for p in trace.points), default=0)
-        rows = [
-            [p.s, p.omega, p.residual]
-            + list(lattice_values(p.f1, m, count))
-            + list(lattice_values(p.f2, m, count))
-            for p in trace.points
-        ]
-        header = (
-            ["s", "omega", "residual"]
-            + [f"a{m * (k + 1) - 1}" for k in range(count)]
-            + [f"b{m * (k + 1) - 1}" for k in range(count)]
-        )
+        rows = [[p.s, p.omega, p.residual, *p.lattice(count).ravel()]
+                for p in trace.points]
+        # the columns of p.lattice(count).ravel(), named by dense index
+        header = ["s", "omega", "residual"] + [
+            f"{side}{m * (k + 1) - 1}" for side in "ab" for k in range(count)]
         stem = f"branch_m{m}_{'plus' if sign == '+' else 'minus'}"
         return (stem, header, rows), {
             "m": m,
@@ -446,10 +431,11 @@ def _verify_bessel_wronskian():
 
 def _verify_bessel_beltrami():
     rng = np.random.default_rng(0)
+    inner, outer = BesselLadder(0.5), BesselLadder(1.0)
     worst = 0.0
     for theta in rng.uniform(0.0, 2.0 * math.pi, size=50):
         theta = float(theta)
-        summed = beltrami_k0(1.0, 0.5, theta, 40)
+        summed = _beltrami_sum(inner, outer, theta, 40)
         dist = math.sqrt(1.25 - math.cos(theta))
         worst = max(worst, abs(summed - bessel_k(0, dist)))
     return worst

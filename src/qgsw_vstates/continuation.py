@@ -136,6 +136,16 @@ class BranchPoint:
         longest = max(len(self.f1.coefficients), len(self.f2.coefficients))
         return longest // self.m
 
+    def lattice(self, count):
+        """The 2 x count lattice coefficients (f1's row, then f2's), column
+        k read at index m(k+1)-1 and zero past the point's truncation: the
+        inverse of lattice_boundaries."""
+        out = np.zeros((2, count))
+        for row, boundary in zip(out, (self.f1, self.f2)):
+            values = boundary.coefficients[self.m - 1 :: self.m][:count]
+            row[: len(values)] = values
+        return out
+
 
 @dataclass(frozen=True)
 class TraceResult:
@@ -151,19 +161,15 @@ class VerifyReport:
     omega: float
 
 
-def lattice_tuple(m, values):
-    """Dense coefficient tuple with values[k] at index m(k+1)-1."""
-    dense = [0.0] * (m * len(values))
-    for k, value in enumerate(values):
-        dense[m * (k + 1) - 1] = value
-    return tuple(dense)
-
-
-def lattice_values(boundary, m, count):
-    """Inverse of lattice_tuple: the first count lattice coefficients of
-    boundary, zero-padded past its truncation."""
-    lattice = boundary.coefficients[m - 1 :: m][:count]
-    return np.pad(lattice, (0, count - len(lattice)))
+def lattice_boundaries(m, b, lattice):
+    """(f1, f2) of scales 1 and b from the 2 x K lattice coefficients: row
+    j's column k at index m(k+1)-1 of f_j, every other coefficient zero.
+    Raises ValueError outside the ball guard."""
+    lattice = np.asarray(lattice, dtype=float)
+    dense = np.zeros((2, m * lattice.shape[1]))
+    dense[:, m - 1 :: m] = lattice
+    return tuple(FourierBoundary(scale, tuple(row))
+                 for scale, row in zip((1.0, b), dense.tolist()))
 
 
 class _ProjectedSystem:
@@ -187,7 +193,6 @@ class _ProjectedSystem:
         self.s = s
         self.modes = m * np.arange(1, trunc + 1)
         self.matrix = None
-        self.seedable = True
         self.evaluations = 0
         self.builds = 0
         self.steps = 0
@@ -196,14 +201,14 @@ class _ProjectedSystem:
         """The 2 x K lattice coefficients at u, the pinned one inserted."""
         return np.insert(u[:-1], self.pin, self.s).reshape(2, self.trunc)
 
-    def boundaries(self, u):
-        c1, c2 = self.lattice(u)
-        f1 = FourierBoundary(1.0, lattice_tuple(self.m, c1))
-        f2 = FourierBoundary(self.cell.b, lattice_tuple(self.m, c2))
-        return f1, f2, u[-1]
+    def pack(self, lattice, omega):
+        """u of the 2 x K lattice coefficients and Omega, the pinned one left
+        out: lattice(pack(L, omega)) is L with its pinned entry at s."""
+        return np.delete(np.append(lattice, omega), self.pin)
 
-    def pack(self, c1, c2, omega):
-        return np.delete(np.concatenate([c1, c2, [omega]]), self.pin)
+    def boundaries(self, u):
+        f1, f2 = lattice_boundaries(self.m, self.cell.b, self.lattice(u))
+        return f1, f2, u[-1]
 
     def residual(self, u):
         """(projected residual vector, max node residual)."""
@@ -218,13 +223,9 @@ class _ProjectedSystem:
 
     def jacobian(self, u, projected):
         """(matrix, fresh) for one Newton step at u, whose residual is
-        projected: the current estimate, else the seeded linearization (once
-        per system), else a fresh forward-difference build."""
+        projected: the current estimate (the seed newton_solve sets, then
+        its updates), else a fresh forward-difference build."""
         if self.matrix is not None:
-            return self.matrix, False
-        if self.seedable:
-            self.seedable = False
-            self.matrix = self.linearization(u)
             return self.matrix, False
         self.matrix = self.forward_difference(u, projected)
         self.builds += 1
@@ -333,13 +334,11 @@ def newton_solve(lam, b, m, sign, s, initial_guess=None, trunc=16, grid=None,
     cell = ModeCell(lam, b) if _cell is None else _cell
     omega_star, pinned, direction = _kernel_direction(cell, m, sign)
     if initial_guess is None:
-        c1 = np.zeros(trunc)
-        c2 = np.zeros(trunc)
-        c1[0], c2[0] = s * direction
+        lattice = np.zeros((2, trunc))
+        lattice[:, 0] = s * direction
         omega = omega_star
     else:
-        c1 = lattice_values(initial_guess.f1, m, trunc)
-        c2 = lattice_values(initial_guess.f2, m, trunc)
+        lattice = initial_guess.lattice(trunc)
         omega = initial_guess.omega
 
     # solve at trunc until the nodes are solved or the lattice equations
@@ -349,7 +348,8 @@ def newton_solve(lam, b, m, sign, s, initial_guess=None, trunc=16, grid=None,
     evaluations = builds = steps = 0
     while True:
         system = _ProjectedSystem(cell, m, trunc, grid, pinned, float(s))
-        u = system.pack(c1, c2, omega)
+        u = system.pack(lattice, omega)
+        system.matrix = system.linearization(u)
         projected, node_res = system.residual(u)
         norm = np.linalg.norm(projected)
         iterations = 0
@@ -428,9 +428,8 @@ def newton_solve(lam, b, m, sign, s, initial_guess=None, trunc=16, grid=None,
             raise NonConvergence(
                 f"truncation saturated: tail {tail:.3e} at K={trunc}"
             ) from None
+        lattice = np.pad(system.lattice(u), ((0, 0), (0, trunc)))
         trunc *= 2
-        c1 = lattice_values(f1, m, trunc)
-        c2 = lattice_values(f2, m, trunc)
 
 
 def trace_branch(lam, b, m, sign, s_max, steps, trunc=16, grid=None):
@@ -511,23 +510,19 @@ def _parity_guess(m, s, older, newer, direction):
     count = max(older.truncation, newer.truncation)
     odd = np.arange(count) % 2 == 0  # lattice index k = 1, 3, ...
 
-    def reduced(point, side):
-        values = lattice_values((point.f1, point.f2)[side], m, count)
+    def reduced(point):
+        lattice = point.lattice(count)
         if point.s == 0.0:
-            values[0] = direction[side]
+            lattice[:, 0] = direction
         else:
-            values[odd] /= point.s
-        return values
+            lattice[:, odd] /= point.s
+        return lattice
 
-    def extrapolate(side):
-        last = reduced(newer, side)
-        values = last + t * (last - reduced(older, side))
-        values[odd] *= s
-        scale = (newer.f1, newer.f2)[side].scale
-        return FourierBoundary(scale, lattice_tuple(m, values))
-
+    last = reduced(newer)
+    lattice = last + t * (last - reduced(older))
+    lattice[:, odd] *= s
     try:
-        f1, f2 = extrapolate(0), extrapolate(1)
+        f1, f2 = lattice_boundaries(m, newer.f2.scale, lattice)
     except ValueError:
         return newer
     omega = newer.omega + t * (newer.omega - older.omega)

@@ -29,6 +29,11 @@ import numpy as np
 
 from .bessel import BesselLadder
 
+# the largest lambda a mode quantity accepts: the Bessel ladder's mpmath
+# tests reach x = 700, and K_1(lambda) leaves the normal doubles near 706
+_BESSEL_RANGE = 700.0
+
+
 class SearchExhausted(RuntimeError):
     """Mode scan hit its cap without certifying a threshold."""
 
@@ -44,6 +49,10 @@ def _normalize_sign(sign):
 def _check_lambda(lam):
     if not 0.0 < lam < math.inf:
         raise ValueError(f"lambda must be positive and finite; got {lam}")
+    if lam > _BESSEL_RANGE:
+        raise ValueError(
+            f"lambda must be at most {_BESSEL_RANGE:g}, the range the"
+            f" Bessel ladder is tested on; got {lam}")
 
 
 def _check_b_open(b):

@@ -477,7 +477,6 @@ def omega_column(lattice, m, b, grid):
     k = 1..K, for the 2 x K lattice coefficients (f1's row, then f2's).
     The check on the closed form of the seed, which evaluates no map.
     """
-    from qgsw_vstates.continuation import lattice_tuple
     from qgsw_vstates.contour import (
         FourierBoundary, conformal_eval, sine_coefficients,
     )
@@ -485,7 +484,10 @@ def omega_column(lattice, m, b, grid):
     modes = m * np.arange(1, lattice.shape[1] + 1)
     column = []
     for scale, row in zip((1.0, b), lattice):
-        boundary = FourierBoundary(scale, lattice_tuple(m, row))
+        dense = [0.0] * (m * len(row))
+        for k, value in enumerate(row):
+            dense[m * (k + 1) - 1] = value
+        boundary = FourierBoundary(scale, tuple(dense))
         vals, derivs = conformal_eval(boundary, grid)
         slope = np.imag(vals * np.conj(grid.nodes) * np.conj(derivs))
         column.append(sine_coefficients(slope, grid)[modes])

@@ -14,6 +14,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 import qgsw_vstates.continuation as continuation
@@ -23,8 +24,7 @@ from qgsw_vstates.continuation import (
     BranchPoint,
     DegenerateJacobian,
     NonConvergence,
-    lattice_tuple,
-    lattice_values,
+    lattice_boundaries,
     newton_solve,
     omega_intercept,
     trace_branch,
@@ -208,11 +208,53 @@ def _parity_point(s, pinned, trunc):
     lattice[:, 1] = np.array([-2.5, 1.5]) * s**2
     lattice[:, 2] = np.array([0.6, -0.9]) * s**3
     return BranchPoint(
-        s=s, omega=0.2 + 0.7 * s**2,
-        f1=FourierBoundary(1.0, lattice_tuple(M, lattice[0])),
-        f2=FourierBoundary(B, lattice_tuple(M, lattice[1])),
+        s, 0.2 + 0.7 * s**2, *lattice_boundaries(M, B, lattice),
         residual=0.0, m=M, pinned=pinned,
     )
+
+
+@st.composite
+def _lattices(draw):
+    """(m, b, a 2 x K lattice) with both boundaries inside the ball guard:
+    each |coefficient| times its m(k+1) sums to at most b/10."""
+    m, trunc = draw(st.integers(1, 40)), draw(st.integers(1, 8))
+    b = draw(st.floats(0.05, 0.95))
+    bound = 0.2 * b / (m * trunc * (trunc + 1))
+    values = draw(st.lists(st.floats(-bound, bound), min_size=2 * trunc,
+                           max_size=2 * trunc))
+    return m, b, np.array(values).reshape(2, trunc)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_lattices(), st.data())
+def test_branch_point_reads_back_the_lattice_it_was_written_from(case, data):
+    m, b, lattice = case
+    trunc = lattice.shape[1]
+    count = data.draw(st.integers(0, 2 * trunc))
+    f1, f2 = lattice_boundaries(m, b, lattice)
+    assert (f1.scale, f2.scale) == (1.0, b)
+    assert len(f1.coefficients) == len(f2.coefficients) == m * trunc
+    point = BranchPoint(0.0, 0.0, f1, f2, residual=0.0, m=m, pinned="outer")
+    kept = min(count, trunc)
+    want = np.zeros((2, count))
+    want[:, :kept] = lattice[:, :kept]
+    # bit for bit: cut at count, zero-padded past K, -0.0 kept
+    assert point.lattice(count).tobytes() == want.tobytes()
+
+
+@settings(max_examples=50, deadline=None)
+@given(_lattices(), st.sampled_from(["outer", "inner"]), st.floats(-1.0, 1.0),
+       st.floats(-0.05, 0.05))
+def test_pack_and_lattice_are_inverses(case, pinned, omega, s):
+    m, _, lattice = case
+    trunc = lattice.shape[1]
+    # pack and lattice read neither the cell nor the grid
+    system = continuation._ProjectedSystem(None, m, trunc, None, pinned, s)
+    u = system.pack(lattice, omega)
+    assert u.size == 2 * trunc and u[-1] == omega
+    want = lattice.copy()
+    want[divmod(system.pin, trunc)] = s
+    assert system.lattice(u).tobytes() == want.tobytes()
 
 
 def _annulus_point(omega):
@@ -239,10 +281,9 @@ def test_parity_guess_reproduces_an_even_and_odd_branch(
         want = _parity_point(s, pinned, 8)
         assert guess.s == s
         assert guess.omega == pytest.approx(want.omega, rel=1e-15)
-        got = [lattice_values(f, M, 8) for f in (guess.f1, guess.f2)]
-        assert got[pin][0] == s  # the pinned coefficient exactly
-        for values, f in zip(got, (want.f1, want.f2)):
-            assert np.max(np.abs(values - lattice_values(f, M, 8))) <= 1e-18
+        got = guess.lattice(8)
+        assert got[pin, 0] == s  # the pinned coefficient exactly
+        assert np.max(np.abs(got - want.lattice(8))) <= 1e-18
 
 
 def test_parity_guess_is_finite_at_tiny_amplitudes():
@@ -253,10 +294,9 @@ def test_parity_guess_is_finite_at_tiny_amplitudes():
     for older, newer in ((_annulus_point(0.2), one), (one, two)):
         guess = continuation._parity_guess(M, 3e-200, older, newer, direction)
         assert guess.omega == 0.2
-        for f, lead in zip((guess.f1, guess.f2), direction * 3e-200):
-            values = lattice_values(f, M, 4)
-            assert np.all(np.isfinite(values))
-            assert values[0] == pytest.approx(lead, rel=1e-14)
+        values = guess.lattice(4)
+        assert np.all(np.isfinite(values))
+        assert values[:, 0] == pytest.approx(direction * 3e-200, rel=1e-14)
 
 
 def test_zero_order_fallback_rescues_a_point():
@@ -353,9 +393,9 @@ def _cold_system(lam, sign, s, trunc, grid):
     omega_star, pinned, direction = continuation._kernel_direction(
         cell, M, sign)
     system = continuation._ProjectedSystem(cell, M, trunc, grid, pinned, s)
-    c1, c2 = np.zeros(trunc), np.zeros(trunc)
-    c1[0], c2[0] = s * direction
-    u = system.pack(c1, c2, omega_star)
+    lattice = np.zeros((2, trunc))
+    lattice[:, 0] = s * direction
+    u = system.pack(lattice, omega_star)
     return system, u, system.residual(u)[0]
 
 
@@ -418,7 +458,7 @@ def test_one_linearization_builds_one_mode_cell(monkeypatch):
     system = continuation._ProjectedSystem(
         spectrum.ModeCell(LAM, B), M, trunc, make_grid(256), "outer", 1e-3
     )
-    u = system.pack(np.zeros(trunc), np.zeros(trunc), 0.3)
+    u = system.pack(np.zeros((2, trunc)), 0.3)
     monkeypatch.setattr(spectrum.ModeCell, "__init__", counted)
     seeded = system.linearization(u)
     assert built == []
