@@ -59,12 +59,10 @@ def main():
         trace = trace_branch(lam, b, m, sign, args.s_max, args.steps,
                              trunc=args.trunc, grid=grid)
         elapsed = time.time() - t0
-        evaluations = sum(p.evaluations for p in trace.points)
-        steps = sum(p.newton_steps for p in trace.points)
-        builds = sum(p.builds for p in trace.points)
         print(f"\nsign {sign}: {len(trace.points)} points in {elapsed:.1f}s,"
-              f" {evaluations} residual evaluations, {steps} Newton steps,"
-              f" {builds} forward-difference Jacobians"
+              f" {trace.evaluations} residual evaluations,"
+              f" {trace.newton_steps} Newton steps,"
+              f" {trace.builds} forward-difference Jacobians"
               f" ({trace.termination_reason})")
         print(f"  {'s':>12} {'Omega':>16} {'residual':>10}")
         for point in trace.points:

@@ -77,14 +77,14 @@ def _k0_nodes(lo: float, hi: float) -> tuple[np.ndarray, float]:
     return 2.0 * np.sinh(half_nodes) ** 2, t_max / steps
 
 
-def _k01(x: float) -> tuple[float, float, float]:
-    """(k0_mant, k1_mant, log_scale): K_nu(x) = mant * exp(log_scale) by
-    _k0_nodes at lo = hi = x, K_1 weighting each node by cosh t."""
+def _k01(x: float) -> tuple[float, float]:
+    """(k0_mant, k1_mant): K_nu(x) = mant * exp(-x) by _k0_nodes at
+    lo = hi = x, K_1 weighting each node by cosh t."""
     c, h = _k0_nodes(x, x)
     w = np.exp(-x * c)
     w[-1] *= 0.5  # the last node carries half weight, as t = 0 does
     s0 = 0.5 + float(w.sum())
-    return h * s0, h * (s0 + float(w @ c)), -x
+    return h * s0, h * (s0 + float(w @ c))
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +124,6 @@ class BesselLadder:
         self._prefactors = [(1.0, 0)]  # order -> (mantissa, binary exponent)
         self._k_orders = []  # order -> (mantissa, binary exponent)
         self._k_state = None  # (K_{top-1}, K_top, exponent) of the recurrence
-        self._k_log_scale = 0.0
         self._i_orders = {}  # order -> (mantissa, binary exponent)
         self._log_k = {}
         self._products = {}
@@ -159,12 +158,12 @@ class BesselLadder:
         self._i_orders[order] = mant, ex + e
         return mant, ex + e
 
-    def _k_scaled(self, n: int) -> tuple[float, int, float]:
-        """K_n(x) as (mantissa, binary exponent, extra log scale)."""
+    def _k_scaled(self, n: int) -> tuple[float, int]:
+        """K_n(x) exp(x) as (mantissa, binary exponent)."""
         n = _as_order(n)
         orders = self._k_orders
         if not orders:
-            k0, k1, self._k_log_scale = _k01(self.x)
+            k0, k1 = _k01(self.x)
             orders += [(k0, 0), (k1, 0)]
             self._k_state = k0, k1, 0
         if len(orders) <= n:
@@ -180,7 +179,7 @@ class BesselLadder:
             self._k_state = km, kc, ex
         kc, ex = orders[n]
         mant, e = math.frexp(kc)
-        return mant, ex + e, self._k_log_scale
+        return mant, ex + e
 
     def log_i(self, n: int) -> float:
         """log I_n(x), valid far beyond the double range of I_n."""
@@ -190,8 +189,8 @@ class BesselLadder:
     def log_k(self, n: int) -> float:
         """log K_n(x), valid far beyond the double range of K_n."""
         if n not in self._log_k:
-            mant, ex, ls = self._k_scaled(n)
-            self._log_k[n] = math.log(mant) + ex * math.log(2.0) + ls
+            mant, ex = self._k_scaled(n)
+            self._log_k[n] = math.log(mant) + ex * math.log(2.0) - self.x
         return self._log_k[n]
 
     def product(self, n: int) -> float:
@@ -217,11 +216,11 @@ class BesselLadder:
 
     def k(self, n: int) -> float:
         """K_n(x) as a double; OverflowError when it is not representable."""
-        mant, ex, ls = self._k_scaled(n)
+        mant, ex = self._k_scaled(n)
         log_val = self.log_k(n)
         if log_val > _LOG_DBL_MAX:
             raise OverflowError(f"K_{n}({self.x}) overflows a double")
-        val = math.ldexp(mant, ex) * math.exp(ls) if ls > -700.0 else math.exp(log_val)
+        val = math.ldexp(mant, ex) * math.exp(-self.x) if self.x < 700.0 else math.exp(log_val)
         if not (sys.float_info.min <= val < math.inf):
             raise OverflowError(f"K_{n}({self.x}) is not representable as a normal double")
         return val

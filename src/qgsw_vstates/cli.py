@@ -392,9 +392,9 @@ def _cmd_branch(config):
             "grid_size": grid.node_count,
             "file": f"{stem}.{config.fmt}",
             "points": len(trace.points),
-            "residual_evaluations": sum(p.evaluations for p in trace.points),
-            "jacobian_builds": sum(p.builds for p in trace.points),
-            "newton_steps": sum(p.newton_steps for p in trace.points),
+            "residual_evaluations": trace.evaluations,
+            "jacobian_builds": trace.builds,
+            "newton_steps": trace.newton_steps,
             "completed": trace.completed,
             "termination": trace.termination_reason,
             "omega_star": omega_star,

@@ -26,20 +26,20 @@ which costs no residual and no grid work: the mode-mk blocks mk M_mk(Omega)
 of the annulus, from the solve's one ModeCell, for the coefficients, and
 the exact Omega column (G is affine in Omega) in closed form, which
 nothing aliases because all its modes lie below P/2.
-Every accepted Newton step applies a Broyden rank-1 update within the
-solve.  A step taken with the seeded or updated matrix must cut the
-residual norm by 10%; a failed matrix is replaced at the same iterate by
-forward differences, whose fresh steps are damped by halving on residual
-increase.  The iteration stops once the node residual is at RESIDUAL_TOL,
-or once ||F|| is down to _RESOLVED of the node residual: the lattice
-equations are solved and only the harmonics past K hold the nodes up.  Then
-the last retained coefficient (the tail) decides.  A tail at most 1e-12
-certifies the point, or ends the solve at the node residual floor if the
-nodes are still up (more harmonics cannot help); a larger tail doubles K
-unless contour._check_bandwidth refuses m*2K (truncation saturated), and
-the doubled solve starts from a new seed.  A tail near 1e-12 is first
-polished by a few more steps, so the verdict does not depend on the
-iteration path.
+One rule, _ProjectedSystem.step, takes every Newton step and applies its
+Broyden rank-1 update.  A step with the seeded or updated matrix must cut
+the residual norm by 10%; a failed matrix is replaced at the same iterate
+by forward differences, whose fresh steps are damped by halving on
+residual increase.  The iteration stops once the node residual is at
+RESIDUAL_TOL, or once ||F|| is down to _RESOLVED of the node residual: the
+lattice equations are solved and only the harmonics past K hold the nodes
+up.  Then the last retained coefficient (the tail) decides.  A tail at
+most 1e-12 certifies the point, or ends the solve at the node residual
+floor if the nodes are still up (more harmonics cannot help); a larger tail
+doubles K unless contour._check_bandwidth refuses m*2K (truncation
+saturated), and the doubled solve starts from a new seed.  A tail near
+1e-12 is first polished by a few more steps, so the verdict does not
+depend on the iteration path.
 """
 
 from __future__ import annotations
@@ -149,9 +149,14 @@ class BranchPoint:
 
 @dataclass(frozen=True)
 class TraceResult:
+    """A march's points, and the work it spent, its failed solve's too."""
+
     points: tuple
     termination_reason: str
     completed: bool
+    evaluations: int = 0
+    builds: int = 0
+    newton_steps: int = 0
 
 
 @dataclass(frozen=True)
@@ -181,10 +186,11 @@ class _ProjectedSystem:
     step uses: the seeded linearization, Broyden-updated, else a
     forward-difference build.  evaluations counts the residuals computed so
     far, builds the forward-difference matrices and steps the accepted
-    Newton steps.  cell is the solve's ModeCell, of its (lam, b).
+    Newton steps; a solve at doubled K starts from work, the counts at the
+    lower K.  cell is the solve's ModeCell, of its (lam, b).
     """
 
-    def __init__(self, cell, m, trunc, grid, pinned, s):
+    def __init__(self, cell, m, trunc, grid, pinned, s, work=(0, 0, 0)):
         self.cell = cell
         self.m = m
         self.trunc = trunc
@@ -193,9 +199,12 @@ class _ProjectedSystem:
         self.s = s
         self.modes = m * np.arange(1, trunc + 1)
         self.matrix = None
-        self.evaluations = 0
-        self.builds = 0
-        self.steps = 0
+        self.evaluations, self.builds, self.steps = work
+
+    @property
+    def work(self):
+        """(evaluations, builds, steps) so far."""
+        return self.evaluations, self.builds, self.steps
 
     def lattice(self, u):
         """The 2 x K lattice coefficients at u, the pinned one inserted."""
@@ -271,35 +280,28 @@ class _ProjectedSystem:
         """Largest last lattice coefficient of the two boundaries at u."""
         return np.max(np.abs(self.lattice(u)[:, -1]))
 
-    def polish(self, u, projected, node_res):
-        """(u, projected, node_res) after up to _POLISH_STEPS more steps with
-        the current matrix.  A step is kept only if ||F|| does not rise and
-        the node residual stays under RESIDUAL_TOL; polishing stops at the
-        first step that does not cut ||F|| by 10% (the rounding floor)."""
-        norm = np.linalg.norm(projected)
-        for _ in range(_POLISH_STEPS):
-            matrix, _ = self.jacobian(u, projected)
-            trial = u + np.linalg.solve(matrix, -projected)
+    def step(self, u, projected, target, halvings=0, res_cap=math.inf):
+        """(u, projected, node_res, norm) after one Newton step with the
+        current matrix, or None when every trial fails.  The step is halved
+        up to halvings times until ||F|| < target with the node residual at
+        most res_cap; a trial outside the ball guard fails.  The accepted
+        step applies Broyden's rank-1 secant update to the matrix and counts
+        in steps."""
+        delta = np.linalg.solve(self.matrix, -projected)
+        for k in range(halvings + 1):
+            trial = u + 0.5**k * delta
             try:
                 trial_proj, trial_res = self.residual(trial)
             except ValueError:
-                break
-            trial_norm = np.linalg.norm(trial_proj)
-            if trial_res > RESIDUAL_TOL or trial_norm > norm:
-                break
-            self.broyden_update(trial - u, trial_proj - projected)
-            self.steps += 1
-            u, projected, node_res = trial, trial_proj, trial_res
-            if trial_norm > _DECREASE * norm:
-                break
-            norm = trial_norm
-        return u, projected, node_res
-
-    def broyden_update(self, du, dprojected):
-        """Rank-1 secant correction after the accepted step du."""
-        self.matrix = self.matrix + np.outer(
-            dprojected - self.matrix @ du, du
-        ) / (du @ du)
+                continue
+            norm = np.linalg.norm(trial_proj)
+            if norm < target and trial_res <= res_cap:
+                du = trial - u
+                self.matrix = self.matrix + np.outer(
+                    trial_proj - projected - self.matrix @ du, du) / (du @ du)
+                self.steps += 1
+                return trial, trial_proj, trial_res, norm
+        return None
 
 
 def _kernel_direction(cell, m, sign):
@@ -322,8 +324,10 @@ def newton_solve(lam, b, m, sign, s, initial_guess=None, trunc=16, grid=None,
     matrix.  The top mode m*K must stay below the grid's P/2, whose sine
     the nodes cannot see; the default grid is fold_grid(m, 256).
     Raises NonConvergence or DegenerateJacobian; a guess outside the ball
-    guard raises ValueError at its first residual.  _cell is trace_branch's
-    ModeCell of (lam, b), which its anchor and every solve share.
+    guard raises ValueError at its first residual.  An exception raised once
+    the solve has started carries work, the (evaluations, builds, steps) the
+    failed attempt spent.  _cell is trace_branch's ModeCell of (lam, b),
+    which its anchor and every solve share.
     """
     m = int(m)
     grid = grid if grid is not None else fold_grid(m, 256)
@@ -345,91 +349,81 @@ def newton_solve(lam, b, m, sign, s, initial_guess=None, trunc=16, grid=None,
     # are (||F|| down to _RESOLVED of the node residual: the harmonics past
     # K hold the nodes up); then the tail decides between certifying,
     # failing at the node floor and solving again at twice trunc
-    evaluations = builds = steps = 0
-    while True:
-        system = _ProjectedSystem(cell, m, trunc, grid, pinned, float(s))
-        u = system.pack(lattice, omega)
-        system.matrix = system.linearization(u)
-        projected, node_res = system.residual(u)
-        norm = np.linalg.norm(projected)
-        iterations = 0
-        while node_res > RESIDUAL_TOL and norm > _RESOLVED * node_res:
-            if iterations == _MAX_ITERATIONS:
-                raise NonConvergence(
-                    f"iteration cap reached at s={s}, m={m}"
-                    f" (residual {node_res:.3e})"
-                )
-            iterations += 1
-            jac, fresh = system.jacobian(u, projected)
-            cond = np.linalg.cond(jac)
-            if not np.isfinite(cond) or cond > _CONDITION_CAP:
-                if not fresh:
+    work = (0, 0, 0)
+    try:
+        while True:
+            system = _ProjectedSystem(cell, m, trunc, grid, pinned, float(s),
+                                      work)
+            u = system.pack(lattice, omega)
+            system.matrix = system.linearization(u)
+            projected, node_res = system.residual(u)
+            norm = np.linalg.norm(projected)
+            iterations = 0
+            while node_res > RESIDUAL_TOL and norm > _RESOLVED * node_res:
+                if iterations == _MAX_ITERATIONS:
+                    raise NonConvergence(f"iteration cap reached at s={s},"
+                                         f" m={m} (residual {node_res:.3e})")
+                iterations += 1
+                jac, fresh = system.jacobian(u, projected)
+                cond = np.linalg.cond(jac)
+                singular = not cond <= _CONDITION_CAP  # nan included
+                # a seeded or updated matrix gets one full step that must
+                # cut the residual by 10%, else it is rebuilt here; a fresh
+                # one is damped
+                taken = None if singular else system.step(
+                    u, projected, norm if fresh else _DECREASE * norm,
+                    _MAX_HALVINGS if fresh else 0)
+                if taken is None and not fresh:
                     system.matrix = None
                     continue
-                raise DegenerateJacobian(
-                    f"condition estimate {cond:.3e} at s={s}, m={m}"
+                if singular:
+                    raise DegenerateJacobian(
+                        f"condition estimate {cond:.3e} at s={s}, m={m}")
+                if taken is None:
+                    raise NonConvergence(f"damping exhausted at s={s}, m={m}"
+                                         f" (residual {node_res:.3e})")
+                u, projected, node_res, norm = taken
+            if node_res <= RESIDUAL_TOL and (
+                _TAIL_DOUBT[0] < system.tail(u) < _TAIL_DOUBT[1]
+            ):
+                # polish by steps that keep ||F|| from rising and the nodes
+                # solved, until one cuts ||F|| by less than 10%
+                for _ in range(_POLISH_STEPS):
+                    taken = system.step(
+                        u, projected, np.nextafter(norm, np.inf),
+                        res_cap=RESIDUAL_TOL)
+                    if taken is None:
+                        break
+                    u, projected, node_res, trial_norm = taken
+                    if trial_norm > _DECREASE * norm:
+                        break
+                    norm = trial_norm
+            f1, f2, omega = system.boundaries(u)
+            tail = system.tail(u)
+            if tail <= _TAIL_TOL:
+                if node_res > RESIDUAL_TOL:
+                    raise NonConvergence(
+                        f"node residual floor: residual {node_res:.3e} with"
+                        f" tail {tail:.3e} at s={s}, m={m}, K={trunc}"
+                    )
+                return BranchPoint(
+                    s=system.s, omega=omega, f1=f1, f2=f2, residual=node_res,
+                    m=m, pinned=pinned, evaluations=system.evaluations,
+                    builds=system.builds, newton_steps=system.steps,
                 )
-            delta = np.linalg.solve(jac, -projected)
-            # a seeded or updated matrix gets one full step that must cut
-            # the residual by 10%, else it is rebuilt here; a fresh one is
-            # damped
-            halvings, target = (
-                (_MAX_HALVINGS, norm) if fresh
-                else (0, _DECREASE * norm)
-            )
-            step_scale = 1.0
-            for _ in range(halvings + 1):
-                try:
-                    trial = u + step_scale * delta
-                    trial_proj, trial_res = system.residual(trial)
-                except ValueError:
-                    step_scale *= 0.5
-                    continue
-                trial_norm = np.linalg.norm(trial_proj)
-                if trial_norm < target:
-                    break
-                step_scale *= 0.5
-            else:
-                if not fresh:
-                    system.matrix = None
-                    continue
+            try:
+                _check_bandwidth(m, 2 * trunc, grid.node_count)
+            except ValueError:
                 raise NonConvergence(
-                    f"damping exhausted at s={s}, m={m}"
-                    f" (residual {node_res:.3e})"
-                )
-            system.broyden_update(trial - u, trial_proj - projected)
-            system.steps += 1
-            u, projected, node_res, norm = (
-                trial, trial_proj, trial_res, trial_norm,
-            )
-        if node_res <= RESIDUAL_TOL and (
-            _TAIL_DOUBT[0] < system.tail(u) < _TAIL_DOUBT[1]
-        ):
-            u, projected, node_res = system.polish(u, projected, node_res)
-        evaluations += system.evaluations
-        builds += system.builds
-        steps += system.steps
-        f1, f2, omega = system.boundaries(u)
-        tail = system.tail(u)
-        if tail <= _TAIL_TOL:
-            if node_res > RESIDUAL_TOL:
-                raise NonConvergence(
-                    f"node residual floor: residual {node_res:.3e} with"
-                    f" tail {tail:.3e} at s={s}, m={m}, K={trunc}"
-                )
-            return BranchPoint(
-                s=system.s, omega=omega, f1=f1, f2=f2, residual=node_res,
-                m=m, pinned=pinned, evaluations=evaluations, builds=builds,
-                newton_steps=steps,
-            )
-        try:
-            _check_bandwidth(m, 2 * trunc, grid.node_count)
-        except ValueError:
-            raise NonConvergence(
-                f"truncation saturated: tail {tail:.3e} at K={trunc}"
-            ) from None
-        lattice = np.pad(system.lattice(u), ((0, 0), (0, trunc)))
-        trunc *= 2
+                    f"truncation saturated: tail {tail:.3e} at K={trunc}"
+                ) from None
+            lattice = np.pad(system.lattice(u), ((0, 0), (0, trunc)))
+            trunc *= 2
+            work = system.work
+    except (NonConvergence, DegenerateJacobian, ValueError) as exc:
+        # the failed attempt's work, for the trace that reports it
+        exc.work = system.work
+        raise
 
 
 def trace_branch(lam, b, m, sign, s_max, steps, trunc=16, grid=None):
@@ -437,13 +431,14 @@ def trace_branch(lam, b, m, sign, s_max, steps, trunc=16, grid=None):
 
     Returns a TraceResult whose points are the converged BranchPoints in
     increasing s; an unconverged step terminates the trace early with the
-    failure recorded in termination_reason, never raising.  An s_max that is
-    not positive and finite, or steps below 1, raises ValueError up front.
+    failure recorded in termination_reason, never raising; its counts
+    include that failed solve's work.  An s_max that is not positive and
+    finite, or steps below 1, raises ValueError up front.
     The default grid is fold_grid(m, 256), as in newton_solve.
     """
     _check_amplitude(s_max)
     steps = _check_steps(steps)
-    history, reason = [], "completed"
+    history, reason, work = [], "completed", [(0, 0, 0)]
     try:
         grid = grid if grid is not None else fold_grid(m, 256)
         # the annulus at (0, Omega*), exact and with nothing pinned, anchors
@@ -465,9 +460,14 @@ def trace_branch(lam, b, m, sign, s_max, steps, trunc=16, grid=None):
             ))
     except (NonConvergence, DegenerateJacobian, ValueError) as exc:
         reason = f"{type(exc).__name__}: {exc}"
+        work = [getattr(exc, "work", (0, 0, 0))]
+    points = tuple(history[1:])
+    work += [(p.evaluations, p.builds, p.newton_steps) for p in points]
+    evaluations, builds, newton_steps = map(sum, zip(*work))
     return TraceResult(
-        points=tuple(history[1:]), termination_reason=reason,
-        completed=reason == "completed",
+        points=points, termination_reason=reason,
+        completed=reason == "completed", evaluations=evaluations,
+        builds=builds, newton_steps=newton_steps,
     )
 
 

@@ -361,6 +361,25 @@ def test_table_commands_match_golden_files(tmp_path, command):
     assert (out / name).read_bytes() == (DATA / name).read_bytes()
 
 
+@pytest.mark.parametrize("argv, code, files", [
+    (("--b", "0.5", "--m", "5", "--trunc", "2", "--grid-size", "128",
+      "--s-max", "2e-3", "--steps", "4"),
+     0, ["branch_m5_plus.csv", "branch_m5_minus.csv"]),
+    (("--b", "0.9", "--m", "16", "--sign", "+", "--trunc", "4",
+      "--grid-size", "512", "--s-max", "5e-3", "--steps", "8"),
+     3, ["branch_m16_plus.csv"]),
+], ids=["k2-march", "b09-m16"])
+def test_branch_tables_match_golden_files(tmp_path, argv, code, files):
+    # both marches polish tails near 1e-12 (the first doubles K from 2, the
+    # second saturates at K = 8), so tests/data pins the polish path bit
+    # for bit; a deliberate change of the numerics regenerates the tables
+    out = tmp_path / "run"
+    assert _run("branch", "--lambda", "1", *argv, "--out", str(out),
+                "--jobs", "1") == code
+    for name in files:
+        assert (out / name).read_bytes() == (DATA / name).read_bytes()
+
+
 def _count_builds(monkeypatch, cls):
     """The first argument of every cls(...) built from here on."""
     built = []
@@ -464,7 +483,7 @@ _BENCH_BRANCH = ("--b", "0.5", "--m", "5", "--s-max", "0.0025", "--steps",
     # the far trace, which ends at the truncation and ball-guard limits
     (("--lambda", "1", "--b", "0.5", "--m", "5", "--s-max", "0.1",
       "--steps", "40"), 3,
-     {"+": (20, 104, 0, 84), "-": (19, 88, 0, 69)}),
+     {"+": (20, 114, 0, 93), "-": (19, 89, 0, 69)}),
 ], ids=["branch-ref", "branch-screened", "far-trace"])
 def test_branch_counters_stay_pinned(tmp_path, argv, code, counts):
     # points / residual evaluations / difference Jacobians / Newton steps
@@ -519,6 +538,25 @@ def test_branch_summary_counts_residual_evaluations(tmp_path, monkeypatch):
     assert sum(counts) == len(calls)
 
 
+def test_partial_branch_counts_its_failed_attempt(tmp_path, monkeypatch):
+    # the + branch saturates at K = 8 on its fourth point: the residuals of
+    # that failed solve count too, as every residual the march computed
+    calls = []
+    residual = continuation._ProjectedSystem.residual
+
+    def counted(self, u):
+        calls.append(None)
+        return residual(self, u)
+
+    monkeypatch.setattr(continuation._ProjectedSystem, "residual", counted)
+    entries = _branch_entries(
+        tmp_path / "run", "--lambda", "1", "--b", "0.9", "--m", "16",
+        "--sign", "+", "--trunc", "4", "--grid-size", "512",
+        "--s-max", "2e-3", "--steps", "4", code=3)
+    assert not entries["+"]["completed"]
+    assert entries["+"]["residual_evaluations"] == len(calls) == 18
+
+
 def test_branch_summary_counts_difference_jacobians(tmp_path, monkeypatch):
     builds = []
     difference = continuation._ProjectedSystem.forward_difference
@@ -548,14 +586,15 @@ def test_branch_summary_counts_difference_jacobians(tmp_path, monkeypatch):
 
 def test_branch_summary_counts_newton_steps(tmp_path, monkeypatch):
     steps = []
-    update = continuation._ProjectedSystem.broyden_update
+    step = continuation._ProjectedSystem.step
 
-    def counted(self, *args):
-        steps.append(None)
-        update(self, *args)
+    def counted(self, *args, **kwargs):
+        taken = step(self, *args, **kwargs)
+        if taken is not None:
+            steps.append(None)
+        return taken
 
-    monkeypatch.setattr(continuation._ProjectedSystem, "broyden_update",
-                        counted)
+    monkeypatch.setattr(continuation._ProjectedSystem, "step", counted)
     entries = _branch_entries(
         tmp_path / "run", "--lambda", "1", "--b", "0.5", "--m", "5",
         "--s-max", "2e-3", "--steps", "4", "--trunc", "2",

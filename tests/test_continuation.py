@@ -903,18 +903,20 @@ def test_omega_intercept_has_no_bend_past_the_float_range():
 
 
 def test_newton_steps_count_every_accepted_step(grid, monkeypatch):
-    # the K = 2 march doubles, and its steps include the polish; each
-    # accepted step makes one Broyden update
-    updates = []
-    update = continuation._ProjectedSystem.broyden_update
+    # the K = 2 march doubles, and its steps include the polish; the main
+    # loop and the polish both take every step through one step rule
+    accepted = []
+    step = continuation._ProjectedSystem.step
 
-    def counted(system, *args):
-        updates.append(None)
-        update(system, *args)
+    def counted(system, *args, **kwargs):
+        taken = step(system, *args, **kwargs)
+        if taken is not None:
+            accepted.append(None)
+        return taken
 
-    monkeypatch.setattr(continuation._ProjectedSystem, "broyden_update",
-                        counted)
+    monkeypatch.setattr(continuation._ProjectedSystem, "step", counted)
     result = trace_branch(LAM, B, M, "+", 2e-3, 4, trunc=2, grid=grid)
     assert result.completed
     assert [p.newton_steps for p in result.points] == [7, 3, 0, 1]
-    assert sum(p.newton_steps for p in result.points) == len(updates)
+    assert sum(p.newton_steps for p in result.points) == len(accepted)
+    assert result.newton_steps == len(accepted)
