@@ -50,9 +50,10 @@ _K0_SPLIT = 4.0
 
 
 def _as_order(n) -> int:
-    if n != int(n):
+    k = int(n)
+    if k != n:
         raise ValueError(f"order must be an integer, got {n!r}")
-    return abs(int(n))
+    return abs(k)
 
 
 # ---------------------------------------------------------------------------
@@ -101,9 +102,11 @@ class BesselLadder:
 
     The ladder is extended on demand and never restarted:
 
-    * K: the K_0/K_1 base, computed once, and the state of the upward
+    * K: the K_0/K_1 base, computed once, and every order of the upward
       recurrence K_{j+1} = K_{j-1} + (2j/x) K_j (stable because K_n grows
-      with n), renormalized by 2^-1000 whenever it passes 1e250;
+      with n), resumed from the top two and renormalized by 2^-1000 past
+      1e250 or before a step that would overflow; where 2j/x overflows
+      (x below ~1e-306) it raises OverflowError;
     * I: the prefactor (x/2)^n / n! of every order reached, accumulated as
       a product renormalized whenever it leaves (1e-150, 1e150), times the
       ascending series sum_m (x^2/4)^m / (m! (n+1)...(n+m)), run only for
@@ -123,7 +126,6 @@ class BesselLadder:
         self.x = x
         self._prefactors = [(1.0, 0)]  # order -> (mantissa, binary exponent)
         self._k_orders = []  # order -> (mantissa, binary exponent)
-        self._k_state = None  # (K_{top-1}, K_top, exponent) of the recurrence
         self._i_orders = {}  # order -> (mantissa, binary exponent)
         self._log_k = {}
         self._products = {}
@@ -163,20 +165,26 @@ class BesselLadder:
         n = _as_order(n)
         orders = self._k_orders
         if not orders:
-            k0, k1 = _k01(self.x)
-            orders += [(k0, 0), (k1, 0)]
-            self._k_state = k0, k1, 0
+            orders += [(k, 0) for k in _k01(self.x)]
         if len(orders) <= n:
             x = self.x
-            km, kc, ex = self._k_state
+            # resume from the top two orders, at the newer one's exponent
+            km, em = orders[-2]
+            kc, ex = orders[-1]
+            km = math.ldexp(km, em - ex)
             for j in range(len(orders) - 1, n):
-                km, kc = kc, km + (2.0 * j / x) * kc
-                if kc > 1e250:
-                    km *= 2.0 ** -1000
-                    kc *= 2.0 ** -1000
-                    ex += 1000
+                kn = km + (2.0 * j / x) * kc
+                if kn > 1e250:
+                    while kn == math.inf:  # small x: renormalize first
+                        if 2.0 * j / x == math.inf:
+                            raise OverflowError(
+                                f"K_{j + 1}({x!r}): 2j/x overflows")
+                        km, kc, ex = km * 2.0**-1000, kc * 2.0**-1000, ex + 1000
+                        kn = km + (2.0 * j / x) * kc
+                    if kn > 1e250:
+                        kc, kn, ex = kc * 2.0**-1000, kn * 2.0**-1000, ex + 1000
+                km, kc = kc, kn
                 orders.append((kc, ex))
-            self._k_state = km, kc, ex
         kc, ex = orders[n]
         mant, e = math.frexp(kc)
         return mant, ex + e

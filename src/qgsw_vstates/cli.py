@@ -41,7 +41,7 @@ from .continuation import (
 )
 from .spectrum import (
     ModeCell, SearchExhausted, _check_b_open, _check_lambda, _check_order,
-    _check_window, _normalize_sign, euler_eigenvalues,
+    _check_scan_size, _check_window, _normalize_sign, euler_eigenvalues,
 )
 
 _COMMANDS = ("spectrum", "eigen", "limits", "branch", "verify")
@@ -92,6 +92,7 @@ class RunConfig:
         with _library_rules():
             for n in self.ns + self.ms:
                 _check_order(n)
+                _check_scan_size(n, "mode order")
             for lam in self.lambdas:
                 _check_lambda(lam)
                 if self.command == "branch":
@@ -141,6 +142,8 @@ def parse_float_grid(text):
         raise ConfigError(f"bad grid value in {text!r}: {exc}") from None
     if count < 1:
         raise ConfigError(f"range count must be >= 1; got {count}")
+    with _library_rules():
+        _check_scan_size(count, "range count")
     if count == 1:
         return (start,)
     return tuple(np.linspace(start, stop, count).tolist())
@@ -158,6 +161,8 @@ def parse_int_grid(text):
         lo, hi = int(parts[0]), int(parts[1])
     except ValueError as exc:
         raise ConfigError(f"bad integer in {text!r}: {exc}") from None
+    with _library_rules():
+        _check_scan_size(hi - lo + 1, "range length")
     return tuple(range(lo, hi + 1))
 
 
@@ -241,7 +246,8 @@ def _table_command(config, stem, header, cell_rows):
     ModeCell per point, the cells of one lambda sharing its ladder."""
     cells = (ModeCell(lam, b, outer=ladder) for lam in config.lambdas
              for ladder in [BesselLadder(lam)] for b in config.bs)
-    rows = [row for cell in cells for row in cell_rows(cell)]
+    with _library_rules():
+        rows = [row for cell in cells for row in cell_rows(cell)]
     count = len(config.lambdas) * len(config.bs)
     return 0, [(stem, header, rows)], {"rows": len(rows), "cells": count}
 
@@ -360,11 +366,9 @@ def _cmd_branch(config):
             f" (got {len(config.lambdas)} x {len(config.bs)})"
         )
     lam, b = config.lambdas[0], config.bs[0]
-    cell = ModeCell(lam, b)
-    if config.ms:
-        modes = tuple(config.ms)
-    else:
-        modes = (cell.threshold(config.window).n + 2,)
+    with _library_rules():
+        cell = ModeCell(lam, b)
+    modes = config.ms or (cell.threshold(config.window).n + 2,)
     tasks = [(m, sign) for m in modes for sign in config.signs]
     omega_stars = {}
     with _library_rules():
@@ -417,49 +421,34 @@ def _cmd_branch(config):
 
 def _verify_bessel_wronskian():
     ladders = [BesselLadder(float(x)) for x in np.geomspace(0.1, 30.0, 25)]
-    worst = 0.0
-    for n in range(0, 16):
-        for ladder in ladders:
-            x = ladder.x
-            wronskian = (
-                ladder.i(n) * ladder.derivative("K", n)
-                - ladder.derivative("I", n) * ladder.k(n)
-            )
-            worst = max(worst, abs(wronskian + 1.0 / x) * x)
-    return worst
+    return max(
+        abs(ladder.i(n) * ladder.derivative("K", n)
+            - ladder.derivative("I", n) * ladder.k(n) + 1.0 / ladder.x)
+        * ladder.x for n in range(16) for ladder in ladders)
 
 
 def _verify_bessel_beltrami():
-    rng = np.random.default_rng(0)
     inner, outer = BesselLadder(0.5), BesselLadder(1.0)
-    worst = 0.0
-    for theta in rng.uniform(0.0, 2.0 * math.pi, size=50):
-        theta = float(theta)
-        summed = _beltrami_sum(inner, outer, theta, 40)
-        dist = math.sqrt(1.25 - math.cos(theta))
-        worst = max(worst, abs(summed - bessel_k(0, dist)))
-    return worst
+    thetas = np.random.default_rng(0).uniform(0.0, 2.0 * math.pi, size=50)
+    return max(
+        abs(_beltrami_sum(inner, outer, theta, 40)
+            - bessel_k(0, math.sqrt(1.25 - math.cos(theta))))
+        for theta in thetas.tolist())
 
 
 def _verify_trivial_residual(grid):
-    worst = 0.0
-    for lam in (0.5, 1.0, 2.0):
-        for b in (0.3, 0.5, 0.7):
-            outer, inner = annulus_boundary(1.0), annulus_boundary(b)
-            for omega in (-0.5, 0.0, 0.5):
-                g1, g2 = g_functional(lam, b, omega, outer, inner, grid)
-                worst = max(
-                    worst, float(np.max(np.abs(g1))), float(np.max(np.abs(g2)))
-                )
-    return worst
+    return max(
+        float(np.max(np.abs(g_functional(lam, b, omega, annulus_boundary(1.0),
+                                         annulus_boundary(b), grid))))
+        for lam in (0.5, 1.0, 2.0) for b in (0.3, 0.5, 0.7)
+        for omega in (-0.5, 0.0, 0.5))
 
 
 def _verify_multipliers(grid):
-    worst = 0.0
-    for n in _VERIFY_MODES:
-        _, deviation = linearization_check(n, 1.0, 0.5, 0.2, 2e-5, grid)
-        worst = max(worst, float(np.max(np.abs(deviation))))
-    return worst
+    return max(
+        float(np.max(np.abs(linearization_check(n, 1.0, 0.5, 0.2, 2e-5,
+                                                grid)[1])))
+        for n in _VERIFY_MODES)
 
 
 def _cmd_verify(config):

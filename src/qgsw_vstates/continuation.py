@@ -223,12 +223,10 @@ class _ProjectedSystem:
         """(projected residual vector, max node residual)."""
         self.evaluations += 1
         f1, f2, omega = self.boundaries(u)
-        g1, g2 = g_functional(self.cell.lam, self.cell.b, omega, f1, f2,
-                              self.grid)
-        projected = np.concatenate(
-            [sine_coefficients(g, self.grid)[self.modes] for g in (g1, g2)])
-        node_res = max(np.max(np.abs(g1)), np.max(np.abs(g2)))
-        return projected, node_res
+        g = g_functional(self.cell.lam, self.cell.b, omega, f1, f2,
+                         self.grid)
+        projected = sine_coefficients(g, self.grid)[:, self.modes].ravel()
+        return projected, np.max(np.abs(g))
 
     def jacobian(self, u, projected):
         """(matrix, fresh) for one Newton step at u, whose residual is
@@ -535,16 +533,12 @@ def verify_vstate(point, lam, b, grid):
     symmetry_defect is the coefficient energy off the m-fold lattice
     (exactly zero for solver output; nonzero flags hand-edited data).
     """
-    doubled = make_grid(2 * grid.node_count)
-    g1, g2 = g_functional(lam, b, point.omega, point.f1, point.f2, doubled)
-    residual = max(np.max(np.abs(g1)), np.max(np.abs(g2)))
+    g = g_functional(lam, b, point.omega, point.f1, point.f2,
+                     make_grid(2 * grid.node_count))
     defect = 0.0
     for boundary in (point.f1, point.f2):
         for idx, coeff in enumerate(boundary.coefficients):
             if (idx + 1) % point.m != 0:
                 defect = math.hypot(defect, coeff)
-    return VerifyReport(
-        residual=float(residual),
-        symmetry_defect=defect,
-        omega=point.omega,
-    )
+    return VerifyReport(residual=float(np.max(np.abs(g))),
+                        symmetry_defect=defect, omega=point.omega)

@@ -252,17 +252,18 @@ def s_integral(lam, source, target, grid, rows=None):
 
 
 def g_functional(lam, b, omega, f1, f2, grid):
-    """Rotating-frame boundary residual (G_1, G_2) at the grid nodes.
+    """Rotating-frame boundary residual at the grid nodes, as one 2 x P
+    array: G_1's row, then G_2's (so g1, g2 = g_functional(...) unpacks it).
 
     f1 must carry scale 1 (outer interface), f2 scale b (inner).  Both
-    outputs are real node sequences with zero mean and no cosine content
-    for real-coefficient inputs.  Raises ValueError for lam > MAX_LAMBDA.
+    rows are real node sequences with zero mean and no cosine content for
+    real-coefficient inputs.  Raises ValueError for lam > MAX_LAMBDA.
 
     A map whose nonzero a_n all have d | n+1 obeys Phi(rho w) = rho Phi(w)
     for rho = exp(2 pi i/d), so both G_j are 2 pi/d-periodic.  With d the
     gcd of P and every such n+1 of both interfaces (P for the bare annulus)
     the node shift P/d is that rotation: G is evaluated on the first P/d
-    nodes only and tiled d times.
+    nodes only and written d times into its row.
     """
     _check_max_lambda(lam)
     _check_b_open(b)
@@ -277,24 +278,24 @@ def g_functional(lam, b, omega, f1, f2, grid):
     ))
     rows = grid.node_count // fold
     conj_nodes = np.conj(grid.nodes[:rows])
-    outputs = []
-    for target in (f1, f2):
+    out = np.empty((2, grid.node_count))
+    for row, target in zip(out, (f1, f2)):
         vals, derivs = conformal_eval(target, grid)
         total = (
             omega * vals[:rows]
             + s_integral(lam, f2, target, grid, rows)
             - s_integral(lam, f1, target, grid, rows)
         )
-        period = np.imag(total * conj_nodes * np.conj(derivs[:rows]))
-        outputs.append(np.tile(period, fold))
-    return outputs[0], outputs[1]
+        row.reshape(fold, rows)[:] = np.imag(
+            total * conj_nodes * np.conj(derivs[:rows]))
+    return out
 
 
 def sine_coefficients(values, grid):
-    """Sine coefficients of a real node sequence, sin[m] of sin(m theta) for
-    m = 1 .. P/2 (entry 0 unused and 0)."""
+    """Sine coefficients of real node sequences along the last axis, sin[m]
+    of sin(m theta) for m = 1 .. P/2 (entry 0 unused and 0)."""
     sine = np.fft.rfft(values).imag * (-2.0 / grid.node_count)
-    sine[0] = 0.0
+    sine[..., 0] = 0.0
     return sine
 
 
@@ -330,20 +331,14 @@ def linearization_check(n, lam, b, omega, epsilon, grid):
             f"step must lie in [1e-8, 1e-4]; got {epsilon}"
         )
     signs = (1.0, -1.0) if (3 * n) % grid.node_count == 0 else (1.0,)
-    flat_outer = annulus_boundary(1.0)
-    flat_inner = annulus_boundary(b)
     recovered = np.zeros((2, 2))
     for col, scale in ((0, 1.0), (1, b)):
         for sign in signs:
-            bumped = FourierBoundary.single_mode(scale, n - 1, sign * epsilon)
-            if col == 0:
-                g1, g2 = g_functional(lam, b, omega, bumped, flat_inner, grid)
-            else:
-                g1, g2 = g_functional(lam, b, omega, flat_outer, bumped, grid)
-            for row, g in enumerate((g1, g2)):
-                sine = sine_coefficients(g, grid)
-                recovered[row, col] += (
-                    sign * sine[n] / (len(signs) * epsilon * n)
-                )
+            pair = [annulus_boundary(1.0), annulus_boundary(b)]
+            pair[col] = FourierBoundary.single_mode(scale, n - 1,
+                                                    sign * epsilon)
+            sine = sine_coefficients(g_functional(lam, b, omega, *pair, grid),
+                                     grid)
+            recovered[:, col] += sign * sine[:, n] / (len(signs) * epsilon * n)
     deviation = recovered - mat.block() / n
     return recovered, deviation

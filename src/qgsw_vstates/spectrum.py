@@ -27,11 +27,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import BesselLadder
+from .bessel import BesselLadder, _as_order
 
 # the largest lambda a mode quantity accepts: the Bessel ladder's mpmath
 # tests reach x = 700, and K_1(lambda) leaves the normal doubles near 706
 _BESSEL_RANGE = 700.0
+# the threshold scan's default cap, and the most orders a command reads: a
+# ladder keeps about 430 B per order, and the scan reads up to cap + window
+_SCAN_CAP = 100_000
 
 
 class SearchExhausted(RuntimeError):
@@ -61,15 +64,20 @@ def _check_b_open(b):
 
 
 def _check_order(n):
-    n = int(n)
     if n < 1:
         raise ValueError(f"order must be >= 1; got {n}")
-    return n
+    return _as_order(n)
+
+
+def _check_scan_size(count, what):
+    if count > _SCAN_CAP:
+        raise ValueError(f"{what} must be at most {_SCAN_CAP}; got {count}")
 
 
 def _check_window(window):
     if window < 10:
         raise ValueError(f"window must be >= 10; got {window}")
+    _check_scan_size(window, "window")
 
 
 def _rankine(ladder, n):
@@ -238,8 +246,8 @@ class ModeCell:
         Delta_n = (b[Omega_n(lam) + Omega_n(lam b)] - (1+b^2) Lambda_1)^2
         - 4 b^2 Lambda_n^2 = B_n^2 - 4 b C_n; negative means complex roots.
         """
-        n = _check_order(n)
         if n not in self._spectra:
+            n = _check_order(n)
             self._spectra[n] = _mode_spectrum(n, self.b, *self.mode(n))
         return self._spectra[n]
 
@@ -277,7 +285,7 @@ class ModeCell:
             _rankine(self.outer, n),
         )
 
-    def threshold(self, window=50, cap=100_000):
+    def threshold(self, window=50, cap=_SCAN_CAP):
         """The certified thresholds of this cell, see find_threshold."""
         _check_window(window)
         b = self.b
@@ -338,7 +346,7 @@ def omega_limits(lam, b):
     return ModeCell(lam, b).limits()
 
 
-def find_threshold(lam, b, window=50, cap=100_000):
+def find_threshold(lam, b, window=50, cap=_SCAN_CAP):
     """Scan mode orders for the threshold past which the spectrum is real
     and monotone.
 

@@ -388,6 +388,27 @@ def test_ladder_log_k_past_the_double_range_against_mpmath():
         assert np.max(np.abs(got - want)) <= 1e-12, n
 
 
+@pytest.mark.parametrize("x", [1e-300, 1e-200, 1e-100, 1e-60])
+def test_ladder_log_k_at_tiny_arguments_is_the_leading_term(x):
+    # K_n(x) = Gamma(n)/2 (2/x)^n (1 + O(x^2)) for n >= 2: at these x the
+    # recurrence step (2j/x) K_j overflows a double unless it renormalizes
+    # before the step, and log K_n read inf before it did
+    ladder = BesselLadder(x)
+    for n in (2, 3, 5, 20, 50, 200):
+        want = math.lgamma(n) - math.log(2.0) + n * math.log(2.0 / x)
+        got = ladder.log_k(n)
+        assert abs(got - want) <= 1e-15 * want, (n, got, want)
+        assert got == BesselLadder(x).log_k(n)  # a fresh ladder agrees
+
+
+def test_ladder_refuses_a_recurrence_ratio_past_the_double_range():
+    # 2j/x overflows at j = 21 for x = 2.3e-307: a range error, not inf
+    ladder = BesselLadder(2.3e-307)
+    assert math.isfinite(ladder.log_k(21))
+    with pytest.raises(OverflowError, match="2j/x overflows"):
+        ladder.log_k(22)
+
+
 def test_ladder_and_array_k0_agree_above_the_split():
     xs = np.linspace(4.0, 200.0, 80)[1:]
     ladder = np.array([BesselLadder(float(x)).k(0) for x in xs])

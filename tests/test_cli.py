@@ -11,6 +11,7 @@ import dataclasses
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -113,6 +114,13 @@ def test_spectrum_csv_round_trips_exactly(tmp_path):
         (["spectrum"], {"lambda": [True]}),
         (["branch", "--sign", "1"], None),
         (["branch"], {"sign": 1}),
+        # orders, window and ranges stay at the threshold scan's cap
+        (["limits", "--n", "100001"], None),
+        (["branch", "--m", "100001"], None),
+        (["spectrum"], {"n": [3, 100001]}),
+        (["eigen", "--n", "1:100001"], None),
+        (["spectrum", "--lambda", "1:2:100001"], None),
+        (["spectrum", "--window", "100001"], None),
     ],
     ids=["zero-order", "negative-order", "range-from-zero", "empty-range",
          "bad-range-count", "bad-range-bound", "config-jobs-text",
@@ -120,7 +128,10 @@ def test_spectrum_csv_round_trips_exactly(tmp_path):
          "config-bool-order", "config-fractional-fold",
          "config-fractional-trunc", "config-fractional-grid-size",
          "config-bool-steps", "config-fractional-jobs",
-         "config-bool-lambda", "numeric-sign", "config-numeric-sign"],
+         "config-bool-lambda", "numeric-sign", "config-numeric-sign",
+         "order-above-cap", "fold-above-cap", "config-order-above-cap",
+         "int-range-above-cap", "float-range-above-cap",
+         "window-above-cap"],
 )
 def test_bad_orders_and_grid_text_exit_one(tmp_path, capsys, argv, config):
     if config is not None:
@@ -1061,9 +1072,18 @@ def test_single_fold_table_has_one_column_per_coefficient(tmp_path):
      lambda: continuation.trace_branch(1, 0.5, 5, "+", 0.0, 2)),
     (["branch", "--s-max=-2e-3"],
      lambda: continuation.trace_branch(1, 0.5, 5, "+", -2e-3, 2)),
+    (["branch", "--lambda", "1", "--b", "1e-300", "--m", "5", "--steps", "1"],
+     lambda: ModeCell(1, 1e-300).root(5, "+")),
+    (["branch", "--lambda", "1e-300", "--b", "1e-300", "--m", "5"],
+     lambda: ModeCell(1e-300, 1e-300)),
+    (["spectrum", "--lambda", "1e-300", "--b", "1e-300"],
+     lambda: ModeCell(1e-300, 1e-300)),
+    (["spectrum", "--window", "100001"],
+     lambda: find_threshold(1, 0.5, 100001)),
 ], ids=["bandwidth", "admission", "lambda-bound", "mode-fit", "order",
         "fold-order", "truncation", "steps", "window", "amplitude-zero",
-        "amplitude-negative"])
+        "amplitude-negative", "tiny-b", "underflowing-cell-branch",
+        "underflowing-cell-table", "window-cap"])
 def test_cli_refuses_with_the_library_message(tmp_path, capsys, argv,
                                              library_call):
     # one implementation per rule: the CLI prints the library's own message
@@ -1087,3 +1107,44 @@ def test_import_loads_no_thread_pool_or_logging():
                           text=True, env=env, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_orders_at_the_scan_cap_are_tabled(tmp_path):
+    assert _run("limits", "--n", "100000", "--out", str(tmp_path)) == 0
+    (row,) = _read_csv(tmp_path / "limits.csv")
+    assert row["n"] == "100000"
+
+
+def _address_space_cap():
+    cap = 3 * 2**30
+    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+
+@pytest.mark.parametrize("argv", [
+    ["branch", "--lambda", "1", "--b", "1e-300", "--m", "5", "--steps", "1"],
+    ["branch", "--lambda", "1", "--b", "1e-120", "--m", "5", "--steps", "1"],
+    ["branch", "--lambda", "1e-300", "--b", "0.5", "--m", "5", "--steps", "1"],
+    ["branch", "--lambda", "1e-300", "--b", "1e-300", "--m", "5"],
+    ["spectrum", "--b", "1e-300"],
+    ["limits", "--n", "100000000"],
+    ["eigen", "--n", "1000000"],
+    ["spectrum", "--window", "100000000"],
+    ["spectrum", "--lambda", "1:2:100000000"],
+    ["limits", "--n", "1:100000000"],
+], ids=["branch-tiny-b", "branch-tinier-b", "branch-tiny-lambda",
+        "branch-tiny-lambda-b", "spectrum-tiny-b", "huge-order",
+        "large-order", "huge-window", "huge-float-range", "huge-int-range"])
+def test_hostile_input_answers_or_refuses(tmp_path, argv):
+    # each run is its own process under a 3 GB address-space cap and a
+    # time limit, so an unbounded input ends in a MemoryError, not a
+    # stalled machine; the CLI must answer or refuse without a traceback
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(__file__).parent.parent / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "qgsw_vstates", *argv,
+         "--out", str(tmp_path / "run")],
+        capture_output=True, text=True, env=env, timeout=60,
+        preexec_fn=_address_space_cap)
+    assert done.returncode in (0, 1, 2, 3), done.stderr
+    assert "Traceback" not in done.stderr, done.stderr

@@ -271,6 +271,39 @@ def test_g_functional_memory_stays_with_the_folded_rows():
     assert peak < 32 * 2**20
 
 
+def test_g_functional_is_one_array_of_both_interfaces(grid):
+    # one float array of shape (2, P): G_1's row, then G_2's, each row its
+    # period on the first P/fold nodes written fold times, so the rows
+    # unpack to the pair the two interface loops give
+    outer = FourierBoundary.single_mode(1.0, 3, 2e-3)
+    inner = FourierBoundary.single_mode(B, 7, -1e-3)
+    g = g_functional(LAM, B, 0.3, outer, inner, grid)
+    assert type(g) is np.ndarray and g.dtype == np.float64
+    assert g.shape == (2, grid.node_count)
+    rows = grid.node_count // 4  # both maps are 4-fold
+    for row, target in zip(g, (outer, inner)):
+        vals, derivs = conformal_eval(target, grid)
+        total = (0.3 * vals[:rows]
+                 + s_integral(LAM, inner, target, grid, rows)
+                 - s_integral(LAM, outer, target, grid, rows))
+        period = np.imag(total * np.conj(grid.nodes[:rows])
+                         * np.conj(derivs[:rows]))
+        assert np.array_equal(row, np.tile(period, 4))
+    g1, g2 = g
+    assert np.array_equal(np.stack([g1, g2]), g)
+
+
+@pytest.mark.parametrize("size", [26, 64, 260, 2208])
+def test_sine_coefficients_of_two_rows_are_the_per_row_ones(size):
+    grid = make_grid(size)
+    rows = np.random.default_rng(size).standard_normal((2, size))
+    both = sine_coefficients(rows, grid)
+    assert both.shape == (2, size // 2 + 1)
+    for row, sine in zip(rows, both):
+        assert np.array_equal(sine, sine_coefficients(row, grid))
+    assert not both[:, 0].any()
+
+
 def test_s_integral_collision_error(grid):
     # both pass the ball guard yet nearly touch at theta = 0
     pinched_out = FourierBoundary(1.0, (0.0, -0.24999999995))
@@ -556,6 +589,7 @@ def test_fold_grid_is_the_least_even_multiple_of_m_at_the_floor(m, floor,
     (5, 255, "grid size must be even and >= 8; got 255"),
     (5, 6, "grid size must be even and >= 8; got 6"),
     (0, 256, "order must be >= 1; got 0"),
+    (4.5, 256, "order must be an integer, got 4.5"),
 ])
 def test_fold_grid_refuses_what_the_grid_and_mode_rules_refuse(m, floor,
                                                                 message):

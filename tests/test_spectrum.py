@@ -79,6 +79,23 @@ def test_coupling_validation():
             ModeCell(1.0, b)
 
 
+def test_fractional_orders_are_refused_not_truncated():
+    # the order check is the ladder's integrality test: 2.7 is not mode 2
+    cell = ModeCell(1.0, 0.5)
+    for call in (cell.mode, cell.spectrum, cell.simply_connected,
+                 lambda n: cell.matrix(n, 0.1),
+                 lambda n: cell.root(n, "+"),
+                 lambda n: eigenvalues(n, 1.0, 0.5),
+                 lambda n: spectral_matrix(n, 1.0, 0.5, 0.1),
+                 lambda n: euler_eigenvalues(n, 0.5),
+                 lambda n: simply_connected_limit(n, 1.0)):
+        for n in (2.7, 2.5, 4.5):
+            with pytest.raises(ValueError, match="order must be an integer"):
+                call(n)
+    assert spectral_matrix(3.0, 1.0, 0.5, 0.1) == spectral_matrix(
+        3, 1.0, 0.5, 0.1)
+
+
 def test_rankine_multiplier_basics():
     for x in (0.3, 1.0, 7.0):
         assert simply_connected_limit(1, x) == 0.0
@@ -239,6 +256,8 @@ def test_threshold_interlacing_chain():
 def test_threshold_validation_and_exhaustion():
     with pytest.raises(ValueError):
         find_threshold(1.0, 0.5, window=5)
+    with pytest.raises(ValueError, match="window must be at most 100000"):
+        find_threshold(1.0, 0.5, window=100_001)
     with pytest.raises(SearchExhausted):
         find_threshold(1.0, 0.5, window=50, cap=2)
 
