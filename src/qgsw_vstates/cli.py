@@ -2,9 +2,11 @@
 
 Five subcommands share one configuration model (JSON file plus flags, flags
 win) and one output discipline: CSV tables with a header row and 17
-significant digits per float, plus a summary.json per run.  Identical
-configurations produce byte-identical files; floats round-trip exactly
-through either format.
+significant digits per float, plus a summary.json per run.  The CSV dialect:
+comma separator, "\\n" line ends, a text cell quoted per RFC 4180 only when
+it holds a comma, a double quote or a line break, an empty cell for a
+missing value, booleans as true/false.  Identical configurations produce
+byte-identical files; floats round-trip exactly through either format.
 
     spectrum   discriminant and eigenvalue table over a (lambda, b, n) grid
     eigen      eigenvalue detail: kernel vectors and transversality flags
@@ -21,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import json
 import math
 import os
@@ -90,6 +91,10 @@ class RunConfig:
         if self.command not in _COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}")
         with _library_rules():
+            if self.command in ("spectrum", "eigen", "limits"):
+                _check_scan_size(
+                    len(self.lambdas) * len(self.bs) * len(self.ns),
+                    "table rows")
             for n in self.ns + self.ms:
                 _check_order(n)
                 _check_scan_size(n, "mode order")
@@ -209,9 +214,17 @@ def _convert(value, kind):
     return kind(value)
 
 
-# cell text by exact type, for the types the commands write
-_CELL_TEXT = {float: "{:.17g}".format, np.float64: "{:.17g}".format, int: str,
-              str: str, bool: {True: "true", False: "false"}.get,
+def _text_cell(text):
+    """text as a CSV cell: in double quotes, inner quotes doubled, when it
+    holds a comma, a double quote or a line break (RFC 4180)."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+# CSV cell text by exact type, for the types the commands write
+_CELL_TEXT = {float: "%.17g".__mod__, np.float64: "%.17g".__mod__, int: str,
+              str: _text_cell, bool: {True: "true", False: "false"}.get,
               type(None): lambda value: ""}
 
 
@@ -225,13 +238,33 @@ def _json_cell(value):
     return float(value)
 
 
+def _csv_lines(header, rows):
+    """The table's CSV lines, one row's cell texts held at a time.  A cell
+    that is the same object as the cell above it reuses that cell's text:
+    the table commands repeat lambda, b and the limits down a (lambda, b)
+    cell's rows."""
+    above, texts = header, list(map(_format_cell, header))
+    yield ",".join(texts) + "\n"
+    for row in rows:
+        if len(row) == len(above):
+            texts = [t if v is u else _format_cell(v)
+                     for v, u, t in zip(row, above, texts)]
+        else:
+            texts = list(map(_format_cell, row))
+        above = row
+        yield ",".join(texts) + "\n"
+
+
 def _write_table(path, header, rows, fmt):
-    """One table, CSV (RFC-4180 quoting) or JSON (list of row objects)."""
+    """One table as CSV or JSON (a list of row objects).
+
+    CSV: a header row, comma separator, "\\n" line ends; a text cell is
+    quoted per RFC 4180 only when it holds a comma, a double quote or a
+    line break; an empty cell is a missing value; booleans are true/false.
+    """
     if fmt == "csv":
         with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(map(_format_cell, row) for row in rows)
+            handle.writelines(_csv_lines(header, rows))
     else:
         objects = [
             {key: _json_cell(v) for key, v in zip(header, row)} for row in rows
@@ -593,13 +626,19 @@ def run(config):
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
+    config = None
     try:
         config = build_config(args)
         return run(config)
     # OverflowError: a Bessel value outside the normal double range
     except (ConfigError, SearchExhausted, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+    # a --grid-size past the machine's memory fails in an allocation
+    except MemoryError as exc:
+        size = "" if config is None else f" at grid size {config.grid_size}"
+        detail = str(exc) or "allocation failed"
+        print(f"error: out of memory{size}: {detail}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

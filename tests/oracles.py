@@ -20,9 +20,13 @@ projects the grid's dG/dOmega, which the solver's seed writes in closed
 form.  The one deliberately wrong function, g_functional_inner_flipped,
 gives the verification tests a fault to catch.
 The induced velocity off the interfaces and the Euler admissibility test
-live here too: only the tests use them.
+live here too: only the tests use them.  csv_table_text writes a table
+through the standard library's csv.writer, the route the CLI's own CSV
+writer replaced.
 """
 
+import csv
+import io
 import math
 
 import numpy as np
@@ -540,3 +544,21 @@ def euler_admissible(n, b):
     if not 0.0 < b < 1.0:
         raise ValueError(f"b must lie strictly inside (0, 1); got {b}")
     return 1.0 + b**n - n * (1.0 - b * b) / 2.0 < 0.0
+
+
+# ---------------------------------------------------------------------------
+# CSV tables
+
+# cell text by exact type, before any quoting
+_CSV_CELL_TEXT = {float: "{:.17g}".format, np.float64: "{:.17g}".format,
+                  int: str, str: str, bool: {True: "true", False: "false"}.get,
+                  type(None): lambda value: ""}
+
+
+def csv_table_text(header, rows):
+    """A table's CSV text from csv.writer: "\\n" line ends, minimal quoting."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_CSV_CELL_TEXT[type(v)](v) for v in row] for row in rows)
+    return buffer.getvalue()

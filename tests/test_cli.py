@@ -21,12 +21,14 @@ import pytest
 
 import oracles
 import qgsw_vstates.bessel as bessel
+import qgsw_vstates.cli as cli
 import qgsw_vstates.continuation as continuation
 import qgsw_vstates.contour as contour
 import qgsw_vstates.spectrum as spectrum
 from qgsw_vstates.cli import (
     _build_parser,
     _format_cell,
+    _write_table,
     build_config,
     main,
     parse_float_grid,
@@ -121,6 +123,12 @@ def test_spectrum_csv_round_trips_exactly(tmp_path):
         (["eigen", "--n", "1:100001"], None),
         (["spectrum", "--lambda", "1:2:100001"], None),
         (["spectrum", "--window", "100001"], None),
+        # a table's rows, |lambda| x |b| x |n|, stay at the same cap
+        (["spectrum", "--lambda", "0.5:2:1000", "--b", "0.1:0.9:1000"], None),
+        (["eigen", "--lambda", ",".join(map(str, range(1, 502))),
+          "--b", "0.5", "--n", "1:200"], None),
+        (["limits"], {"lambda": [1.0 + k for k in range(400)],
+                      "b": [0.01 * k for k in range(1, 31)], "n": "1:10"}),
     ],
     ids=["zero-order", "negative-order", "range-from-zero", "empty-range",
          "bad-range-count", "bad-range-bound", "config-jobs-text",
@@ -131,7 +139,8 @@ def test_spectrum_csv_round_trips_exactly(tmp_path):
          "config-bool-lambda", "numeric-sign", "config-numeric-sign",
          "order-above-cap", "fold-above-cap", "config-order-above-cap",
          "int-range-above-cap", "float-range-above-cap",
-         "window-above-cap"],
+         "window-above-cap", "table-rows-above-cap",
+         "list-table-rows-above-cap", "config-table-rows-above-cap"],
 )
 def test_bad_orders_and_grid_text_exit_one(tmp_path, capsys, argv, config):
     if config is not None:
@@ -434,10 +443,46 @@ def test_branch_builds_one_mode_cell_per_trace(tmp_path, monkeypatch):
     (-0.0, "-0"), (math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf"),
     (0.1, "0.10000000000000001"), (5e-324, "4.9406564584124654e-324"),
     (np.float64(1 / 3), "0.33333333333333331"), (np.float64(-0.0), "-0"),
-    (np.float64(math.nan), "nan"), ("x,y", "x,y"),
+    (np.float64(math.nan), "nan"), ("plain", "plain"), ("x,y", '"x,y"'),
+    ('a"b', '"a""b"'), ("a\rb", '"a\rb"'), ("a\nb", '"a\nb"'),
 ])
 def test_cell_text_by_type(value, text):
     assert _format_cell(value) == text
+
+
+def test_csv_tables_match_the_csv_module_writer(tmp_path):
+    # the joined-line writer against csv.writer, byte for byte: every cell
+    # type, quoted text, equal values of different types down one column,
+    # a float object repeated and then an equal new object, a short row,
+    # and a table with no rows
+    shared = 0.1 + 0.2
+    fresh = float(repr(shared))
+    assert fresh == shared and fresh is not shared
+    header = ("none", "bool", "int", "float", "numpy", "text", "equal")
+    rows = [
+        (None, True, 7, 0.1, np.float64(1 / 3), "x,y", 1),
+        (None, False, -12, shared, np.float64(-0.0), 'a"b', True),
+        (None, None, 2**70, shared, np.float64(math.nan), "line\nbreak", 1.0),
+        (True, False, 0, fresh, np.float64(math.inf), "", np.float64(1.0)),
+        (False, True, -1, -math.inf, np.float64(5e-324), "plain", 1),
+        ("short row", shared),
+        (None, None, None, None, None, None, None),
+    ]
+    for table_rows in (rows, []):
+        path = tmp_path / "table.csv"
+        _write_table(path, header, table_rows, "csv")
+        text = oracles.csv_table_text(header, table_rows)
+        assert path.read_bytes() == text.encode()
+
+
+def test_csv_text_with_a_carriage_return_reads_back(tmp_path):
+    # csv.writer leaves a bare "\r" unquoted; RFC 4180 quotes a line break
+    path = tmp_path / "table.csv"
+    _write_table(path, ("check", "note"), [("a\rb", 'say "hi", twice')],
+                 "csv")
+    with open(path, newline="") as handle:
+        assert list(csv.reader(handle)) == [
+            ["check", "note"], ["a\rb", 'say "hi", twice']]
 
 
 def test_limits_json_round_trips(tmp_path):
@@ -811,8 +856,6 @@ def test_verify_evaluates_g_once_per_multiplier_column(tmp_path, monkeypatch,
     # 27 trivial-residual evaluations, then one G per column of each of the
     # 12 multiplier matrices; at P = 30 mode 10 (3n = 0 mod P) takes the
     # central difference, two per column
-    import qgsw_vstates.cli as cli
-
     counted_calls = []
     clean = contour.g_functional
 
@@ -1115,6 +1158,29 @@ def test_orders_at_the_scan_cap_are_tabled(tmp_path):
     assert row["n"] == "100000"
 
 
+def test_tables_at_the_row_cap_are_accepted():
+    # 1000 x 10 x 10 rows is the cap itself; one more b is refused
+    args = ["spectrum", "--lambda", "0.5:2:1000", "--n", "1:10"]
+    config = build_config(_build_parser().parse_args(
+        args + ["--b", "0.1:0.9:10"]))
+    assert len(config.lambdas) * len(config.bs) * len(config.ns) == 100_000
+    with pytest.raises(ValueError, match="table rows must be at most 100000"):
+        build_config(_build_parser().parse_args(args + ["--b", "0.1:0.9:11"]))
+
+
+def test_memory_error_is_refused_naming_the_grid_size(tmp_path, capsys,
+                                                      monkeypatch):
+    def exhausted(size):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "make_grid", exhausted)
+    assert _run("verify", "--grid-size", "512",
+                "--out", str(tmp_path / "x")) == 1
+    assert not (tmp_path / "x").exists()
+    assert capsys.readouterr().err == (
+        "error: out of memory at grid size 512: allocation failed\n")
+
+
 def _address_space_cap():
     cap = 3 * 2**30
     resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
@@ -1131,9 +1197,14 @@ def _address_space_cap():
     ["spectrum", "--window", "100000000"],
     ["spectrum", "--lambda", "1:2:100000000"],
     ["limits", "--n", "1:100000000"],
+    ["spectrum", "--lambda", "0.5:2:100000", "--b", "0.1:0.9:100000",
+     "--n", "1:3"],
+    ["verify", "--grid-size", "100000000000"],
+    ["verify", "--grid-size", "20000000"],
 ], ids=["branch-tiny-b", "branch-tinier-b", "branch-tiny-lambda",
         "branch-tiny-lambda-b", "spectrum-tiny-b", "huge-order",
-        "large-order", "huge-window", "huge-float-range", "huge-int-range"])
+        "large-order", "huge-window", "huge-float-range", "huge-int-range",
+        "huge-table", "huge-grid", "large-grid"])
 def test_hostile_input_answers_or_refuses(tmp_path, argv):
     # each run is its own process under a 3 GB address-space cap and a
     # time limit, so an unbounded input ends in a MemoryError, not a
