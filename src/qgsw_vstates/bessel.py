@@ -320,23 +320,27 @@ def _series_tables():
 
 
 _I0_COEFFS, _K0REG_COEFFS = _series_tables()
+# coeffs[m] / _I0_COEFFS[m] as floats, what _horner sizes its series from:
+# 1 for I_0, psi(m+1) for k0reg
+_I0_RATIOS, _K0REG_RATIOS = (tuple((table / _I0_COEFFS).tolist())
+                             for table in (_I0_COEFFS, _K0REG_COEFFS))
 
 
-def _horner(z, coeffs):
+def _horner(z, coeffs, ratios):
     """sum_m coeffs[m] q^m at q = z^2/4, truncated once for the whole array.
 
     The length follows the scalar tail criterion evaluated at max(q): keep
-    terms up to the first whose size, times max(|psi(m+1)|, 1), falls below
+    terms up to the first whose size, times max(|ratios[m]|, 1), falls below
     _SERIES_TOL times the partial sum floored at 1.  A smaller q scales the
     dropped terms by (q/qmax)^m, so one length serves the whole array.
     """
     q = np.asarray(z, dtype=float)
     q = 0.25 * q * q
     qmax = float(q.max()) if q.size else 0.0
-    base, total, count = 1.0, coeffs[0], 0  # base = qmax^m / (m!)^2
-    for m in range(1, coeffs.size):
+    base, total, count = 1.0, ratios[0], 0  # base = qmax^m / (m!)^2
+    for m in range(1, len(ratios)):
         base *= qmax / (m * m)
-        ratio = coeffs[m] / _I0_COEFFS[m]  # 1 for I_0, psi(m+1) for k0reg
+        ratio = ratios[m]
         total += base * ratio
         if base * max(abs(ratio), 1.0) <= _SERIES_TOL * max(abs(total), 1.0):
             count = m + 1
@@ -346,23 +350,25 @@ def _horner(z, coeffs):
             f"argument {2.0 * math.sqrt(qmax):.6g} is beyond the"
             f" {coeffs.size}-term series range of the array kernels"
         )
-    out = np.full_like(q, coeffs[count - 1])
-    for c in coeffs[count - 2::-1]:
-        out *= q
+    # from coeffs[count - 1] q (count >= 2); out= keeps a 0-d z an array
+    out = np.multiply(q, coeffs[count - 1], out=np.empty_like(q))
+    for c in coeffs[count - 2:0:-1]:
         out += c
+        out *= q
+    out += coeffs[0]
     return out
 
 
 def _i0_array(z: np.ndarray) -> np.ndarray:
     """I_0 on an array of nonnegative values (z <= ~95), ascending series."""
-    return _horner(z, _I0_COEFFS)
+    return _horner(z, _I0_COEFFS, _I0_RATIOS)
 
 
 def _k0reg_array(z: np.ndarray) -> np.ndarray:
     """K_0(z) + log(z/2) I_0(z) = sum_m psi(m+1) (z^2/4)^m / (m!)^2, the
     smooth (log-free) part of K_0, on an array of nonnegative values (the
     contour quadrature feeds it z <= 2 lambda, and _k0_array z <= 4)."""
-    return _horner(z, _K0REG_COEFFS)
+    return _horner(z, _K0REG_COEFFS, _K0REG_RATIOS)
 
 
 def _k0_array(z: np.ndarray) -> np.ndarray:

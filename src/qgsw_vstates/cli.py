@@ -34,7 +34,7 @@ import numpy as np
 from .bessel import BesselLadder, _beltrami_sum, bessel_k
 from .contour import (
     _check_bandwidth, _check_max_lambda, _check_mode_fits, _check_node_count,
-    annulus_boundary, fold_grid, g_functional, linearization_check, make_grid,
+    annulus_boundary, fold_size, g_functional, linearization_check, make_grid,
 )
 from .continuation import (
     _check_amplitude, _check_steps, _check_truncation, omega_intercept,
@@ -408,6 +408,8 @@ def _cmd_branch(config):
         for m, sign in tasks:
             _check_bandwidth(m, config.trunc, config.grid_size)
             omega_stars[m, sign] = cell.root(m, sign)[0]
+        # --grid-size is a floor: one grid per m, shared by both signs
+        sizes = {m: fold_size(m, config.grid_size) for m in modes}
 
     def job(m, sign, grid):
         trace = trace_branch(
@@ -440,10 +442,9 @@ def _cmd_branch(config):
             "gap": None if omega0 is None else abs(omega0 - omega_star),
         }
 
-    # --grid-size is a floor: one fold_grid per m, shared by both signs
     tables, branches = zip(*(
         job(m, sign, grid) for m in modes
-        for grid in [fold_grid(m, config.grid_size)] for sign in config.signs
+        for grid in [make_grid(sizes[m])] for sign in config.signs
     ))
     partial = any(not entry["completed"] for entry in branches)
     return (3 if partial else 0), list(tables), {

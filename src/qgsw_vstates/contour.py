@@ -68,9 +68,20 @@ def _check_max_lambda(lam):
         )
 
 
+# largest node count: an unfolded G (rows = P, as verify's single-mode
+# boundaries run) holds several P x P float64 kernel blocks at once, 8 GiB
+# each at this P; the cap admits the doubled-grid check of P = 9432 (m = 131)
+MAX_NODES = 2**15
+
+
 def _check_node_count(node_count):
     if node_count < 8 or node_count % 2 != 0:
         raise ValueError(f"grid size must be even and >= 8; got {node_count}")
+    if node_count > MAX_NODES:
+        raise ValueError(
+            f"grid size must be at most {MAX_NODES} (an unfolded G's P x P"
+            f" kernel block is 8 GiB there); got {node_count}"
+        )
 
 
 def _check_mode_fits(n, node_count):
@@ -90,13 +101,21 @@ def _check_bandwidth(m, trunc, node_count):
         )
 
 
-def fold_grid(m, floor):
-    """Grid of the least P >= floor that lcm(2, m) divides: g_functional
-    folds an m-fold pair onto its first P/m rows, and as every 2*m*K is a
-    multiple of lcm(2, m), _check_bandwidth reads the same on P and floor."""
+def fold_size(m, floor):
+    """The least P >= floor that lcm(2, m) divides, refused by the grid
+    rules before any grid is built: g_functional folds an m-fold pair onto
+    its first P/m rows, and as every 2*m*K is a multiple of lcm(2, m),
+    _check_bandwidth reads the same on P and floor."""
     _check_node_count(floor)
     step = math.lcm(2, _check_order(m))
-    return make_grid(-(-floor // step) * step)
+    size = -(-floor // step) * step
+    _check_node_count(size)
+    return size
+
+
+def fold_grid(m, floor):
+    """The grid of fold_size(m, floor) nodes."""
+    return make_grid(fold_size(m, floor))
 
 
 @dataclass(frozen=True)
@@ -112,12 +131,12 @@ class FourierBoundary:
     coefficients: tuple = ()
 
     def __post_init__(self):
-        coeffs = tuple(float(a) for a in self.coefficients)
+        coeffs = tuple(map(float, self.coefficients))
         object.__setattr__(self, "coefficients", coeffs)
         object.__setattr__(self, "scale", float(self.scale))
         if not self.scale > 0.0 or not math.isfinite(self.scale):
             raise ValueError(f"scale must be positive; got {self.scale}")
-        if not all(math.isfinite(a) for a in coeffs):
+        if not all(map(math.isfinite, coeffs)):
             raise ValueError("coefficients must be finite reals")
         weight = sum(abs(a) * (n + 1) for n, a in enumerate(coeffs))
         if not weight < self.scale / 2.0:
@@ -197,15 +216,26 @@ def conformal_eval(boundary, grid):
     conj(w_0)^n, orders folded mod P: exact for any truncation, though
     callers should keep the top mode below P/2 to avoid aliasing in the
     quadratures downstream.
+
+    The pair is read-only and kept on the boundary for the last grid it was
+    evaluated on (matched by identity), so the calls of one G transform
+    each boundary once; equality, hash and repr read the fields alone.
     """
+    memo = vars(boundary).get("_node_values")
+    if memo is not None and memo[0] is grid:
+        return memo[1]
     order = np.arange(len(boundary.coefficients))
     terms = np.array(boundary.coefficients) * np.conj(grid.nodes[0]) ** order
     series = np.zeros((2, grid.node_count), dtype=complex)
     np.add.at(series, (0, order % grid.node_count), terms)
     np.add.at(series, (1, order % grid.node_count), order * terms)
     values, slopes = np.fft.fft(series)
-    return (boundary.scale * grid.nodes + values,
+    pair = (boundary.scale * grid.nodes + values,
             boundary.scale - slopes * np.conj(grid.nodes))
+    for arr in pair:
+        arr.setflags(write=False)
+    object.__setattr__(boundary, "_node_values", (grid, pair))
+    return pair
 
 
 def s_integral(lam, source, target, grid, rows=None):

@@ -22,7 +22,9 @@ gives the verification tests a fault to catch.
 The induced velocity off the interfaces and the Euler admissibility test
 live here too: only the tests use them.  csv_table_text writes a table
 through the standard library's csv.writer, the route the CLI's own CSV
-writer replaced.
+writer replaced.  horner_reference keeps the array kernels' series pass as
+it was written before its sizing table and its Horner start were trimmed,
+the bit-for-bit reference of bessel._i0_array and _k0reg_array.
 """
 
 import csv
@@ -32,6 +34,39 @@ import math
 import numpy as np
 
 EULER_GAMMA = 0.57721566490153286061
+
+
+# ---------------------------------------------------------------------------
+# the array kernels' series pass, as first written
+
+def horner_reference(z, coeffs):
+    """bessel._horner with its length loop indexing the numpy tables and
+    its Horner pass started from a filled array: _i0_array(z) is
+    horner_reference(z, _I0_COEFFS), _k0reg_array(z) is
+    horner_reference(z, _K0REG_COEFFS), bit for bit."""
+    from qgsw_vstates.bessel import _I0_COEFFS, _SERIES_TOL
+
+    q = np.asarray(z, dtype=float)
+    q = 0.25 * q * q
+    qmax = float(q.max()) if q.size else 0.0
+    base, total, count = 1.0, coeffs[0], 0
+    for m in range(1, coeffs.size):
+        base *= qmax / (m * m)
+        ratio = coeffs[m] / _I0_COEFFS[m]
+        total += base * ratio
+        if base * max(abs(ratio), 1.0) <= _SERIES_TOL * max(abs(total), 1.0):
+            count = m + 1
+            break
+    if not count:
+        raise ValueError(
+            f"argument {2.0 * math.sqrt(qmax):.6g} is beyond the"
+            f" {coeffs.size}-term series range of the array kernels"
+        )
+    out = np.full_like(q, coeffs[count - 1])
+    for c in coeffs[count - 2::-1]:
+        out *= q
+        out += c
+    return out
 
 
 # ---------------------------------------------------------------------------

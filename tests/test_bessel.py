@@ -9,6 +9,8 @@ from hypothesis import given, strategies as st
 import oracles
 from oracles import _j0_array, bessel_j0, product_ik_asymptotic, stirling2
 from qgsw_vstates.bessel import (
+    _I0_COEFFS,
+    _K0REG_COEFFS,
     EULER_GAMMA,
     BesselLadder,
     _i0_array,
@@ -424,6 +426,45 @@ def test_array_kernels_keep_shape(kernel):
         got = kernel(np.float64(z))
         assert np.shape(got) == ()
         assert got == pytest.approx(kernel(np.array([z]))[0], rel=1e-15)
+
+
+def _range_edge(coeffs):
+    """The largest z the reference series pass accepts, by bisection."""
+    lo, hi = 1.0, 1000.0
+    while math.nextafter(lo, hi) < hi:
+        mid = 0.5 * (lo + hi)
+        try:
+            oracles.horner_reference(np.array([mid]), coeffs)
+            lo = mid
+        except ValueError:
+            hi = mid
+    return lo
+
+
+@pytest.mark.parametrize("kernel, coeffs", [(_i0_array, _I0_COEFFS),
+                                            (_k0reg_array, _K0REG_COEFFS)])
+def test_series_kernels_are_bit_identical_to_the_reference(kernel, coeffs):
+    edge = _range_edge(coeffs)
+    assert 98.0 < edge < 99.0
+    rng = np.random.default_rng(3)
+    zs = np.geomspace(1e-300, edge, 400)
+    inputs = [np.float64(0.7), np.array(3.3), np.empty(0), np.empty((0, 3)),
+              zs, zs[:, None], rng.uniform(0.0, 4.0, (1, 260)),
+              rng.uniform(0.0, 8.0, (52, 260)),
+              rng.uniform(0.0, 2.0, (256, 256))]
+    inputs += [np.array([z]) for z in zs[::20]]
+    inputs += [np.array([z, 1.0]) for z in (0.0, 1e-300, edge)]
+    for z in inputs:
+        got, want = kernel(z), oracles.horner_reference(z, coeffs)
+        assert type(got) is type(want) is np.ndarray
+        assert got.shape == want.shape == np.shape(z)
+        assert np.array_equal(got, want)
+    beyond = np.array([1.0, math.nextafter(edge, 1e3)])
+    with pytest.raises(ValueError) as want:
+        oracles.horner_reference(beyond, coeffs)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+        kernel(beyond)
+    assert "-term series range of the array kernels" in str(want.value)
 
 
 def test_series_kernels_refuse_arguments_beyond_their_tables():

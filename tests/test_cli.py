@@ -1201,10 +1201,12 @@ def _address_space_cap():
      "--n", "1:3"],
     ["verify", "--grid-size", "100000000000"],
     ["verify", "--grid-size", "20000000"],
+    ["branch", "--lambda", "1", "--b", "0.5", "--m", "5", "--grid-size",
+     "1000000000"],
 ], ids=["branch-tiny-b", "branch-tinier-b", "branch-tiny-lambda",
         "branch-tiny-lambda-b", "spectrum-tiny-b", "huge-order",
         "large-order", "huge-window", "huge-float-range", "huge-int-range",
-        "huge-table", "huge-grid", "large-grid"])
+        "huge-table", "huge-grid", "large-grid", "branch-huge-grid"])
 def test_hostile_input_answers_or_refuses(tmp_path, argv):
     # each run is its own process under a 3 GB address-space cap and a
     # time limit, so an unbounded input ends in a MemoryError, not a
@@ -1219,3 +1221,8 @@ def test_hostile_input_answers_or_refuses(tmp_path, argv):
         preexec_fn=_address_space_cap)
     assert done.returncode in (0, 1, 2, 3), done.stderr
     assert "Traceback" not in done.stderr, done.stderr
+    if "--grid-size" in argv:  # the node-count cap refuses before building
+        size = argv[argv.index("--grid-size") + 1]
+        assert (done.returncode, done.stderr) == (1, (
+            "error: grid size must be at most 32768 (an unfolded G's P x P"
+            f" kernel block is 8 GiB there); got {size}\n"))

@@ -8,11 +8,13 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from qgsw_vstates.bessel import product_ik
 from qgsw_vstates.contour import (
+    MAX_NODES,
     FourierBoundary,
     QuadratureGrid,
     annulus_boundary,
     conformal_eval,
     fold_grid,
+    fold_size,
     g_functional,
     linearization_check,
     make_grid,
@@ -50,6 +52,17 @@ def test_grid_validation():
         make_grid(255)
     with pytest.raises(ValueError):
         make_grid(4)
+    for size in (MAX_NODES + 2, 20_000_000, 10**11):
+        with pytest.raises(ValueError, match=(
+                f"grid size must be at most {MAX_NODES} .*; got {size}$")):
+            make_grid(size)
+
+
+def test_grid_cap_admits_every_documented_grid():
+    # the doubled-grid check of the m = 131 grid is the largest in use
+    assert fold_size(131, 9432) == 9432 and 2 * 9432 <= MAX_NODES
+    assert make_grid(MAX_NODES).node_count == MAX_NODES
+    assert fold_size(5, MAX_NODES - 10) == MAX_NODES - 8
 
 
 def test_grid_log_moments_closed_form(grid):
@@ -131,6 +144,49 @@ def test_conjugate_derivative_identity(grid):
     assert np.max(
         np.abs(conj_map_deriv + np.conj(fprime) / grid.nodes**2)
     ) < 1e-14
+
+
+def test_conformal_eval_returns_one_read_only_pair_per_grid():
+    f = FourierBoundary(0.8, (0.0, 0.03, 0.0, 0.011))
+    first, second = make_grid(64), _half_step_grid(64)
+    pair = conformal_eval(f, first)
+    assert conformal_eval(f, first) is pair
+    for arr in pair:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    for grid in (second, first):
+        got = conformal_eval(f, grid)
+        for a, b in zip(got, oracles.conformal_eval_direct(f, grid)):
+            assert np.max(np.abs(a - b)) <= 1e-14
+    assert conformal_eval(f, first) is not pair  # one grid is kept
+    assert all(np.array_equal(a, b)
+               for a, b in zip(conformal_eval(f, first), pair))
+
+
+def test_equal_boundaries_are_each_evaluated_on_their_own():
+    grid = make_grid(64)
+    f, twin = (FourierBoundary(0.8, (0.0, 0.03)) for _ in range(2))
+    vals, _ = conformal_eval(f, grid)
+    # f carries a memo and twin none: equality, hash and repr ignore it
+    assert f == twin and hash(f) == hash(twin) and repr(f) == repr(twin)
+    twin_vals, _ = conformal_eval(twin, grid)
+    assert twin_vals is not vals and np.array_equal(twin_vals, vals)
+
+
+def test_one_g_functional_transforms_each_boundary_once(grid, monkeypatch):
+    transforms = []
+
+    def counted(a, *args, **kwargs):
+        transforms.append(np.shape(a))
+        return fft(a, *args, **kwargs)
+
+    fft = np.fft.fft
+    monkeypatch.setattr(np.fft, "fft", counted)
+    f1 = FourierBoundary(1.0, (0.0, 0.0, 0.05, 0.01))
+    f2 = FourierBoundary(B, (0.0, 0.02, 0.01))
+    g_functional(LAM, B, 0.3, f1, f2, grid)
+    assert transforms == [(2, grid.node_count)] * 2
 
 
 def test_s_integral_annulus_closed_forms(grid):
@@ -588,6 +644,7 @@ def test_fold_grid_is_the_least_even_multiple_of_m_at_the_floor(m, floor,
 @pytest.mark.parametrize("m, floor, message", [
     (5, 255, "grid size must be even and >= 8; got 255"),
     (5, 6, "grid size must be even and >= 8; got 6"),
+    (5, 32768, "grid size must be at most 32768 .*; got 32770"),
     (0, 256, "order must be >= 1; got 0"),
     (4.5, 256, "order must be an integer, got 4.5"),
 ])

@@ -1,7 +1,8 @@
 """Source checks that need no linter: every name a package module imports
 is used in it, every private definition is referenced somewhere in the
-package, and no module holds a writable array (no process-global mutable
-state)."""
+package, no module holds a writable array (no process-global mutable
+state), and an array handed out from a memo is read-only, so no caller
+can write into a result that later calls share."""
 
 import ast
 import importlib
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import qgsw_vstates
+from qgsw_vstates.contour import FourierBoundary, conformal_eval, make_grid
 
 PACKAGE = Path(qgsw_vstates.__file__).parent
 MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
@@ -109,3 +111,12 @@ def test_module_level_arrays_are_read_only(module):
                 if isinstance(value, np.ndarray) and value.flags.writeable]
     assert writable == []
 
+
+
+def test_memoized_arrays_are_read_only():
+    grid = make_grid(32)
+    boundary = FourierBoundary(1.0, (0.0, 0.1))
+    shared = [*conformal_eval(boundary, grid), *conformal_eval(boundary, grid),
+              grid.log_weights(4), grid.log_weights(2), grid.theta,
+              grid.nodes]
+    assert [arr.flags.writeable for arr in shared] == [False] * len(shared)
