@@ -20,8 +20,8 @@ BranchPoint.pinned records the choice.
 
 Each point after the first starts from the two before it, extrapolated in
 s^2 by the s -> -s symmetry (see _parity_guess), at the last point's
-truncation.  Every solve (cold, warm, or restarted after truncation
-doubling) seeds its Jacobian with the linearized spectrum at its own guess,
+truncation.  Every solve (cold, warm, or restarted at a grown truncation)
+seeds its Jacobian with the linearized spectrum at its own guess,
 which costs no residual and no grid work: the mode-mk blocks mk M_mk(Omega)
 of the annulus, from the solve's one ModeCell, for the coefficients, and
 the exact Omega column (G is affine in Omega) in closed form, which
@@ -33,13 +33,15 @@ by forward differences, whose fresh steps are damped by halving on
 residual increase.  The iteration stops once the node residual is at
 RESIDUAL_TOL, or once ||F|| is down to _RESOLVED of the node residual: the
 lattice equations are solved and only the harmonics past K hold the nodes
-up.  Then the last retained coefficient (the tail) decides.  A tail at
-most 1e-12 certifies the point, or ends the solve at the node residual
-floor if the nodes are still up (more harmonics cannot help); a larger tail
-doubles K unless contour._check_bandwidth refuses m*2K (truncation
-saturated), and the doubled solve starts from a new seed.  A tail near
-1e-12 is first polished by a few more steps, so the verdict does not
-depend on the iteration path.
+up.  Then the predicted first omitted pair decides: the mode-n block of
+the annulus answers the last residual's sine pair g_n at n = m(K+1), so
+(a_{K+1}, b_{K+1}) ~ -(n M_n(Omega))^{-1} g_n, at no residual cost.  A
+pair at most 1e-12 certifies the point, or ends the solve at the node
+residual floor if the nodes are still up (more harmonics cannot help); a
+larger pair grows K by one column, seeded with the pair, unless
+contour._check_bandwidth refuses the new certificate's mode (truncation
+saturated).  So every column of a point is solved or predicted, never a
+padded zero.
 """
 
 from __future__ import annotations
@@ -70,13 +72,8 @@ _DECREASE = 0.9
 # node residual
 _RESOLVED = 1e-3
 _CONDITION_CAP = 1e14
+# bound on the predicted first omitted lattice pair of a certified point
 _TAIL_TOL = 1e-12
-# an iterate just under RESIDUAL_TOL carries Newton noise in its tail
-# coefficient (seen from 3e-13 to 1e-12), so a tail from a tenth to a
-# hundred times _TAIL_TOL is polished by up to _POLISH_STEPS steps before
-# it decides between certifying, doubling and saturating
-_TAIL_DOUBT = (0.1 * _TAIL_TOL, 100.0 * _TAIL_TOL)
-_POLISH_STEPS = 3
 
 
 def _check_truncation(trunc):
@@ -115,8 +112,7 @@ class BranchPoint:
     lattice are exact zeros by construction.  evaluations counts the
     residual evaluations the point cost, finite-difference columns
     included, builds the forward-difference Jacobians among them (seeded
-    matrices not counted), and newton_steps the accepted Newton steps,
-    polish steps included.
+    matrices not counted), and newton_steps the accepted Newton steps.
     """
 
     s: float
@@ -186,7 +182,7 @@ class _ProjectedSystem:
     step uses: the seeded linearization, Broyden-updated, else a
     forward-difference build.  evaluations counts the residuals computed so
     far, builds the forward-difference matrices and steps the accepted
-    Newton steps; a solve at doubled K starts from work, the counts at the
+    Newton steps; a solve at a grown K starts from work, the counts at the
     lower K.  cell is the solve's ModeCell, of its (lam, b).
     """
 
@@ -220,13 +216,15 @@ class _ProjectedSystem:
         return f1, f2, u[-1]
 
     def residual(self, u):
-        """(projected residual vector, max node residual)."""
+        """(projected residual vector, max node residual, the two rows' sine
+        coefficients at the first omitted mode m(K+1))."""
         self.evaluations += 1
         f1, f2, omega = self.boundaries(u)
         g = g_functional(self.cell.lam, self.cell.b, omega, f1, f2,
                          self.grid)
-        projected = sine_coefficients(g, self.grid)[:, self.modes].ravel()
-        return projected, np.max(np.abs(g))
+        sine = sine_coefficients(g, self.grid)
+        return (sine[:, self.modes].ravel(), np.max(np.abs(g)),
+                sine[:, self.m * (self.trunc + 1)])
 
     def jacobian(self, u, projected):
         """(matrix, fresh) for one Newton step at u, whose residual is
@@ -274,31 +272,33 @@ class _ProjectedSystem:
             matrix[:, i] = (self.residual(bumped)[0] - projected) / step
         return matrix
 
-    def tail(self, u):
-        """Largest last lattice coefficient of the two boundaries at u."""
-        return np.max(np.abs(self.lattice(u)[:, -1]))
+    def omitted(self, omega, sine):
+        """The predicted first omitted lattice pair (a_{K+1}, b_{K+1}):
+        -(n M_n(Omega))^{-1} sine at n = m(K+1), from the residual's sine
+        pair there."""
+        block = self.cell.matrix(self.m * (self.trunc + 1), omega).block()
+        return -np.linalg.solve(block, sine)
 
-    def step(self, u, projected, target, halvings=0, res_cap=math.inf):
-        """(u, projected, node_res, norm) after one Newton step with the
-        current matrix, or None when every trial fails.  The step is halved
-        up to halvings times until ||F|| < target with the node residual at
-        most res_cap; a trial outside the ball guard fails.  The accepted
-        step applies Broyden's rank-1 secant update to the matrix and counts
-        in steps."""
+    def step(self, u, projected, target, halvings=0):
+        """(u, (projected, node_res, sine), norm) after one Newton step with
+        the current matrix, or None when every trial fails.  The step is
+        halved up to halvings times until ||F|| < target; a trial outside
+        the ball guard fails.  The accepted step applies Broyden's rank-1
+        secant update to the matrix and counts in steps."""
         delta = np.linalg.solve(self.matrix, -projected)
         for k in range(halvings + 1):
             trial = u + 0.5**k * delta
             try:
-                trial_proj, trial_res = self.residual(trial)
+                computed = self.residual(trial)
             except ValueError:
                 continue
-            norm = np.linalg.norm(trial_proj)
-            if norm < target and trial_res <= res_cap:
+            norm = np.linalg.norm(computed[0])
+            if norm < target:
                 du = trial - u
                 self.matrix = self.matrix + np.outer(
-                    trial_proj - projected - self.matrix @ du, du) / (du @ du)
+                    computed[0] - projected - self.matrix @ du, du) / (du @ du)
                 self.steps += 1
-                return trial, trial_proj, trial_res, norm
+                return trial, computed, norm
         return None
 
 
@@ -319,8 +319,8 @@ def newton_solve(lam, b, m, sign, s, initial_guess=None, trunc=16, grid=None,
     in which case the annulus plus s times the kernel direction is used.
     A warm start solves at the guess's truncation when that exceeds trunc.
     Either way the linearized spectrum at the guess seeds the first Newton
-    matrix.  The top mode m*K must stay below the grid's P/2, whose sine
-    the nodes cannot see; the default grid is fold_grid(m, 256).
+    matrix.  The certificate's mode m(K+1) must stay below the grid's P/2,
+    whose sine the nodes cannot see; the default grid is fold_grid(m, 256).
     Raises NonConvergence or DegenerateJacobian; a guess outside the ball
     guard raises ValueError at its first residual.  An exception raised once
     the solve has started carries work, the (evaluations, builds, steps) the
@@ -345,8 +345,9 @@ def newton_solve(lam, b, m, sign, s, initial_guess=None, trunc=16, grid=None,
 
     # solve at trunc until the nodes are solved or the lattice equations
     # are (||F|| down to _RESOLVED of the node residual: the harmonics past
-    # K hold the nodes up); then the tail decides between certifying,
-    # failing at the node floor and solving again at twice trunc
+    # K hold the nodes up); then the predicted first omitted pair decides
+    # between certifying, failing at the node floor and solving again with
+    # that pair as column K+1
     work = (0, 0, 0)
     try:
         while True:
@@ -354,7 +355,7 @@ def newton_solve(lam, b, m, sign, s, initial_guess=None, trunc=16, grid=None,
                                       work)
             u = system.pack(lattice, omega)
             system.matrix = system.linearization(u)
-            projected, node_res = system.residual(u)
+            projected, node_res, sine = system.residual(u)
             norm = np.linalg.norm(projected)
             iterations = 0
             while node_res > RESIDUAL_TOL and norm > _RESOLVED * node_res:
@@ -380,29 +381,16 @@ def newton_solve(lam, b, m, sign, s, initial_guess=None, trunc=16, grid=None,
                 if taken is None:
                     raise NonConvergence(f"damping exhausted at s={s}, m={m}"
                                          f" (residual {node_res:.3e})")
-                u, projected, node_res, norm = taken
-            if node_res <= RESIDUAL_TOL and (
-                _TAIL_DOUBT[0] < system.tail(u) < _TAIL_DOUBT[1]
-            ):
-                # polish by steps that keep ||F|| from rising and the nodes
-                # solved, until one cuts ||F|| by less than 10%
-                for _ in range(_POLISH_STEPS):
-                    taken = system.step(
-                        u, projected, np.nextafter(norm, np.inf),
-                        res_cap=RESIDUAL_TOL)
-                    if taken is None:
-                        break
-                    u, projected, node_res, trial_norm = taken
-                    if trial_norm > _DECREASE * norm:
-                        break
-                    norm = trial_norm
+                u, (projected, node_res, sine), norm = taken
             f1, f2, omega = system.boundaries(u)
-            tail = system.tail(u)
-            if tail <= _TAIL_TOL:
+            pair = system.omitted(omega, sine)
+            size = np.max(np.abs(pair))
+            if size <= _TAIL_TOL:
                 if node_res > RESIDUAL_TOL:
                     raise NonConvergence(
                         f"node residual floor: residual {node_res:.3e} with"
-                        f" tail {tail:.3e} at s={s}, m={m}, K={trunc}"
+                        f" omitted pair {size:.3e} at s={s}, m={m},"
+                        f" K={trunc}"
                     )
                 return BranchPoint(
                     s=system.s, omega=omega, f1=f1, f2=f2, residual=node_res,
@@ -410,13 +398,14 @@ def newton_solve(lam, b, m, sign, s, initial_guess=None, trunc=16, grid=None,
                     builds=system.builds, newton_steps=system.steps,
                 )
             try:
-                _check_bandwidth(m, 2 * trunc, grid.node_count)
+                _check_bandwidth(m, trunc + 1, grid.node_count)
             except ValueError:
                 raise NonConvergence(
-                    f"truncation saturated: tail {tail:.3e} at K={trunc}"
+                    f"truncation saturated: omitted pair {size:.3e} at"
+                    f" K={trunc}"
                 ) from None
-            lattice = np.pad(system.lattice(u), ((0, 0), (0, trunc)))
-            trunc *= 2
+            lattice = np.column_stack((system.lattice(u), pair))
+            trunc += 1
             work = system.work
     except (NonConvergence, DegenerateJacobian, ValueError) as exc:
         # the failed attempt's work, for the trace that reports it

@@ -93,18 +93,20 @@ def _check_mode_fits(n, node_count):
 
 
 def _check_bandwidth(m, trunc, node_count):
-    # the m-fold lattice's top mode m*trunc needs a sine on the grid
-    if not 2 * m * trunc < node_count:
+    # the truncation's certificate, the first omitted lattice mode
+    # m*(trunc+1), needs a sine on the grid
+    if not 2 * m * (trunc + 1) < node_count:
         raise ValueError(
-            f"m={m} with trunc {trunc} reaches the grid bandwidth: m*trunc"
-            f" = {m * trunc} is not below P/2 = {node_count // 2}"
+            f"m={m} with trunc {trunc} reaches the grid bandwidth: the first"
+            f" omitted mode m*(trunc+1) = {m * (trunc + 1)} is not below"
+            f" P/2 = {node_count // 2}"
         )
 
 
 def fold_size(m, floor):
     """The least P >= floor that lcm(2, m) divides, refused by the grid
     rules before any grid is built: g_functional folds an m-fold pair onto
-    its first P/m rows, and as every 2*m*K is a multiple of lcm(2, m),
+    its first P/m rows, and as every 2*m*(K+1) is a multiple of lcm(2, m),
     _check_bandwidth reads the same on P and floor."""
     _check_node_count(floor)
     step = math.lcm(2, _check_order(m))

@@ -17,8 +17,11 @@ checks is the rotational fold of contour.g_functional, and
 linearization_check_central keeps the two-sided stencil that checks the
 one-sided recovery of contour.linearization_check.  omega_column
 projects the grid's dG/dOmega, which the solver's seed writes in closed
-form.  The one deliberately wrong function, g_functional_inner_flipped,
-gives the verification tests a fault to catch.
+form.  converged_lattice solves the projected m-fold system by plain
+forward-difference Newton to ||F|| <= 1e-16, the reference the solver's
+certified points are measured against.  The one deliberately wrong
+function, g_functional_inner_flipped, gives the verification tests a
+fault to catch.
 The induced velocity off the interfaces and the Euler admissibility test
 live here too: only the tests use them.  csv_table_text writes a table
 through the standard library's csv.writer, the route the CLI's own CSV
@@ -531,6 +534,48 @@ def omega_column(lattice, m, b, grid):
         slope = np.imag(vals * np.conj(grid.nodes) * np.conj(derivs))
         column.append(sine_coefficients(slope, grid)[modes])
     return np.concatenate(column)
+
+def converged_lattice(lam, b, point, count, grid, tol=1e-16, iterations=12):
+    """(2 x count lattice, Omega) of the projected m-fold system at the
+    branch point's m, pin and s, solved to ||F|| <= tol from the point
+    (zero-padded past its truncation) by plain forward-difference Newton, a
+    fresh matrix at every step.  The solver certifies at RESIDUAL_TOL and
+    stops Newton there; this is the converged solve its points are
+    measured against.
+    """
+    from qgsw_vstates.contour import (
+        FourierBoundary, g_functional, sine_coefficients,
+    )
+
+    m = point.m
+    modes = m * np.arange(1, count + 1)
+    x = np.append(point.lattice(count), point.omega)
+    pin = 0 if point.pinned == "outer" else count
+    free = np.flatnonzero(np.arange(x.size) != pin)
+
+    def projected(x):
+        boundaries = []
+        for scale, row in zip((1.0, b), x[:-1].reshape(2, count)):
+            dense = np.zeros(m * count)
+            dense[m - 1 :: m] = row
+            boundaries.append(FourierBoundary(scale, tuple(dense.tolist())))
+        g = g_functional(lam, b, x[-1], *boundaries, grid)
+        return sine_coefficients(g, grid)[:, modes].ravel()
+
+    for _ in range(iterations):
+        f = projected(x)
+        if np.linalg.norm(f) <= tol:
+            return x[:-1].reshape(2, count), x[-1]
+        step = 1e-8 * max(1.0, float(np.linalg.norm(x)))
+        matrix = np.empty((f.size, free.size))
+        for col, i in enumerate(free):
+            bumped = x.copy()
+            bumped[i] += step
+            matrix[:, col] = (projected(bumped) - f) / step
+        x[free] -= np.linalg.solve(matrix, f)
+    raise RuntimeError(
+        f"||F|| = {np.linalg.norm(projected(x)):.3e} above {tol:.1e} after"
+        f" {iterations} forward-difference Newton steps")
 
 # ---------------------------------------------------------------------------
 # helpers only the tests use

@@ -387,12 +387,13 @@ def test_table_commands_match_golden_files(tmp_path, command):
      0, ["branch_m5_plus.csv", "branch_m5_minus.csv"]),
     (("--b", "0.9", "--m", "16", "--sign", "+", "--trunc", "4",
       "--grid-size", "512", "--s-max", "5e-3", "--steps", "8"),
-     3, ["branch_m16_plus.csv"]),
+     0, ["branch_m16_plus.csv"]),
 ], ids=["k2-march", "b09-m16"])
 def test_branch_tables_match_golden_files(tmp_path, argv, code, files):
-    # both marches polish tails near 1e-12 (the first doubles K from 2, the
-    # second saturates at K = 8), so tests/data pins the polish path bit
-    # for bit; a deliberate change of the numerics regenerates the tables
+    # both marches grow K one column at a time (the first from 2, the
+    # second from 4 to 12), each new column seeded with the predicted first
+    # omitted pair, so tests/data pins the growth path bit for bit; a
+    # deliberate change of the numerics regenerates the tables
     out = tmp_path / "run"
     assert _run("branch", "--lambda", "1", *argv, "--out", str(out),
                 "--jobs", "1") == code
@@ -536,10 +537,10 @@ _BENCH_BRANCH = ("--b", "0.5", "--m", "5", "--s-max", "0.0025", "--steps",
      {"+": (2, 6, 0, 4), "-": (2, 4, 0, 2)}),
     (("--lambda", "4.0", "--sign", "+", *_BENCH_BRANCH), 0,
      {"+": (2, 5, 0, 3)}),
-    # the far trace, which ends at the truncation and ball-guard limits
+    # the far trace, whose two branches both end at the ball guard
     (("--lambda", "1", "--b", "0.5", "--m", "5", "--s-max", "0.1",
       "--steps", "40"), 3,
-     {"+": (20, 114, 0, 93), "-": (19, 89, 0, 69)}),
+     {"+": (30, 176, 0, 140), "-": (19, 89, 0, 69)}),
 ], ids=["branch-ref", "branch-screened", "far-trace"])
 def test_branch_counters_stay_pinned(tmp_path, argv, code, counts):
     # points / residual evaluations / difference Jacobians / Newton steps
@@ -595,7 +596,8 @@ def test_branch_summary_counts_residual_evaluations(tmp_path, monkeypatch):
 
 
 def test_partial_branch_counts_its_failed_attempt(tmp_path, monkeypatch):
-    # the + branch saturates at K = 8 on its fourth point: the residuals of
+    # at b = 0.9, m = 24 the + branch saturates at K = 9 on its fourth
+    # point (m(K+2) = 264 would reach P/2 on P = 528): the residuals of
     # that failed solve count too, as every residual the march computed
     calls = []
     residual = continuation._ProjectedSystem.residual
@@ -606,11 +608,11 @@ def test_partial_branch_counts_its_failed_attempt(tmp_path, monkeypatch):
 
     monkeypatch.setattr(continuation._ProjectedSystem, "residual", counted)
     entries = _branch_entries(
-        tmp_path / "run", "--lambda", "1", "--b", "0.9", "--m", "16",
+        tmp_path / "run", "--lambda", "1", "--b", "0.9", "--m", "24",
         "--sign", "+", "--trunc", "4", "--grid-size", "512",
-        "--s-max", "2e-3", "--steps", "4", code=3)
-    assert not entries["+"]["completed"]
-    assert entries["+"]["residual_evaluations"] == len(calls) == 18
+        "--s-max", "5e-3", "--steps", "8", code=3)
+    assert not entries["+"]["completed"] and entries["+"]["points"] == 3
+    assert entries["+"]["residual_evaluations"] == len(calls) == 24
 
 
 def test_branch_summary_counts_difference_jacobians(tmp_path, monkeypatch):
@@ -724,10 +726,12 @@ def test_branch_rejects_negative_discriminant(tmp_path, capsys):
 
 
 def test_branch_partial_trace_exits_three(tmp_path):
+    # b = 0.9, m = 24 needs more lattice columns than P = 528 can hold
+    # from its fourth point on
     out = tmp_path / "run"
-    code = _run("branch", "--lambda", "1", "--b", "0.5", "--m", "5",
-                "--sign", "minus", "--s-max", "0.05", "--steps", "4",
-                "--trunc", "8", "--grid-size", "128",
+    code = _run("branch", "--lambda", "1", "--b", "0.9", "--m", "24",
+                "--sign", "plus", "--s-max", "5e-3", "--steps", "8",
+                "--trunc", "4", "--grid-size", "512",
                 "--out", str(out), "--jobs", "1")
     assert code == 3
     summary = json.loads((out / "summary.json").read_text())
@@ -735,7 +739,7 @@ def test_branch_partial_trace_exits_three(tmp_path):
     entry = summary["results"]["branches"][0]
     assert not entry["completed"]
     assert "truncation saturated" in entry["termination"]
-    assert len(_read_csv(out / "branch_m5_minus.csv")) == entry["points"] == 2
+    assert len(_read_csv(out / "branch_m24_plus.csv")) == entry["points"] == 3
 
 
 def _table_point(row, m, b):

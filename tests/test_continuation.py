@@ -1,12 +1,12 @@
 """Newton continuation of the m-fold branches off the annulus.
 
-Everything here runs at the reference point lam = 1, b = 0.5, where the
+Most of this runs at the reference point lam = 1, b = 0.5, where the
 mode m = 5 carries a simple real eigenvalue pair: the plus branch pins the
 outer interface (kernel dominated by the outer component) and the minus
 branch pins the inner one.  A coarse grid (P = 128) and short truncation
-(K = 8) keep the suite fast; the bandwidth cap m*K < P/2 still holds with
-room for one point of the march to need more modes than that, which is the
-deliberate trigger for the saturation test.
+(K = 8) keep the suite fast.  The thin annulus b = 0.9 at m = 14 to 24
+needs many more lattice columns, and at m = 24 more than P = 512 holds,
+which is the trigger for the saturation test.
 """
 
 import dataclasses
@@ -318,10 +318,12 @@ def test_inadmissible_mode_ends_the_trace_with_the_root_message(grid):
 
 
 def test_evaluations_count_every_residual_across_doubling(grid, monkeypatch):
+    # the truncation grows by one column at a time; the count runs across
+    # every K of the solve
     calls = _count_residuals(monkeypatch)
     point = newton_solve(LAM, B, M, "+", 1e-4, trunc=2, grid=grid)
-    assert len(point.f1.coefficients) == 20  # solved at K = 2, then K = 4
-    assert point.evaluations == len(calls)
+    assert point.truncation == 3  # solved at K = 2, then K = 3
+    assert point.evaluations == len(calls) == 3
 
 
 @pytest.mark.parametrize("scale, wrong", [
@@ -361,28 +363,35 @@ def test_trace_stops_at_ball_guard(grid):
     assert "ball guard" in result.termination_reason
 
 
-def test_truncation_doubles_to_a_converged_point(grid):
-    # at K = 2 the last lattice coefficient of the solution is ~1e-8, above
-    # the 1e-12 tail bound, so the solve doubles to K = 4 and must land on
-    # the point a cold K = 4 solve finds
-    doubled = newton_solve(LAM, B, M, "+", 1e-4, trunc=2, grid=grid)
-    cold = newton_solve(LAM, B, M, "+", 1e-4, trunc=4, grid=grid)
-    assert len(doubled.f1.coefficients) == len(doubled.f2.coefficients) == 20
-    assert doubled.residual <= RESIDUAL_TOL
-    assert abs(doubled.omega - cold.omega) <= 1e-12
-    for boundary, reference in ((doubled.f1, cold.f1), (doubled.f2, cold.f2)):
-        assert np.max(np.abs(np.subtract(boundary.coefficients,
-                                          reference.coefficients))) <= 1e-10
+def test_truncation_grows_to_a_converged_point(grid):
+    # at K = 2 the predicted a_3 is 3.7e-12, above the 1e-12 bound, so the
+    # solve grows to K = 3 from that prediction and must land on the point
+    # a cold K = 3 solve finds, with the solved a_3 where the prediction
+    # put it.  Against the converged K = 7 solve the lattice moves 4.6e-13;
+    # Omega moves 2.0e-9, as its Jacobian column is O(m s) = 5e-4 here, so
+    # the 1e-12 node residual the Newton stop leaves fixes it to ~2e-9
+    grown = newton_solve(LAM, B, M, "+", 1e-4, trunc=2, grid=grid)
+    cold = newton_solve(LAM, B, M, "+", 1e-4, trunc=3, grid=grid)
+    assert grown.truncation == 3
+    assert grown.residual <= RESIDUAL_TOL
+    _close(grown, cold, 1e-10)
+    assert grown.lattice(3)[0, 2] == pytest.approx(3.74e-12, rel=1e-3)
+    converged, omega = oracles.converged_lattice(LAM, B, grown, 7, grid)
+    assert abs(grown.omega - omega) <= 5e-9
+    assert np.max(np.abs(grown.lattice(7) - converged)) <= 1e-12
 
 
-def test_trace_partial_on_truncation_saturation(grid):
-    # marching the minus branch outward needs more than K = 8 harmonics by
-    # s ~ 0.04, and doubling K would overflow the P = 128 bandwidth: the
-    # march must return its converged prefix and say why it stopped
-    result = trace_branch(LAM, B, M, "-", 0.05, 4, trunc=8, grid=grid)
+def test_trace_partial_on_truncation_saturation():
+    # at b = 0.9, m = 24 the plus branch needs K = 10 on its fourth point,
+    # whose certificate m(K+1) = 264 would reach P/2 = 256: the march must
+    # return its converged prefix and say why it stopped
+    b, m, grid = 0.9, 24, make_grid(512)
+    result = trace_branch(LAM, b, m, "+", 5e-3, 8, trunc=4, grid=grid)
     assert not result.completed
-    assert "truncation saturated" in result.termination_reason
-    assert len(result.points) == 2
+    assert result.termination_reason.startswith(
+        "NonConvergence: truncation saturated: omitted pair")
+    assert result.termination_reason.endswith("at K=9")
+    assert [p.truncation for p in result.points] == [6, 7, 8]
     for point in result.points:
         assert point.residual <= RESIDUAL_TOL
 
@@ -418,7 +427,7 @@ def test_seeded_jacobian_matches_forward_differences(grid, lam, sign):
 @pytest.mark.parametrize("sign", ["+", "-"])
 def test_seed_omega_column_is_the_grid_projection(lam, sign, monkeypatch):
     # the closed-form Omega column of every seed, out to s = 0.03 at K = 16
-    # and after K doublings from 2, is the sine projection of the grid's
+    # and after K grows from 2, is the sine projection of the grid's
     # dG/dOmega at the lattice modes
     seeds = []
     seed = continuation._ProjectedSystem.linearization
@@ -433,9 +442,9 @@ def test_seed_omega_column_is_the_grid_projection(lam, sign, monkeypatch):
                        grid=fold_grid(M, 256))
     assert far.completed and far.points[-1].truncation == 16
     newton_solve(lam, B, M, sign, 5e-3, trunc=2, grid=make_grid(128))
-    # seeds at K = 16 (the march) and at K = 2 and 4 (before and after
-    # the first doubling)
-    assert {2, 4, 16} <= {system.trunc for system, _, _ in seeds}
+    # seeds at K = 16 (the march) and at K = 2 and 3 (before and after
+    # the first growth)
+    assert {2, 3, 16} <= {system.trunc for system, _, _ in seeds}
     for system, u, column in seeds:
         want = oracles.omega_column(system.lattice(u), M, B, system.grid)
         bound = 1e-14 * np.max(np.abs(column))
@@ -445,8 +454,8 @@ def test_seed_omega_column_is_the_grid_projection(lam, sign, monkeypatch):
 def test_one_linearization_builds_one_mode_cell(monkeypatch):
     # the seed builds no cell of its own, and its K blocks are bit for bit
     # the blocks n M_n of the per-order view; a solve builds one cell,
-    # truncation doublings included, and an N-step trace one, shared by
-    # its annulus anchor and every solve
+    # truncation growth and its predicted pairs included, and an N-step
+    # trace one, shared by its annulus anchor and every solve
     built = []
     init = spectrum.ModeCell.__init__
 
@@ -463,7 +472,7 @@ def test_one_linearization_builds_one_mode_cell(monkeypatch):
     seeded = system.linearization(u)
     assert built == []
     point = newton_solve(1, 0.5, 5, "+", 1e-4, trunc=2, grid=make_grid(128))
-    assert point.truncation == 4 and built == [(1, 0.5)]
+    assert point.truncation == 3 and built == [(1, 0.5)]
     built.clear()
     trace = trace_branch(LAM, B, M, "+", 2e-3, 4, trunc=8, grid=make_grid(128))
     assert trace.completed and built == [(LAM, B)]
@@ -584,47 +593,51 @@ def test_trace_above_the_validated_lambda_names_the_bound(grid):
 
 
 def test_doubling_stops_below_half_the_grid():
-    # K = 2 leaves a tail ~1e-8; K = 4 would put mode m*K = 20 at P/2
-    with pytest.raises(NonConvergence, match="truncation saturated"):
+    # K = 2 predicts a_3 = 3.7e-12; K = 3 would put its certificate's mode
+    # m(K+1) = 20 at P/2
+    with pytest.raises(NonConvergence,
+                       match="truncation saturated: omitted pair 3.740e-12"):
         newton_solve(LAM, B, M, "+", 1e-4, trunc=2, grid=make_grid(40))
 
 
 def test_warm_start_keeps_the_guess_truncation(grid):
-    # the second point doubles K = 4 -> 8; later points start at K = 8
-    # instead of doubling again from K = 4
-    result = trace_branch(LAM, B, M, "+", 2e-3, 4, trunc=4, grid=grid)
+    # the first two points grow K from 2 to 3 and 4; the third starts at
+    # K = 4 and is certified at its predicted guess, one residual, where
+    # growing again from K = 2 would cost two solves more
+    result = trace_branch(LAM, B, M, "+", 2e-3, 4, trunc=2, grid=grid)
     assert result.completed
-    assert [len(p.f1.coefficients) // M for p in result.points] == [4, 8, 8, 8]
-    for point in result.points[2:]:
-        assert point.evaluations <= 6
+    assert [p.truncation for p in result.points] == [3, 4, 4, 5]
+    assert result.points[2].evaluations == 1
 
 
 def test_too_short_truncation_doubles_instead_of_stalling(grid):
     # at K = 2 the node residual floor (~4.5e-10) sits above the tolerance,
-    # so the lattice equations are solved first; the tail is ~4e-7 and K
-    # doubles
+    # so the lattice equations are solved first; the predicted a_3 is
+    # ~5e-10 and K grows
     result = trace_branch(LAM, B, M, "+", 2e-3, 4, trunc=2, grid=grid)
     assert result.completed and len(result.points) == 4
     for point in result.points:
         assert point.residual <= RESIDUAL_TOL
 
 
-def test_short_truncation_doubles_once_its_lattice_is_solved(grid):
+def test_short_truncation_grows_once_its_lattice_is_solved(grid):
     # at K = 2 the node residual stays ~4.5e-10 while ||F|| falls: once
     # ||F|| is a thousandth of it the lattice equations count as solved, the
-    # tail (~4e-7) doubles K, and no forward-difference matrix is built.
-    # This path is pinned exactly: the doubling on the first point, then
-    # one seed per point at its predicted guess; the third guess is
+    # predicted a_3 (4.7e-10) grows K to 3, and no forward-difference
+    # matrix is built.  This path is pinned exactly: K grows 2 -> 3 on the
+    # first point, 3 -> 4 on the second and 4 -> 5 on the fourth, each
+    # new column seeded with its predicted pair; the third guess is
     # certified as predicted, with no Newton step
     frozen = (
-        (0.1645229939029477, -1.6329800969056352e-05, -3.6077262999139783e-07),
-        (0.16452250756616507, -3.266008665650855e-05, -1.4430887470184022e-06),
-        (0.1645216970048607, -4.8991341780752435e-05, -3.24694894206341e-06),
-        (0.16452056214942365, -6.532405135108955e-05, -5.7723266209547605e-06),
+        (0.1645229939031155, -1.632980096886568e-05, -3.6077288114606833e-07),
+        (0.16452250757121983, -3.266008664590269e-05, -1.4430915245842733e-06),
+        (0.16452169701806038, -4.899134173928236e-05, -3.246955930314615e-06),
+        (0.16452056214762814, -6.532405135931112e-05, -5.772326622271047e-06),
     )
     result = trace_branch(LAM, B, M, "+", 2e-3, 4, trunc=2, grid=grid)
     assert result.completed
-    assert [p.evaluations for p in result.points] == [9, 5, 1, 2]
+    assert [p.truncation for p in result.points] == [3, 4, 4, 5]
+    assert [p.evaluations for p in result.points] == [5, 2, 1, 3]
     assert [p.builds for p in result.points] == [0, 0, 0, 0]
     for point, (omega, b4, a9) in zip(result.points, frozen, strict=True):
         assert abs(point.omega - omega) <= 1e-12
@@ -656,7 +669,7 @@ def _short_march_costs(grid):
 
 @pytest.mark.parametrize("eps", [1e-14, -1e-14])
 def test_rounding_of_g_does_not_move_the_solver_path(grid, perturbed_g, eps):
-    # the doubling of K must follow how well the point is resolved, not the
+    # the growth of K must follow how well the point is resolved, not the
     # last bits of G
     exact = _short_march_costs(grid)
     perturbed_g(lambda g1, g2: (g1 * (1.0 + eps), g2 * (1.0 - eps)))
@@ -666,35 +679,73 @@ def test_rounding_of_g_does_not_move_the_solver_path(grid, perturbed_g, eps):
 @pytest.mark.parametrize("sign", ["+", "-"])
 def test_thin_annulus_point_doubles_without_rebuilds(sign):
     # b = 0.97, m = 46: K = 4 leaves the nodes up with the lattice solved,
-    # and one doubling certifies from the seed
+    # and K grows a column at a time, each seeded with its predicted pair,
+    # with no forward-difference matrix; no column is a padded zero
     point = newton_solve(LAM, 0.97, 46, sign, 6.25e-4, trunc=4,
                          grid=make_grid(1104))
-    assert point.truncation == 8
+    trunc = {"+": 7, "-": 6}[sign]
+    assert point.truncation == trunc
     assert point.builds == 0
     assert point.residual <= RESIDUAL_TOL
+    assert np.all(point.lattice(trunc)[0] != 0.0)
 
 
 def test_nodes_the_lattice_cannot_see_end_at_the_floor(grid, perturbed_g):
     # a constant 1e-9 added to G_1 has no sine component: the lattice
-    # equations are solved at the annulus, the tail is zero, and more
-    # harmonics cannot lower the nodes
+    # equations are solved at the annulus, the predicted pair is zero, and
+    # more harmonics cannot lower the nodes
     perturbed_g(lambda g1, g2: (g1 + 1e-9, g2))
     with pytest.raises(NonConvergence, match="node residual floor"):
         newton_solve(LAM, B, M, "+", 0.0, trunc=8, grid=grid)
 
 
-def test_tail_verdict_does_not_depend_on_the_iteration_path(monkeypatch):
-    # b = 0.9, m = 16, K = 8 (the last truncation below P/2 at P = 512):
-    # the polished tail at s = 2e-3 is 1.126e-12.  The seed as given and
-    # the seed with its Omega column sign-flipped reach the tolerance at
-    # different iterates (tails 8.1e-13 and 1.13e-12); both must be
-    # polished to the same verdict
+def _predicted_pairs(monkeypatch):
+    """The predicted first omitted pair of every decision from here on."""
+    pairs = []
+    omitted = continuation._ProjectedSystem.omitted
+
+    def spy(system, omega, sine):
+        pairs.append(omitted(system, omega, sine))
+        return pairs[-1]
+
+    monkeypatch.setattr(continuation._ProjectedSystem, "omitted", spy)
+    return pairs
+
+
+def test_predicted_pair_is_the_converged_first_omitted_pair(monkeypatch):
+    # b = 0.9, m = 16, s = 6.25e-4: K = 4 leaves a_5 = 1.64e-11, above the
+    # 1e-12 bound.  The pair predicted at the K = 4 exit iterate seeds
+    # column 5, the K = 5 solve certifies with a predicted a_6 below the
+    # bound, and the solved a_5 is the a_5 of the converged K = 8 solve
+    # on the same grid and on twice it
+    pairs = _predicted_pairs(monkeypatch)
     grid = make_grid(512)
+    point = newton_solve(LAM, 0.9, 16, "+", 6.25e-4, trunc=4, grid=grid)
+    assert point.truncation == 5 and len(pairs) == 2
+    assert np.max(np.abs(pairs[1])) <= continuation._TAIL_TOL
+    lattice = point.lattice(5)
+    assert np.all(lattice != 0.0)  # every column solved, none padded
+    assert abs(lattice[0, 4] - pairs[0][0]) <= 1e-15
+    for node_count in (512, 1024):
+        converged, _ = oracles.converged_lattice(LAM, 0.9, point, 8,
+                                                 make_grid(node_count))
+        assert converged[0, 4] == pytest.approx(1.6437e-11, rel=1e-4)
+        assert abs(lattice[0, 4] - converged[0, 4]) <= 1e-14
+
+
+def test_tail_verdict_does_not_depend_on_the_iteration_path(monkeypatch):
+    # b = 0.9, m = 16, K = 8 at s = 2e-3: the last lattice coefficient is
+    # 1.1e-12, and the solver certifies on the predicted a_9, about 6e-14.
+    # The seed as given and the seed with its Omega column sign-flipped
+    # reach the tolerance at different iterates; both certify at K = 8,
+    # with predicted pairs that agree within the noise of the residual
+    grid = make_grid(512)
+    pairs = _predicted_pairs(monkeypatch)
 
     def solve():
-        with pytest.raises(NonConvergence, match="truncation saturated") as err:
-            newton_solve(LAM, 0.9, 16, "+", 2e-3, trunc=8, grid=grid)
-        return float(str(err.value).split("tail ")[1].split()[0])
+        point = newton_solve(LAM, 0.9, 16, "+", 2e-3, trunc=8, grid=grid)
+        assert point.truncation == 8
+        return pairs[-1]
 
     plain = solve()
     seed = continuation._ProjectedSystem.linearization
@@ -705,25 +756,33 @@ def test_tail_verdict_does_not_depend_on_the_iteration_path(monkeypatch):
         return matrix
 
     monkeypatch.setattr(continuation._ProjectedSystem, "linearization", flipped)
-    assert abs(solve() - plain) <= 1e-13
-    assert plain == pytest.approx(1.126e-12, abs=1e-15)
+    other = solve()
+    assert len(pairs) == 2
+    assert np.max(np.abs(plain)) <= continuation._TAIL_TOL
+    assert np.max(np.abs(other - plain)) <= 1e-13
 
 
-def test_thin_annulus_doubles_to_the_grid_limit():
-    # b = 0.9, m = 16: K = 4 is too short from the first point on, and K = 8
-    # is the last truncation below P/2 = 256.  The K = 8 solution at s = 2e-3
-    # has a last lattice coefficient of 1.1e-12, at the tail bound, so the
-    # fourth point is certified or refused as saturated depending on where
-    # the iteration crosses the residual tolerance; it never stalls
-    b, m, grid = 0.9, 16, make_grid(512)
-    result = trace_branch(LAM, b, m, "+", 2e-3, 4, trunc=4, grid=grid)
-    assert len(result.points) >= 3
-    assert result.completed or (
-        "truncation saturated" in result.termination_reason)
-    for point in result.points:
-        assert len(point.f1.coefficients) == 8 * m
-        assert point.residual <= RESIDUAL_TOL
-        assert verify_vstate(point, LAM, b, grid=grid).residual <= 1e-9
+def test_thin_annulus_marches_agree_with_converged_solves():
+    # b = 0.9, m = 14 and 16, plus branch from K = 4 on the CLI's grid:
+    # both marches complete, K grows with s, every point passes the
+    # doubled-grid check and lies within 5e-11 (measured 3.5e-11, the
+    # Newton stop at RESIDUAL_TOL) of the converged K+4 solve on twice
+    # the grid
+    for m in (14, 16):
+        grid = fold_grid(m, 512)
+        fine = fold_grid(m, 1024)
+        result = trace_branch(LAM, 0.9, m, "+", 5e-3, 8, trunc=4, grid=grid)
+        assert result.completed, m
+        truncations = [p.truncation for p in result.points]
+        assert truncations == sorted(truncations) and truncations[0] == 5
+        for point in result.points:
+            count = point.truncation + 4
+            assert point.residual <= RESIDUAL_TOL
+            assert verify_vstate(point, LAM, 0.9, grid=grid).residual <= 1e-9
+            converged, omega = oracles.converged_lattice(LAM, 0.9, point,
+                                                         count, fine)
+            assert abs(point.omega - omega) <= 5e-11, (m, point.s)
+            assert np.max(np.abs(point.lattice(count) - converged)) <= 5e-11
 
 
 def test_verify_annulus_point(grid, pair):
@@ -903,8 +962,8 @@ def test_omega_intercept_has_no_bend_past_the_float_range():
 
 
 def test_newton_steps_count_every_accepted_step(grid, monkeypatch):
-    # the K = 2 march doubles, and its steps include the polish; the main
-    # loop and the polish both take every step through one step rule
+    # the K = 2 march grows K on its first, second and fourth points; every
+    # step of every K goes through one step rule
     accepted = []
     step = continuation._ProjectedSystem.step
 
@@ -917,6 +976,6 @@ def test_newton_steps_count_every_accepted_step(grid, monkeypatch):
     monkeypatch.setattr(continuation._ProjectedSystem, "step", counted)
     result = trace_branch(LAM, B, M, "+", 2e-3, 4, trunc=2, grid=grid)
     assert result.completed
-    assert [p.newton_steps for p in result.points] == [7, 3, 0, 1]
+    assert [p.newton_steps for p in result.points] == [3, 0, 0, 1]
     assert sum(p.newton_steps for p in result.points) == len(accepted)
     assert result.newton_steps == len(accepted)

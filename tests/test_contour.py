@@ -465,7 +465,7 @@ _FOLD_CASES = {
         B, 0.3, FourierBoundary.single_mode(1.0, 7, 1e-3),
         FourierBoundary.single_mode(B, 3, 1e-3))),
     "branch-m8": lambda: (256, 8, _branch_point(LAM, B, 8, "+", 8, 256)),
-    # the plus branch saturates K = 8 before s = 5e-3 at b = 0.9
+    # a thin-annulus point whose K grew from 4 by predicted columns
     "branch-m16-b0.9": lambda: (512, 16,
                                 _branch_point(LAM, 0.9, 16, "-", 4, 512)),
 }
