@@ -38,10 +38,10 @@ the annulus answers the last residual's sine pair g_n at n = m(K+1), so
 (a_{K+1}, b_{K+1}) ~ -(n M_n(Omega))^{-1} g_n, at no residual cost.  A
 pair at most 1e-12 certifies the point, or ends the solve at the node
 residual floor if the nodes are still up (more harmonics cannot help); a
-larger pair grows K by one column, seeded with the pair, unless
-contour._check_bandwidth refuses the new certificate's mode (truncation
-saturated).  So every column of a point is solved or predicted, never a
-padded zero.
+larger pair grows K to where its ratio to column K predicts one within
+the bound, the new columns seeded with the pair and by that ratio, up to
+the largest K the grid's bandwidth admits (there, truncation saturated).
+So every column of a point is solved or predicted, never a padded zero.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ import numpy as np
 from .contour import (
     FourierBoundary,
     _check_bandwidth,
+    _top_truncation,
     annulus_boundary,
     fold_grid,
     g_functional,
@@ -344,10 +345,8 @@ def newton_solve(lam, b, m, sign, s, initial_guess=None, trunc=16, grid=None,
         omega = initial_guess.omega
 
     # solve at trunc until the nodes are solved or the lattice equations
-    # are (||F|| down to _RESOLVED of the node residual: the harmonics past
-    # K hold the nodes up); then the predicted first omitted pair decides
-    # between certifying, failing at the node floor and solving again with
-    # that pair as column K+1
+    # are (||F|| down to _RESOLVED of the node residual); then the predicted
+    # first omitted pair certifies, fails at the node floor or grows K
     work = (0, 0, 0)
     try:
         while True:
@@ -389,23 +388,27 @@ def newton_solve(lam, b, m, sign, s, initial_guess=None, trunc=16, grid=None,
                 if node_res > RESIDUAL_TOL:
                     raise NonConvergence(
                         f"node residual floor: residual {node_res:.3e} with"
-                        f" omitted pair {size:.3e} at s={s}, m={m},"
-                        f" K={trunc}"
-                    )
+                        f" omitted pair {size:.3e} at s={s}, m={m}, K={trunc}")
                 return BranchPoint(
                     s=system.s, omega=omega, f1=f1, f2=f2, residual=node_res,
                     m=m, pinned=pinned, evaluations=system.evaluations,
                     builds=system.builds, newton_steps=system.steps,
                 )
-            try:
-                _check_bandwidth(m, trunc + 1, grid.node_count)
-            except ValueError:
-                raise NonConvergence(
-                    f"truncation saturated: omitted pair {size:.3e} at"
-                    f" K={trunc}"
-                ) from None
-            lattice = np.column_stack((system.lattice(u), pair))
-            trunc += 1
+            top = _top_truncation(m, grid.node_count)
+            if trunc == top:
+                raise NonConvergence(f"truncation saturated: omitted pair"
+                                     f" {size:.3e} at K={trunc}")
+            # the columns past K go on by the ratio of the pair's larger
+            # entry to the same row of column K (1 where that does not
+            # fall): grow to the K whose predicted pair meets the bound
+            solved, row = system.lattice(u), np.argmax(np.abs(pair))
+            last = solved[row, -1]
+            ratio = pair[row] / last if size < abs(last) else 1.0
+            grow = 1 if ratio == 1.0 else math.ceil(
+                math.log(_TAIL_TOL / size) / math.log(abs(ratio)))
+            lattice = np.column_stack((solved, np.outer(
+                pair, ratio ** np.arange(min(grow, top - trunc)))))
+            trunc = lattice.shape[1]
             work = system.work
     except (NonConvergence, DegenerateJacobian, ValueError) as exc:
         # the failed attempt's work, for the trace that reports it

@@ -103,6 +103,11 @@ def _check_bandwidth(m, trunc, node_count):
         )
 
 
+def _top_truncation(m, node_count):
+    # the largest trunc that _check_bandwidth accepts at order m >= 1
+    return (node_count - 1) // (2 * m) - 1
+
+
 def fold_size(m, floor):
     """The least P >= floor that lcm(2, m) divides, refused by the grid
     rules before any grid is built: g_functional folds an m-fold pair onto

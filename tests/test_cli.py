@@ -390,10 +390,10 @@ def test_table_commands_match_golden_files(tmp_path, command):
      0, ["branch_m16_plus.csv"]),
 ], ids=["k2-march", "b09-m16"])
 def test_branch_tables_match_golden_files(tmp_path, argv, code, files):
-    # both marches grow K one column at a time (the first from 2, the
-    # second from 4 to 12), each new column seeded with the predicted first
-    # omitted pair, so tests/data pins the growth path bit for bit; a
-    # deliberate change of the numerics regenerates the tables
+    # both marches grow K (the first from 2, the second from 4 to 12),
+    # each growth seeded from the predicted first omitted pair, so
+    # tests/data pins the growth path bit for bit; a deliberate change of
+    # the numerics regenerates the tables
     out = tmp_path / "run"
     assert _run("branch", "--lambda", "1", *argv, "--out", str(out),
                 "--jobs", "1") == code
@@ -599,6 +599,7 @@ def test_partial_branch_counts_its_failed_attempt(tmp_path, monkeypatch):
     # at b = 0.9, m = 24 the + branch saturates at K = 9 on its fourth
     # point (m(K+2) = 264 would reach P/2 on P = 528): the residuals of
     # that failed solve count too, as every residual the march computed
+    # (its first point grows K = 4 -> 6 in one step, as its pairs predict)
     calls = []
     residual = continuation._ProjectedSystem.residual
 
@@ -612,7 +613,7 @@ def test_partial_branch_counts_its_failed_attempt(tmp_path, monkeypatch):
         "--sign", "+", "--trunc", "4", "--grid-size", "512",
         "--s-max", "5e-3", "--steps", "8", code=3)
     assert not entries["+"]["completed"] and entries["+"]["points"] == 3
-    assert entries["+"]["residual_evaluations"] == len(calls) == 24
+    assert entries["+"]["residual_evaluations"] == len(calls) == 23
 
 
 def test_branch_summary_counts_difference_jacobians(tmp_path, monkeypatch):

@@ -318,8 +318,8 @@ def test_inadmissible_mode_ends_the_trace_with_the_root_message(grid):
 
 
 def test_evaluations_count_every_residual_across_doubling(grid, monkeypatch):
-    # the truncation grows by one column at a time; the count runs across
-    # every K of the solve
+    # the truncation grows from K = 2; the count runs across every K of
+    # the solve
     calls = _count_residuals(monkeypatch)
     point = newton_solve(LAM, B, M, "+", 1e-4, trunc=2, grid=grid)
     assert point.truncation == 3  # solved at K = 2, then K = 3
@@ -374,6 +374,7 @@ def test_truncation_grows_to_a_converged_point(grid):
     cold = newton_solve(LAM, B, M, "+", 1e-4, trunc=3, grid=grid)
     assert grown.truncation == 3
     assert grown.residual <= RESIDUAL_TOL
+    assert abs(grown.omega - cold.omega) <= 1e-12
     _close(grown, cold, 1e-10)
     assert grown.lattice(3)[0, 2] == pytest.approx(3.74e-12, rel=1e-3)
     converged, omega = oracles.converged_lattice(LAM, B, grown, 7, grid)
@@ -441,10 +442,12 @@ def test_seed_omega_column_is_the_grid_projection(lam, sign, monkeypatch):
     far = trace_branch(lam, B, M, sign, 0.03, 3, trunc=16,
                        grid=fold_grid(M, 256))
     assert far.completed and far.points[-1].truncation == 16
-    newton_solve(lam, B, M, sign, 5e-3, trunc=2, grid=make_grid(128))
-    # seeds at K = 16 (the march) and at K = 2 and 3 (before and after
-    # the first growth)
-    assert {2, 3, 16} <= {system.trunc for system, _, _ in seeds}
+    grown = newton_solve(lam, B, M, sign, 5e-3, trunc=2, grid=make_grid(128))
+    # seeds at K = 16 (the march) and at K = 2 and the K it grows to
+    # (before and after the first growth)
+    assert grown.truncation > 2
+    assert {2, grown.truncation, 16} <= {system.trunc
+                                         for system, _, _ in seeds}
     for system, u, column in seeds:
         want = oracles.omega_column(system.lattice(u), M, B, system.grid)
         bound = 1e-14 * np.max(np.abs(column))
@@ -578,9 +581,12 @@ def test_failed_carried_jacobian_is_reseeded_before_a_build():
 
 
 def test_top_mode_at_half_the_grid_is_refused():
-    # m*K = P/2 is the Nyquist mode, whose sine vanishes at every node
+    # at K = 7 the certificate's mode m(K+1) = 64 is P/2, the Nyquist mode,
+    # whose sine vanishes at every node; K = 6 puts it at 56
     with pytest.raises(ValueError, match="bandwidth"):
-        newton_solve(LAM, B, 8, "+", 1e-4, trunc=8, grid=make_grid(128))
+        newton_solve(LAM, B, 8, "+", 1e-4, trunc=7, grid=make_grid(128))
+    point = newton_solve(LAM, B, 8, "+", 1e-4, trunc=6, grid=make_grid(128))
+    assert point.truncation == 6
 
 
 def test_trace_above_the_validated_lambda_names_the_bound(grid):
@@ -590,6 +596,22 @@ def test_trace_above_the_validated_lambda_names_the_bound(grid):
     result = trace_branch(10.0, B, M, "+", 1e-4, 2, trunc=8, grid=grid)
     assert not result.completed and result.points == ()
     assert "lambda <= 8; got 10" in result.termination_reason
+
+
+def test_growth_stops_at_the_top_truncation(monkeypatch):
+    # b = 0.9, m = 24 on P = 312: K = 4 predicts a_5 = 7.5e-11 falling by
+    # about 40 a column, which asks for K = 6, but K = 5 is the largest K
+    # whose certificate's mode m(K+1) = 144 lies below P/2 = 156.  The
+    # solve grows to K = 5, not past it, and saturates there
+    pairs = _predicted_pairs(monkeypatch)
+    with pytest.raises(NonConvergence,
+                       match="truncation saturated: omitted pair 1.974e-12"
+                             " at K=5"):
+        newton_solve(LAM, 0.9, 24, "+", 6.25e-4, trunc=4, grid=make_grid(312))
+    assert len(pairs) == 2
+    point = newton_solve(LAM, 0.9, 24, "+", 6.25e-4, trunc=4,
+                         grid=make_grid(528))
+    assert point.truncation == 6 and len(pairs) == 4
 
 
 def test_doubling_stops_below_half_the_grid():
@@ -677,15 +699,19 @@ def test_rounding_of_g_does_not_move_the_solver_path(grid, perturbed_g, eps):
 
 
 @pytest.mark.parametrize("sign", ["+", "-"])
-def test_thin_annulus_point_doubles_without_rebuilds(sign):
-    # b = 0.97, m = 46: K = 4 leaves the nodes up with the lattice solved,
-    # and K grows a column at a time, each seeded with its predicted pair,
-    # with no forward-difference matrix; no column is a padded zero
+def test_thin_annulus_point_doubles_without_rebuilds(sign, monkeypatch):
+    # b = 0.97, m = 46: K = 4 leaves the nodes up with the lattice solved.
+    # The predicted a_5 over a_4 (-0.054 on the plus branch) says how the
+    # columns go on, so K grows once, straight to the K whose predicted
+    # pair meets the bound, each new column seeded as that ratio predicts,
+    # with no forward-difference matrix; no column is a padded zero.  One
+    # column at a time cost the plus branch 11 residuals
+    pairs = _predicted_pairs(monkeypatch)
     point = newton_solve(LAM, 0.97, 46, sign, 6.25e-4, trunc=4,
                          grid=make_grid(1104))
-    trunc = {"+": 7, "-": 6}[sign]
-    assert point.truncation == trunc
-    assert point.builds == 0
+    trunc, evaluations = {"+": (7, 7), "-": (6, 6)}[sign]
+    assert point.truncation == trunc and len(pairs) == 2
+    assert point.evaluations == evaluations and point.builds == 0
     assert point.residual <= RESIDUAL_TOL
     assert np.all(point.lattice(trunc)[0] != 0.0)
 
