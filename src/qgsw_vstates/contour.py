@@ -26,9 +26,10 @@ The weights and log|w_k - w_l| = log|2 sin(pi (k - l)/P)| both depend on
 k - l alone, so one length-P vector holds them.  Every interaction,
 singular or not, is one real kernel matrix (array Bessel kernels,
 fixed-length Horner series) applied to the complex weights Phi'(tau) tau
-as real mat-vecs; its rows are the target nodes of one rotational period
-of the pair (all P when nothing divides, see g_functional), its columns
-all P sources, and the grid gathers only those rows of the weights.
+as real mat-vecs; its columns are all P sources, its rows the target
+nodes G needs (half a rotational period of the pair, all P when nothing
+divides; see g_functional), and the grid gathers only those rows of the
+weights.
 
 The rotating-frame boundary condition is, at each node of interface j,
 
@@ -206,6 +207,36 @@ class QuadratureGrid:
             object.__setattr__(self, "_log_block", block)
         return block[:rows]
 
+    def transpose_index(self, period):
+        """Flat indices into rows 0..period//2 of a cross kernel block
+        K[k, l] = kappa(|Phi_1(w_k) - Phi_2(w_l)|) that gather the same rows
+        of its transpose, for maps of rotational period `period` nodes with
+        real coefficients, kept read-only with the grid for the last period
+        asked for.
+
+        Entry (l, k) with l = s period + r equals entry (r, k - s period),
+        both nodes turned back s periods (Phi(rho w) = rho Phi(w)); for
+        r > period/2 it equals entry (period - r, (s+1) period - k), both
+        nodes reflected (Phi(conj w) = conj Phi(w), conj w_k = w_{-k}) and
+        turned on one period.  The reflection needs the node w_0 = 1.
+        """
+        memo = vars(self).get("_transpose_index")
+        if memo is not None and memo[0] == period:
+            return memo[1]
+        if self.theta[0] != 0.0:
+            raise ValueError("the fold's reflection needs the node w_0 = 1")
+        count = self.node_count
+        target = np.arange(period // 2 + 1)[:, None]
+        turns, offset = np.divmod(np.arange(count), period)
+        direct = 2 * offset <= period
+        row = np.where(direct, offset, period - offset)
+        col = np.where(direct, target - turns * period,
+                       (turns + 1) * period - target) % count
+        index = row * count + col
+        index.setflags(write=False)
+        object.__setattr__(self, "_transpose_index", (period, index))
+        return index
+
 
 def make_grid(node_count):
     node_count = int(node_count)
@@ -255,11 +286,10 @@ def s_integral(lam, source, target, grid, rows=None):
     than the collision tolerance (over the rows evaluated).
     """
     _check_lambda(lam)
-    head = slice(rows)
     src_vals, src_derivs = conformal_eval(source, grid)
-    weights = src_derivs * grid.nodes  # Phi'(tau) tau at source nodes
 
     if source == target:
+        head = slice(rows)
         dist = np.abs(src_vals[head, None] - src_vals[None, :])
         scaled = lam * dist
         i0 = _i0_array(scaled)
@@ -275,13 +305,27 @@ def s_integral(lam, source, target, grid, rows=None):
         log_part *= i0
         kernel -= log_part
     else:
-        tgt_vals, _ = conformal_eval(target, grid)
-        dist = np.abs(tgt_vals[head, None] - src_vals[None, :])
-        if np.min(dist) < _COLLISION_TOL:
-            raise ValueError(
-                f"interfaces collide: min node distance {np.min(dist):.3e}"
-            )
-        kernel = _k0_array(lam * dist)
+        kernel = _cross_kernel(lam, src_vals, conformal_eval(target, grid)[0],
+                               rows)
+    return _integrate(kernel, src_derivs, grid)
+
+
+def _cross_kernel(lam, src_vals, tgt_vals, rows):
+    """K_0(lam |Phi_target(w_k) - Phi_source(tau_l)|) for the first `rows`
+    target nodes against all P source nodes, refusing interfaces that come
+    closer than the collision tolerance there."""
+    dist = np.abs(tgt_vals[:rows, None] - src_vals[None, :])
+    if np.min(dist) < _COLLISION_TOL:
+        raise ValueError(
+            f"interfaces collide: min node distance {np.min(dist):.3e}"
+        )
+    return _k0_array(lam * dist)
+
+
+def _integrate(kernel, src_derivs, grid):
+    """Trapezoid sums of the kernel rows against the source's weights
+    Phi'(tau) tau."""
+    weights = src_derivs * grid.nodes
     # real kernel times complex weights as one real P x 2 product of
     # (real, imag) rows, with no complex copy of the kernel
     pairs = weights.view(float).reshape(-1, 2)
@@ -299,8 +343,20 @@ def g_functional(lam, b, omega, f1, f2, grid):
     A map whose nonzero a_n all have d | n+1 obeys Phi(rho w) = rho Phi(w)
     for rho = exp(2 pi i/d), so both G_j are 2 pi/d-periodic.  With d the
     gcd of P and every such n+1 of both interfaces (P for the bare annulus)
-    the node shift P/d is that rotation: G is evaluated on the first P/d
-    nodes only and written d times into its row.
+    the node shift Q = P/d is that rotation.  Real coefficients also give
+    Phi(conj w) = conj Phi(w), and conj w_k = w_{-k} on make_grid's nodes,
+    so each G_j is odd within its period: row Q - k is -(row k).  For d > 1
+    G is evaluated on rows 0..Q/2 only, the other rows of the period are
+    those reflections, and the period is written d times into its row.
+    The one cross kernel K_0(lam |Phi_1(w_k) - Phi_2(tau_l)|) of those rows
+    serves G_1, and G_2's is the same block gathered through the rotation
+    and the reflection (QuadratureGrid.transpose_index).
+
+    Without a fold (d = 1, as verify's odd modes run) every row is
+    evaluated and each cross kernel is built for its own orientation, bit
+    for bit the unfolded sum: perfbench pins that call shape (four
+    s_integral calls, two K_0 matrices of P x P), so the reflection waits
+    for the pin to become a ceiling before it serves d = 1 too.
     """
     _check_max_lambda(lam)
     _check_b_open(b)
@@ -313,19 +369,29 @@ def g_functional(lam, b, omega, f1, f2, grid):
     fold = math.gcd(grid.node_count, *(
         n + 1 for f in (f1, f2) for n, a in enumerate(f.coefficients) if a
     ))
-    rows = grid.node_count // fold
+    (vals1, derivs1), (vals2, derivs2) = (conformal_eval(f, grid)
+                                          for f in (f1, f2))
+    period = grid.node_count // fold
+    if fold == 1:
+        rows = period
+        inward = s_integral(lam, f2, f1, grid)
+        outward = s_integral(lam, f1, f2, grid)
+    else:
+        rows = period // 2 + 1
+        block = _cross_kernel(lam, vals2, vals1, rows)
+        inward = _integrate(block, derivs2, grid)
+        outward = _integrate(block.take(grid.transpose_index(period)),
+                             derivs1, grid)
     conj_nodes = np.conj(grid.nodes[:rows])
-    out = np.empty((2, grid.node_count))
-    for row, target in zip(out, (f1, f2)):
-        vals, derivs = conformal_eval(target, grid)
-        total = (
-            omega * vals[:rows]
-            + s_integral(lam, f2, target, grid, rows)
-            - s_integral(lam, f1, target, grid, rows)
-        )
-        row.reshape(fold, rows)[:] = np.imag(
-            total * conj_nodes * np.conj(derivs[:rows]))
-    return out
+    kept = np.empty((2, rows))
+    for row, vals, derivs, plus, minus in zip(
+            kept, (vals1, vals2), (derivs1, derivs2),
+            (inward, s_integral(lam, f2, f2, grid, rows)),
+            (s_integral(lam, f1, f1, grid, rows), outward)):
+        row[:] = np.imag((omega * vals[:rows] + plus - minus)
+                         * conj_nodes * np.conj(derivs[:rows]))
+    reflected = -kept[:, period - rows:0:-1]
+    return np.tile(np.concatenate((kept, reflected), axis=1), (1, fold))
 
 
 def sine_coefficients(values, grid):

@@ -317,7 +317,7 @@ def test_inadmissible_mode_ends_the_trace_with_the_root_message(grid):
         "ValueError: mode m=2 has no simple real pair")
 
 
-def test_evaluations_count_every_residual_across_doubling(grid, monkeypatch):
+def test_evaluations_count_every_residual_across_growth(grid, monkeypatch):
     # the truncation grows from K = 2; the count runs across every K of
     # the solve
     calls = _count_residuals(monkeypatch)
@@ -614,7 +614,7 @@ def test_growth_stops_at_the_top_truncation(monkeypatch):
     assert point.truncation == 6 and len(pairs) == 4
 
 
-def test_doubling_stops_below_half_the_grid():
+def test_growth_saturates_below_half_the_grid():
     # K = 2 predicts a_3 = 3.7e-12; K = 3 would put its certificate's mode
     # m(K+1) = 20 at P/2
     with pytest.raises(NonConvergence,
@@ -632,7 +632,7 @@ def test_warm_start_keeps_the_guess_truncation(grid):
     assert result.points[2].evaluations == 1
 
 
-def test_too_short_truncation_doubles_instead_of_stalling(grid):
+def test_too_short_truncation_grows_instead_of_stalling(grid):
     # at K = 2 the node residual floor (~4.5e-10) sits above the tolerance,
     # so the lattice equations are solved first; the predicted a_3 is
     # ~5e-10 and K grows
@@ -699,7 +699,7 @@ def test_rounding_of_g_does_not_move_the_solver_path(grid, perturbed_g, eps):
 
 
 @pytest.mark.parametrize("sign", ["+", "-"])
-def test_thin_annulus_point_doubles_without_rebuilds(sign, monkeypatch):
+def test_thin_annulus_point_grows_without_rebuilds(sign, monkeypatch):
     # b = 0.97, m = 46: K = 4 leaves the nodes up with the lattice solved.
     # The predicted a_5 over a_4 (-0.054 on the plus branch) says how the
     # columns go on, so K grows once, straight to the K whose predicted

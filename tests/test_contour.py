@@ -328,23 +328,28 @@ def test_g_functional_memory_stays_with_the_folded_rows():
 
 
 def test_g_functional_is_one_array_of_both_interfaces(grid):
-    # one float array of shape (2, P): G_1's row, then G_2's, each row its
-    # period on the first P/fold nodes written fold times, so the rows
-    # unpack to the pair the two interface loops give
+    # one float array of shape (2, P): G_1's row, then G_2's.  Each row is
+    # its period written fold times, the period's rows 0..P/8 evaluated and
+    # its row P/4 - k the negated row k, so the rows unpack to the pair the
+    # two interface loops give on the kept rows
     outer = FourierBoundary.single_mode(1.0, 3, 2e-3)
     inner = FourierBoundary.single_mode(B, 7, -1e-3)
     g = g_functional(LAM, B, 0.3, outer, inner, grid)
     assert type(g) is np.ndarray and g.dtype == np.float64
     assert g.shape == (2, grid.node_count)
-    rows = grid.node_count // 4  # both maps are 4-fold
+    period = grid.node_count // 4  # both maps are 4-fold
+    rows = period // 2 + 1
     for row, target in zip(g, (outer, inner)):
         vals, derivs = conformal_eval(target, grid)
         total = (0.3 * vals[:rows]
                  + s_integral(LAM, inner, target, grid, rows)
                  - s_integral(LAM, outer, target, grid, rows))
-        period = np.imag(total * np.conj(grid.nodes[:rows])
+        direct = np.imag(total * np.conj(grid.nodes[:rows])
                          * np.conj(derivs[:rows]))
-        assert np.array_equal(row, np.tile(period, 4))
+        assert np.max(np.abs(row[:rows] - direct)) <= 1e-14
+        assert np.array_equal(row, np.tile(row[:period], 4))
+        assert np.array_equal(row[period - 1:rows - 1:-1],
+                              -row[1:period - rows + 1])
     g1, g2 = g
     assert np.array_equal(np.stack([g1, g2]), g)
 
@@ -452,37 +457,50 @@ def _branch_point(lam, b, m, sign, trunc, node_count):
 
 
 _FOLD_CASES = {
-    "annulus": lambda: (64, 64, (B, 0.3, annulus_boundary(1.0),
-                                 annulus_boundary(B))),
+    "annulus": lambda: (64, 64, LAM, (B, 0.3, annulus_boundary(1.0),
+                                      annulus_boundary(B))),
     **{
-        f"single-{n}": (lambda n=n: (256, math.gcd(256, n), (
+        f"single-{n}": (lambda n=n: (256, math.gcd(256, n), LAM, (
             B, 0.3, FourierBoundary.single_mode(1.0, n - 1, 2e-5),
             annulus_boundary(B))))
         for n in (4, 6, 8)
     },
     # an 8-fold outer and a 4-fold inner interface share 4 periods only
-    "mixed-8-4": lambda: (256, 4, (
+    "mixed-8-4": lambda: (256, 4, LAM, (
         B, 0.3, FourierBoundary.single_mode(1.0, 7, 1e-3),
         FourierBoundary.single_mode(B, 3, 1e-3))),
-    "branch-m8": lambda: (256, 8, _branch_point(LAM, B, 8, "+", 8, 256)),
+    # an odd period: 4 periods of 65 nodes, rows 0..32 kept
+    "odd-period-4": lambda: (260, 4, LAM, (
+        B, 0.3, FourierBoundary.single_mode(1.0, 3, 2e-2),
+        FourierBoundary(B, (0.0, 0.0, 0.0, 0.01, 0.0, 0.0, 0.0, 3e-3)))),
+    # screened: lam r passes _k0_array's split at 4 in the cross kernel
+    "screened-lam4": lambda: (256, 8, 4.0, (
+        B, 0.3, FourierBoundary.single_mode(1.0, 7, 1e-3),
+        FourierBoundary.single_mode(B, 7, -1e-3))),
+    "branch-m8": lambda: (256, 8, LAM, _branch_point(LAM, B, 8, "+", 8, 256)),
     # a thin-annulus point whose K grew from 4 by predicted columns
-    "branch-m16-b0.9": lambda: (512, 16,
+    "branch-m16-b0.9": lambda: (512, 16, LAM,
                                 _branch_point(LAM, 0.9, 16, "-", 4, 512)),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_FOLD_CASES))
 def test_g_functional_fold_matches_unfolded_oracle(case):
-    node_count, fold, (b, omega, f1, f2) = _FOLD_CASES[case]()
+    node_count, fold, lam, (b, omega, f1, f2) = _FOLD_CASES[case]()
     g = make_grid(node_count)
-    folded = g_functional(LAM, b, omega, f1, f2, g)
-    unfolded = oracles.g_functional_unfolded(LAM, b, omega, f1, f2, g)
+    folded = g_functional(lam, b, omega, f1, f2, g)
+    unfolded = oracles.g_functional_unfolded(lam, b, omega, f1, f2, g)
     period = node_count // fold
     for got, want in zip(folded, unfolded):
         assert np.max(np.abs(got - want)) <= 1e-13
         # the tiled output repeats its first period exactly
         assert np.array_equal(got.reshape(fold, period),
                               np.broadcast_to(got[:period], (fold, period)))
+        # and is odd within it: past the kept rows 0..period/2, row
+        # period - k is -(row k)
+        kept = period // 2 + 1
+        assert np.array_equal(got[period - 1:kept - 1:-1],
+                              -got[1:period - kept + 1])
 
 
 def test_g_functional_without_a_fold_is_the_unfolded_sum(grid):
@@ -498,16 +516,33 @@ def test_g_functional_without_a_fold_is_the_unfolded_sum(grid):
 
 def test_g_functional_fold_still_sees_a_collision():
     # outer a_3 = -0.1 touches the bare inner circle b = 0.9 at theta = 0,
-    # pi/2, pi and 3pi/2: the 4-fold evaluation holds the node theta = 0
-    outer = FourierBoundary.single_mode(1.0, 3, -0.1)
+    # pi/2, pi and 3pi/2, the first kept row of the 4-fold evaluation;
+    # a_3 = +0.1 touches it at theta = pi/4 + k pi/2, row 32 of 64 at
+    # P = 256, the last row kept before the reflection
     inner = annulus_boundary(0.9)
-    with pytest.raises(ValueError, match="interfaces collide"):
-        g_functional(LAM, 0.9, 0.1, outer, inner, make_grid(256))
+    for amplitude in (-0.1, 0.1):
+        outer = FourierBoundary.single_mode(1.0, 3, amplitude)
+        with pytest.raises(ValueError, match="interfaces collide"):
+            g_functional(LAM, 0.9, 0.1, outer, inner, make_grid(256))
+
+
+def test_g_functional_fold_needs_the_node_on_the_real_axis():
+    # the fold's reflection reads conj w_k = w_{-k}, which is w_{-1-k} on a
+    # half-step grid: a folded G refuses that grid, an unfolded one runs
+    half = _half_step_grid(256)
+    inner = annulus_boundary(B)
+    with pytest.raises(ValueError, match="needs the node w_0 = 1"):
+        g_functional(LAM, B, 0.3, annulus_boundary(1.0), inner, half)
+    outer = FourierBoundary.single_mode(1.0, 4, 1e-3)  # gcd(256, 5) = 1
+    g = g_functional(LAM, B, 0.3, outer, inner, half)
+    want = oracles.g_functional_unfolded(LAM, B, 0.3, outer, inner, half)
+    assert all(np.array_equal(got, row) for got, row in zip(g, want))
 
 
 def test_g_functional_builds_kernels_for_one_period(grid, monkeypatch):
-    # each of the four kernel matrices (two self, two cross through the K0
-    # series) passes P/8 rows by P columns through I0 for 8-fold boundaries
+    # each of the three kernel matrices (two self, one cross through the K0
+    # series) passes rows 0..P/16 of the P/8-node period by P columns
+    # through I0 for 8-fold boundaries
     import qgsw_vstates.bessel as bessel
     import qgsw_vstates.contour as contour
 
@@ -524,7 +559,7 @@ def test_g_functional_builds_kernels_for_one_period(grid, monkeypatch):
     f2 = FourierBoundary(B, (0,) * 7 + (5e-4,) + (0,) * 7 + (1e-4,))
     g_functional(LAM, B, 0.1, f1, f2, grid)
     node_count = grid.node_count
-    assert sum(elements) == 4 * (node_count // 8) * node_count
+    assert sum(elements) == 3 * (node_count // 16 + 1) * node_count
 
 
 def test_linearization_matches_multiplier_matrix(grid):

@@ -117,6 +117,6 @@ def test_memoized_arrays_are_read_only():
     grid = make_grid(32)
     boundary = FourierBoundary(1.0, (0.0, 0.1))
     shared = [*conformal_eval(boundary, grid), *conformal_eval(boundary, grid),
-              grid.log_weights(4), grid.log_weights(2), grid.theta,
-              grid.nodes]
+              grid.log_weights(4), grid.log_weights(2), grid.transpose_index(8),
+              grid.transpose_index(8), grid.theta, grid.nodes]
     assert [arr.flags.writeable for arr in shared] == [False] * len(shared)
