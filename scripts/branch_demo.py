@@ -3,7 +3,7 @@
 Picks m = N + 2 by default (two above the threshold, comfortably inside
 the admissible range), runs the plus and minus branches to s_max, then
 re-verifies every endpoint on a doubled grid and compares the s -> 0
-extrapolation of Omega with the spectral eigenvalues.  As in the CLI,
+extrapolation of Omega with the spectral pair Omega_m^-/+.  As in the CLI,
 --grid-size is a floor: the march runs on the least even P at or above it
 that m divides (contour.fold_grid), and the endpoints are re-verified on
 twice the requested size, independent of that P.  After each sign it
@@ -47,7 +47,7 @@ def main():
     except ValueError as exc:
         raise SystemExit(f"error: {exc}") from None
     print(f"lam={lam:g} b={b:g}  threshold N={threshold.n}  m={m}")
-    print(f"eigenvalues: Omega^- = {roots['-'][0]:.10f},"
+    print(f"spectral pair: Omega^- = {roots['-'][0]:.10f},"
           f" Omega^+ = {roots['+'][0]:.10f}")
 
     grid = fold_grid(m, args.grid_size)

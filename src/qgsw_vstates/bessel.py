@@ -22,9 +22,10 @@ error), never a silent ``inf``, ``0.0`` or subnormal with its precision
 gone.
 
 All functions are pure; :class:`BesselLadder` carries the I and K
-recurrences of one argument across orders and is where I_n and the
-derivatives are read.  The free functions ``bessel_k``, ``product_ik`` and
-``beltrami_k0`` run on fresh ladders.  The array kernels ``_i0_array``,
+recurrences of one argument across orders and is where every scalar value
+is read: I_n, K_n, their logs, the product I_n K_n and the derivatives.
+``_beltrami_sum`` sums the Beltrami series on two ladders.  The array
+kernels ``_i0_array``,
 ``_k0reg_array`` and ``_k0_array`` (numpy) feed the contour quadrature: the
 ascending series of I_0 and of the log-free part of K_0, evaluated as one
 fixed-length Horner pass per array with coefficient tables built at
@@ -95,10 +96,9 @@ class BesselLadder:
     """I_n(x) and K_n(x) at one argument x > 0, across integer orders.
 
     A negative order reads its mirror (I_{-n} = I_n, K_{-n} = K_n) and a
-    fractional one is refused, as in bessel_k and product_ik; the order is
-    checked where a value is first computed, so a memo hit costs nothing.
-    The constructor refuses an x that is not positive and finite with
-    ValueError, the one check bessel_k and product_ik rely on.
+    fractional one is refused with ValueError; the order is checked where a
+    value is first computed, so a memo hit costs nothing.  The constructor
+    refuses an x that is not positive and finite with ValueError.
 
     The ladder is extended on demand and never restarted:
 
@@ -115,9 +115,8 @@ class BesselLadder:
 
     A sweep over orders 0..N therefore costs O(N) recurrence steps where
     fresh evaluations cost O(N^2).  Each value is bit-for-bit the one a
-    fresh ladder gives, so it is also the value of bessel_k and product_ik,
-    which run on a throwaway ladder.  I_n (its series run once), log K_n
-    and I_n K_n are kept per order, for every cell sharing the ladder.
+    fresh ladder gives.  I_n (its series run once), log K_n and I_n K_n are
+    kept per order, for every cell sharing the ladder.
     """
 
     def __init__(self, x: float):
@@ -202,7 +201,11 @@ class BesselLadder:
         return self._log_k[n]
 
     def product(self, n: int) -> float:
-        """I_n(x) K_n(x) from the two logs."""
+        """I_n(x) K_n(x) from the two logs, so n up to 2000 cannot overflow.
+
+        Strictly decreasing in |n| and in x; behaves like 1/(2n)
+        - O(x^2/n^3) for large order.
+        """
         if n not in self._products:
             self._products[n] = math.exp(self.log_i(n) + self.log_k(n))
         return self._products[n]
@@ -223,7 +226,14 @@ class BesselLadder:
         return val
 
     def k(self, n: int) -> float:
-        """K_n(x) as a double; OverflowError when it is not representable."""
+        """K_n(x) as a double; OverflowError when it is not representable.
+
+        Strictly positive, behaves like -log(x/2) - gamma at 0 for n = 0
+        and like Gamma(n)/2 (2/x)^n for n >= 1.  Worst relative error
+        against mpmath on n <= 200 (K_n(x) a normal double): 3.1e-15 on
+        1e-12 <= x <= 4 (K_0 alone 5.0e-16), 2.7e-15 on 4 < x < 700,
+        5.8e-14 above.
+        """
         mant, ex = self._k_scaled(n)
         log_val = self.log_k(n)
         if log_val > _LOG_DBL_MAX:
@@ -247,46 +257,14 @@ class BesselLadder:
         return -self.k(abs(n - 1)) - (n / self.x) * self.k(n)
 
 
-def bessel_k(n, x: float) -> float:
-    """K_n(x), the modified Bessel function of the second kind.
-
-    Symmetric in the order (K_{-n} = K_n), strictly positive, behaves like
-    -log(x/2) - gamma at 0 for n = 0 and like Gamma(n)/2 (2/x)^n for n >= 1.
-    Worst relative error against mpmath on n <= 200 (K_n(x) a normal double):
-    3.1e-15 on 1e-12 <= x <= 4 (K_0 alone 5.0e-16), 2.7e-15 on 4 < x < 700,
-    5.8e-14 above.
-    """
-    n = _as_order(n)
-    return BesselLadder(x).k(n)
-
-
-# ---------------------------------------------------------------------------
-# products and expansions
-
-def product_ik(n, x: float) -> float:
-    """I_n(x) K_n(x), evaluated in log form so n up to 2000 cannot overflow.
-
-    Strictly decreasing in |n| and in x; behaves like 1/(2n) - O(x^2/n^3)
-    for large order.
-    """
-    n = _as_order(n)
-    return BesselLadder(x).product(n)
-
-
-def beltrami_k0(a: float, b: float, theta: float, terms: int) -> float:
-    """Cosine summation sum_{m=-M}^{M} I_m(b) K_m(a) cos(m theta).
+def _beltrami_sum(inner, outer, theta, terms):
+    """Cosine summation sum_{m=-M}^{M} I_m(b) K_m(a) cos(m theta), M = terms,
+    on the ladders at b (inner) and a (outer), which callers at several
+    theta share.
 
     Converges to K_0(sqrt(a^2 + b^2 - 2 a b cos theta)) for 0 < b < a; the
     tail decays like (b/a)^m / (2m).
     """
-    if not 0.0 < b < a:
-        raise ValueError("need 0 < b < a")
-    return _beltrami_sum(BesselLadder(b), BesselLadder(a), theta, terms)
-
-
-def _beltrami_sum(inner, outer, theta, terms):
-    """beltrami_k0's sum on the ladders at b (inner) and a (outer), which
-    callers at several theta share."""
     total = inner.i(0) * outer.k(0)
     for m in range(1, terms + 1):
         total += 2.0 * math.cos(m * theta) * math.exp(

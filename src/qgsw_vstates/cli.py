@@ -31,7 +31,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .bessel import BesselLadder, _beltrami_sum, bessel_k
+from .bessel import BesselLadder, _beltrami_sum
 from .contour import (
     _check_bandwidth, _check_max_lambda, _check_mode_fits, _check_node_count,
     annulus_boundary, fold_size, g_functional, linearization_check, make_grid,
@@ -466,7 +466,7 @@ def _verify_bessel_beltrami():
     thetas = np.random.default_rng(0).uniform(0.0, 2.0 * math.pi, size=50)
     return max(
         abs(_beltrami_sum(inner, outer, theta, 40)
-            - bessel_k(0, math.sqrt(1.25 - math.cos(theta))))
+            - BesselLadder(math.sqrt(1.25 - math.cos(theta))).k(0))
         for theta in thetas.tolist())
 
 

@@ -14,10 +14,10 @@ K_0(lam*|.|), b in (0,1) the inner radius.  Lambda_n = I_n(lam b) K_n(lam)
 couples the two interfaces, Omega_n(x) = I_1(x)K_1(x) - I_n(x)K_n(x) is the
 single-interface multiplier.
 
-Every mode quantity of one (lam, b) cell comes from a ModeCell, which
+Every mode quantity of one (lam, b) cell is read from a ModeCell, which
 carries one Bessel ladder at lam and one at lam b across all orders (the
-cells of one lam may share its ladder); the per-order functions are views
-that build a cell for their one call.
+cells of one lam may share its ladder) and has a method per quantity:
+matrix, spectrum, root, limits, simply_connected and threshold.
 """
 
 from __future__ import annotations
@@ -107,12 +107,6 @@ class SpectralMatrix:
         return self.n * np.array([[self.m11, self.m12], [self.m21, self.m22]])
 
 
-def spectral_matrix(n, lam, b, omega):
-    """M_n(lam, b, Omega) acting on the mode-n coefficient pair, see
-    ModeCell.matrix."""
-    return ModeCell(lam, b).matrix(n, omega)
-
-
 @dataclass(frozen=True)
 class EigenPair:
     """Real roots of det M_n(Omega) = 0 with their quadratic data.
@@ -122,7 +116,7 @@ class EigenPair:
     pair (discriminant exactly zero); continuation refuses those.
     kernel_minus/kernel_plus generate the kernel of M_n at each root and
     transversal_minus/transversal_plus are the matching crossing tests (see
-    kernel_vector and transversality_check).
+    ModeCell.root).
     """
 
     n: int
@@ -140,7 +134,7 @@ class EigenPair:
 
 def _transversal(v, b):
     # obstruction v1^2 - b^2 v2^2 of kernel vector v against 1e-10 times its
-    # natural scale (see transversality_check)
+    # natural scale (see ModeCell.root)
     v1, v2 = v
     obstruction = v1 * v1 - b * b * v2 * v2
     scale = v1 * v1 + b * b * v2 * v2
@@ -244,7 +238,9 @@ class ModeCell:
         """(Delta_n, EigenPair or None), evaluated once per order.
 
         Delta_n = (b[Omega_n(lam) + Omega_n(lam b)] - (1+b^2) Lambda_1)^2
-        - 4 b^2 Lambda_n^2 = B_n^2 - 4 b C_n; negative means complex roots.
+        - 4 b^2 Lambda_n^2 = B_n^2 - 4 b C_n; negative means complex roots,
+        and the pair is None.  Absence is a value, not an error: parameter
+        sweeps cross regions of complex roots routinely.
         """
         if n not in self._spectra:
             n = _check_order(n)
@@ -252,8 +248,19 @@ class ModeCell:
         return self._spectra[n]
 
     def root(self, m, sign):
-        """(Omega_m^{sign}, kernel vector, transversal flag) of mode m, see
-        kernel_vector; ValueError unless Delta_m > 0 strictly."""
+        """(Omega_m^{sign}, kernel vector, transversal flag) of mode m;
+        ValueError unless Delta_m > 0 strictly.
+
+        The kernel vector (v1, v2) = (b[Omega_m(lam b) + Omega] - Lambda_1,
+        -Lambda_m), i.e. (-m22, m21), generates the one-dimensional kernel
+        of M_m at Omega = Omega_m^{sign}: the annihilator of the second
+        matrix column, computed from the adjugate so kernel membership is
+        exact in both rows.  The crossing is transversal when the
+        obstruction (Lambda_1 - b[Omega_m(lam b) + Omega])^2 - b^2 Lambda_m^2
+        = v1^2 - b^2 v2^2 exceeds 1e-10 times its natural scale
+        v1^2 + b^2 v2^2; it vanishes exactly when Delta_m = 0 (double root),
+        so a strictly positive discriminant always passes.
+        """
         plus = _normalize_sign(sign) > 0
         m = _check_order(m)
         delta, pair = self.spectrum(m)
@@ -268,7 +275,13 @@ class ModeCell:
         return pair.omega_minus, pair.kernel_minus, pair.transversal_minus
 
     def limits(self):
-        """(Omega_inf_minus, Omega_inf_plus), see omega_limits."""
+        """Limits (Omega_inf_minus, Omega_inf_plus) of the two eigenvalue
+        families as n -> inf.
+
+        Omega_n^+ increases to Omega_inf_plus = I_1(lam)K_1(lam) - b Lambda_1
+        and Omega_n^- decreases to Omega_inf_minus = Lambda_1/b
+        - I_1(lam b)K_1(lam b) once n passes the threshold.
+        """
         return (
             self.lam1 / self.b - self.inner.product(1),
             self.outer.product(1) - self.b * self.lam1,
@@ -278,7 +291,8 @@ class ModeCell:
         """b -> 0 limits (omega_minus, omega_plus) at order n: (lam n
         K_1(lam) - n + 1)/(2n), which collapses onto the degenerate part of
         the spectrum (no bifurcation claimed, continuity checks only), and
-        Omega_n(lam), see simply_connected_limit."""
+        the single-interface multiplier Omega_n(lam).  Both read the ladder
+        at lam alone, so they do not depend on the cell's b."""
         n = _check_order(n)
         return (
             (self.lam * n * self.outer.k(1) - n + 1.0) / (2.0 * n),
@@ -286,7 +300,16 @@ class ModeCell:
         )
 
     def threshold(self, window=50, cap=_SCAN_CAP):
-        """The certified thresholds of this cell, see find_threshold."""
+        """Scan mode orders for the threshold past which the spectrum is
+        real and monotone.
+
+        n0: smallest order where Delta_k > 0 across [n0, n0+window] and the
+        asymptotic tail test 4 b^2 Lambda^2 < delta_inf^2 / 2 holds at
+        n0+window (so positivity cannot be a fluke of the window).  n:
+        smallest order >= n0 where omega_plus strictly increases and
+        omega_minus strictly decreases across the window.  Empirical
+        certificate, not a proof; SearchExhausted when cap is reached.
+        """
         _check_window(window)
         b = self.b
         delta_inf = b * (self.outer.product(1) + self.inner.product(1)) - (
@@ -326,40 +349,6 @@ class ModeCell:
         )
 
 
-def eigenvalues(n, lam, b):
-    """Both angular velocities at mode n, or None when Delta_n < 0.
-
-    Absence is a value, not an error: parameter sweeps cross regions of
-    complex eigenvalues routinely.
-    """
-    return ModeCell(lam, b).spectrum(n)[1]
-
-
-def omega_limits(lam, b):
-    """Limits (Omega_inf_minus, Omega_inf_plus) of the two eigenvalue
-    families as n -> inf.
-
-    Omega_n^+ increases to Omega_inf_plus = I_1(lam)K_1(lam) - b Lambda_1
-    and Omega_n^- decreases to Omega_inf_minus = Lambda_1/b
-    - I_1(lam b)K_1(lam b) once n passes the threshold.
-    """
-    return ModeCell(lam, b).limits()
-
-
-def find_threshold(lam, b, window=50, cap=_SCAN_CAP):
-    """Scan mode orders for the threshold past which the spectrum is real
-    and monotone.
-
-    n0: smallest order where Delta_k > 0 across [n0, n0+window] and the
-    asymptotic tail test 4 b^2 Lambda^2 < delta_inf^2 / 2 holds at
-    n0+window (so positivity cannot be a fluke of the window).  n: smallest
-    order >= n0 where omega_plus strictly increases and omega_minus
-    strictly decreases across the window.  Empirical certificate, not a
-    proof.
-    """
-    return ModeCell(lam, b).threshold(window, cap)
-
-
 @dataclass(frozen=True)
 class EulerPair:
     """Euler-limit (lam -> 0) angular velocities at mode n."""
@@ -369,7 +358,7 @@ class EulerPair:
 
 
 def euler_eigenvalues(n, b):
-    """Euler-limit eigenvalues (1-b^2)/4 -+ sqrt((n(1-b^2)/2 - 1)^2
+    """Euler-limit angular velocities (1-b^2)/4 -+ sqrt((n(1-b^2)/2 - 1)^2
     - b^{2n}) / (2n), or None when the radicand is not positive."""
     n = _check_order(n)
     _check_b_open(b)
@@ -380,35 +369,3 @@ def euler_eigenvalues(n, b):
     root = math.sqrt(radicand) / (2.0 * n)
     center = (1.0 - b * b) / 4.0
     return EulerPair(minus=center - root, plus=center + root)
-
-
-def simply_connected_limit(n, lam):
-    """b -> 0 limit of omega_plus at mode n: the single-interface
-    multiplier Omega_n(lam)."""
-    n = _check_order(n)
-    _check_lambda(lam)
-    return _rankine(BesselLadder(lam), n)
-
-
-def kernel_vector(m, lam, b, sign):
-    """Generator (v1, v2) of the one-dimensional kernel of M_m at
-    Omega_m^{sign}.
-
-    v = (b[Omega_m(lam b) + Omega] - Lambda_1, -Lambda_m), i.e.
-    (-m22, m21): the annihilator of the second matrix column, computed from
-    the adjugate so kernel membership is exact in both rows.  Requires
-    Delta_m > 0 strictly.
-    """
-    return ModeCell(lam, b).root(m, sign)[1]
-
-
-def transversality_check(m, lam, b, sign):
-    """True when the eigenvalue crossing at Omega_m^{sign} is transversal.
-
-    The obstruction quantity is (Lambda_1 - b[Omega_m(lam b) + Omega])^2
-    - b^2 Lambda_m^2 = v1^2 - b^2 v2^2 of the kernel vector; it vanishes
-    exactly when Delta_m = 0 (double root), so a strictly positive
-    discriminant always passes.  Compared against 1e-10 times its own
-    natural scale.
-    """
-    return ModeCell(lam, b).root(m, sign)[2]

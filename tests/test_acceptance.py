@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import oracles
-from qgsw_vstates.bessel import bessel_k, beltrami_k0, product_ik
+from qgsw_vstates.bessel import BesselLadder, _beltrami_sum
 from qgsw_vstates.cli import main as cli_main
 from qgsw_vstates.continuation import trace_branch
 from qgsw_vstates.contour import (
@@ -22,16 +22,7 @@ from qgsw_vstates.contour import (
     linearization_check,
     make_grid,
 )
-from qgsw_vstates.spectrum import (
-    eigenvalues,
-    euler_eigenvalues,
-    find_threshold,
-    kernel_vector,
-    omega_limits,
-    simply_connected_limit,
-    spectral_matrix,
-    transversality_check,
-)
+from qgsw_vstates.spectrum import ModeCell, euler_eigenvalues
 
 LAM, B = 1.0, 0.5
 M = 5  # threshold N = 3 at the reference point, traced mode N + 2
@@ -56,15 +47,16 @@ def test_bessel_products_and_beltrami_match_independent_oracles():
         for x in np.linspace(0.1, 10.0, 20):
             x = float(x)
             reference = oracles.product_ik_quadrature(n, x)
-            worst = max(worst, abs(product_ik(n, x) - reference) / reference)
+            worst = max(worst, abs(BesselLadder(x).product(n) - reference) / reference)
     assert worst <= 1e-9
 
     rng = np.random.default_rng(0)
     worst_sum = 0.0
     for theta in rng.uniform(0.0, 2.0 * np.pi, size=50):
         theta = float(theta)
-        direct = bessel_k(0, np.sqrt(1.25 - np.cos(theta)))
-        worst_sum = max(worst_sum, abs(beltrami_k0(1.0, 0.5, theta, 60) - direct))
+        direct = BesselLadder(np.sqrt(1.25 - np.cos(theta))).k(0)
+        worst_sum = max(worst_sum, abs(_beltrami_sum(
+            BesselLadder(0.5), BesselLadder(1.0), theta, 60) - direct))
     assert worst_sum <= 1e-10
     assert time.monotonic() - start < 30.0
 
@@ -103,16 +95,17 @@ def test_finite_difference_multipliers_match_spectral_matrices():
 
 
 def test_threshold_finite_interlacing_strict_and_limits_approached():
-    threshold = find_threshold(LAM, B)
+    threshold = ModeCell(LAM, B).threshold()
     assert threshold.n == 3
-    lower, upper = omega_limits(LAM, B)
-    pairs = [eigenvalues(n, LAM, B) for n in range(threshold.n, threshold.n + 51)]
+    lower, upper = ModeCell(LAM, B).limits()
+    pairs = [ModeCell(LAM, B).spectrum(n)[1]
+             for n in range(threshold.n, threshold.n + 51)]
     assert all(p is not None and not p.degenerate for p in pairs)
     for here, there in zip(pairs, pairs[1:]):
         assert lower < there.omega_minus < here.omega_minus
         assert here.omega_plus < there.omega_plus < upper
         assert here.omega_minus < here.omega_plus
-    far = eigenvalues(threshold.n + 500, LAM, B)
+    far = ModeCell(LAM, B).spectrum(threshold.n + 500)[1]
     assert abs(far.omega_minus - lower) < 1e-3
     assert abs(far.omega_plus - upper) < 1e-3
 
@@ -123,7 +116,7 @@ def test_eigenvalues_continuous_into_euler_and_simply_connected_limits():
     for lam in (1e-1, 1e-2, 1e-3, 1e-4):
         worst = 0.0
         for n in euler_orders:
-            pair = eigenvalues(n, lam, B)
+            pair = ModeCell(lam, B).spectrum(n)[1]
             euler = euler_eigenvalues(n, B)
             worst = max(
                 worst,
@@ -139,9 +132,10 @@ def test_eigenvalues_continuous_into_euler_and_simply_connected_limits():
     for b in (1e-1, 1e-2, 1e-3, 1e-4):
         worst = 0.0
         for n in sc_orders:
-            pair = eigenvalues(n, LAM, b)
+            pair = ModeCell(LAM, b).spectrum(n)[1]
             worst = max(
-                worst, abs(pair.omega_plus - simply_connected_limit(n, LAM))
+                worst,
+                abs(pair.omega_plus - ModeCell(LAM, b).simply_connected(n)[1]),
             )
         gaps.append(worst)
     assert gaps == sorted(gaps, reverse=True)
@@ -157,7 +151,7 @@ def test_burbea_eigenvalues_recovered_in_small_b_euler_limit():
 
 def test_both_branches_trace_with_certified_residuals_and_tangents(traces):
     result, elapsed = traces
-    pair = eigenvalues(M, LAM, B)
+    pair = ModeCell(LAM, B).spectrum(M)[1]
     for sign, omega_star in (("+", pair.omega_plus), ("-", pair.omega_minus)):
         trace = result[sign]
         assert trace.completed and len(trace.points) == 8
@@ -169,7 +163,7 @@ def test_both_branches_trace_with_certified_residuals_and_tangents(traces):
         assert abs(omega0 - omega_star) < 1e-3
 
         first = trace.points[0]
-        v1, v2 = kernel_vector(M, LAM, B, sign)
+        v1, v2 = ModeCell(LAM, B).root(M, sign)[1]
         a_lead = first.f1.coefficients[M - 1]
         b_lead = first.f2.coefficients[M - 1]
         if first.pinned == "outer":
@@ -188,16 +182,16 @@ def test_mfold_support_exact_and_nondegeneracy_guards_hold(traces):
                     if (idx + 1) % M != 0:
                         assert coeff == 0.0
 
-    pair = eigenvalues(M, LAM, B)
+    pair = ModeCell(LAM, B).spectrum(M)[1]
     for omega in (pair.omega_minus, pair.omega_plus):
         for k in range(2, 11):
-            det = spectral_matrix(k * M, LAM, B, omega).determinant()
+            det = ModeCell(LAM, B).matrix(k * M, omega).determinant()
             assert abs(det) > 1e-6  # harmonics of m stay off the kernel
 
-    threshold = find_threshold(LAM, B)
+    threshold = ModeCell(LAM, B).threshold()
     for m in range(threshold.n + 1, threshold.n + 11):
-        assert transversality_check(m, LAM, B, "+")
-        assert transversality_check(m, LAM, B, "-")
+        assert ModeCell(LAM, B).root(m, "+")[2]
+        assert ModeCell(LAM, B).root(m, "-")[2]
 
 
 def test_identical_cli_runs_produce_byte_identical_outputs(tmp_path, monkeypatch):

@@ -13,19 +13,17 @@ from qgsw_vstates.bessel import (
     _K0REG_COEFFS,
     EULER_GAMMA,
     BesselLadder,
+    _beltrami_sum,
     _i0_array,
     _k0_array,
     _k0reg_array,
-    bessel_k,
-    beltrami_k0,
-    product_ik,
 )
 
 
 @pytest.mark.parametrize("x", [0.7, 12.0])
 def test_ladder_reads_a_negative_order_as_its_mirror(x):
-    # I_{-n} = I_n and K_{-n} = K_n, as the free functions have it, also
-    # once the ladder's state has moved past the order
+    # I_{-n} = I_n and K_{-n} = K_n, as a fresh ladder has it, also once
+    # the ladder's state has moved past the order
     ladder = BesselLadder(x)
     ladder.log_i(5)
     ladder.log_k(5)
@@ -34,8 +32,9 @@ def test_ladder_reads_a_negative_order_as_its_mirror(x):
         assert ladder.log_i(n) == pytest.approx(
             math.log(BesselLadder(x).i(n)), rel=1e-14)
         assert ladder.log_k(-n) == ladder.log_k(n)
-        assert ladder.product(-n) == ladder.product(n) == product_ik(-n, x)
-        assert ladder.k(-n) == ladder.k(n) == bessel_k(-n, x)
+        assert ladder.product(-n) == ladder.product(n) \
+            == BesselLadder(x).product(-n)
+        assert ladder.k(-n) == ladder.k(n) == BesselLadder(x).k(-n)
         assert ladder.i(-n) == ladder.i(n) == BesselLadder(x).i(-n)
         for kind in ("I", "K"):
             assert ladder.derivative(kind, -n) == ladder.derivative(kind, n) \
@@ -60,8 +59,8 @@ def test_ladder_bitwise_equals_fresh_evaluation(x):
     for n in range(500, -1, -13):
         assert down.log_k(n) == BesselLadder(x).log_k(n), n
         assert down.log_i(n) == BesselLadder(x).log_i(n), n
-        assert down.product(n) == product_ik(n, x), n
-    assert up.k(1) == bessel_k(1, x)
+        assert down.product(n) == BesselLadder(x).product(n), n
+    assert up.k(1) == BesselLadder(x).k(1)
     assert up._k_orders[500][1] > 0  # K passed 1e250 and was rescaled
     assert up._prefactors[500][1] < 0  # (x/2)^n/n! fell below 1e-150
     mp = pytest.importorskip("mpmath")
@@ -117,17 +116,17 @@ def test_i_large_argument_against_mpmath():
 
 
 def test_k_log_singularity_at_zero():
-    got = bessel_k(0, 1e-8) + math.log(0.5e-8)
+    got = BesselLadder(1e-8).k(0) + math.log(0.5e-8)
     assert got == pytest.approx(-EULER_GAMMA, abs=1e-7)
 
 
 def test_k_negative_order_bit_identical():
-    assert bessel_k(-3, 2.0) == bessel_k(3, 2.0)
+    assert BesselLadder(2.0).k(-3) == BesselLadder(2.0).k(3)
 
 
 def test_k1_matches_series_oracle():
     want = oracles.k1_series_direct(2.0, terms=50)
-    got = bessel_k(1, 2.0)
+    got = BesselLadder(2.0).k(1)
     assert got == pytest.approx(want, rel=1e-12)
     assert got == pytest.approx(0.13986588181652243, rel=1e-12)  # frozen
 
@@ -139,7 +138,7 @@ def test_k_accuracy_against_mpmath():
     for n in (0, 1, 2, 5, 17, 60, 200):
         for x in (0.05, 0.7, 3.3, 9.0, 27.0, 50.0):
             try:
-                got = bessel_k(n, x)
+                got = BesselLadder(x).k(n)
             except OverflowError:
                 continue
             rel = abs(mp.mpf(got) / mp.besselk(n, mp.mpf(repr(x))) - 1)
@@ -150,12 +149,10 @@ def test_k_accuracy_against_mpmath():
 
 def test_k_rejects_nonpositive_argument():
     # the ladder holds the one argument check, nonfinite values included,
-    # so the free functions and every ladder method refuse alike
+    # so every scalar value refuses alike
     for x in (0.0, -1.0, math.nan, math.inf):
-        for call in (lambda: BesselLadder(x), lambda: bessel_k(2, x),
-                     lambda: product_ik(1, x)):
-            with pytest.raises(ValueError, match="positive and finite"):
-                call()
+        with pytest.raises(ValueError, match="positive and finite"):
+            BesselLadder(x)
 
 
 def test_range_errors_raise():
@@ -166,9 +163,9 @@ def test_range_errors_raise():
     with pytest.raises(OverflowError):
         BesselLadder(0.05).i(250)
     with pytest.raises(OverflowError):
-        bessel_k(0, 800.0)
+        BesselLadder(800.0).k(0)
     with pytest.raises(OverflowError):
-        bessel_k(250, 0.05)
+        BesselLadder(0.05).k(250)
     # arguments where the K_0/K_1 trapezoid rule has no truncation point,
     # even for log_k, whose value would be representable
     for x in (1e-310, 4e17):
@@ -180,28 +177,26 @@ def test_subnormal_results_raise():
     # a subnormal has lost most of its digits (K_0(740) would read 2e-323,
     # 2.4% off), so it is a range error like underflow to zero
     with pytest.raises(OverflowError):
-        bessel_k(0, 740.0)
-    with pytest.raises(OverflowError):
         BesselLadder(740.0).k(0)
     with pytest.raises(OverflowError):
         BesselLadder(0.188).i(120)
-    assert bessel_k(0, 700.0) >= sys.float_info.min
+    assert BesselLadder(700.0).k(0) >= sys.float_info.min
     assert BesselLadder(0.3).i(120) >= sys.float_info.min
 
 
 @given(n=st.integers(-40, 40), x=st.floats(0.5, 45.0))
 def test_symmetry_and_positivity(n, x):
     ival = BesselLadder(x).i(n)
-    kval = bessel_k(n, x)
+    kval = BesselLadder(x).k(n)
     assert ival > 0.0
     assert kval > 0.0
     assert BesselLadder(x).i(-n) == ival
-    assert bessel_k(-n, x) == kval
+    assert BesselLadder(x).k(-n) == kval
 
 
 def test_derivative_low_order_identities():
     x = 1.7
-    want = -bessel_k(0, x) - bessel_k(1, x) / x
+    want = -BesselLadder(x).k(0) - BesselLadder(x).k(1) / x
     assert BesselLadder(x).derivative("K", 1) == pytest.approx(want, rel=1e-11)
     assert BesselLadder(0.9).derivative("I", 0) == pytest.approx(
         BesselLadder(0.9).i(1), rel=1e-14
@@ -210,7 +205,7 @@ def test_derivative_low_order_identities():
 
 def test_derivative_matches_finite_difference():
     h = 1e-6
-    fd = (bessel_k(2, 3.0 + h) - bessel_k(2, 3.0 - h)) / (2 * h)
+    fd = (BesselLadder(3.0 + h).k(2) - BesselLadder(3.0 - h).k(2)) / (2 * h)
     assert BesselLadder(3.0).derivative("K", 2) == pytest.approx(fd, abs=1e-6)
 
 
@@ -222,7 +217,7 @@ def test_derivative_recurrence_forms_agree():
             x = float(x)
             ladder = BesselLadder(x)
             alt_i = ladder.i(n + 1) + (n / x) * ladder.i(n)
-            alt_k = -bessel_k(n + 1, x) + (n / x) * bessel_k(n, x)
+            alt_k = -ladder.k(n + 1) + (n / x) * ladder.k(n)
             assert ladder.derivative("I", n) == pytest.approx(
                 alt_i, rel=1e-11
             )
@@ -236,7 +231,7 @@ def test_derivative_ratio_bounds():
         for x in (0.3, 1.0, 3.7, 12.0, 40.0):
             bound = math.hypot(n, x)
             ladder = BesselLadder(x)
-            assert x * ladder.derivative("K", n) / bessel_k(n, x) < -bound
+            assert x * ladder.derivative("K", n) / ladder.k(n) < -bound
             assert x * ladder.derivative("I", n) / ladder.i(n) < bound
 
 
@@ -244,26 +239,27 @@ def test_derivative_ratio_bounds():
 def test_wronskian_identity(n, x):
     ladder = BesselLadder(x)
     wron = (ladder.i(n) * ladder.derivative("K", n)
-            - ladder.derivative("I", n) * bessel_k(n, x))
+            - ladder.derivative("I", n) * ladder.k(n))
     assert wron == pytest.approx(-1.0 / x, rel=1e-11)
 
 
 def test_product_monotone_decay():
-    assert product_ik(3, 1.0) < product_ik(2, 1.0)
-    xs = np.geomspace(0.2, 20.0, 8)
-    vals = np.array([[product_ik(n, float(x)) for x in xs] for n in range(1, 13)])
+    assert BesselLadder(1.0).product(3) < BesselLadder(1.0).product(2)
+    ladders = [BesselLadder(float(x)) for x in np.geomspace(0.2, 20.0, 8)]
+    vals = np.array([[ladder.product(n) for ladder in ladders]
+                     for n in range(1, 13)])
     assert np.all(np.diff(vals, axis=0) < 0)  # decreasing in n
     assert np.all(np.diff(vals, axis=1) < 0)  # decreasing in x
 
 
 def test_product_high_order_expansion():
     # I_n K_n = 1/(2n) - lambda^2/(4 n^3) + O(n^-5)
-    assert abs(product_ik(50, 1.0) - 1.0 / 100.0) <= 1.0 / (4 * 50**3) + 1e-6
+    assert abs(BesselLadder(1.0).product(50) - 1.0 / 100.0) <= 1.0 / (4 * 50**3) + 1e-6
 
 
 def test_product_matches_integral_oracle():
     want = oracles.product_ik_quadrature(7, 1.3)
-    got = product_ik(7, 1.3)
+    got = BesselLadder(1.3).product(7)
     assert got == pytest.approx(want, rel=1e-11)
     assert got == pytest.approx(0.070205354521435893, rel=1e-12)  # frozen
 
@@ -274,11 +270,12 @@ def test_product_integral_oracle_spot_grid():
     for n in (1, 4, 13, 30):
         for x in (0.1, 1.7, 10.0):
             want = oracles.product_ik_quadrature(n, x)
-            assert product_ik(n, x) == pytest.approx(want, rel=1e-9), (n, x)
+            assert BesselLadder(x).product(n) == pytest.approx(
+                want, rel=1e-9), (n, x)
 
 
 def test_product_extreme_order_stays_finite():
-    val = product_ik(2000, 1.0)
+    val = BesselLadder(1.0).product(2000)
     assert 0.0 < val < 1.0 / 4000.0
     assert abs(val - 1.0 / 4000.0) <= 1.0 / (4 * 2000**3) + 1e-9
 
@@ -541,19 +538,19 @@ def test_asymptotic_error_decays_with_order():
 
 def test_asymptotic_two_terms_matches_product():
     got = product_ik_asymptotic(60, 1.0, 1.0, 2)
-    assert abs(got - product_ik(60, 1.0)) < 5e-7
+    assert abs(got - BesselLadder(1.0).product(60)) < 5e-7
 
 
 def test_beltrami_collapses_at_theta_zero():
-    got = beltrami_k0(1.0, 0.5, 0.0, 60)
-    assert got == pytest.approx(bessel_k(0, 0.5), abs=1e-10)
+    got = _beltrami_sum(BesselLadder(0.5), BesselLadder(1.0), 0.0, 60)
+    assert got == pytest.approx(BesselLadder(0.5).k(0), abs=1e-10)
     assert got == pytest.approx(0.92441907122766586, abs=1e-10)  # frozen
 
 
 def test_beltrami_matches_direct_kernel():
     dist = math.sqrt(1.25 - math.cos(1.1))
-    got = beltrami_k0(1.0, 0.5, 1.1, 60)
-    assert got == pytest.approx(bessel_k(0, dist), abs=1e-10)
+    got = _beltrami_sum(BesselLadder(0.5), BesselLadder(1.0), 1.1, 60)
+    assert got == pytest.approx(BesselLadder(dist).k(0), abs=1e-10)
 
 
 def test_beltrami_tail_term_negligible():
@@ -562,27 +559,15 @@ def test_beltrami_tail_term_negligible():
     assert term < 1e-9
 
 
-def test_beltrami_builds_one_ladder_per_argument(monkeypatch):
-    import qgsw_vstates.bessel as bessel
-
-    built = []
-
-    class Counted(BesselLadder):
-        def __init__(self, x):
-            built.append(x)
-            super().__init__(x)
-
-    monkeypatch.setattr(bessel, "BesselLadder", Counted)
-    # the m = 0 term reads the same two ladders as every other order
-    beltrami_k0(1.0, 0.5, 1.1, 40)
-    assert sorted(built) == [0.5, 1.0]
-
-
-def test_beltrami_requires_b_below_a():
-    with pytest.raises(ValueError):
-        beltrami_k0(0.5, 1.0, 0.3, 40)
-    with pytest.raises(ValueError):
-        beltrami_k0(1.0, 1.0, 0.3, 40)
+def test_beltrami_sum_on_shared_ladders_matches_fresh_ones():
+    # one pair of ladders serves the sum at every theta: walked past the
+    # series' orders first, it gives the bits of a fresh pair
+    inner, outer = BesselLadder(0.5), BesselLadder(1.0)
+    inner.i(90)
+    outer.log_k(90)
+    for theta in (0.0, 1.1, 2.9):
+        assert _beltrami_sum(inner, outer, theta, 40) == _beltrami_sum(
+            BesselLadder(0.5), BesselLadder(1.0), theta, 40)
 
 
 def _k0reg(z):
@@ -598,5 +583,6 @@ def test_k0_regularized_smooth_near_zero():
 
 
 def test_k0_regularized_recombination():
-    want = bessel_k(0, 0.8) + math.log(0.4) * BesselLadder(0.8).i(0)
+    ladder = BesselLadder(0.8)
+    want = ladder.k(0) + math.log(0.4) * ladder.i(0)
     assert _k0reg(0.8) == pytest.approx(want, rel=1e-12)

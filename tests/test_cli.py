@@ -34,13 +34,7 @@ from qgsw_vstates.cli import (
     parse_float_grid,
     parse_int_grid,
 )
-from qgsw_vstates.spectrum import (
-    ModeCell,
-    eigenvalues,
-    find_threshold,
-    kernel_vector,
-    transversality_check,
-)
+from qgsw_vstates.spectrum import ModeCell
 
 DATA = Path(__file__).parent / "data"
 
@@ -87,10 +81,11 @@ def test_spectrum_csv_round_trips_exactly(tmp_path):
     out = tmp_path / "run"
     _run("spectrum", "--lambda", "1", "--b", "0.6", "--n", "4,5",
          "--out", str(out), "--jobs", "1")
+    cell = ModeCell(1.0, 0.6)
     for row in _read_csv(out / "spectrum.csv"):
         n = int(row["n"])
-        assert float(row["delta"]) == ModeCell(1.0, 0.6).spectrum(n)[0]
-        pair = eigenvalues(n, 1.0, 0.6)
+        delta, pair = cell.spectrum(n)
+        assert float(row["delta"]) == delta
         assert float(row["omega_plus"]) == pair.omega_plus
         assert float(row["omega_minus"]) == pair.omega_minus
 
@@ -352,19 +347,19 @@ def test_eigen_table_matches_kernel_vectors(tmp_path):
     assert rows[2]["omega_plus"] == ""
     assert rows[2]["transversal_plus"] == "false"
     assert rows[5]["transversal_plus"] == "true"
-    # the one-evaluation rows agree bit for bit with the public functions
+    # the one-evaluation rows agree bit for bit with the library's cell
+    cell = ModeCell(1.0, 0.5)
     for n, row in rows.items():
-        delta = ModeCell(1.0, 0.5).spectrum(n)[0]
+        delta = cell.spectrum(n)[0]
         assert _same_bits(row["delta"], delta)
         assert _same_bits(spectrum_rows[n]["delta"], delta)
         if delta <= 0.0:
             assert row["v1_plus"] == row["v2_minus"] == ""
             continue
         for sign, tag in (("-", "minus"), ("+", "plus")):
-            v1, v2 = kernel_vector(n, 1.0, 0.5, sign)
+            _, (v1, v2), transversal = cell.root(n, sign)
             assert _same_bits(row[f"v1_{tag}"], v1)
             assert _same_bits(row[f"v2_{tag}"], v2)
-            transversal = transversality_check(n, 1.0, 0.5, sign)
             assert row[f"transversal_{tag}"] == str(transversal).lower()
 
 
@@ -1100,7 +1095,7 @@ def test_single_fold_table_has_one_column_per_coefficient(tmp_path):
      lambda: continuation.newton_solve(1, 0.5, 5, "+", 1e-4, trunc=16,
                                        grid=contour.make_grid(128))),
     (["branch", "--lambda", "1", "--b", "0.5", "--m", "2"],
-     lambda: kernel_vector(2, 1.0, 0.5, "+")),
+     lambda: ModeCell(1.0, 0.5).root(2, "+")),
     (["branch", "--lambda", "9", "--b", "0.5", "--m", "5"],
      lambda: contour.g_functional(9.0, 0.5, 0.3,
                                   contour.annulus_boundary(1.0),
@@ -1109,13 +1104,13 @@ def test_single_fold_table_has_one_column_per_coefficient(tmp_path):
     (["verify", "--grid-size", "24"],
      lambda: contour.linearization_check(12, 1.0, 0.5, 0.2, 2e-5,
                                          contour.make_grid(24))),
-    (["spectrum", "--n", "0"], lambda: eigenvalues(0, 1.0, 0.5)),
+    (["spectrum", "--n", "0"], lambda: ModeCell(1.0, 0.5).spectrum(0)),
     (["branch", "--m", "0"], lambda: ModeCell(1, 0.5).root(0, "+")),
     (["branch", "--m", "5", "--trunc", "1"],
      lambda: continuation.newton_solve(1, 0.5, 5, "+", 1e-4, trunc=1)),
     (["branch", "--m", "5", "--steps", "0"],
      lambda: continuation.trace_branch(1, 0.5, 5, "+", 1e-3, 0)),
-    (["spectrum", "--window", "5"], lambda: find_threshold(1, 0.5, 5)),
+    (["spectrum", "--window", "5"], lambda: ModeCell(1, 0.5).threshold(5)),
     (["branch", "--s-max", "0"],
      lambda: continuation.trace_branch(1, 0.5, 5, "+", 0.0, 2)),
     (["branch", "--s-max=-2e-3"],
@@ -1127,7 +1122,7 @@ def test_single_fold_table_has_one_column_per_coefficient(tmp_path):
     (["spectrum", "--lambda", "1e-300", "--b", "1e-300"],
      lambda: ModeCell(1e-300, 1e-300)),
     (["spectrum", "--window", "100001"],
-     lambda: find_threshold(1, 0.5, 100001)),
+     lambda: ModeCell(1, 0.5).threshold(100001)),
 ], ids=["bandwidth", "admission", "lambda-bound", "mode-fit", "order",
         "fold-order", "truncation", "steps", "window", "amplitude-zero",
         "amplitude-negative", "tiny-b", "underflowing-cell-branch",

@@ -36,7 +36,6 @@ from qgsw_vstates.contour import (
     fold_grid,
     make_grid,
 )
-from qgsw_vstates.spectrum import eigenvalues, kernel_vector, spectral_matrix
 
 LAM, B, M = 1.0, 0.5, 5
 
@@ -48,7 +47,7 @@ def grid():
 
 @pytest.fixture(scope="module")
 def pair():
-    return eigenvalues(M, LAM, B)
+    return spectrum.ModeCell(LAM, B).spectrum(M)[1]
 
 
 @pytest.fixture(scope="module")
@@ -93,12 +92,13 @@ def test_pinned_coefficient_and_lattice_support(plus_march):
 
 
 def test_direction_matches_kernel_vector(plus_march, minus_point):
-    v1, v2 = kernel_vector(M, LAM, B, "+")
+    cell = spectrum.ModeCell(LAM, B)
+    v1, v2 = cell.root(M, "+")[1]
     first = plus_march.points[0]
     ratio = first.f2.coefficients[M - 1] / first.f1.coefficients[M - 1]
     assert ratio == pytest.approx(v2 / v1, rel=0.05)
 
-    w1, w2 = kernel_vector(M, LAM, B, "-")
+    w1, w2 = cell.root(M, "-")[1]
     ratio = minus_point.f1.coefficients[M - 1] / minus_point.f2.coefficients[M - 1]
     assert ratio == pytest.approx(w1 / w2, rel=0.05)
 
@@ -456,7 +456,7 @@ def test_seed_omega_column_is_the_grid_projection(lam, sign, monkeypatch):
 
 def test_one_linearization_builds_one_mode_cell(monkeypatch):
     # the seed builds no cell of its own, and its K blocks are bit for bit
-    # the blocks n M_n of the per-order view; a solve builds one cell,
+    # the blocks n M_n of a fresh cell; a solve builds one cell,
     # truncation growth and its predicted pairs included, and an N-step
     # trace one, shared by its annulus anchor and every solve
     built = []
@@ -480,9 +480,10 @@ def test_one_linearization_builds_one_mode_cell(monkeypatch):
     trace = trace_branch(LAM, B, M, "+", 2e-3, 4, trunc=8, grid=make_grid(128))
     assert trace.completed and built == [(LAM, B)]
     monkeypatch.undo()
+    cell = spectrum.ModeCell(LAM, B)
     for k in range(1, trunc):  # column 0, the pinned a_{m-1}, is dropped
         block = seeded[np.ix_((k, trunc + k), (k - 1, trunc + k - 1))]
-        want = spectral_matrix(M * (k + 1), LAM, B, 0.3).block()
+        want = cell.matrix(M * (k + 1), 0.3).block()
         assert np.array_equal(block, want), k
 
 
@@ -592,7 +593,7 @@ def test_top_mode_at_half_the_grid_is_refused():
 def test_trace_above_the_validated_lambda_names_the_bound(grid):
     # lambda = 10 has a simple pair at m = 5 but lies past the range the
     # quadrature can certify; the trace stops on that, not on the damping
-    assert eigenvalues(M, 10.0, B).discriminant > 0.0
+    assert spectrum.ModeCell(10.0, B).spectrum(M)[0] > 0.0
     result = trace_branch(10.0, B, M, "+", 1e-4, 2, trunc=8, grid=grid)
     assert not result.completed and result.points == ()
     assert "lambda <= 8; got 10" in result.termination_reason

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from qgsw_vstates.bessel import product_ik
 from qgsw_vstates.contour import (
     MAX_NODES,
     FourierBoundary,
@@ -192,11 +191,12 @@ def test_one_g_functional_transforms_each_boundary_once(grid, monkeypatch):
 def test_s_integral_annulus_closed_forms(grid):
     outer, inner = annulus_boundary(1.0), annulus_boundary(B)
     cw = np.conj(grid.nodes)
+    cell = ModeCell(LAM, B)
     cases = (
-        (outer, outer, product_ik(1, LAM)),
-        (inner, outer, B * ModeCell(LAM, B).coupling(1)),
-        (outer, inner, ModeCell(LAM, B).coupling(1)),
-        (inner, inner, B * product_ik(1, LAM * B)),
+        (outer, outer, cell.outer.product(1)),
+        (inner, outer, B * cell.lam1),
+        (outer, inner, cell.lam1),
+        (inner, inner, B * cell.inner.product(1)),
     )
     for source, target, want in cases:
         vals = s_integral(LAM, source, target, grid) * cw

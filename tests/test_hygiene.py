@@ -1,8 +1,10 @@
 """Source checks that need no linter: every name a package module imports
 is used in it, every private definition is referenced somewhere in the
-package, no module holds a writable array (no process-global mutable
-state), and an array handed out from a memo is read-only, so no caller
-can write into a result that later calls share."""
+package, every public function and class is read by the package, its
+scripts or its benchmark (tests do not count), no module holds a writable
+array (no process-global mutable state), and an array handed out from a
+memo is read-only, so no caller can write into a result that later calls
+share."""
 
 import ast
 import importlib
@@ -16,6 +18,11 @@ from qgsw_vstates.contour import FourierBoundary, conformal_eval, make_grid
 
 PACKAGE = Path(qgsw_vstates.__file__).parent
 MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
+ROOT = PACKAGE.parent.parent
+# the code that may read a public name: tests/ is left out, so a function
+# only tests call does not count as used
+READERS = sorted([*(ROOT / "scripts").glob("*.py"),
+                  *(ROOT / "perfbench").rglob("*.py")])
 
 
 def _unused_imports(source):
@@ -71,10 +78,8 @@ def _private_definitions(tree):
     return found
 
 
-def _unreferenced(sources):
-    """Qualified names of the private definitions of sources that no
-    source reads, calls or imports."""
-    trees = [ast.parse(source) for source in sources]
+def _read_names(trees):
+    """Every name the trees read, call or import."""
     used = set()
     for node in (node for tree in trees for node in ast.walk(tree)):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
@@ -83,6 +88,14 @@ def _unreferenced(sources):
             used.add(node.attr)
         elif isinstance(node, ast.alias):
             used.add(node.name)
+    return used
+
+
+def _unreferenced(sources):
+    """Qualified names of the private definitions of sources that no
+    source reads, calls or imports."""
+    trees = [ast.parse(source) for source in sources]
+    used = _read_names(trees)
     return sorted(qualified for tree in trees
                   for name, qualified in _private_definitions(tree)
                   if name not in used)
@@ -102,6 +115,34 @@ def test_unreferenced_scan_finds_what_it_should():
 def test_every_private_definition_is_referenced():
     assert _unreferenced(path.read_text()
                          for path in sorted(PACKAGE.glob("*.py"))) == []
+
+
+def _unread_public(sources, readers):
+    """Public module-level functions and classes of sources that neither
+    the sources nor the readers read, call or import."""
+    trees = [ast.parse(source) for source in sources]
+    used = _read_names(trees + [ast.parse(source) for source in readers])
+    return sorted(node.name for tree in trees for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and not node.name.startswith("_")
+                  and node.name not in used)
+
+
+def test_unread_public_scan_finds_what_it_should():
+    source = ("def f(): pass\ndef g(): pass\ndef h(): pass\n"
+              "def k(): pass\nclass A: pass\nclass B:\n"
+              "    def method(self): pass\ndef _p(): pass\nX = f()\n")
+    reader = "from m import g\nimport m\nm.A()\n"
+    assert _unread_public([source], [reader]) == ["B", "h", "k"]
+    # h counts as read once a reader imports it
+    assert _unread_public([source], [reader, "from m import h\n"]) == [
+        "B", "k"]
+
+
+def test_every_public_definition_is_read_outside_tests():
+    assert _unread_public(
+        [path.read_text() for path in sorted(PACKAGE.glob("*.py"))],
+        [path.read_text() for path in READERS]) == []
 
 
 @pytest.mark.parametrize("module", sorted(set(MODULES) - {"__main__"}))

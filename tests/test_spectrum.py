@@ -8,20 +8,13 @@ from hypothesis import given, strategies as st
 import oracles
 import qgsw_vstates.spectrum as spectrum
 from qgsw_vstates import cli
-from qgsw_vstates.bessel import BesselLadder, bessel_k, product_ik
+from qgsw_vstates.bessel import BesselLadder
 from qgsw_vstates.contour import annulus_boundary, make_grid, s_integral
 from qgsw_vstates.spectrum import (
     ModeCell,
     SearchExhausted,
     Threshold,
-    eigenvalues,
     euler_eigenvalues,
-    find_threshold,
-    kernel_vector,
-    omega_limits,
-    simply_connected_limit,
-    spectral_matrix,
-    transversality_check,
 )
 
 
@@ -34,8 +27,9 @@ def _delta(n, lam, b):
 
 
 def _rankine(n, x):
-    # Omega_n(x) from fresh free-function products, apart from any cell
-    return product_ik(1, x) - product_ik(n, x)
+    # Omega_n(x) from the products of a fresh ladder, apart from any cell
+    ladder = BesselLadder(x)
+    return ladder.product(1) - ladder.product(n)
 
 
 def _scale(mat):
@@ -64,16 +58,13 @@ def test_coupling_validation():
     # the cell refuses lam <= 0, b outside (0, 1) and orders below 1
     cell = ModeCell(1.0, 0.5)
     for call in (cell.mode, cell.spectrum, cell.simply_connected,
-                 lambda n: cell.matrix(n, 0.1),
-                 lambda n: simply_connected_limit(n, 1.0)):
+                 lambda n: cell.matrix(n, 0.1)):
         for n in (0, -2):
             with pytest.raises(ValueError, match="order must be >= 1"):
                 call(n)
     for lam in (0.0, -1.0):
         with pytest.raises(ValueError, match="lambda must be positive"):
             ModeCell(lam, 0.5)
-        with pytest.raises(ValueError, match="lambda must be positive"):
-            simply_connected_limit(3, lam)
     for b in (0.0, 1.0, 1.2, -0.5):
         with pytest.raises(ValueError, match="strictly inside"):
             ModeCell(1.0, b)
@@ -85,33 +76,31 @@ def test_fractional_orders_are_refused_not_truncated():
     for call in (cell.mode, cell.spectrum, cell.simply_connected,
                  lambda n: cell.matrix(n, 0.1),
                  lambda n: cell.root(n, "+"),
-                 lambda n: eigenvalues(n, 1.0, 0.5),
-                 lambda n: spectral_matrix(n, 1.0, 0.5, 0.1),
-                 lambda n: euler_eigenvalues(n, 0.5),
-                 lambda n: simply_connected_limit(n, 1.0)):
+                 lambda n: euler_eigenvalues(n, 0.5)):
         for n in (2.7, 2.5, 4.5):
             with pytest.raises(ValueError, match="order must be an integer"):
                 call(n)
-    assert spectral_matrix(3.0, 1.0, 0.5, 0.1) == spectral_matrix(
-        3, 1.0, 0.5, 0.1)
+    assert cell.matrix(3.0, 0.1) == cell.matrix(3, 0.1)
 
 
 def test_rankine_multiplier_basics():
     for x in (0.3, 1.0, 7.0):
-        assert simply_connected_limit(1, x) == 0.0
+        cell = ModeCell(x, 0.5)
+        assert cell.simply_connected(1)[1] == 0.0
         for n in (2, 3, 9):
-            assert simply_connected_limit(n, x) > 0.0
+            assert cell.simply_connected(n)[1] > 0.0
 
 
 def test_rankine_multiplier_tail():
-    assert simply_connected_limit(400, 1.0) == pytest.approx(
-        product_ik(1, 1.0), abs=2e-3
+    cell = ModeCell(1.0, 0.5)
+    assert cell.simply_connected(400)[1] == pytest.approx(
+        cell.outer.product(1), abs=2e-3
     )
 
 
 def test_matrix_entries_rebuild_bit_identical():
     n, lam, b = 8, 1.0, 0.5
-    mat = spectral_matrix(n, lam, b, 0.0)
+    mat = ModeCell(lam, b).matrix(n, 0.0)
     lam1 = _coupling(1, lam, b)
     lamn = _coupling(n, lam, b)
     assert mat.m11 == _rankine(n, lam) - 0.0 - b * lam1
@@ -125,23 +114,26 @@ def test_matrix_entries_rebuild_bit_identical():
 
 
 def test_matrix_sign_structure():
+    cell = ModeCell(1.0, 0.5)
     for n in (1, 3, 12):
-        mat = spectral_matrix(n, 1.0, 0.5, 0.1)
+        mat = cell.matrix(n, 0.1)
         assert mat.m12 > 0.0 > mat.m21
         assert mat.m12 / mat.m21 == pytest.approx(-0.5, rel=1e-14)
 
 
 def test_matrix_determinant_vanishes_at_roots():
-    pair = eigenvalues(5, 1.0, 0.5)
+    cell = ModeCell(1.0, 0.5)
+    pair = cell.spectrum(5)[1]
     for omega in (pair.omega_minus, pair.omega_plus):
-        mat = spectral_matrix(5, 1.0, 0.5, omega)
+        mat = cell.matrix(5, omega)
         assert abs(mat.determinant()) <= 1e-12 * _scale(mat) ** 2
 
 
 def test_discriminant_tends_to_squared_limit():
     lam, b = 1.0, 0.5
     lam1 = _coupling(1, lam, b)
-    delta_inf = b * (product_ik(1, lam) + product_ik(1, lam * b)) - (1 + b * b) * lam1
+    delta_inf = (b * (BesselLadder(lam).product(1)
+                      + BesselLadder(lam * b).product(1)) - (1 + b * b) * lam1)
     assert delta_inf > 0.0
     # gap decays like 2 delta_inf * b/n (the I_n K_n tails), so halving is
     # expected between n = 200 and n = 400, and 1e-2 relative needs n ~ 530
@@ -156,17 +148,18 @@ def test_squared_limit_positive_on_grid():
         for b in (0.3, 0.5, 0.7):
             lam1 = _coupling(1, lam, b)
             delta_inf = (
-                b * (product_ik(1, lam) + product_ik(1, lam * b))
+                b * (BesselLadder(lam).product(1)
+                     + BesselLadder(lam * b).product(1))
                 - (1 + b * b) * lam1
             )
             assert delta_inf > 0.0, (lam, b)
 
 
 def test_discriminant_equals_quadratic_recombination():
-    for n in (1, 3, 4, 5, 8, 20):
-        for lam, b in ((1.0, 0.5), (0.5, 0.3), (2.0, 0.7)):
-            delta_n = _delta(n, lam, b)
-            pair = eigenvalues(n, lam, b)
+    for lam, b in ((1.0, 0.5), (0.5, 0.3), (2.0, 0.7)):
+        cell = ModeCell(lam, b)
+        for n in (1, 3, 4, 5, 8, 20):
+            delta_n, pair = cell.spectrum(n)
             if pair is None:
                 continue
             recomb = pair.b_coeff**2 - 4.0 * b * pair.c_coeff
@@ -176,7 +169,7 @@ def test_discriminant_equals_quadratic_recombination():
 
 def test_eigenvalues_closed_form_term_by_term():
     m, lam, b = 12, 1.0, 0.5
-    pair = eigenvalues(m, lam, b)
+    pair = ModeCell(lam, b).spectrum(m)[1]
     lam1 = _coupling(1, lam, b)
     lamm = _coupling(m, lam, b)
     outer = _rankine(m, lam)
@@ -189,12 +182,13 @@ def test_eigenvalues_closed_form_term_by_term():
 
 
 def test_eigenvalues_absent_when_discriminant_negative():
-    assert _delta(2, 1.0, 0.5) < 0.0
-    assert eigenvalues(2, 1.0, 0.5) is None
+    delta, pair = ModeCell(1.0, 0.5).spectrum(2)
+    assert delta < 0.0
+    assert pair is None
 
 
 def test_eigenvalues_vieta():
-    pair = eigenvalues(5, 1.0, 0.5)
+    pair = ModeCell(1.0, 0.5).spectrum(5)[1]
     b = 0.5
     assert pair.omega_minus + pair.omega_plus == pytest.approx(
         pair.b_coeff / b, rel=1e-12
@@ -210,56 +204,58 @@ def test_mode_one_has_zero_root():
     # pure rotation of the annulus is always a steady state, so Omega = 0
     # solves the mode-1 quadratic (c_coeff vanishes identically)
     for lam, b in ((1.0, 0.5), (0.5, 0.3), (2.0, 0.7)):
-        pair = eigenvalues(1, lam, b)
+        pair = ModeCell(lam, b).spectrum(1)[1]
         assert pair.c_coeff == 0.0
         assert abs(pair.omega_minus) <= 1e-14 * max(1.0, abs(pair.omega_plus))
 
 
 def test_omega_limits_order_and_attraction():
-    lam, b = 1.0, 0.5
-    lower, upper = omega_limits(lam, b)
+    cell = ModeCell(1.0, 0.5)
+    lower, upper = cell.limits()
     assert lower < upper
-    pair = eigenvalues(500, lam, b)
+    pair = cell.spectrum(500)[1]
     assert abs(upper - pair.omega_plus) < 1e-3
     assert abs(pair.omega_minus - lower) < 1e-3
 
 
 def test_omega_limits_small_lambda():
-    lower, upper = omega_limits(1e-5, 0.5)
+    lower, upper = ModeCell(1e-5, 0.5).limits()
     assert abs(upper - 0.375) < 1e-3  # (1 - b^2)/2 at b = 0.5
     assert lower < upper
 
 
 def test_threshold_at_reference_point():
     # frozen from the scan; cross-checked by the discriminant signs below
-    th = find_threshold(1.0, 0.5, window=50)
+    cell = ModeCell(1.0, 0.5)
+    th = cell.threshold(window=50)
     assert th == Threshold(n0=3, n=3)
-    assert _delta(2, 1.0, 0.5) < 0.0 < _delta(3, 1.0, 0.5)
-    plus_n = eigenvalues(th.n, 1.0, 0.5)
-    plus_next = eigenvalues(th.n + 1, 1.0, 0.5)
+    assert cell.spectrum(2)[0] < 0.0 < cell.spectrum(3)[0]
+    plus_n = cell.spectrum(th.n)[1]
+    plus_next = cell.spectrum(th.n + 1)[1]
     assert plus_n.omega_plus < plus_next.omega_plus
     assert plus_n.omega_minus > plus_next.omega_minus
 
 
 def test_threshold_interlacing_chain():
-    lam, b = 1.0, 0.5
-    th = find_threshold(lam, b, window=50)
-    lower, upper = omega_limits(lam, b)
+    cell = ModeCell(1.0, 0.5)
+    th = cell.threshold(window=50)
+    lower, upper = cell.limits()
     for n, m in ((th.n, th.n + 1), (th.n, th.n + 7), (th.n + 4, th.n + 27),
                  (th.n + 17, th.n + 50)):
-        pn, pm = eigenvalues(n, lam, b), eigenvalues(m, lam, b)
+        pn, pm = cell.spectrum(n)[1], cell.spectrum(m)[1]
         assert lower < pm.omega_minus < pn.omega_minus
         assert pn.omega_minus < pn.omega_plus
         assert pn.omega_plus < pm.omega_plus < upper
 
 
 def test_threshold_validation_and_exhaustion():
+    cell = ModeCell(1.0, 0.5)
     with pytest.raises(ValueError):
-        find_threshold(1.0, 0.5, window=5)
+        cell.threshold(window=5)
     with pytest.raises(ValueError, match="window must be at most 100000"):
-        find_threshold(1.0, 0.5, window=100_001)
+        cell.threshold(window=100_001)
     with pytest.raises(SearchExhausted):
-        find_threshold(1.0, 0.5, window=50, cap=2)
+        cell.threshold(window=50, cap=2)
 
 
 def _count_cell_builds(monkeypatch):
@@ -277,7 +273,7 @@ def _count_cell_builds(monkeypatch):
 
 def test_threshold_scan_builds_each_order_once(monkeypatch):
     builds = _count_cell_builds(monkeypatch)
-    assert find_threshold(1.0, 0.5) == Threshold(n0=3, n=3)
+    assert ModeCell(1.0, 0.5).threshold() == Threshold(n0=3, n=3)
     assert set(builds) == set(range(1, 54))  # both scans cover [1, 3 + 50]
     assert max(builds.values()) == 1
 
@@ -304,29 +300,29 @@ def _cell_on_a_used_ladder(lam, b):
 
 
 def test_cell_matches_per_order_functions_bitwise():
-    # the public functions are views of a fresh cell, and one cell that
-    # reached other orders first, or shares a used ladder, gives the same
-    # bits
+    # a cell that reached other orders first, or shares a used ladder,
+    # gives the bits of a fresh cell that computes one quantity only
     lam, b = 2.3, 0.7
     for build, orders in (
         (ModeCell, (40, 1, 7, 300, 2)),  # orders below the top read the state
         (_cell_on_a_used_ladder, range(1, 61)),
     ):
         cell = build(lam, b)
-        assert cell.limits() == omega_limits(lam, b)
-        assert cell.threshold(20) == find_threshold(lam, b, window=20)
+        assert cell.limits() == ModeCell(lam, b).limits()
+        assert cell.threshold(20) == ModeCell(lam, b).threshold(20)
         for n in orders:
             fresh = math.exp(BesselLadder(lam * b).log_i(n)
                              + BesselLadder(lam).log_k(n))
             assert cell.mode(n)[1:] == (
                 fresh, _rankine(n, lam), _rankine(n, lam * b))
             pair = cell.spectrum(n)[1]
-            assert pair == eigenvalues(n, lam, b)
-            assert cell.matrix(n, 0.3) == spectral_matrix(n, lam, b, 0.3)
-            assert cell.simply_connected(n)[1] == simply_connected_limit(n, lam)
+            assert pair == ModeCell(lam, b).spectrum(n)[1]
+            assert cell.matrix(n, 0.3) == ModeCell(lam, b).matrix(n, 0.3)
+            assert (cell.simply_connected(n)
+                    == ModeCell(lam, b).simply_connected(n))
             if pair is not None:
-                assert pair.kernel_minus == kernel_vector(n, lam, b, "-")
-                assert pair.kernel_plus == kernel_vector(n, lam, b, "+")
+                for sign in "+-":
+                    assert cell.root(n, sign) == ModeCell(lam, b).root(n, sign)
 
 
 def test_cell_refuses_a_ladder_at_another_argument():
@@ -351,8 +347,9 @@ def test_euler_existence_boundary():
 
 
 def test_euler_is_small_lambda_limit():
+    cell = ModeCell(1e-4, 0.5)
     for n in range(4, 21):
-        pair = eigenvalues(n, 1e-4, 0.5)
+        pair = cell.spectrum(n)[1]
         limit = euler_eigenvalues(n, 0.5)
         assert abs(pair.omega_plus - limit.plus) < 1e-3, n
         assert abs(pair.omega_minus - limit.minus) < 1e-3, n
@@ -361,9 +358,10 @@ def test_euler_is_small_lambda_limit():
 def test_euler_gap_decreases_with_lambda():
     gaps = []
     for lam in (1e-1, 1e-2, 1e-3):
+        cell = ModeCell(lam, 0.5)
         gaps.append(
             max(
-                abs(eigenvalues(n, lam, 0.5).omega_plus - euler_eigenvalues(n, 0.5).plus)
+                abs(cell.spectrum(n)[1].omega_plus - euler_eigenvalues(n, 0.5).plus)
                 for n in range(4, 11)
             )
         )
@@ -371,31 +369,29 @@ def test_euler_gap_decreases_with_lambda():
 
 
 def test_simply_connected_is_small_b_limit():
-    assert simply_connected_limit(1, 1.0) == 0.0
-    assert simply_connected_limit(6, 1.0) == _rankine(6, 1.0)
     cell = ModeCell(1.0, 1e-4)
+    assert cell.simply_connected(1)[1] == 0.0
     for n in range(2, 21):
         pair = cell.spectrum(n)[1]
         sc_minus, sc_plus = cell.simply_connected(n)
-        assert sc_minus == (n * bessel_k(1, 1.0) - n + 1.0) / (2.0 * n)
-        assert sc_plus == simply_connected_limit(n, 1.0)
+        assert sc_minus == (n * BesselLadder(1.0).k(1) - n + 1.0) / (2.0 * n)
+        assert sc_plus == _rankine(n, 1.0)
         assert abs(pair.omega_plus - sc_plus) < 1e-3, n
         assert abs(pair.omega_minus - sc_minus) < 1e-3, n
 
 
 def test_x_k1_bounded_and_decreasing():
     xs = np.geomspace(1e-3, 50.0, 40)
-    vals = np.array([x * bessel_k(1, float(x)) for x in xs])
+    vals = np.array([x * BesselLadder(float(x)).k(1) for x in xs])
     assert np.all(vals > 0.0) and np.all(vals < 1.0)
     assert np.all(np.diff(vals) < 0.0)
 
 
 def test_kernel_vector_membership_and_sign():
+    cell = ModeCell(1.0, 0.5)
     for m, sign in ((12, "+"), (12, "-"), (5, "+"), (5, "-")):
-        v1, v2 = kernel_vector(m, 1.0, 0.5, sign)
-        pair = eigenvalues(m, 1.0, 0.5)
-        omega = pair.omega_plus if sign == "+" else pair.omega_minus
-        mat = spectral_matrix(m, 1.0, 0.5, omega)
+        omega, (v1, v2), _ = cell.root(m, sign)
+        mat = cell.matrix(m, omega)
         norm_v = math.hypot(v1, v2)
         assert v2 < 0.0
         assert norm_v > 0.0
@@ -404,11 +400,10 @@ def test_kernel_vector_membership_and_sign():
 
 
 def test_kernel_vector_is_adjugate_column():
+    cell = ModeCell(1.0, 0.5)
     for sign in ("+", "-"):
-        v1, v2 = kernel_vector(9, 1.0, 0.5, sign)
-        pair = eigenvalues(9, 1.0, 0.5)
-        omega = pair.omega_plus if sign == "+" else pair.omega_minus
-        mat = spectral_matrix(9, 1.0, 0.5, omega)
+        omega, (v1, v2), _ = cell.root(9, sign)
+        mat = cell.matrix(9, omega)
         assert v1 == -mat.m22
         assert v2 == mat.m21
 
@@ -416,33 +411,35 @@ def test_kernel_vector_is_adjugate_column():
 def test_kernel_vector_minus_branch_inner_dominant():
     # on the minus branch the inner-interface component dwarfs the outer
     # one; the continuation module pins its amplitude on the dominant entry
-    v1, v2 = kernel_vector(5, 1.0, 0.5, "-")
+    cell = ModeCell(1.0, 0.5)
+    v1, v2 = cell.root(5, "-")[1]
     assert abs(v2 / v1) > 50.0
-    w1, w2 = kernel_vector(5, 1.0, 0.5, "+")
+    w1, w2 = cell.root(5, "+")[1]
     assert abs(w2 / w1) < 1.0
 
 
 def test_kernel_vector_requires_positive_discriminant():
-    with pytest.raises(ValueError):
-        kernel_vector(2, 1.0, 0.5, "+")
-    with pytest.raises(ValueError):
-        transversality_check(2, 1.0, 0.5, "-")
+    cell = ModeCell(1.0, 0.5)
+    for sign in "+-":
+        with pytest.raises(ValueError, match="no simple real pair"):
+            cell.root(2, sign)
 
 
 def test_transversality_sweep():
     for lam in (0.5, 1.0, 2.0):
         for b in (0.3, 0.5, 0.7):
-            th = find_threshold(lam, b, window=50)
+            cell = ModeCell(lam, b)
+            th = cell.threshold(window=50)
             for m in range(th.n + 1, th.n + 11):
-                assert transversality_check(m, lam, b, "+"), (lam, b, m)
-                assert transversality_check(m, lam, b, "-"), (lam, b, m)
+                assert cell.root(m, "+")[2], (lam, b, m)
+                assert cell.root(m, "-")[2], (lam, b, m)
 
 
 def test_obstruction_vanishes_at_double_root():
     # at the vertex Omega = B_m/(2b) the obstruction equals Delta_m/4, so
     # it vanishes exactly in the degenerate case
     m, lam, b = 7, 1.0, 0.5
-    pair = eigenvalues(m, lam, b)
+    pair = ModeCell(lam, b).spectrum(m)[1]
     omega_vertex = pair.b_coeff / (2.0 * b)
     lam1 = _coupling(1, lam, b)
     lamm = _coupling(m, lam, b)
@@ -454,11 +451,11 @@ def test_obstruction_vanishes_at_double_root():
 def test_simple_kernel_guard_on_harmonics():
     # det M_{km} must stay away from zero at Omega_m^{+-} or the kernel
     # would pick up extra directions
+    cell = ModeCell(1.0, 0.5)
     for sign in ("+", "-"):
-        pair = eigenvalues(5, 1.0, 0.5)
-        omega = pair.omega_plus if sign == "+" else pair.omega_minus
+        omega = cell.root(5, sign)[0]
         for k in range(2, 11):
-            mat = spectral_matrix(5 * k, 1.0, 0.5, omega)
+            mat = cell.matrix(5 * k, omega)
             assert abs(mat.determinant()) > 1e-10 * _scale(mat) ** 2, (sign, k)
 
 
@@ -468,22 +465,21 @@ def test_simple_kernel_guard_on_harmonics():
     b=st.floats(0.2, 0.8),
 )
 def test_quadratic_structure_property(n, lam, b):
-    mat = spectral_matrix(n, lam, b, 0.37)
+    cell = ModeCell(lam, b)
+    mat = cell.matrix(n, 0.37)
     assert mat.m12 > 0.0 > mat.m21
     assert mat.m12 / mat.m21 == pytest.approx(-b, rel=1e-13)
-    pair = eigenvalues(n, lam, b)
+    delta, pair = cell.spectrum(n)
     if pair is None:
-        assert _delta(n, lam, b) < 0.0
+        assert delta < 0.0
         return
     assert pair.omega_minus <= pair.omega_plus
     assert pair.omega_minus + pair.omega_plus == pytest.approx(
         pair.b_coeff / b, rel=1e-11
     )
     for omega in (pair.omega_minus, pair.omega_plus):
-        det = spectral_matrix(n, lam, b, omega).determinant()
-        assert abs(det) <= 1e-10 * max(
-            _scale(spectral_matrix(n, lam, b, omega)) ** 2, 1e-300
-        )
+        mat = cell.matrix(n, omega)
+        assert abs(mat.determinant()) <= 1e-10 * max(_scale(mat) ** 2, 1e-300)
 
 
 @pytest.mark.parametrize("lam", [math.inf, math.nan])
@@ -492,9 +488,6 @@ def test_lambda_must_be_finite(lam):
     circle = annulus_boundary(1.0)
     calls = (
         lambda: ModeCell(lam, 0.5),
-        lambda: eigenvalues(5, lam, 0.5),
-        lambda: find_threshold(lam, 0.5),
-        lambda: simply_connected_limit(5, lam),
         lambda: s_integral(lam, circle, circle, make_grid(16)),
     )
     for call in calls:
