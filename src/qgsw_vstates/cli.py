@@ -27,6 +27,7 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -109,8 +110,9 @@ class RunConfig:
             _check_steps(self.steps)
             _check_amplitude(self.s_max)
             _check_window(self.window)
+        counts = Counter(self.ms)
         for m in self.ms:
-            if self.ms.count(m) > 1:
+            if counts[m] > 1:
                 raise ConfigError(f"fold count m={m} is given twice")
         try:
             self.signs

@@ -96,9 +96,6 @@ class SpectralMatrix:
     m22: float
     n: int
 
-    def determinant(self):
-        return self.m11 * self.m22 - self.m12 * self.m21
-
     def block(self):
         """n M_n as a 2 x 2 array: the linearization of the contour
         functional G at the annulus on mode n.  Entry (row, col) is the
@@ -316,34 +313,37 @@ class ModeCell:
             1.0 + b * b
         ) * self.lam1
 
-        n0 = None
-        for candidate in range(1, cap + 1):
-            orders = range(candidate, candidate + window + 1)
-            if all(self.spectrum(k)[0] > 0.0 for k in orders):
-                tail = 2.0 * b * self.coupling(candidate + window)
+        # one pass per threshold, each order read once: a running count of
+        # the orders (for n0) or of the steps (for n) that pass, ending at k
+        run, n0 = 0, None
+        for k in range(1, cap + window + 1):
+            if k - run > cap:
+                # the positive run starts past cap: every window left that
+                # starts at an order <= cap holds a Delta <= 0
+                break
+            run = run + 1 if self.spectrum(k)[0] > 0.0 else 0
+            if run > window:
+                tail = 2.0 * b * self.coupling(k)
                 if tail * tail < 0.5 * delta_inf * delta_inf:
-                    n0 = candidate
+                    n0 = k - window
                     break
         if n0 is None:
             raise SearchExhausted(
                 f"no positivity threshold below {cap} for lam={self.lam}, b={b}"
             )
 
-        for candidate in range(n0, cap + 1):
-            orders = range(candidate, candidate + window + 1)
-            pairs = [self.spectrum(k)[1] for k in orders]
-            if any(p is None for p in pairs):
-                continue
-            rising = all(
-                pairs[i].omega_plus < pairs[i + 1].omega_plus
-                for i in range(len(pairs) - 1)
-            )
-            falling = all(
-                pairs[i].omega_minus > pairs[i + 1].omega_minus
-                for i in range(len(pairs) - 1)
-            )
-            if rising and falling:
-                return Threshold(n0=n0, n=candidate)
+        steps, prev = 0, self.spectrum(n0)[1]
+        for k in range(n0 + 1, cap + window + 1):
+            pair = self.spectrum(k)[1]
+            if (prev is not None and pair is not None
+                    and prev.omega_plus < pair.omega_plus
+                    and prev.omega_minus > pair.omega_minus):
+                steps += 1
+                if steps == window:
+                    return Threshold(n0=n0, n=k - window)
+            else:
+                steps = 0
+            prev = pair
         raise SearchExhausted(
             f"no monotonicity threshold below {cap} for lam={self.lam}, b={b}"
         )

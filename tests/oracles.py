@@ -27,11 +27,16 @@ live here too: only the tests use them.  csv_table_text writes a table
 through the standard library's csv.writer, the route the CLI's own CSV
 writer replaced.  horner_reference keeps the array kernels' series pass as
 it was written before its sizing table and its Horner start were trimmed,
-the bit-for-bit reference of bessel._i0_array and _k0reg_array.
+the bit-for-bit reference of bessel._i0_array and _k0reg_array.  In the
+same way ladder_prefactors_reference and ladder_k_reference keep the
+BesselLadder recurrences as they ran before every order became a
+normalized frexp pair, and threshold_reference keeps the two candidate
+loops of ModeCell.threshold before its one pass per threshold.
 """
 
 import csv
 import io
+import itertools
 import math
 
 import numpy as np
@@ -70,6 +75,95 @@ def horner_reference(z, coeffs):
         out *= q
         out += c
     return out
+
+
+# ---------------------------------------------------------------------------
+# the Bessel ladder's recurrences and the threshold scan, as first written
+
+def ladder_prefactors_reference(x):
+    """(x/2)^n / n! for n = 0, 1, ... as frexp pairs (mantissa, exponent),
+    by the product BesselLadder first kept inside (1e-150, 1e150),
+    renormalizing only when it left that window."""
+    p, ex, k = 1.0, 0, 0
+    while True:
+        m, e = math.frexp(p)
+        yield m, ex + e
+        k += 1
+        p *= 0.5 * x / k
+        if not 1e-150 < p < 1e150:
+            m, e = math.frexp(p)
+            p, ex = m, ex + e
+
+
+def ladder_k_reference(x):
+    """K_n(x) exp(x) for n = 0, 1, ... as frexp pairs, by the recurrence
+    BesselLadder first ran: unnormalized values at a shared exponent,
+    cut by 2^-1000 past 1e250 and before a step that overflows."""
+    from qgsw_vstates.bessel import _k01
+
+    km, kc = _k01(x)
+    ex = 0
+    yield math.frexp(km)
+    yield math.frexp(kc)
+    for j in itertools.count(1):
+        kn = km + (2.0 * j / x) * kc
+        if kn > 1e250:
+            while kn == math.inf:
+                if 2.0 * j / x == math.inf:
+                    raise OverflowError(f"K_{j + 1}({x!r}): 2j/x overflows")
+                km, kc, ex = km * 2.0**-1000, kc * 2.0**-1000, ex + 1000
+                kn = km + (2.0 * j / x) * kc
+            if kn > 1e250:
+                kc, kn, ex = kc * 2.0**-1000, kn * 2.0**-1000, ex + 1000
+        km, kc = kc, kn
+        mant, e = math.frexp(kc)
+        yield mant, ex + e
+
+
+def threshold_reference(cell, window, cap):
+    """ModeCell.threshold as two candidate loops that re-read a window of
+    window + 1 orders for every candidate, on cell's own spectrum memo."""
+    from qgsw_vstates.spectrum import SearchExhausted, Threshold
+
+    b = cell.b
+    delta_inf = b * (cell.outer.product(1) + cell.inner.product(1)) - (
+        1.0 + b * b
+    ) * cell.lam1
+    n0 = None
+    for candidate in range(1, cap + 1):
+        orders = range(candidate, candidate + window + 1)
+        if all(cell.spectrum(k)[0] > 0.0 for k in orders):
+            tail = 2.0 * b * cell.coupling(candidate + window)
+            if tail * tail < 0.5 * delta_inf * delta_inf:
+                n0 = candidate
+                break
+    if n0 is None:
+        raise SearchExhausted(
+            f"no positivity threshold below {cap} for lam={cell.lam}, b={b}"
+        )
+    for candidate in range(n0, cap + 1):
+        orders = range(candidate, candidate + window + 1)
+        pairs = [cell.spectrum(k)[1] for k in orders]
+        if any(p is None for p in pairs):
+            continue
+        rising = all(
+            pairs[i].omega_plus < pairs[i + 1].omega_plus
+            for i in range(len(pairs) - 1)
+        )
+        falling = all(
+            pairs[i].omega_minus > pairs[i + 1].omega_minus
+            for i in range(len(pairs) - 1)
+        )
+        if rising and falling:
+            return Threshold(n0=n0, n=candidate)
+    raise SearchExhausted(
+        f"no monotonicity threshold below {cap} for lam={cell.lam}, b={b}"
+    )
+
+
+def determinant(mat):
+    """det M_n of a spectrum.SpectralMatrix, m11 m22 - m12 m21."""
+    return mat.m11 * mat.m22 - mat.m12 * mat.m21
 
 
 # ---------------------------------------------------------------------------

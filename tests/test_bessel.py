@@ -50,8 +50,8 @@ def test_ladder_reads_a_negative_order_as_its_mirror(x):
 @pytest.mark.parametrize("x", [1e-3, 0.7, 4.0, math.nextafter(4.0, 5.0), 12.0, 60.0])
 def test_ladder_bitwise_equals_fresh_evaluation(x):
     # one ladder walked up, another down in strides: both must give the
-    # values a fresh ladder per order gives, bit for bit, past the
-    # renormalizations of the K recurrence (2^1000) and of the I prefactor
+    # values a fresh ladder per order gives, bit for bit, across orders
+    # whose K and I prefactor leave the double range (exponents past +-1024)
     up, down = BesselLadder(x), BesselLadder(x)
     for n in range(501):
         assert up.log_i(n) == BesselLadder(x).log_i(n), n
@@ -61,8 +61,8 @@ def test_ladder_bitwise_equals_fresh_evaluation(x):
         assert down.log_i(n) == BesselLadder(x).log_i(n), n
         assert down.product(n) == BesselLadder(x).product(n), n
     assert up.k(1) == BesselLadder(x).k(1)
-    assert up._k_orders[500][1] > 0  # K passed 1e250 and was rescaled
-    assert up._prefactors[500][1] < 0  # (x/2)^n/n! fell below 1e-150
+    assert up._k_orders[500][1] > 0  # K_500 exp(x) is at least 2^0
+    assert up._prefactors[500][1] < 0  # (x/2)^500/500! is below 2^-1
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 40
     arg = mp.mpf(repr(x))
@@ -385,6 +385,46 @@ def test_ladder_log_k_past_the_double_range_against_mpmath():
                               dps=30)
         got = np.array([BesselLadder(x).log_k(n) for x in xs])
         assert np.max(np.abs(got - want)) <= 1e-12, n
+
+
+@pytest.mark.parametrize("x", [720.0, 800.0, 5000.0, 1e5])
+def test_ladder_log_i_past_the_double_range_against_mpmath(x):
+    # above x ~ 713 the series sum is rescaled too, so its product with
+    # the prefactor stays finite only while the prefactor is normalized
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 30
+    arg = mp.mpf(x)
+    ladder = BesselLadder(x)
+    for n in range(201):
+        want = float(mp.log(mp.besseli(n, arg)))
+        got = ladder.log_i(n)
+        assert math.isfinite(got) and abs(got / want - 1.0) <= 1e-13, (n, got)
+        assert 0.0 < ladder.product(n) < math.inf, n
+
+
+def test_ladder_recurrences_match_the_windowed_reference():
+    # every I prefactor and K order is a normalized frexp pair; the
+    # recurrences that kept the prefactor inside (1e-150, 1e150) and cut K
+    # by 2^-1000 past 1e250 give the same pairs, bit for bit, and refuse
+    # the same order where 2j/x overflows
+    for x in (2.3e-307, 1e-300, 1e-100, 1e-3, 0.7, 4.0, 60.0, 700.0):
+        ladder = BesselLadder(x)
+        prefactors = oracles.ladder_prefactors_reference(x)
+        ks = oracles.ladder_k_reference(x)
+        ladder.log_i(500)
+        for n, (p, ex) in enumerate(ladder._prefactors):
+            mant, e = math.frexp(p)
+            assert (mant, ex + e) == next(prefactors), (x, n)
+        for n in range(501):
+            try:
+                want = next(ks)
+            except OverflowError as refused:
+                with pytest.raises(OverflowError,
+                                   match=f"^{re.escape(str(refused))}$"):
+                    ladder.log_k(n)
+                break
+            assert ladder._k_scaled(n) == want, (x, n)
+        assert n == (22 if x == 2.3e-307 else 500)
 
 
 @pytest.mark.parametrize("x", [1e-300, 1e-200, 1e-100, 1e-60])

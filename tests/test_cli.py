@@ -14,6 +14,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -1073,6 +1074,18 @@ def test_branch_refuses_a_repeated_fold_count(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "m=5" in err
     assert not out.exists()
+
+
+def test_repeated_fold_count_check_is_linear():
+    # the duplicate check counts once: 100,000 distinct modes (the range
+    # cap) validate at once, and a repeat still names the first repeated m
+    # in order
+    start = time.perf_counter()
+    cli.RunConfig(command="branch", ms=tuple(range(1, 100_001)))
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(cli.ConfigError,
+                       match=r"^fold count m=5 is given twice$"):
+        cli.RunConfig(command="branch", ms=(5, 3, 3, 5))
 
 
 def test_single_fold_table_has_one_column_per_coefficient(tmp_path):

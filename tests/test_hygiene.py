@@ -1,10 +1,10 @@
 """Source checks that need no linter: every name a package module imports
 is used in it, every private definition is referenced somewhere in the
-package, every public function and class is read by the package, its
-scripts or its benchmark (tests do not count), no module holds a writable
-array (no process-global mutable state), and an array handed out from a
-memo is read-only, so no caller can write into a result that later calls
-share."""
+package, every public function, class and method (of a class without a
+base class) is read by the package, its scripts or its benchmark (tests do
+not count), no module holds a writable array (no process-global mutable
+state), and an array handed out from a memo is read-only, so no caller can
+write into a result that later calls share."""
 
 import ast
 import importlib
@@ -117,15 +117,32 @@ def test_every_private_definition_is_referenced():
                          for path in sorted(PACKAGE.glob("*.py"))) == []
 
 
+def _public_definitions(tree):
+    """(name, qualified name) of tree's public module-level functions and
+    classes, and of the public methods of its classes without a base class
+    (an override is called by its base, as in _private_definitions)."""
+    found = []
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if not node.name.startswith("_"):
+            found.append((node.name, node.name))
+        if isinstance(node, ast.ClassDef) and not node.bases:
+            found += [(item.name, f"{node.name}.{item.name}")
+                      for item in node.body
+                      if isinstance(item, ast.FunctionDef)
+                      and not item.name.startswith("_")]
+    return found
+
+
 def _unread_public(sources, readers):
-    """Public module-level functions and classes of sources that neither
+    """Qualified names of the public definitions of sources that neither
     the sources nor the readers read, call or import."""
     trees = [ast.parse(source) for source in sources]
     used = _read_names(trees + [ast.parse(source) for source in readers])
-    return sorted(node.name for tree in trees for node in tree.body
-                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                  and not node.name.startswith("_")
-                  and node.name not in used)
+    return sorted(qualified for tree in trees
+                  for name, qualified in _public_definitions(tree)
+                  if name not in used)
 
 
 def test_unread_public_scan_finds_what_it_should():
@@ -133,10 +150,23 @@ def test_unread_public_scan_finds_what_it_should():
               "def k(): pass\nclass A: pass\nclass B:\n"
               "    def method(self): pass\ndef _p(): pass\nX = f()\n")
     reader = "from m import g\nimport m\nm.A()\n"
-    assert _unread_public([source], [reader]) == ["B", "h", "k"]
+    assert _unread_public([source], [reader]) == ["B", "B.method", "h", "k"]
     # h counts as read once a reader imports it
     assert _unread_public([source], [reader, "from m import h\n"]) == [
-        "B", "k"]
+        "B", "B.method", "k"]
+
+
+def test_unread_public_scan_finds_unread_methods():
+    source = ("class C:\n    def read(self): pass\n"
+              "    def unread(self): pass\n    def __len__(self): pass\n"
+              "    def _own(self): pass\n    @property\n"
+              "    def shown(self): pass\nclass D(C):\n"
+              "    def override(self): pass\nclass _E:\n"
+              "    def run(self): pass\nC().read()\n")
+    reader = "import m\nm.C().shown\nm.D\n"
+    assert _unread_public([source], [reader]) == ["C.unread", "_E.run"]
+    # a method a reader calls counts as read, whoever defines it
+    assert _unread_public([source], [reader, "x.unread()\nx.run()\n"]) == []
 
 
 def test_every_public_definition_is_read_outside_tests():

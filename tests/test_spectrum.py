@@ -126,7 +126,7 @@ def test_matrix_determinant_vanishes_at_roots():
     pair = cell.spectrum(5)[1]
     for omega in (pair.omega_minus, pair.omega_plus):
         mat = cell.matrix(5, omega)
-        assert abs(mat.determinant()) <= 1e-12 * _scale(mat) ** 2
+        assert abs(oracles.determinant(mat)) <= 1e-12 * _scale(mat) ** 2
 
 
 def test_discriminant_tends_to_squared_limit():
@@ -276,6 +276,38 @@ def test_threshold_scan_builds_each_order_once(monkeypatch):
     assert ModeCell(1.0, 0.5).threshold() == Threshold(n0=3, n=3)
     assert set(builds) == set(range(1, 54))  # both scans cover [1, 3 + 50]
     assert max(builds.values()) == 1
+
+
+def _threshold_outcome(cell, scan, window, cap, tail_until):
+    # orders below tail_until get a coupling that fails the tail test, so
+    # the scan's tail branch runs too (no real cell tried fails that test)
+    coupling = cell.coupling
+    cell.coupling = lambda n: 1e10 if n < tail_until else coupling(n)
+    try:
+        result = scan(cell, window, cap)
+    except SearchExhausted as exhausted:
+        result = str(exhausted)
+    return result, set(cell._spectra)
+
+
+def test_threshold_scan_matches_the_two_loop_reference():
+    # one running count per threshold returns what the two candidate loops
+    # returned, or raises their message, after reading the same orders
+    kinds = Counter()
+    for lam in (0.1, 1.0, 8.0, 300.0):
+        for b in (0.1, 0.5, 0.8, 0.95):
+            for window, cap in ((10, 0), (10, 1), (10, 3), (10, 40),
+                                (20, 5), (20, 200)):
+                for tail_until in (0, 25):
+                    got, want = (
+                        _threshold_outcome(ModeCell(lam, b), scan, window,
+                                           cap, tail_until)
+                        for scan in (ModeCell.threshold,
+                                     oracles.threshold_reference))
+                    assert got == want, (lam, b, window, cap, tail_until)
+                    kinds[got[0].split(" threshold")[0]
+                          if isinstance(got[0], str) else "found"] += 1
+    assert set(kinds) == {"found", "no positivity", "no monotonicity"}
 
 
 def test_spectrum_command_builds_each_order_once_per_cell(monkeypatch, tmp_path):
@@ -456,7 +488,7 @@ def test_simple_kernel_guard_on_harmonics():
         omega = cell.root(5, sign)[0]
         for k in range(2, 11):
             mat = cell.matrix(5 * k, omega)
-            assert abs(mat.determinant()) > 1e-10 * _scale(mat) ** 2, (sign, k)
+            assert abs(oracles.determinant(mat)) > 1e-10 * _scale(mat) ** 2, (sign, k)
 
 
 @given(
@@ -479,7 +511,7 @@ def test_quadratic_structure_property(n, lam, b):
     )
     for omega in (pair.omega_minus, pair.omega_plus):
         mat = cell.matrix(n, omega)
-        assert abs(mat.determinant()) <= 1e-10 * max(_scale(mat) ** 2, 1e-300)
+        assert abs(oracles.determinant(mat)) <= 1e-10 * max(_scale(mat) ** 2, 1e-300)
 
 
 @pytest.mark.parametrize("lam", [math.inf, math.nan])
