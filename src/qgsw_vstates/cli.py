@@ -43,7 +43,7 @@ from .continuation import (
 )
 from .spectrum import (
     ModeCell, SearchExhausted, _check_b_open, _check_lambda, _check_order,
-    _check_scan_size, _check_window, _normalize_sign, euler_eigenvalues,
+    _check_scan_size, _normalize_sign, euler_eigenvalues,
 )
 
 _COMMANDS = ("spectrum", "eigen", "limits", "branch", "verify")
@@ -78,7 +78,6 @@ class RunConfig:
     ns: tuple = tuple(range(1, 11))
     ms: tuple = ()  # branch only; empty means "threshold + 2"
     sign: str = "both"
-    window: int = 50
     trunc: int = 16
     grid_size: int = 256
     s_max: float = 5e-3
@@ -109,7 +108,6 @@ class RunConfig:
             _check_truncation(self.trunc)
             _check_steps(self.steps)
             _check_amplitude(self.s_max)
-            _check_window(self.window)
         counts = Counter(self.ms)
         for m in self.ms:
             if counts[m] > 1:
@@ -183,7 +181,6 @@ _OPTIONS = (
     ("n", "ns", (int,), "mode range: n, n1,n2,..., or lo:hi inclusive"),
     ("m", "ms", (int,), "fold counts for branch tracing"),
     ("sign", "sign", str, "+, -, plus, minus, or both"),
-    ("window", "window", int, None),
     ("trunc", "trunc", int, None),
     ("grid-size", "grid_size", int, None),
     ("s-max", "s_max", float, None),
@@ -306,7 +303,7 @@ def _cmd_spectrum(config):
     )
 
     def cell_rows(cell):
-        threshold = cell.threshold(config.window)
+        threshold = cell.threshold()
         lower, upper = cell.limits()
         for n in config.ns:
             delta, pair = cell.spectrum(n)
@@ -403,7 +400,7 @@ def _cmd_branch(config):
     lam, b = config.lambdas[0], config.bs[0]
     with _library_rules():
         cell = ModeCell(lam, b)
-    modes = config.ms or (cell.threshold(config.window).n + 2,)
+    modes = config.ms or (cell.threshold().n + 2,)
     tasks = [(m, sign) for m in modes for sign in config.signs]
     omega_stars = {}
     with _library_rules():

@@ -5,8 +5,10 @@ condition into Fourier modes; mode n carries a 2x2 matrix M_n(lam, b, Omega)
 whose determinant is the quadratic b*Omega^2 - B_n*Omega + C_n.  This module
 builds those matrices, solves for the eigenvalue pairs Omega_n^-/Omega_n^+,
 certifies the mode threshold N past which both roots are real and interlace
-monotonically, and provides the limiting spectra (n -> inf, lam -> 0,
-b -> 0) used to calibrate everything against the planar Euler and
+monotonically (I_n(x)K_n(x) and Lambda_n fall strictly in n, so one order
+k* whose discriminant clears a floating-point margin decides every order
+past it), and provides the limiting spectra (n -> inf, lam -> 0, b -> 0)
+used to calibrate everything against the planar Euler and
 simply-connected cases.
 
 Conventions: lam > 0 is the inverse length scale of the screened kernel
@@ -32,9 +34,12 @@ from .bessel import BesselLadder, _as_order
 # the largest lambda a mode quantity accepts: the Bessel ladder's mpmath
 # tests reach x = 700, and K_1(lambda) leaves the normal doubles near 706
 _BESSEL_RANGE = 700.0
-# the threshold scan's default cap, and the most orders a command reads: a
-# ladder keeps about 430 B per order, and the scan reads up to cap + window
+# the most orders the threshold scan reads, and the largest mode order,
+# range or table a command accepts: a ladder keeps about 430 B per order
 _SCAN_CAP = 100_000
+# the threshold's floating-point margin: the certificate order k* needs a
+# computed Delta_k above _MARGIN D_k^2, not just above 0
+_MARGIN = 1e-8
 
 
 class SearchExhausted(RuntimeError):
@@ -72,12 +77,6 @@ def _check_order(n):
 def _check_scan_size(count, what):
     if count > _SCAN_CAP:
         raise ValueError(f"{what} must be at most {_SCAN_CAP}; got {count}")
-
-
-def _check_window(window):
-    if window < 10:
-        raise ValueError(f"window must be >= 10; got {window}")
-    _check_scan_size(window, "window")
 
 
 def _rankine(ladder, n):
@@ -168,8 +167,9 @@ def _mode_spectrum(n, b, lam1, lamn, outer, inner):
 
 @dataclass(frozen=True)
 class Threshold:
-    """Certified mode thresholds: Delta_n > 0 from n0 on (windowed check),
-    monotone interlacing of both eigenvalue families from n on."""
+    """Certified mode thresholds (see ModeCell.threshold): Delta_k > 0 for
+    every order k >= n0, and omega_plus strictly rising and omega_minus
+    strictly falling at every step from order n on."""
 
     n0: int
     n: int
@@ -296,56 +296,49 @@ class ModeCell:
             _rankine(self.outer, n),
         )
 
-    def threshold(self, window=50, cap=_SCAN_CAP):
-        """Scan mode orders for the threshold past which the spectrum is
-        real and monotone.
+    def threshold(self):
+        """The mode thresholds, read order by order up to the certificate
+        order k*, past which two Bessel facts decide every order at once.
 
-        n0: smallest order where Delta_k > 0 across [n0, n0+window] and the
-        asymptotic tail test 4 b^2 Lambda^2 < delta_inf^2 / 2 holds at
-        n0+window (so positivity cannot be a fluke of the window).  n:
-        smallest order >= n0 where omega_plus strictly increases and
-        omega_minus strictly decreases across the window.  Empirical
-        certificate, not a proof; SearchExhausted when cap is reached.
+        Write P_k(x) = I_k(x)K_k(x) and D_k = delta_inf - b(P_k(lam)
+        + P_k(lam b)), so Delta_k = D_k^2 - 4 b^2 Lambda_k^2.  (F1) P_k(x)
+        falls strictly in k (Baricz 2009), so D_k rises; (F4) Lambda_k
+        falls strictly in k (Segura's 2011 ratio bounds at nu + 1/2), so
+        Delta_j >= Delta_k > 0 for every j >= k once D_k > 0 and
+        Delta_k > 0.  Wherever D > 0, omega_plus does not rise with any of
+        P_k(lam), P_k(lam b) and Lambda_k and falls strictly with P_k(lam),
+        and omega_minus does not fall with any of them and rises strictly
+        with P_k(lam b); so every step past such a k is strictly rising in
+        omega_plus and falling in omega_minus.
+
+        k* is the first order with D_k > 0 and computed Delta_k >
+        _MARGIN D_k^2.  n0 is one past the last order below k* with
+        Delta <= 0, n one past the last step below k* that is not strictly
+        monotone, and at least n0.  Exact in real arithmetic given F1 and
+        F4, evaluated in floating point with the margin _MARGIN;
+        SearchExhausted when no order up to _SCAN_CAP is k*.
         """
-        _check_window(window)
         b = self.b
         delta_inf = b * (self.outer.product(1) + self.inner.product(1)) - (
             1.0 + b * b
         ) * self.lam1
-
-        # one pass per threshold, each order read once: a running count of
-        # the orders (for n0) or of the steps (for n) that pass, ending at k
-        run, n0 = 0, None
-        for k in range(1, cap + window + 1):
-            if k - run > cap:
-                # the positive run starts past cap: every window left that
-                # starts at an order <= cap holds a Delta <= 0
-                break
-            run = run + 1 if self.spectrum(k)[0] > 0.0 else 0
-            if run > window:
-                tail = 2.0 * b * self.coupling(k)
-                if tail * tail < 0.5 * delta_inf * delta_inf:
-                    n0 = k - window
-                    break
-        if n0 is None:
-            raise SearchExhausted(
-                f"no positivity threshold below {cap} for lam={self.lam}, b={b}"
-            )
-
-        steps, prev = 0, self.spectrum(n0)[1]
-        for k in range(n0 + 1, cap + window + 1):
-            pair = self.spectrum(k)[1]
-            if (prev is not None and pair is not None
+        n0 = n = 1
+        prev = None
+        for k in range(1, _SCAN_CAP + 1):
+            delta, pair = self.spectrum(k)
+            if not delta > 0.0:
+                n0 = k + 1
+            if not (prev is not None and pair is not None
                     and prev.omega_plus < pair.omega_plus
                     and prev.omega_minus > pair.omega_minus):
-                steps += 1
-                if steps == window:
-                    return Threshold(n0=n0, n=k - window)
-            else:
-                steps = 0
+                n = k  # the step k - 1 -> k is not strictly monotone
+            d = delta_inf - b * (self.outer.product(k) + self.inner.product(k))
+            if d > 0.0 and delta > _MARGIN * d * d:
+                return Threshold(n0=n0, n=max(n0, n))
             prev = pair
         raise SearchExhausted(
-            f"no monotonicity threshold below {cap} for lam={self.lam}, b={b}"
+            f"no positivity threshold below {_SCAN_CAP} for lam={self.lam},"
+            f" b={b}"
         )
 
 

@@ -102,7 +102,6 @@ def test_spectrum_csv_round_trips_exactly(tmp_path):
         (["eigen", "--n", "a:3"], None),
         (["limits"], {"jobs": "x"}),
         (["spectrum"], {"n": [2.7, 3]}),
-        (["spectrum"], {"window": 50.9}),
         (["eigen"], {"ns": [True]}),
         (["limits"], {"m": [5.5]}),
         (["limits"], {"trunc": 8.5}),
@@ -112,13 +111,12 @@ def test_spectrum_csv_round_trips_exactly(tmp_path):
         (["spectrum"], {"lambda": [True]}),
         (["branch", "--sign", "1"], None),
         (["branch"], {"sign": 1}),
-        # orders, window and ranges stay at the threshold scan's cap
+        # orders and ranges stay at the threshold scan's cap
         (["limits", "--n", "100001"], None),
         (["branch", "--m", "100001"], None),
         (["spectrum"], {"n": [3, 100001]}),
         (["eigen", "--n", "1:100001"], None),
         (["spectrum", "--lambda", "1:2:100001"], None),
-        (["spectrum", "--window", "100001"], None),
         # a table's rows, |lambda| x |b| x |n|, stay at the same cap
         (["spectrum", "--lambda", "0.5:2:1000", "--b", "0.1:0.9:1000"], None),
         (["eigen", "--lambda", ",".join(map(str, range(1, 502))),
@@ -128,14 +126,14 @@ def test_spectrum_csv_round_trips_exactly(tmp_path):
     ],
     ids=["zero-order", "negative-order", "range-from-zero", "empty-range",
          "bad-range-count", "bad-range-bound", "config-jobs-text",
-         "config-fractional-order", "config-fractional-window",
-         "config-bool-order", "config-fractional-fold",
+         "config-fractional-order", "config-bool-order",
+         "config-fractional-fold",
          "config-fractional-trunc", "config-fractional-grid-size",
          "config-bool-steps", "config-fractional-jobs",
          "config-bool-lambda", "numeric-sign", "config-numeric-sign",
          "order-above-cap", "fold-above-cap", "config-order-above-cap",
          "int-range-above-cap", "float-range-above-cap",
-         "window-above-cap", "table-rows-above-cap",
+         "table-rows-above-cap",
          "list-table-rows-above-cap", "config-table-rows-above-cap"],
 )
 def test_bad_orders_and_grid_text_exit_one(tmp_path, capsys, argv, config):
@@ -965,9 +963,11 @@ def test_bad_config_file_exits_one(tmp_path, capsys):
         ({"lambda": [1], "n": None}, "'n'"),
         ({"lambdas": [2], "lambda": [3]}, "'lambdas' and 'lambda'"),
         ({"grid-size": 64, "grid_size": 128}, "'grid-size' and 'grid_size'"),
+        # the threshold scan's old window option: refused, not ignored
+        ({"window": 50}, "'window'"),
     ],
     ids=["unknown-key", "command-key", "null-out", "null-n", "both-lambda",
-         "both-grid-size"],
+         "both-grid-size", "window-key"],
 )
 def test_config_keys_outside_the_option_table_exit_one(tmp_path, capsys,
                                                          config, named):
@@ -1017,7 +1017,6 @@ _SETTINGS = {
     "ns": ("n", "2:3", [2, 3], [2, 3]),
     "ms": ("m", "7", [7], [7]),
     "sign": ("sign", "plus", "plus", "plus"),
-    "window": ("window", "20", 20, 20),
     "trunc": ("trunc", "4", 4, 4),
     "grid_size": ("grid-size", "64", 64, 64),
     "s_max": ("s-max", "1e-3", 1e-3, 1e-3),
@@ -1123,7 +1122,6 @@ def test_single_fold_table_has_one_column_per_coefficient(tmp_path):
      lambda: continuation.newton_solve(1, 0.5, 5, "+", 1e-4, trunc=1)),
     (["branch", "--m", "5", "--steps", "0"],
      lambda: continuation.trace_branch(1, 0.5, 5, "+", 1e-3, 0)),
-    (["spectrum", "--window", "5"], lambda: ModeCell(1, 0.5).threshold(5)),
     (["branch", "--s-max", "0"],
      lambda: continuation.trace_branch(1, 0.5, 5, "+", 0.0, 2)),
     (["branch", "--s-max=-2e-3"],
@@ -1134,12 +1132,10 @@ def test_single_fold_table_has_one_column_per_coefficient(tmp_path):
      lambda: ModeCell(1e-300, 1e-300)),
     (["spectrum", "--lambda", "1e-300", "--b", "1e-300"],
      lambda: ModeCell(1e-300, 1e-300)),
-    (["spectrum", "--window", "100001"],
-     lambda: ModeCell(1, 0.5).threshold(100001)),
 ], ids=["bandwidth", "admission", "lambda-bound", "mode-fit", "order",
-        "fold-order", "truncation", "steps", "window", "amplitude-zero",
+        "fold-order", "truncation", "steps", "amplitude-zero",
         "amplitude-negative", "tiny-b", "underflowing-cell-branch",
-        "underflowing-cell-table", "window-cap"])
+        "underflowing-cell-table"])
 def test_cli_refuses_with_the_library_message(tmp_path, capsys, argv,
                                              library_call):
     # one implementation per rule: the CLI prints the library's own message
@@ -1207,7 +1203,6 @@ def _address_space_cap():
     ["spectrum", "--b", "1e-300"],
     ["limits", "--n", "100000000"],
     ["eigen", "--n", "1000000"],
-    ["spectrum", "--window", "100000000"],
     ["spectrum", "--lambda", "1:2:100000000"],
     ["limits", "--n", "1:100000000"],
     ["spectrum", "--lambda", "0.5:2:100000", "--b", "0.1:0.9:100000",
@@ -1218,7 +1213,7 @@ def _address_space_cap():
      "1000000000"],
 ], ids=["branch-tiny-b", "branch-tinier-b", "branch-tiny-lambda",
         "branch-tiny-lambda-b", "spectrum-tiny-b", "huge-order",
-        "large-order", "huge-window", "huge-float-range", "huge-int-range",
+        "large-order", "huge-float-range", "huge-int-range",
         "huge-table", "huge-grid", "large-grid", "branch-huge-grid"])
 def test_hostile_input_answers_or_refuses(tmp_path, argv):
     # each run is its own process under a 3 GB address-space cap and a
@@ -1239,3 +1234,7 @@ def test_hostile_input_answers_or_refuses(tmp_path, argv):
         assert (done.returncode, done.stderr) == (1, (
             "error: grid size must be at most 32768 (an unfolded G's P x P"
             f" kernel block is 8 GiB there); got {size}\n"))
+    if argv == ["spectrum", "--b", "1e-300"]:  # Delta_n ~ b^2 underflows
+        assert (done.returncode, done.stderr) == (1, (
+            "error: no positivity threshold below 100000 for lam=1.0,"
+            " b=1e-300\n"))

@@ -2,7 +2,8 @@
 is used in it, every private definition is referenced somewhere in the
 package, every public function, class and method (of a class without a
 base class) is read by the package, its scripts or its benchmark (tests do
-not count), no module holds a writable array (no process-global mutable
+not count), every field of the CLI's RunConfig but jobs is read by a
+command, no module holds a writable array (no process-global mutable
 state), and an array handed out from a memo is read-only, so no caller can
 write into a result that later calls share."""
 
@@ -173,6 +174,52 @@ def test_every_public_definition_is_read_outside_tests():
     assert _unread_public(
         [path.read_text() for path in sorted(PACKAGE.glob("*.py"))],
         [path.read_text() for path in READERS]) == []
+
+
+def _unread_config_fields(source):
+    """Fields of the dataclass RunConfig in source that no `config.<attr>`
+    read outside the class reaches, directly or through a property of the
+    class that reads `self.<field>`.  The class's own validation reads
+    every field and does not count."""
+    tree = ast.parse(source)
+    (cls,) = [node for node in tree.body
+              if isinstance(node, ast.ClassDef) and node.name == "RunConfig"]
+    fields = [item.target.id for item in cls.body
+              if isinstance(item, ast.AnnAssign)]
+    properties = {
+        item.name: {node.attr for node in ast.walk(item)
+                    if isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "self"}
+        for item in cls.body if isinstance(item, ast.FunctionDef)
+        and any(isinstance(d, ast.Name) and d.id == "property"
+                for d in item.decorator_list)}
+    read = {node.attr for top in tree.body if top is not cls
+            for node in ast.walk(top)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "config"}
+    for prop in read & set(properties):
+        read |= properties[prop]
+    return sorted(set(fields) - read)
+
+
+def test_unread_config_field_scan_finds_what_it_should():
+    source = ("class RunConfig:\n    a: int = 1\n    b: int = 2\n"
+              "    c: int = 3\n    d: int = 4\n    e: int = 5\n"
+              "    def __post_init__(self):\n        check(self.c)\n"
+              "    @property\n    def both(self):\n        return self.b\n"
+              "    @property\n    def unused(self):\n        return self.e\n"
+              "def command(config, args):\n"
+              "    return config.a + config.both + args.d\n")
+    assert _unread_config_fields(source) == ["c", "d", "e"]
+
+
+def test_every_config_field_is_read_by_a_command():
+    # a setting no command reads is an option that selects nothing; jobs
+    # is the one such field kept, since perfbench passes --jobs 1 in every
+    # argv
+    source = (PACKAGE / "cli.py").read_text()
+    assert _unread_config_fields(source) == ["jobs"]
 
 
 @pytest.mark.parametrize("module", sorted(set(MODULES) - {"__main__"}))

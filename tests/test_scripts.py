@@ -14,13 +14,11 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("script, args, first_line", [
-    ("spectrum_scan.py", [],
-     "lam=0.5 b=0.3  n0=3 N=3  Omega_inf=(-0.071904, 0.389812)"),
     ("branch_demo.py",
      ["--m", "5", "--steps", "2", "--trunc", "4", "--grid-size", "64",
       "--s-max", "1e-4"],
      "lam=1 b=0.5  threshold N=3  m=5"),
-])
+], ids=["branch_demo"])
 def test_script_runs(script, args, first_line, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

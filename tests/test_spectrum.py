@@ -227,7 +227,7 @@ def test_omega_limits_small_lambda():
 def test_threshold_at_reference_point():
     # frozen from the scan; cross-checked by the discriminant signs below
     cell = ModeCell(1.0, 0.5)
-    th = cell.threshold(window=50)
+    th = cell.threshold()
     assert th == Threshold(n0=3, n=3)
     assert cell.spectrum(2)[0] < 0.0 < cell.spectrum(3)[0]
     plus_n = cell.spectrum(th.n)[1]
@@ -238,7 +238,7 @@ def test_threshold_at_reference_point():
 
 def test_threshold_interlacing_chain():
     cell = ModeCell(1.0, 0.5)
-    th = cell.threshold(window=50)
+    th = cell.threshold()
     lower, upper = cell.limits()
     for n, m in ((th.n, th.n + 1), (th.n, th.n + 7), (th.n + 4, th.n + 27),
                  (th.n + 17, th.n + 50)):
@@ -248,14 +248,32 @@ def test_threshold_interlacing_chain():
         assert pn.omega_plus < pm.omega_plus < upper
 
 
-def test_threshold_validation_and_exhaustion():
-    cell = ModeCell(1.0, 0.5)
-    with pytest.raises(ValueError):
-        cell.threshold(window=5)
-    with pytest.raises(ValueError, match="window must be at most 100000"):
-        cell.threshold(window=100_001)
-    with pytest.raises(SearchExhausted):
-        cell.threshold(window=50, cap=2)
+def test_threshold_validation_and_exhaustion(monkeypatch):
+    # (1, 0.5) certifies at order 3: a scan capped at 3 finds it, one
+    # capped at 2 is refused with the message the CLI prints
+    monkeypatch.setattr(spectrum, "_SCAN_CAP", 3)
+    assert ModeCell(1.0, 0.5).threshold() == Threshold(n0=3, n=3)
+    monkeypatch.setattr(spectrum, "_SCAN_CAP", 2)
+    with pytest.raises(SearchExhausted, match=(
+            r"^no positivity threshold below 2 for lam=1\.0, b=0\.5$")):
+        ModeCell(1.0, 0.5).threshold()
+
+
+def _limit_gap(cell, k):
+    """D_k = delta_inf - b(P_k(lam) + P_k(lam b)), where P_k = I_k K_k."""
+    b = cell.b
+    limit = b * (cell.outer.product(1) + cell.inner.product(1)) - (
+        1.0 + b * b) * cell.lam1
+    return limit - b * (cell.outer.product(k) + cell.inner.product(k))
+
+
+def _certificate_order(cell):
+    """k*: the first order with D_k > 0 and Delta_k > 1e-8 D_k^2."""
+    for k in range(1, spectrum._SCAN_CAP + 1):
+        d = _limit_gap(cell, k)
+        if d > 0.0 and cell.spectrum(k)[0] > 1e-8 * d * d:
+            return k
+    return None
 
 
 def _count_cell_builds(monkeypatch):
@@ -272,42 +290,140 @@ def _count_cell_builds(monkeypatch):
 
 
 def test_threshold_scan_builds_each_order_once(monkeypatch):
-    builds = _count_cell_builds(monkeypatch)
-    assert ModeCell(1.0, 0.5).threshold() == Threshold(n0=3, n=3)
-    assert set(builds) == set(range(1, 54))  # both scans cover [1, 3 + 50]
-    assert max(builds.values()) == 1
+    # the scan reads orders 1..k* and stops: k* = n0 = 3 at (1, 0.5);
+    # k* = 2 > n0 = 1 at (8, 0.5), since D_1 = -(1 + b^2) Lambda_1 < 0
+    # never certifies; k* = n0 = 129 at (1, 0.99)
+    for lam, b, want in ((1.0, 0.5, Threshold(n0=3, n=3)),
+                         (8.0, 0.5, Threshold(n0=1, n=2)),
+                         (1.0, 0.99, Threshold(n0=129, n=129))):
+        k_star = _certificate_order(ModeCell(lam, b))
+        builds = _count_cell_builds(monkeypatch)
+        assert ModeCell(lam, b).threshold() == want
+        assert set(builds) == set(range(1, k_star + 1)), (lam, b)
+        assert max(builds.values()) == 1
+        monkeypatch.undo()
 
 
-def _threshold_outcome(cell, scan, window, cap, tail_until):
-    # orders below tail_until get a coupling that fails the tail test, so
-    # the scan's tail branch runs too (no real cell tried fails that test)
-    coupling = cell.coupling
-    cell.coupling = lambda n: 1e10 if n < tail_until else coupling(n)
+def _threshold_outcome(cell, scan):
     try:
-        result = scan(cell, window, cap)
+        result = scan(cell)
     except SearchExhausted as exhausted:
         result = str(exhausted)
     return result, set(cell._spectra)
 
 
 def test_threshold_scan_matches_the_two_loop_reference():
-    # one running count per threshold returns what the two candidate loops
-    # returned, or raises their message, after reading the same orders
-    kinds = Counter()
-    for lam in (0.1, 1.0, 8.0, 300.0):
-        for b in (0.1, 0.5, 0.8, 0.95):
-            for window, cap in ((10, 0), (10, 1), (10, 3), (10, 40),
-                                (20, 5), (20, 200)):
-                for tail_until in (0, 25):
-                    got, want = (
-                        _threshold_outcome(ModeCell(lam, b), scan, window,
-                                           cap, tail_until)
-                        for scan in (ModeCell.threshold,
-                                     oracles.threshold_reference))
-                    assert got == want, (lam, b, window, cap, tail_until)
-                    kinds[got[0].split(" threshold")[0]
-                          if isinstance(got[0], str) else "found"] += 1
-    assert set(kinds) == {"found", "no positivity", "no monotonicity"}
+    # the certificate rule returns what the window-50 scan returned, or
+    # raises its message, and reads none of the orders that scan did not
+    grid = [(lam, b) for lam in (0.1, 1.0, 8.0, 300.0)
+            for b in (0.1, 0.5, 0.8, 0.95)]
+    # the spectral-tables benchmark grid at seed 0
+    grid += [(lam, b) for lam in cli.parse_float_grid("0.1:5.0:8")
+             for b in cli.parse_float_grid("0.1:0.9:8")]
+    for lam, b in grid + [(1.0, 1e-120), (1e-300, 0.5)]:
+        got, read = _threshold_outcome(ModeCell(lam, b), ModeCell.threshold)
+        want, reference_read = _threshold_outcome(
+            ModeCell(lam, b),
+            lambda cell: oracles.threshold_reference(cell, 50, 100_000))
+        assert got == want, (lam, b)
+        assert read <= reference_read, (lam, b)
+
+
+# the cells of the Bessel-fact tests: arguments lam and lam b from 1e-6 to
+# 700, and certificate orders k* from 2 to 1500
+_FACT_LAMBDAS = (1e-3, 0.1, 1.0, 8.0, 50.0, 300.0, 700.0)
+_FACT_BS = (1e-3, 0.5, 0.9, 0.99, 0.999)
+
+
+def _mp_bessel(mp, x, top):
+    """[I_n(x)] and [K_n(x)] for n = 0..top in 30-digit mpmath: K by its
+    upward recurrence from K_0 and K_1, I by its downward recurrence from
+    I_top and I_{top-1} (each the stable direction)."""
+    x = mp.mpf(x)
+    ks = [mp.besselk(0, x), mp.besselk(1, x)]
+    for j in range(1, top):
+        ks.append(ks[j - 1] + 2 * j / x * ks[j])
+    i_down = [mp.besseli(top, x), mp.besseli(top - 1, x)]
+    for j in range(top - 1, 0, -1):
+        i_down.append(i_down[-1] * 2 * j / x + i_down[-2])
+    return i_down[::-1], ks
+
+
+def test_bessel_facts_behind_the_threshold_against_mpmath():
+    # (F1) P_n(x) = I_n(x) K_n(x) and (F4) Lambda_n = I_n(lam b) K_n(lam)
+    # fall strictly in n, through k* + 60; F4 by way of the ratio bounds
+    # I_{n+1}/I_n(y) < y/(c + sqrt(c^2 + y^2)) and K_{n+1}/K_n(x) <
+    # (c + sqrt(c^2 + x^2))/x at c = n + 1/2
+    mp = pytest.importorskip("mpmath")
+    for lam, b in [(lam, b) for lam in _FACT_LAMBDAS for b in _FACT_BS]:
+        top = _certificate_order(ModeCell(lam, b)) + 61
+        with mp.workdps(30):
+            i_out, k_out = _mp_bessel(mp, lam, top)
+            i_in, k_in = _mp_bessel(mp, lam * b, top)
+            x, y = mp.mpf(lam), mp.mpf(lam * b)
+            for n in range(1, top):
+                c = n + mp.mpf(0.5)
+                assert i_out[n + 1] * k_out[n + 1] < i_out[n] * k_out[n]
+                assert i_in[n + 1] * k_in[n + 1] < i_in[n] * k_in[n]
+                assert i_in[n + 1] / i_in[n] < y / (c + mp.hypot(c, y))
+                assert k_out[n + 1] / k_out[n] < (c + mp.hypot(c, x)) / x
+                assert i_in[n + 1] * k_out[n + 1] < i_in[n] * k_out[n], (
+                    lam, b, n)
+
+
+def test_computed_discriminant_stays_certified_past_k_star():
+    # what F1 and F4 promise past k*, in the computed values: Delta_j > 0
+    # and strictly monotone steps for 300 orders, or up to the ladder's
+    # own OverflowError
+    hostile = [(1.0, 1e-120), (1e-300, 0.5), (1.0, 0.9999), (1e-300, 0.9999)]
+    for lam, b in [(lam, b) for lam in _FACT_LAMBDAS
+                   for b in _FACT_BS] + hostile:
+        cell = ModeCell(lam, b)
+        k_star = _certificate_order(cell)
+        prev = cell.spectrum(k_star)[1]
+        assert prev.discriminant > 0.0, (lam, b)
+        for j in range(k_star + 1, k_star + 301):
+            try:
+                delta, pair = cell.spectrum(j)
+            except OverflowError:
+                break
+            assert delta > 0.0, (lam, b, j)
+            assert prev.omega_plus < pair.omega_plus, (lam, b, j)
+            assert prev.omega_minus > pair.omega_minus, (lam, b, j)
+            prev = pair
+
+
+def test_threshold_moves_with_a_broken_discriminant():
+    # mutations of the orders a scan reads, each pair kept as computed:
+    # Delta <= 0 from k* through an order past it moves k*, n0 and n past
+    # that order; a Delta at k* just inside the margin (0.5e-8 D^2) moves
+    # k* by one and leaves (n0, n); one just outside it (2e-8 D^2) moves
+    # nothing
+    for lam, b in ((1.0, 0.5), (8.0, 0.5), (1.0, 0.9)):
+        fresh = ModeCell(lam, b)
+        k_star = _certificate_order(fresh)
+        d = _limit_gap(fresh, k_star)
+        today = fresh.threshold()
+        for patched, value, moved in (
+                (range(k_star, k_star + 5), -1.0, k_star + 5),
+                ([k_star], 0.5e-8 * d * d, k_star + 1),
+                ([k_star], 2e-8 * d * d, k_star)):
+            cell = ModeCell(lam, b)
+            read = []
+            honest = cell.spectrum
+
+            def broken(k):
+                read.append(k)
+                delta, pair = honest(k)
+                return (value, pair) if k in patched else (delta, pair)
+
+            cell.spectrum = broken
+            got = cell.threshold()
+            assert max(read) == moved, (lam, b, value)
+            if value < 0.0:
+                assert got == Threshold(n0=moved, n=moved), (lam, b)
+            else:
+                assert got == today, (lam, b, value)
 
 
 def test_spectrum_command_builds_each_order_once_per_cell(monkeypatch, tmp_path):
@@ -315,7 +431,7 @@ def test_spectrum_command_builds_each_order_once_per_cell(monkeypatch, tmp_path)
     argv = ["spectrum", "--lambda", "1", "--b", "0.5", "--n", "1:60",
             "--out", str(tmp_path)]
     assert cli.main(argv) == 0
-    # the scan covers [1, 53], the rows [1, 60]; rows reuse the scan's memo
+    # the scan covers [1, 3], the rows [1, 60]; rows reuse the scan's memo
     assert set(builds) == set(range(1, 61))
     assert max(builds.values()) == 1
 
@@ -324,7 +440,7 @@ def _cell_on_a_used_ladder(lam, b):
     # the ladder at lam a table row shares, already extended past order 60
     # (and its memos filled) by the cell of another b
     ladder = BesselLadder(lam)
-    ModeCell(lam, 0.2, outer=ladder).threshold(20)
+    ModeCell(lam, 0.2, outer=ladder).threshold()
     ladder.i(90)
     cell = ModeCell(lam, b, outer=ladder)
     assert cell.outer is ladder
@@ -341,7 +457,7 @@ def test_cell_matches_per_order_functions_bitwise():
     ):
         cell = build(lam, b)
         assert cell.limits() == ModeCell(lam, b).limits()
-        assert cell.threshold(20) == ModeCell(lam, b).threshold(20)
+        assert cell.threshold() == ModeCell(lam, b).threshold()
         for n in orders:
             fresh = math.exp(BesselLadder(lam * b).log_i(n)
                              + BesselLadder(lam).log_k(n))
@@ -461,7 +577,7 @@ def test_transversality_sweep():
     for lam in (0.5, 1.0, 2.0):
         for b in (0.3, 0.5, 0.7):
             cell = ModeCell(lam, b)
-            th = cell.threshold(window=50)
+            th = cell.threshold()
             for m in range(th.n + 1, th.n + 11):
                 assert cell.root(m, "+")[2], (lam, b, m)
                 assert cell.root(m, "-")[2], (lam, b, m)
