@@ -341,17 +341,14 @@ def _cmd_eigen(config):
 
     def cell_rows(cell):
         for n in config.ns:
-            delta, pair = cell.spectrum(n)
+            delta = cell.spectrum(n)[0]
             head = (cell.lam, cell.b, n, delta)
-            if pair is None or pair.degenerate:
+            if not delta > 0.0:
                 yield head + (None,) * 6 + (False, False)
                 continue
-            yield (
-                head + (pair.omega_minus, pair.omega_plus)
-                + pair.kernel_minus
-                + pair.kernel_plus
-                + (pair.transversal_minus, pair.transversal_plus)
-            )
+            (minus, v_minus, t_minus), (plus, v_plus, t_plus) = (
+                cell.root(n, "-"), cell.root(n, "+"))
+            yield head + (minus, plus, *v_minus, *v_plus, t_minus, t_plus)
 
     return _table_command(config, "eigen", header, cell_rows)
 

@@ -254,8 +254,7 @@ class _ProjectedSystem:
         count = self.trunc
         full = np.zeros((2 * count, 2 * count + 1))
         for k, n in enumerate(self.modes):
-            pair = (k, count + k)
-            full[np.ix_(pair, pair)] = self.cell.matrix(n, omega).block()
+            full[k::count, k:2 * count:count] = self.cell.block(n, omega)
         for j, (scale, a) in enumerate(zip((1.0, self.cell.b), lattice)):
             lags = np.append(np.correlate(a, a, "full")[count:], 0.0)
             full[j * count : (j + 1) * count, -1] = (
@@ -277,8 +276,8 @@ class _ProjectedSystem:
         """The predicted first omitted lattice pair (a_{K+1}, b_{K+1}):
         -(n M_n(Omega))^{-1} sine at n = m(K+1), from the residual's sine
         pair there."""
-        block = self.cell.matrix(self.m * (self.trunc + 1), omega).block()
-        return -np.linalg.solve(block, sine)
+        return -np.linalg.solve(
+            self.cell.block(self.m * (self.trunc + 1), omega), sine)
 
     def step(self, u, projected, target, halvings=0):
         """(u, (projected, node_res, sine), norm) after one Newton step with

@@ -423,11 +423,11 @@ def linearization_check(n, lam, b, omega, epsilon, grid):
     bare annulus G(0) has no sine content and needs no call.
 
     Returns (recovered, deviation) where deviation = recovered - M_n
-    entrywise, with M_n from ModeCell.matrix.  Modes n >= P/2 have no sine
+    entrywise, with M_n = ModeCell.block / n.  Modes n >= P/2 have no sine
     on the grid and are refused.
     """
-    mat = ModeCell(lam, b).matrix(n, omega)  # refuses n < 1 up front
-    n = mat.n
+    block = ModeCell(lam, b).block(n, omega)  # refuses n < 1 up front
+    n = _check_order(n)
     _check_mode_fits(n, grid.node_count)
     if not 1e-8 <= epsilon <= 1e-4:
         raise ValueError(
@@ -443,5 +443,5 @@ def linearization_check(n, lam, b, omega, epsilon, grid):
             sine = sine_coefficients(g_functional(lam, b, omega, *pair, grid),
                                      grid)
             recovered[:, col] += sign * sine[:, n] / (len(signs) * epsilon * n)
-    deviation = recovered - mat.block() / n
+    deviation = recovered - block / n
     return recovered, deviation

@@ -19,7 +19,7 @@ single-interface multiplier.
 Every mode quantity of one (lam, b) cell is read from a ModeCell, which
 carries one Bessel ladder at lam and one at lam b across all orders (the
 cells of one lam may share its ladder) and has a method per quantity:
-matrix, spectrum, root, limits, simply_connected and threshold.
+block, spectrum, root, limits, simply_connected and threshold.
 """
 
 from __future__ import annotations
@@ -86,83 +86,24 @@ def _rankine(ladder, n):
 
 
 @dataclass(frozen=True)
-class SpectralMatrix:
-    """Fourier-multiplier matrix of the linearized problem at mode n."""
-
-    m11: float
-    m12: float
-    m21: float
-    m22: float
-    n: int
-
-    def block(self):
-        """n M_n as a 2 x 2 array: the linearization of the contour
-        functional G at the annulus on mode n.  Entry (row, col) is the
-        derivative of <G_row, sin(n theta)> with respect to the coefficient
-        of conj(w)^{n-1} in interface col (outer, inner), at fixed Omega."""
-        return self.n * np.array([[self.m11, self.m12], [self.m21, self.m22]])
-
-
-@dataclass(frozen=True)
 class EigenPair:
-    """Real roots of det M_n(Omega) = 0 with their quadratic data.
+    """Real roots omega_minus <= omega_plus of det M_n(Omega) = 0; the
+    kernel vector and crossing test at each root are ModeCell.root's."""
 
-    Satisfies the Vieta identities omega_minus + omega_plus = b_coeff/b and
-    omega_minus * omega_plus = c_coeff/b.  `degenerate` marks a coincident
-    pair (discriminant exactly zero); continuation refuses those.
-    kernel_minus/kernel_plus generate the kernel of M_n at each root and
-    transversal_minus/transversal_plus are the matching crossing tests (see
-    ModeCell.root).
-    """
-
-    n: int
     omega_minus: float
     omega_plus: float
-    discriminant: float
-    b_coeff: float
-    c_coeff: float
-    degenerate: bool
-    kernel_minus: tuple
-    kernel_plus: tuple
-    transversal_minus: bool
-    transversal_plus: bool
 
 
-def _transversal(v, b):
-    # obstruction v1^2 - b^2 v2^2 of kernel vector v against 1e-10 times its
-    # natural scale (see ModeCell.root)
-    v1, v2 = v
-    obstruction = v1 * v1 - b * b * v2 * v2
-    scale = v1 * v1 + b * b * v2 * v2
-    return abs(obstruction) > 1e-10 * max(scale, 1e-300)
-
-
-def _mode_spectrum(n, b, lam1, lamn, outer, inner):
+def _mode_spectrum(b, lam1, lamn, outer, inner):
     """(Delta_n, EigenPair or None) from the quantities of mode n."""
     delta = b * (outer + inner) - (1.0 + b * b) * lam1
     b_coeff = (1.0 - b * b) * lam1 + b * (outer - inner)
-    c_coeff = (outer - b * lam1) * (lam1 - b * inner) + b * lamn * lamn
     delta_n = delta * delta - 4.0 * b * b * lamn * lamn
     if delta_n < 0.0:
         return delta_n, None
     root = math.sqrt(delta_n)
-    omega_minus = (b_coeff - root) / (2.0 * b)
-    omega_plus = (b_coeff + root) / (2.0 * b)
-    kernel_minus = (b * (inner + omega_minus) - lam1, -lamn)
-    kernel_plus = (b * (inner + omega_plus) - lam1, -lamn)
-    return delta_n, EigenPair(
-        n=n,
-        omega_minus=omega_minus,
-        omega_plus=omega_plus,
-        discriminant=delta_n,
-        b_coeff=b_coeff,
-        c_coeff=c_coeff,
-        degenerate=(delta_n == 0.0),
-        kernel_minus=kernel_minus,
-        kernel_plus=kernel_plus,
-        transversal_minus=_transversal(kernel_minus, b),
-        transversal_plus=_transversal(kernel_plus, b),
-    )
+    return delta_n, EigenPair((b_coeff - root) / (2.0 * b),
+                              (b_coeff + root) / (2.0 * b))
 
 
 @dataclass(frozen=True)
@@ -184,6 +125,9 @@ class ModeCell:
     each order once.  The one place Lambda_n, Omega_n and M_n are
     evaluated.  outer, if given, is a ladder at lam (any other argument is
     a ValueError) shared with other cells, bit-identical to a fresh one.
+    A cell is refused before any order is read when lam b (the smaller
+    argument, as b < 1) lies below the range of bessel._k0_nodes, whose
+    trapezoid rule needs 40/(lam b) finite: about 2.2e-307, 0 included.
     """
 
     def __init__(self, lam, b, *, outer=None):
@@ -192,6 +136,11 @@ class ModeCell:
         if outer is not None and outer.x != lam:
             raise ValueError(
                 f"outer ladder is at x={outer.x!r}, not at lambda={lam!r}")
+        if not (lam * b > 0.0 and 40.0 / (lam * b) < math.inf):
+            raise ValueError(
+                f"K_0({lam * b!r}): the trapezoid rule cannot be sized at"
+                f" lambda b below about 2.2e-307, so the cell lambda={lam},"
+                f" b={b} lies outside the Bessel ladder's range")
         self.lam = lam
         self.b = b
         self.outer = BesselLadder(lam) if outer is None else outer
@@ -214,22 +163,23 @@ class ModeCell:
             _rankine(self.inner, n),
         )
 
-    def matrix(self, n, omega):
-        """M_n(lam, b, Omega) acting on the mode-n coefficient pair.
+    def block(self, n, omega):
+        """n M_n(lam, b, Omega) as a 2 x 2 array: the linearization of the
+        contour functional G at the annulus on mode n.
 
-        Rows are (outer, inner) interface conditions, columns the
-        perturbation coefficients (a_{n-1}, b_{n-1}); m12 > 0 > m21 always,
-        m12/m21 = -b.
+        Entry (row, col) is the derivative of <G_row, sin(n theta)> with
+        respect to the coefficient of conj(w)^{n-1} in interface col (rows
+        and columns ordered outer, inner), at fixed Omega.  M_n =
+        [[Omega_n(lam) - Omega - b Lambda_1, b Lambda_n], [-Lambda_n,
+        Lambda_1 - b (Omega_n(lam b) + Omega)]], so m12 > 0 > m21 always
+        and m12/m21 = -b.
         """
+        n = _check_order(n)
         lam1, lamn, outer, inner = self.mode(n)
         b = self.b
-        return SpectralMatrix(
-            m11=outer - omega - b * lam1,
-            m12=b * lamn,
-            m21=-lamn,
-            m22=lam1 - b * (inner + omega),
-            n=int(n),
-        )
+        return n * np.array(
+            [[outer - omega - b * lam1, b * lamn],
+             [-lamn, lam1 - b * (inner + omega)]])
 
     def spectrum(self, n):
         """(Delta_n, EigenPair or None), evaluated once per order.
@@ -241,7 +191,7 @@ class ModeCell:
         """
         if n not in self._spectra:
             n = _check_order(n)
-            self._spectra[n] = _mode_spectrum(n, self.b, *self.mode(n))
+            self._spectra[n] = _mode_spectrum(self.b, *self.mode(n))
         return self._spectra[n]
 
     def root(self, m, sign):
@@ -249,7 +199,7 @@ class ModeCell:
         ValueError unless Delta_m > 0 strictly.
 
         The kernel vector (v1, v2) = (b[Omega_m(lam b) + Omega] - Lambda_1,
-        -Lambda_m), i.e. (-m22, m21), generates the one-dimensional kernel
+        -Lambda_m), i.e. (-m22, m21), evaluated here alone, generates the one-dimensional kernel
         of M_m at Omega = Omega_m^{sign}: the annihilator of the second
         matrix column, computed from the adjugate so kernel membership is
         exact in both rows.  The crossing is transversal when the
@@ -267,9 +217,14 @@ class ModeCell:
                 f"{self.lam:.17g}, b={self.b:.17g}: discriminant"
                 f" {delta:.17g} <= 0"
             )
-        if plus:
-            return pair.omega_plus, pair.kernel_plus, pair.transversal_plus
-        return pair.omega_minus, pair.kernel_minus, pair.transversal_minus
+        omega = pair.omega_plus if plus else pair.omega_minus
+        lam1, lamm, _, inner = self.mode(m)
+        b = self.b
+        v1, v2 = b * (inner + omega) - lam1, -lamm
+        obstruction = v1 * v1 - b * b * v2 * v2
+        scale = v1 * v1 + b * b * v2 * v2
+        return (omega, (v1, v2),
+                abs(obstruction) > 1e-10 * max(scale, 1e-300))
 
     def limits(self):
         """Limits (Omega_inf_minus, Omega_inf_plus) of the two eigenvalue
@@ -312,19 +267,28 @@ class ModeCell:
         omega_plus and falling in omega_minus.
 
         k* is the first order with D_k > 0 and computed Delta_k >
-        _MARGIN D_k^2.  n0 is one past the last order below k* with
-        Delta <= 0, n one past the last step below k* that is not strictly
-        monotone, and at least n0.  Exact in real arithmetic given F1 and
-        F4, evaluated in floating point with the margin _MARGIN;
-        SearchExhausted when no order up to _SCAN_CAP is k*.
+        _MARGIN D_k^2 > 0: a margin that underflows to 0 certifies nothing,
+        since a subnormal Delta_k carries rounding errors far above it.  n0
+        is one past the last order below k* with Delta <= 0, n one past the
+        last step below k* that is not strictly monotone, and at least n0.
+        Exact in real arithmetic given F1 and F4, evaluated in floating
+        point with the margin _MARGIN; SearchExhausted when no order up to
+        _SCAN_CAP is k*.
+
+        No order is read when none can be k*: as computed, D_k is
+        delta_inf less a nonnegative number, so (rounding being monotone)
+        _MARGIN D_k^2 <= _MARGIN delta_inf^2 wherever D_k > 0, and the
+        scan refuses at once when delta_inf <= 0 or _MARGIN delta_inf^2
+        underflows to 0 (b below about 1e-158).
         """
         b = self.b
         delta_inf = b * (self.outer.product(1) + self.inner.product(1)) - (
             1.0 + b * b
         ) * self.lam1
+        passable = delta_inf > 0.0 and _MARGIN * delta_inf * delta_inf > 0.0
         n0 = n = 1
         prev = None
-        for k in range(1, _SCAN_CAP + 1):
+        for k in range(1, _SCAN_CAP + 1 if passable else 1):
             delta, pair = self.spectrum(k)
             if not delta > 0.0:
                 n0 = k + 1
@@ -333,7 +297,7 @@ class ModeCell:
                     and prev.omega_minus > pair.omega_minus):
                 n = k  # the step k - 1 -> k is not strictly monotone
             d = delta_inf - b * (self.outer.product(k) + self.inner.product(k))
-            if d > 0.0 and delta > _MARGIN * d * d:
+            if d > 0.0 and delta > _MARGIN * d * d > 0.0:
                 return Threshold(n0=n0, n=max(n0, n))
             prev = pair
         raise SearchExhausted(

@@ -161,9 +161,24 @@ def threshold_reference(cell, window, cap):
     )
 
 
-def determinant(mat):
-    """det M_n of a spectrum.SpectralMatrix, m11 m22 - m12 m21."""
-    return mat.m11 * mat.m22 - mat.m12 * mat.m21
+def determinant(block):
+    """det of a 2 x 2 array such as ModeCell.block's, m11 m22 - m12 m21."""
+    return block[0, 0] * block[1, 1] - block[0, 1] * block[1, 0]
+
+
+def quadratic(cell, n):
+    """(B_n, C_n, Delta_n) of det M_n(Omega) = b Omega^2 - B_n Omega + C_n
+    from cell.mode(n): B_n = (1-b^2) Lambda_1 + b(Omega_n(lam)
+    - Omega_n(lam b)), C_n = (Omega_n(lam) - b Lambda_1)(Lambda_1
+    - b Omega_n(lam b)) + b Lambda_n^2 and Delta_n = (b(Omega_n(lam)
+    + Omega_n(lam b)) - (1+b^2) Lambda_1)^2 - 4 b^2 Lambda_n^2, which
+    equals B_n^2 - 4 b C_n."""
+    lam1, lamn, outer, inner = cell.mode(n)
+    b = cell.b
+    b_n = (1.0 - b * b) * lam1 + b * (outer - inner)
+    c_n = (outer - b * lam1) * (lam1 - b * inner) + b * lamn * lamn
+    gap = b * (outer + inner) - (1.0 + b * b) * lam1
+    return b_n, c_n, gap * gap - 4.0 * b * b * lamn * lamn
 
 
 # ---------------------------------------------------------------------------
@@ -583,8 +598,7 @@ def linearization_check_central(n, lam, b, omega, epsilon, grid):
     )
     from qgsw_vstates.spectrum import ModeCell
 
-    mat = ModeCell(lam, b).matrix(n, omega)  # refuses n < 1 up front
-    n = mat.n
+    block = ModeCell(lam, b).block(n, omega)  # refuses n < 1 up front
     if not 1e-8 <= epsilon <= 1e-4:
         raise ValueError(
             f"step must lie in [1e-8, 1e-4]; got {epsilon}"
@@ -602,7 +616,7 @@ def linearization_check_central(n, lam, b, omega, epsilon, grid):
             for row, g in enumerate((g1, g2)):
                 sine = sine_coefficients(g, grid)
                 recovered[row, col] += sign * sine[n] / (2.0 * epsilon * n)
-    deviation = recovered - mat.block() / n
+    deviation = recovered - block / n
     return recovered, deviation
 
 

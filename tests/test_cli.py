@@ -1190,6 +1190,12 @@ def test_memory_error_is_refused_naming_the_grid_size(tmp_path, capsys,
         "error: out of memory at grid size 512: allocation failed\n")
 
 
+def _below_range(lam_b, lam, b):
+    return (f"error: K_0({lam_b}): the trapezoid rule cannot be sized at"
+            f" lambda b below about 2.2e-307, so the cell lambda={lam},"
+            f" b={b} lies outside the Bessel ladder's range\n")
+
+
 def _address_space_cap():
     cap = 3 * 2**30
     resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
@@ -1201,6 +1207,10 @@ def _address_space_cap():
     ["branch", "--lambda", "1e-300", "--b", "0.5", "--m", "5", "--steps", "1"],
     ["branch", "--lambda", "1e-300", "--b", "1e-300", "--m", "5"],
     ["spectrum", "--b", "1e-300"],
+    ["spectrum", "--lambda", "1e-3", "--b", "1e-300"],
+    ["spectrum", "--lambda", "1e-300", "--b", "1e-300"],
+    ["spectrum", "--lambda", "3e-307", "--b", "0.5"],
+    ["spectrum", "--lambda", "1e-160", "--b", "1e-150"],
     ["limits", "--n", "100000000"],
     ["eigen", "--n", "1000000"],
     ["spectrum", "--lambda", "1:2:100000000"],
@@ -1212,7 +1222,9 @@ def _address_space_cap():
     ["branch", "--lambda", "1", "--b", "0.5", "--m", "5", "--grid-size",
      "1000000000"],
 ], ids=["branch-tiny-b", "branch-tinier-b", "branch-tiny-lambda",
-        "branch-tiny-lambda-b", "spectrum-tiny-b", "huge-order",
+        "branch-tiny-lambda-b", "spectrum-tiny-b",
+        "spectrum-tiny-lambda-tiny-b", "spectrum-underflowing-cell",
+        "spectrum-tiny-lambda", "spectrum-tiny-lambda-b", "huge-order",
         "large-order", "huge-float-range", "huge-int-range",
         "huge-table", "huge-grid", "large-grid", "branch-huge-grid"])
 def test_hostile_input_answers_or_refuses(tmp_path, argv):
@@ -1234,7 +1246,21 @@ def test_hostile_input_answers_or_refuses(tmp_path, argv):
         assert (done.returncode, done.stderr) == (1, (
             "error: grid size must be at most 32768 (an unfolded G's P x P"
             f" kernel block is 8 GiB there); got {size}\n"))
-    if argv == ["spectrum", "--b", "1e-300"]:  # Delta_n ~ b^2 underflows
-        assert (done.returncode, done.stderr) == (1, (
-            "error: no positivity threshold below 100000 for lam=1.0,"
-            " b=1e-300\n"))
+    refusals = {  # each names the cell
+        # Delta_n ~ b^2 underflows, so no order can certify a threshold
+        ("--b", "1e-300"): ("error: no positivity threshold below 100000"
+                            " for lam=1.0, b=1e-300\n"),
+        ("--lambda", "1e-3", "--b", "1e-300"): (
+            "error: no positivity threshold below 100000 for lam=0.001,"
+            " b=1e-300\n"),
+        # lambda b lies below the range the ladder's K_0 can be sized on
+        ("--lambda", "1e-300", "--b", "1e-300"): _below_range(
+            "0.0", "1e-300", "1e-300"),
+        ("--lambda", "3e-307", "--b", "0.5"): _below_range(
+            "1.5e-307", "3e-307", "0.5"),
+        ("--lambda", "1e-160", "--b", "1e-150"): _below_range(
+            "1e-310", "1e-160", "1e-150"),
+    }
+    if argv[0] == "spectrum" and tuple(argv[1:]) in refusals:
+        assert (done.returncode, done.stderr) == (
+            1, refusals[tuple(argv[1:])])

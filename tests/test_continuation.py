@@ -483,7 +483,7 @@ def test_one_linearization_builds_one_mode_cell(monkeypatch):
     cell = spectrum.ModeCell(LAM, B)
     for k in range(1, trunc):  # column 0, the pinned a_{m-1}, is dropped
         block = seeded[np.ix_((k, trunc + k), (k - 1, trunc + k - 1))]
-        want = cell.matrix(M * (k + 1), 0.3).block()
+        want = cell.block(M * (k + 1), 0.3)
         assert np.array_equal(block, want), k
 
 

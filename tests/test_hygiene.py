@@ -2,13 +2,17 @@
 is used in it, every private definition is referenced somewhere in the
 package, every public function, class and method (of a class without a
 base class) is read by the package, its scripts or its benchmark (tests do
-not count), every field of the CLI's RunConfig but jobs is read by a
-command, no module holds a writable array (no process-global mutable
-state), and an array handed out from a memo is read-only, so no caller can
-write into a result that later calls share."""
+not count), and so is every public dataclass field, as an attribute, every
+field of the CLI's RunConfig but jobs is read by a command, no module holds
+a writable array (no process-global mutable state), an array handed out
+from a memo is read-only, so no caller can write into a result that later
+calls share, and a failing property test does not end the suite's run."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -176,6 +180,53 @@ def test_every_public_definition_is_read_outside_tests():
         [path.read_text() for path in READERS]) == []
 
 
+def _dataclass_fields(tree):
+    """(name, qualified name) of the public fields of tree's module-level
+    dataclasses."""
+    def is_dataclass(decorator):
+        if isinstance(decorator, ast.Call):
+            decorator = decorator.func
+        return isinstance(decorator, ast.Name) and decorator.id == "dataclass"
+
+    return [(item.target.id, f"{node.name}.{item.target.id}")
+            for node in tree.body if isinstance(node, ast.ClassDef)
+            and any(is_dataclass(d) for d in node.decorator_list)
+            for item in node.body if isinstance(item, ast.AnnAssign)
+            and not item.target.id.startswith("_")]
+
+
+def _unread_fields(sources, readers):
+    """Qualified names of the public dataclass fields of sources that no
+    attribute read of the sources or the readers reaches (by name, whatever
+    the object)."""
+    trees = [ast.parse(source) for source in sources]
+    read = {node.attr
+            for tree in trees + [ast.parse(source) for source in readers]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    return sorted(qualified for tree in trees
+                  for name, qualified in _dataclass_fields(tree)
+                  if name not in read)
+
+
+def test_unread_field_scan_finds_what_it_should():
+    source = ("from dataclasses import dataclass\n@dataclass(frozen=True)\n"
+              "class A:\n    x: int\n    y: int\n    _z: int = 0\n"
+              "    w: int = 1\n    def total(self):\n"
+              "        return self.x\n@dataclass\nclass B:\n    v: int\n"
+              "class C:\n    u: int\nA(1, 2).y = 3\n")
+    # a store is not a read, and neither is a field of a plain class
+    assert _unread_fields([source], []) == ["A.w", "A.y", "B.v"]
+    assert _unread_fields([source], ["print(b.v, a.w)\n"]) == ["A.y"]
+
+
+def test_every_dataclass_field_is_read_outside_tests():
+    assert _unread_fields(
+        [path.read_text() for path in sorted(PACKAGE.glob("*.py"))],
+        [path.read_text() for path in READERS]) == []
+
+
 def _unread_config_fields(source):
     """Fields of the dataclass RunConfig in source that no `config.<attr>`
     read outside the class reaches, directly or through a property of the
@@ -238,3 +289,25 @@ def test_memoized_arrays_are_read_only():
               grid.log_weights(4), grid.log_weights(2), grid.transpose_index(8),
               grid.transpose_index(8), grid.theta, grid.nodes]
     assert [arr.flags.writeable for arr in shared] == [False] * len(shared)
+
+
+def test_a_failing_property_test_leaves_the_run_reporting(tmp_path):
+    # under the repo's pytest config (every warning an error) and its
+    # conftest, a failing @given test is reported as a failure and the
+    # tests after it still run
+    for name in ("pyproject.toml", "conftest.py"):
+        if (ROOT / name).exists():
+            (tmp_path / name).write_text((ROOT / name).read_text())
+    (tmp_path / "test_probe.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\ndef test_fails(x):\n    assert x < 0\n\n\n"
+        "def test_passes():\n    pass\n")
+    env = {key: value for key, value in os.environ.items()
+           if not key.startswith("PYTEST_")}
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "test_probe.py"],
+        cwd=tmp_path, capture_output=True, text=True, env=env, timeout=120)
+    assert "INTERNALERROR" not in done.stdout + done.stderr, done.stdout
+    assert done.returncode == 1, done.stdout
+    assert "1 failed, 1 passed" in done.stdout, done.stdout

@@ -32,9 +32,9 @@ def _rankine(n, x):
     return ladder.product(1) - ladder.product(n)
 
 
-def _scale(mat):
+def _scale(block):
     """Largest entry magnitude, for relative tolerance checks."""
-    return max(abs(mat.m11), abs(mat.m12), abs(mat.m21), abs(mat.m22))
+    return float(np.max(np.abs(block)))
 
 
 def test_coupling_small_lambda_limit():
@@ -58,7 +58,7 @@ def test_coupling_validation():
     # the cell refuses lam <= 0, b outside (0, 1) and orders below 1
     cell = ModeCell(1.0, 0.5)
     for call in (cell.mode, cell.spectrum, cell.simply_connected,
-                 lambda n: cell.matrix(n, 0.1)):
+                 lambda n: cell.block(n, 0.1)):
         for n in (0, -2):
             with pytest.raises(ValueError, match="order must be >= 1"):
                 call(n)
@@ -74,13 +74,13 @@ def test_fractional_orders_are_refused_not_truncated():
     # the order check is the ladder's integrality test: 2.7 is not mode 2
     cell = ModeCell(1.0, 0.5)
     for call in (cell.mode, cell.spectrum, cell.simply_connected,
-                 lambda n: cell.matrix(n, 0.1),
+                 lambda n: cell.block(n, 0.1),
                  lambda n: cell.root(n, "+"),
                  lambda n: euler_eigenvalues(n, 0.5)):
         for n in (2.7, 2.5, 4.5):
             with pytest.raises(ValueError, match="order must be an integer"):
                 call(n)
-    assert cell.matrix(3.0, 0.1) == cell.matrix(3, 0.1)
+    assert np.array_equal(cell.block(3.0, 0.1), cell.block(3, 0.1))
 
 
 def test_rankine_multiplier_basics():
@@ -99,34 +99,32 @@ def test_rankine_multiplier_tail():
 
 
 def test_matrix_entries_rebuild_bit_identical():
+    # block is n M_n, each entry of M_n from quantities of fresh ladders
     n, lam, b = 8, 1.0, 0.5
-    mat = ModeCell(lam, b).matrix(n, 0.0)
     lam1 = _coupling(1, lam, b)
     lamn = _coupling(n, lam, b)
-    assert mat.m11 == _rankine(n, lam) - 0.0 - b * lam1
-    assert mat.m12 == b * lamn
-    assert mat.m21 == -lamn
-    assert mat.m22 == lam1 - b * (_rankine(n, lam * b) + 0.0)
-    assert mat.n == n
-    assert np.array_equal(
-        mat.block(), n * np.array([[mat.m11, mat.m12], [mat.m21, mat.m22]])
-    )
+    m11 = _rankine(n, lam) - 0.0 - b * lam1
+    m12 = b * lamn
+    m21 = -lamn
+    m22 = lam1 - b * (_rankine(n, lam * b) + 0.0)
+    assert np.array_equal(ModeCell(lam, b).block(n, 0.0),
+                          n * np.array([[m11, m12], [m21, m22]]))
 
 
 def test_matrix_sign_structure():
     cell = ModeCell(1.0, 0.5)
     for n in (1, 3, 12):
-        mat = cell.matrix(n, 0.1)
-        assert mat.m12 > 0.0 > mat.m21
-        assert mat.m12 / mat.m21 == pytest.approx(-0.5, rel=1e-14)
+        block = cell.block(n, 0.1)
+        assert block[0, 1] > 0.0 > block[1, 0]
+        assert block[0, 1] / block[1, 0] == pytest.approx(-0.5, rel=1e-14)
 
 
 def test_matrix_determinant_vanishes_at_roots():
     cell = ModeCell(1.0, 0.5)
     pair = cell.spectrum(5)[1]
     for omega in (pair.omega_minus, pair.omega_plus):
-        mat = cell.matrix(5, omega)
-        assert abs(oracles.determinant(mat)) <= 1e-12 * _scale(mat) ** 2
+        block = cell.block(5, omega)
+        assert abs(oracles.determinant(block)) <= 1e-12 * _scale(block) ** 2
 
 
 def test_discriminant_tends_to_squared_limit():
@@ -162,14 +160,15 @@ def test_discriminant_equals_quadratic_recombination():
             delta_n, pair = cell.spectrum(n)
             if pair is None:
                 continue
-            recomb = pair.b_coeff**2 - 4.0 * b * pair.c_coeff
-            scale = pair.b_coeff**2 + abs(4.0 * b * pair.c_coeff) + abs(delta_n)
+            b_n, c_n, _ = oracles.quadratic(cell, n)
+            recomb = b_n**2 - 4.0 * b * c_n
+            scale = b_n**2 + abs(4.0 * b * c_n) + abs(delta_n)
             assert abs(recomb - delta_n) <= 1e-12 * scale, (n, lam, b)
 
 
 def test_eigenvalues_closed_form_term_by_term():
     m, lam, b = 12, 1.0, 0.5
-    pair = ModeCell(lam, b).spectrum(m)[1]
+    delta_m, pair = ModeCell(lam, b).spectrum(m)
     lam1 = _coupling(1, lam, b)
     lamm = _coupling(m, lam, b)
     outer = _rankine(m, lam)
@@ -178,7 +177,7 @@ def test_eigenvalues_closed_form_term_by_term():
     delta = (b * (outer + inner) - (1 + b * b) * lam1) ** 2 - 4 * b * b * lamm**2
     assert pair.omega_plus == pytest.approx((b_m + math.sqrt(delta)) / (2 * b), rel=1e-14)
     assert pair.omega_minus == pytest.approx((b_m - math.sqrt(delta)) / (2 * b), rel=1e-14)
-    assert pair.discriminant == pytest.approx(delta, rel=1e-14)
+    assert delta_m == pytest.approx(delta, rel=1e-14)
 
 
 def test_eigenvalues_absent_when_discriminant_negative():
@@ -188,24 +187,27 @@ def test_eigenvalues_absent_when_discriminant_negative():
 
 
 def test_eigenvalues_vieta():
-    pair = ModeCell(1.0, 0.5).spectrum(5)[1]
+    cell = ModeCell(1.0, 0.5)
+    delta, pair = cell.spectrum(5)
     b = 0.5
+    b_n, c_n, _ = oracles.quadratic(cell, 5)
     assert pair.omega_minus + pair.omega_plus == pytest.approx(
-        pair.b_coeff / b, rel=1e-12
+        b_n / b, rel=1e-12
     )
     assert pair.omega_minus * pair.omega_plus == pytest.approx(
-        pair.c_coeff / b, rel=1e-12
+        c_n / b, rel=1e-12
     )
     assert pair.omega_minus <= pair.omega_plus
-    assert not pair.degenerate
+    assert delta > 0.0  # a simple pair, not a double root
 
 
 def test_mode_one_has_zero_root():
     # pure rotation of the annulus is always a steady state, so Omega = 0
-    # solves the mode-1 quadratic (c_coeff vanishes identically)
+    # solves the mode-1 quadratic (C_1 vanishes identically)
     for lam, b in ((1.0, 0.5), (0.5, 0.3), (2.0, 0.7)):
-        pair = ModeCell(lam, b).spectrum(1)[1]
-        assert pair.c_coeff == 0.0
+        cell = ModeCell(lam, b)
+        pair = cell.spectrum(1)[1]
+        assert oracles.quadratic(cell, 1)[1] == 0.0
         assert abs(pair.omega_minus) <= 1e-14 * max(1.0, abs(pair.omega_plus))
 
 
@@ -268,10 +270,10 @@ def _limit_gap(cell, k):
 
 
 def _certificate_order(cell):
-    """k*: the first order with D_k > 0 and Delta_k > 1e-8 D_k^2."""
+    """k*: the first order with D_k > 0 and Delta_k > 1e-8 D_k^2 > 0."""
     for k in range(1, spectrum._SCAN_CAP + 1):
         d = _limit_gap(cell, k)
-        if d > 0.0 and cell.spectrum(k)[0] > 1e-8 * d * d:
+        if d > 0.0 and cell.spectrum(k)[0] > 1e-8 * d * d > 0.0:
             return k
     return None
 
@@ -329,6 +331,31 @@ def test_threshold_scan_matches_the_two_loop_reference():
         assert read <= reference_read, (lam, b)
 
 
+def test_threshold_on_a_tiny_b_band_matches_the_reference_or_reads_nothing():
+    # b from 1e-300 to 1e-150: a certified cell returns the two-loop scan's
+    # threshold; below b ~ 1e-158, where _MARGIN delta_inf^2 underflows to
+    # 0, the cell refuses with the cap's message before reading an order,
+    # and at (1, 1e-162) the reference reads all 100000 orders to the same
+    # refusal
+    def reference(cell):
+        return oracles.threshold_reference(cell, 50, 100_000)
+
+    for lam in (1e-3, 1.0, 700.0):
+        for b in (1e-300, 1e-250, 1e-200, 1e-162, 1e-160, 1e-158, 1e-156,
+                  1e-154, 1e-152, 1e-150):
+            got, read = _threshold_outcome(ModeCell(lam, b),
+                                           ModeCell.threshold)
+            if isinstance(got, Threshold):
+                assert got == _threshold_outcome(ModeCell(lam, b),
+                                                 reference)[0], (lam, b)
+            else:
+                assert b <= 1e-158 and read == set(), (lam, b)
+                assert got == ("no positivity threshold below 100000 for"
+                               f" lam={lam}, b={b}")
+    assert (_threshold_outcome(ModeCell(1.0, 1e-162), reference)[0]
+            == _threshold_outcome(ModeCell(1.0, 1e-162), ModeCell.threshold)[0])
+
+
 # the cells of the Bessel-fact tests: arguments lam and lam b from 1e-6 to
 # 700, and certificate orders k* from 2 to 1500
 _FACT_LAMBDAS = (1e-3, 0.1, 1.0, 8.0, 50.0, 300.0, 700.0)
@@ -380,8 +407,8 @@ def test_computed_discriminant_stays_certified_past_k_star():
                    for b in _FACT_BS] + hostile:
         cell = ModeCell(lam, b)
         k_star = _certificate_order(cell)
-        prev = cell.spectrum(k_star)[1]
-        assert prev.discriminant > 0.0, (lam, b)
+        delta, prev = cell.spectrum(k_star)
+        assert delta > 0.0, (lam, b)
         for j in range(k_star + 1, k_star + 301):
             try:
                 delta, pair = cell.spectrum(j)
@@ -465,7 +492,8 @@ def test_cell_matches_per_order_functions_bitwise():
                 fresh, _rankine(n, lam), _rankine(n, lam * b))
             pair = cell.spectrum(n)[1]
             assert pair == ModeCell(lam, b).spectrum(n)[1]
-            assert cell.matrix(n, 0.3) == ModeCell(lam, b).matrix(n, 0.3)
+            assert np.array_equal(cell.block(n, 0.3),
+                                  ModeCell(lam, b).block(n, 0.3))
             assert (cell.simply_connected(n)
                     == ModeCell(lam, b).simply_connected(n))
             if pair is not None:
@@ -539,21 +567,26 @@ def test_kernel_vector_membership_and_sign():
     cell = ModeCell(1.0, 0.5)
     for m, sign in ((12, "+"), (12, "-"), (5, "+"), (5, "-")):
         omega, (v1, v2), _ = cell.root(m, sign)
-        mat = cell.matrix(m, omega)
+        block = cell.block(m, omega)
         norm_v = math.hypot(v1, v2)
         assert v2 < 0.0
         assert norm_v > 0.0
-        assert abs(mat.m11 * v1 + mat.m12 * v2) <= 1e-11 * _scale(mat) * norm_v
-        assert abs(mat.m21 * v1 + mat.m22 * v2) <= 1e-11 * _scale(mat) * norm_v
+        for row in block:
+            assert abs(row[0] * v1 + row[1] * v2) <= (
+                1e-11 * _scale(block) * norm_v)
 
 
 def test_kernel_vector_is_adjugate_column():
+    # (v1, v2) = (-m22, m21) bit for bit, with M_9's second row rebuilt
+    # from the cell's quantities exactly as block builds it
     cell = ModeCell(1.0, 0.5)
+    lam1, lam9, outer, inner = cell.mode(9)
     for sign in ("+", "-"):
         omega, (v1, v2), _ = cell.root(9, sign)
-        mat = cell.matrix(9, omega)
-        assert v1 == -mat.m22
-        assert v2 == mat.m21
+        m21, m22 = -lam9, lam1 - 0.5 * (inner + omega)
+        assert v1 == -m22
+        assert v2 == m21
+        assert np.array_equal(cell.block(9, omega)[1], 9 * np.array([m21, m22]))
 
 
 def test_kernel_vector_minus_branch_inner_dominant():
@@ -587,13 +620,15 @@ def test_obstruction_vanishes_at_double_root():
     # at the vertex Omega = B_m/(2b) the obstruction equals Delta_m/4, so
     # it vanishes exactly in the degenerate case
     m, lam, b = 7, 1.0, 0.5
-    pair = ModeCell(lam, b).spectrum(m)[1]
-    omega_vertex = pair.b_coeff / (2.0 * b)
+    cell = ModeCell(lam, b)
+    b_m, _, delta = oracles.quadratic(cell, m)
+    omega_vertex = b_m / (2.0 * b)
     lam1 = _coupling(1, lam, b)
     lamm = _coupling(m, lam, b)
     left = lam1 - b * (_rankine(m, lam * b) + omega_vertex)
     obstruction = left * left - b * b * lamm * lamm
-    assert obstruction == pytest.approx(pair.discriminant / 4.0, rel=1e-10)
+    assert obstruction == pytest.approx(delta / 4.0, rel=1e-10)
+    assert delta == cell.spectrum(m)[0]
 
 
 def test_simple_kernel_guard_on_harmonics():
@@ -603,8 +638,9 @@ def test_simple_kernel_guard_on_harmonics():
     for sign in ("+", "-"):
         omega = cell.root(5, sign)[0]
         for k in range(2, 11):
-            mat = cell.matrix(5 * k, omega)
-            assert abs(oracles.determinant(mat)) > 1e-10 * _scale(mat) ** 2, (sign, k)
+            block = cell.block(5 * k, omega)
+            assert abs(oracles.determinant(block)) > (
+                1e-10 * _scale(block) ** 2), (sign, k)
 
 
 @given(
@@ -614,20 +650,21 @@ def test_simple_kernel_guard_on_harmonics():
 )
 def test_quadratic_structure_property(n, lam, b):
     cell = ModeCell(lam, b)
-    mat = cell.matrix(n, 0.37)
-    assert mat.m12 > 0.0 > mat.m21
-    assert mat.m12 / mat.m21 == pytest.approx(-b, rel=1e-13)
+    block = cell.block(n, 0.37)
+    assert block[0, 1] > 0.0 > block[1, 0]
+    assert block[0, 1] / block[1, 0] == pytest.approx(-b, rel=1e-13)
     delta, pair = cell.spectrum(n)
     if pair is None:
         assert delta < 0.0
         return
     assert pair.omega_minus <= pair.omega_plus
     assert pair.omega_minus + pair.omega_plus == pytest.approx(
-        pair.b_coeff / b, rel=1e-11
+        oracles.quadratic(cell, n)[0] / b, rel=1e-11
     )
     for omega in (pair.omega_minus, pair.omega_plus):
-        mat = cell.matrix(n, omega)
-        assert abs(oracles.determinant(mat)) <= 1e-10 * max(_scale(mat) ** 2, 1e-300)
+        block = cell.block(n, omega)
+        assert abs(oracles.determinant(block)) <= 1e-10 * max(
+            _scale(block) ** 2, 1e-300)
 
 
 @pytest.mark.parametrize("lam", [math.inf, math.nan])
