@@ -48,8 +48,8 @@ from .spectrum import (
 
 _COMMANDS = ("spectrum", "eigen", "limits", "branch", "verify")
 
-# multiplier-check bound: the quadrature is spectral, so the O(eps^2)
-# finite-difference error (~1e-9 at eps = 2e-5) dominates at every P from 32
+# multiplier-check bound: the batch's O(eps^2) error (~7e-10 at eps = 2e-6)
+# dominates from P = 36 on, the quadrature's own error below that
 _MULTIPLIER_BOUND = 1e-6
 # mode orders of verify's multiplier check; each needs a sine on the grid
 _VERIFY_MODES = range(1, 13)
@@ -467,18 +467,17 @@ def _verify_bessel_beltrami():
 
 
 def _verify_trivial_residual(grid):
+    outer = annulus_boundary(1.0)
     return max(
-        float(np.max(np.abs(g_functional(lam, b, omega, annulus_boundary(1.0),
-                                         annulus_boundary(b), grid))))
-        for lam in (0.5, 1.0, 2.0) for b in (0.3, 0.5, 0.7)
-        for omega in (-0.5, 0.0, 0.5))
+        float(np.max(np.abs(g_functional(lam, inner.scale, omega, outer,
+                                         inner, grid))))
+        for inner in map(annulus_boundary, (0.3, 0.5, 0.7))
+        for lam in (0.5, 1.0, 2.0) for omega in (-0.5, 0.0, 0.5))
 
 
 def _verify_multipliers(grid):
-    return max(
-        float(np.max(np.abs(linearization_check(n, 1.0, 0.5, 0.2, 2e-5,
-                                                grid)[1])))
-        for n in _VERIFY_MODES)
+    return float(np.max(np.abs(linearization_check(_VERIFY_MODES, 1.0, 0.5,
+                                                   0.2, 2e-6, grid)[1])))
 
 
 def _cmd_verify(config):

@@ -39,7 +39,8 @@ The rotating-frame boundary condition is, at each node of interface j,
 whose zeros over both interfaces are the rotating patches.  Orientation
 (inner boundary enters with the minus sign through the difference above)
 is pinned by the exact vanishing of G on the unperturbed annulus for every
-Omega, which is one of the tests, not an argument.
+Omega, which is one of the tests, not an argument.  G's linearization at
+the annulus is diagonal in the mode, so linearization_check batches orders.
 """
 
 from __future__ import annotations
@@ -402,46 +403,41 @@ def sine_coefficients(values, grid):
     return sine
 
 
-def linearization_check(n, lam, b, omega, epsilon, grid):
-    """Recover the mode-n multiplier matrix from one G evaluation per column.
+def linearization_check(ns, lam, b, omega, epsilon, grid):
+    """Recover M_n for every order n of a batch from four G evaluations.
 
-    Perturbing interface j by epsilon conj(w)^{n-1} and projecting both
-    components of G onto sin(n theta) gives column j of M_n after division
-    by epsilon n (the linearization acts as (h_1, h_2) -> n M_n (a, b)^T
-    sin(n theta) on mode n-1 inputs).
+    Interface j is perturbed by +-epsilon conj(w)^{n-1} at every order n of the
+    batch at once.  The linearization acts as (h_1, h_2) -> n M_n (a, b)^T
+    sin(n theta) on mode n-1 inputs, so distinct orders below P/2 never share a
+    sine, and the sin(n theta) content of both rows of the central difference
+    G(+epsilon) - G(-epsilon), over 2 epsilon n, is column j of M_n.  It
+    cancels every even power of epsilon, however its cross terms alias mod P;
+    the cubic terms, which couple the orders, leave an O(epsilon^2) error.  One
+    order alone is the single-column central stencil.
 
-    Why one side is enough: a node shift combined with the matching
-    rotation maps the discrete G to itself, and the perturbation is
-    epsilon conj(w)^n relative to the annulus, so the epsilon^k term of G
-    lies in modes j n (mod P) with |j| <= k and j of the parity of k.  The
-    epsilon^2 term therefore sits in modes 0 and +-2n only, and its sin(n
-    theta) projection is exactly zero unless 2n aliases onto +-n, which
-    happens when 3n = 0 (mod P).  Otherwise the error left is the
-    epsilon^3 term, O(epsilon^2) after division, the same order as a
-    central stencil.  In the aliased case the column is the central
-    difference of G(+-epsilon), which cancels the even terms instead.  The
-    bare annulus G(0) has no sine content and needs no call.
-
-    Returns (recovered, deviation) where deviation = recovered - M_n
-    entrywise, with M_n = ModeCell.block / n.  Modes n >= P/2 have no sine
-    on the grid and are refused.
+    Returns (recovered, deviation) as len(ns) x 2 x 2 arrays, deviation =
+    recovered - ModeCell.block(n) / n.  Empty batches, repeated orders (a
+    repeat would double its step) and modes n >= P/2 are refused.
     """
-    block = ModeCell(lam, b).block(n, omega)  # refuses n < 1 up front
-    n = _check_order(n)
-    _check_mode_fits(n, grid.node_count)
+    cell = ModeCell(lam, b)
+    ns = [_check_order(n) for n in ns]
+    if not ns or len(set(ns)) != len(ns):
+        raise ValueError(f"need one or more distinct orders; got {ns}")
+    _check_mode_fits(max(ns), grid.node_count)
     if not 1e-8 <= epsilon <= 1e-4:
-        raise ValueError(
-            f"step must lie in [1e-8, 1e-4]; got {epsilon}"
-        )
-    signs = (1.0, -1.0) if (3 * n) % grid.node_count == 0 else (1.0,)
-    recovered = np.zeros((2, 2))
+        raise ValueError(f"step must lie in [1e-8, 1e-4]; got {epsilon}")
+    order = np.array(ns)
+    flat = [annulus_boundary(1.0), annulus_boundary(b)]
+    recovered = np.empty((len(ns), 2, 2))
     for col, scale in ((0, 1.0), (1, b)):
-        for sign in signs:
-            pair = [annulus_boundary(1.0), annulus_boundary(b)]
-            pair[col] = FourierBoundary.single_mode(scale, n - 1,
-                                                    sign * epsilon)
+        column = 0.0
+        for sign in (1.0, -1.0):
+            coefficients = np.zeros(order.max())
+            coefficients[order - 1] = sign * epsilon
+            pair = list(flat)
+            pair[col] = FourierBoundary(scale, coefficients)
             sine = sine_coefficients(g_functional(lam, b, omega, *pair, grid),
                                      grid)
-            recovered[:, col] += sign * sine[:, n] / (len(signs) * epsilon * n)
-    deviation = recovered - block / n
-    return recovered, deviation
+            column = column + sign * sine[:, order] / (2.0 * epsilon * order)
+        recovered[:, :, col] = column.T
+    return recovered, recovered - [cell.block(n, omega) / n for n in ns]

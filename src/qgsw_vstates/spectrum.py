@@ -43,7 +43,7 @@ _MARGIN = 1e-8
 
 
 class SearchExhausted(RuntimeError):
-    """Mode scan hit its cap without certifying a threshold."""
+    """No threshold certified: the scan hit its cap, or no order can."""
 
 
 def _normalize_sign(sign):
@@ -120,11 +120,11 @@ class ModeCell:
     """The mode quantities of one (lam, b) cell, across all orders.
 
     Holds one BesselLadder at lam and one at lam b, the n-independent
-    Lambda_1, and a memo from each order to its (Delta_n, EigenPair or
-    None), so a threshold scan and the table rows that follow it evaluate
-    each order once.  The one place Lambda_n, Omega_n and M_n are
-    evaluated.  outer, if given, is a ladder at lam (any other argument is
-    a ValueError) shared with other cells, bit-identical to a fresh one.
+    Lambda_1, and a memo from each order to its mode quantities and
+    (Delta_n, EigenPair or None), read by threshold scans, table rows and
+    roots alike.  The one place Lambda_n, Omega_n and M_n are evaluated.
+    outer, if given, is a ladder at lam (any other argument is a
+    ValueError) shared with other cells, bit-identical to a fresh one.
     A cell is refused before any order is read when lam b (the smaller
     argument, as b < 1) lies below the range of bessel._k0_nodes, whose
     trapezoid rule needs 40/(lam b) finite: about 2.2e-307, 0 included.
@@ -191,8 +191,9 @@ class ModeCell:
         """
         if n not in self._spectra:
             n = _check_order(n)
-            self._spectra[n] = _mode_spectrum(self.b, *self.mode(n))
-        return self._spectra[n]
+            mode = self.mode(n)
+            self._spectra[n] = mode, _mode_spectrum(self.b, *mode)
+        return self._spectra[n][1]
 
     def root(self, m, sign):
         """(Omega_m^{sign}, kernel vector, transversal flag) of mode m;
@@ -218,7 +219,7 @@ class ModeCell:
                 f" {delta:.17g} <= 0"
             )
         omega = pair.omega_plus if plus else pair.omega_minus
-        lam1, lamm, _, inner = self.mode(m)
+        lam1, lamm, _, inner = self._spectra[m][0]
         b = self.b
         v1, v2 = b * (inner + omega) - lam1, -lamm
         obstruction = v1 * v1 - b * b * v2 * v2
@@ -278,17 +279,21 @@ class ModeCell:
         No order is read when none can be k*: as computed, D_k is
         delta_inf less a nonnegative number, so (rounding being monotone)
         _MARGIN D_k^2 <= _MARGIN delta_inf^2 wherever D_k > 0, and the
-        scan refuses at once when delta_inf <= 0 or _MARGIN delta_inf^2
-        underflows to 0 (b below about 1e-158).
+        scan refuses at once, saying so, when delta_inf <= 0 or _MARGIN
+        delta_inf^2 underflows to 0 (b below about 1e-158).
         """
         b = self.b
         delta_inf = b * (self.outer.product(1) + self.inner.product(1)) - (
             1.0 + b * b
         ) * self.lam1
-        passable = delta_inf > 0.0 and _MARGIN * delta_inf * delta_inf > 0.0
+        if not (delta_inf > 0.0 and _MARGIN * delta_inf * delta_inf > 0.0):
+            raise SearchExhausted(
+                f"no order can certify a positivity threshold for"
+                f" lam={self.lam}, b={b}: delta_inf = {delta_inf!r} leaves"
+                f" no margin {_MARGIN:g} delta_inf^2 > 0")
         n0 = n = 1
         prev = None
-        for k in range(1, _SCAN_CAP + 1 if passable else 1):
+        for k in range(1, _SCAN_CAP + 1):
             delta, pair = self.spectrum(k)
             if not delta > 0.0:
                 n0 = k + 1

@@ -14,8 +14,8 @@ which tests check against mpmath on their own; what those oracles check is
 the quadrature around them.  g_functional_unfolded keeps the boundary
 functional on full P x P kernels from the same library pieces; what it
 checks is the rotational fold of contour.g_functional, and
-linearization_check_central keeps the two-sided stencil that checks the
-one-sided recovery of contour.linearization_check.  omega_column
+linearization_check_central keeps the single-order stencil that checks
+the batched columns of contour.linearization_check.  omega_column
 projects the grid's dG/dOmega, which the solver's seed writes in closed
 form.  converged_lattice solves the projected m-fold system by plain
 forward-difference Newton to ||F|| <= 1e-16, the reference the solver's
@@ -589,9 +589,8 @@ def g_functional_inner_flipped(lam, b, omega, f1, f2, grid):
 
 def linearization_check_central(n, lam, b, omega, epsilon, grid):
     """contour.linearization_check by central differences of G(+-epsilon)
-    for every column, two G evaluations per column where the library needs
-    one outside the aliased case 3n = 0 (mod P): the check on its
-    one-sided recovery.
+    for one order n, two G evaluations per column where the library spends
+    two per column on a whole batch of orders: the check on its batching.
     """
     from qgsw_vstates.contour import (
         FourierBoundary, annulus_boundary, g_functional, sine_coefficients,

@@ -563,11 +563,12 @@ def test_g_functional_builds_kernels_for_one_period(grid, monkeypatch):
 
 
 def test_linearization_matches_multiplier_matrix(grid):
-    recovered, deviation = linearization_check(6, LAM, B, 0.2, 1e-6, grid)
+    recovered, deviation = linearization_check([6], LAM, B, 0.2, 1e-6, grid)
+    assert recovered.shape == deviation.shape == (1, 2, 2)
     assert np.max(np.abs(deviation)) < 1e-6
-    assert recovered[0, 1] > 0.0 > recovered[1, 0]
+    assert recovered[0, 0, 1] > 0.0 > recovered[0, 1, 0]
     for n in (1, 12):
-        _, dev = linearization_check(n, LAM, B, 0.2, 1e-6, grid)
+        _, dev = linearization_check([n], LAM, B, 0.2, 1e-6, grid)
         assert np.max(np.abs(dev)) < 1e-6, n
 
 
@@ -582,46 +583,70 @@ def test_linearization_cross_mode_leakage(grid):
 
 
 def test_linearization_central_difference_order(grid):
-    _, coarse = linearization_check(6, LAM, B, 0.2, 4e-5, grid)
-    _, fine = linearization_check(6, LAM, B, 0.2, 2e-5, grid)
+    _, coarse = linearization_check([6], LAM, B, 0.2, 4e-5, grid)
+    _, fine = linearization_check([6], LAM, B, 0.2, 2e-5, grid)
     ratio = np.max(np.abs(coarse)) / np.max(np.abs(fine))
     assert 3.0 < ratio < 5.0
 
 
 def test_linearization_step_validation(grid):
     with pytest.raises(ValueError):
-        linearization_check(6, LAM, B, 0.2, 1e-3, grid)
+        linearization_check([6], LAM, B, 0.2, 1e-3, grid)
 
 
 @pytest.mark.parametrize("node_count, n", [(24, 12), (16, 9)])
 def test_linearization_refuses_modes_without_a_sine(node_count, n):
     with pytest.raises(ValueError, match="grid size"):
-        linearization_check(n, LAM, B, 0.2, 2e-5, make_grid(node_count))
+        linearization_check(range(1, n + 1), LAM, B, 0.2, 2e-5,
+                            make_grid(node_count))
 
 
 @pytest.mark.parametrize("node_count", [64, 256])
-def test_linearization_one_sided_matches_central_stencil(node_count):
-    # G(+eps) alone leaves no eps^2 term in sin(n theta) when 3n != 0 mod P
+def test_linearization_one_order_batch_is_the_central_stencil(node_count):
     grid = make_grid(node_count)
     for n in range(1, 13):
-        assert 3 * n % node_count != 0
-        recovered, deviation = linearization_check(n, LAM, B, 0.2, 2e-5, grid)
+        recovered, deviation = linearization_check([n], LAM, B, 0.2, 2e-5,
+                                                   grid)
         central, central_dev = oracles.linearization_check_central(
             n, LAM, B, 0.2, 2e-5, grid)
-        assert np.max(np.abs(recovered - central)) < 1e-11, n
-        assert np.max(np.abs(deviation - central_dev)) < 1e-11, n
+        assert np.array_equal(recovered[0], central), n
+        assert np.array_equal(deviation[0], central_dev), n
 
 
 @pytest.mark.parametrize("node_count, n", [(30, 10), (36, 12)])
 def test_linearization_aliased_mode_is_the_central_stencil(node_count, n):
     # 2n aliases onto -n, so the eps^2 term reaches sin(n theta) and only
-    # the central difference cancels it
+    # the central difference, which every batch takes, cancels it
     grid = make_grid(node_count)
-    recovered, deviation = linearization_check(n, LAM, B, 0.2, 2e-5, grid)
+    recovered, deviation = linearization_check([n], LAM, B, 0.2, 2e-5, grid)
     central, central_dev = oracles.linearization_check_central(
         n, LAM, B, 0.2, 2e-5, grid)
-    assert np.array_equal(recovered, central)
-    assert np.array_equal(deviation, central_dev)
+    assert np.array_equal(recovered[0], central)
+    assert np.array_equal(deviation[0], central_dev)
+
+
+@pytest.mark.parametrize("node_count", [64, 256])
+def test_linearization_batch_lies_within_eps_squared_of_each_order(
+        node_count):
+    # the orders of one batch meet only in the cubic terms of G, so the
+    # batch moves each column by O(eps^2) from its single-order stencil
+    grid = make_grid(node_count)
+    for epsilon in (2e-6, 4e-6):
+        central = np.array([oracles.linearization_check_central(
+            n, LAM, B, 0.2, epsilon, grid)[0] for n in range(1, 13)])
+        recovered, deviation = linearization_check(range(1, 13), LAM, B,
+                                                   0.2, epsilon, grid)
+        assert recovered.shape == deviation.shape == (12, 2, 2)
+        assert np.max(np.abs(recovered - central)) < 300.0 * epsilon ** 2
+    blocks = np.array([ModeCell(LAM, B).block(n, 0.2) / n
+                       for n in range(1, 13)])
+    assert np.array_equal(deviation, recovered - blocks)
+
+
+@pytest.mark.parametrize("orders", [[], [3, 5, 3]])
+def test_linearization_refuses_empty_and_repeated_batches(grid, orders):
+    with pytest.raises(ValueError, match="distinct orders"):
+        linearization_check(orders, LAM, B, 0.2, 2e-6, grid)
 
 
 def test_velocity_annulus_symmetries(grid):

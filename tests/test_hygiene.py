@@ -6,7 +6,9 @@ not count), and so is every public dataclass field, as an attribute, every
 field of the CLI's RunConfig but jobs is read by a command, no module holds
 a writable array (no process-global mutable state), an array handed out
 from a memo is read-only, so no caller can write into a result that later
-calls share, and a failing property test does not end the suite's run."""
+calls share, importing the CLI loads no third-party module but numpy (so
+scipy and mpmath stay test-only and every run's start-up stays light), and
+a failing property test does not end the suite's run."""
 
 import ast
 import importlib
@@ -289,6 +291,33 @@ def test_memoized_arrays_are_read_only():
               grid.log_weights(4), grid.log_weights(2), grid.transpose_index(8),
               grid.transpose_index(8), grid.theta, grid.nodes]
     assert [arr.flags.writeable for arr in shared] == [False] * len(shared)
+
+
+def _foreign_imports(module, allowed):
+    """Top-level modules that importing module loads into a fresh
+    interpreter, other than the standard library's and those allowed."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    probe = ("import sys\nbefore = set(sys.modules)\n"
+             f"import {module}\n"
+             "print(*sorted({name.partition('.')[0] for name in sys.modules"
+             " if name not in before}))\n")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=env, timeout=60, check=True)
+    return sorted(set(done.stdout.split()) - set(sys.stdlib_module_names)
+                  - set(allowed))
+
+
+def test_import_footprint_scan_finds_what_it_should():
+    assert _foreign_imports("qgsw_vstates.cli", ["qgsw_vstates"]) == [
+        "numpy"]
+    assert _foreign_imports("json", []) == []
+
+
+def test_the_cli_imports_no_third_party_module_but_numpy():
+    assert _foreign_imports("qgsw_vstates.cli",
+                            ["numpy", "qgsw_vstates"]) == []
 
 
 def test_a_failing_property_test_leaves_the_run_reporting(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -334,9 +335,9 @@ def test_threshold_scan_matches_the_two_loop_reference():
 def test_threshold_on_a_tiny_b_band_matches_the_reference_or_reads_nothing():
     # b from 1e-300 to 1e-150: a certified cell returns the two-loop scan's
     # threshold; below b ~ 1e-158, where _MARGIN delta_inf^2 underflows to
-    # 0, the cell refuses with the cap's message before reading an order,
-    # and at (1, 1e-162) the reference reads all 100000 orders to the same
-    # refusal
+    # 0, the cell refuses before reading an order, saying no order can
+    # certify one, and at (1, 1e-162) the reference reads all 100000 orders
+    # to a refusal too
     def reference(cell):
         return oracles.threshold_reference(cell, 50, 100_000)
 
@@ -350,10 +351,12 @@ def test_threshold_on_a_tiny_b_band_matches_the_reference_or_reads_nothing():
                                                  reference)[0], (lam, b)
             else:
                 assert b <= 1e-158 and read == set(), (lam, b)
-                assert got == ("no positivity threshold below 100000 for"
-                               f" lam={lam}, b={b}")
-    assert (_threshold_outcome(ModeCell(1.0, 1e-162), reference)[0]
-            == _threshold_outcome(ModeCell(1.0, 1e-162), ModeCell.threshold)[0])
+                assert re.fullmatch(re.escape(
+                    "no order can certify a positivity threshold for"
+                    f" lam={lam}, b={b}: delta_inf = ") + r"\S+" + re.escape(
+                    " leaves no margin 1e-08 delta_inf^2 > 0"), got), got
+    assert _threshold_outcome(ModeCell(1.0, 1e-162), reference)[0] == (
+        "no positivity threshold below 100000 for lam=1.0, b=1e-162")
 
 
 # the cells of the Bessel-fact tests: arguments lam and lam b from 1e-6 to
